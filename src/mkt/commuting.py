@@ -24,7 +24,7 @@ from .fields import (EXTENSION, FUNCTION, PRIME, RATIONALS, FieldDescriptor,
                      FieldElement, Polynomial, coordinates, embed, embed_poly,
                      extension, tower_steps)
 from .linalg import (Matrix, PolyMatrix, SpanTracker, minpoly_matrix,
-                     poly_eval_matrix, solve_in_span)
+                     poly_eval_matrix)
 from .symbols import MilnorExpression, symbol, zero_expression
 from .transfer import transfer_tower
 
@@ -322,15 +322,23 @@ def _standard_vector(field, dim: int, i: int) -> tuple:
     return tuple(field.one() if j == i else field.zero() for j in range(dim))
 
 
-def _restrict(field, op: Matrix, basis: list[tuple]) -> Matrix:
+def _coordinate_columns(span: SpanTracker, images) -> list[list[FieldElement]]:
     cols = []
-    for v in basis:
-        sol = solve_in_span(field, basis, op.apply(v))
-        if sol is None:
+    for u in images:
+        c = span.coordinates(u)
+        if c is None:
             raise RecursionInvariantViolated("subspace is not operator invariant")
-        cols.append(sol)
-    rows = [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
-    return Matrix(field, rows)
+        cols.append(c)
+    return cols
+
+
+def _restrict(field, dim: int, ops: Sequence[Matrix], basis: list[tuple]) -> list[Matrix]:
+    """The matrices of ops on the invariant subspace with the given basis."""
+    span = SpanTracker(field, dim)
+    for v in basis:
+        span.add(v)
+    return [Matrix(field, zip(*_coordinate_columns(span, [op.apply(v) for v in basis])))
+            for op in ops]
 
 
 def _combine(field, basis: list[tuple], coeffs: Sequence[FieldElement]) -> tuple:
@@ -400,7 +408,7 @@ def _simple_submodule(field, dim: int, ops: list[Matrix]):
         if sub is None:
             raise UnsupportedTower(
                 "splitting this tuple needs a second extension step over Q")
-        rops = [_restrict(field, op, sub) for op in ops]
+        rops = _restrict(field, dim, ops, sub)
         top, scal, inner = _simple_submodule(field, len(sub), rops)
         return top, scal, [_combine(field, sub, v) for v in inner]
     if m.degree == 1:
@@ -414,7 +422,7 @@ def _simple_submodule(field, dim: int, ops: list[Matrix]):
         w = [tuple(v) for v in (a - ident * root).kernel_basis()]
         if not w:
             raise RecursionInvariantViolated("eigenvalue lost its eigenspace")
-        rops = [_restrict(field, op, w) for op in ops[1:]]
+        rops = _restrict(field, dim, ops[1:], w)
         top, scal, inner = _simple_submodule(field, len(w), rops)
         return top, [embed(root, top)] + scal, [_combine(field, w, v) for v in inner]
 
@@ -439,17 +447,13 @@ def _simple_submodule(field, dim: int, ops: list[Matrix]):
     if e * d != len(w):
         raise RecursionInvariantViolated("kernel dimension not divisible by the step degree")
 
-    def lift(vec) -> list[FieldElement]:
-        sol = solve_in_span(field, flat, vec)
-        if sol is None:
-            raise RecursionInvariantViolated("vector escaped the invariant subspace")
-        return [big.element(tuple(sol[k * d:(k + 1) * d])) for k in range(e)]
-
+    # the tracker holds exactly the vectors of flat, so its coordinates are
+    # coefficients in flat; block k of d of them is one entry over big
     rops = []
     for op in ops[1:]:
-        cols = [lift(op.apply(flat[k * d])) for k in range(e)]
-        rows = [[cols[j][i] for j in range(e)] for i in range(e)]
-        rops.append(Matrix(big, rows))
+        cols = _coordinate_columns(tracker, [op.apply(flat[k * d]) for k in range(e)])
+        rops.append(Matrix(big, [[big.element(tuple(c[i * d:(i + 1) * d])) for c in cols]
+                                 for i in range(e)]))
     top, scal, inner = _simple_submodule(big, e, rops)
     gen = big.gen()
     out = []
@@ -474,19 +478,18 @@ def _quotient(field, ops: list[Matrix], sub: list[tuple], dim: int):
     for v in sub:
         if not tracker.add(v):
             raise RecursionInvariantViolated("dependent submodule basis")
-    comp = []
+    # complete sub by standard vectors; the quotient acts on their classes
+    r = len(sub)
+    comp, keep = [], []
     for i in range(dim):
         v = _standard_vector(field, dim, i)
         if tracker.add(v):
             comp.append(v)
-    full = sub + comp
-    p = Matrix(field, [[full[j][i] for j in range(dim)] for i in range(dim)])
-    pinv = p.inverse()
-    r = len(sub)
+            keep.append(r + i)
     qops = []
     for op in ops:
-        m = pinv * op * p
-        qops.append(Matrix(field, [list(m.row(i))[r:] for i in range(r, dim)]))
+        cols = _coordinate_columns(tracker, [op.apply(v) for v in comp])
+        qops.append(Matrix(field, [[c[k] for c in cols] for k in keep]))
     return qops, dim - r
 
 

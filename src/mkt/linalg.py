@@ -1,8 +1,12 @@
 """Exact dense linear algebra over the field layer.
 
 Everything here works on small matrices (module decompositions, Krylov
-minimal polynomials), so the code favors clarity over asymptotics: cubic
-elimination throughout, no pivoting heuristics beyond "first nonzero".
+minimal polynomials), so the code favors clarity over asymptotics. There is
+one elimination routine, SpanTracker: an incremental echelon basis whose
+rows remember their coefficients in the vectors offered to it, pivoting on
+the first nonzero entry. Determinant, inverse, rank, kernel, solving and
+the Krylov minimal polynomial are all read off a tracker. PolyMatrix keeps
+its own fraction-free determinant, since k[t] is not a field.
 """
 
 from __future__ import annotations
@@ -175,100 +179,64 @@ class Matrix:
         return Matrix(field or self.field, [[fn(a) for a in r] for r in self.rows])
 
     def det(self) -> FieldElement:
+        """Product of the pivots of the rows, times the sign of their columns."""
         if not self.is_square:
             raise ArityMismatch("determinant needs a square matrix")
-        n = self.nrows
-        if n == 0:
-            return self.field.one()
-        rows = [list(r) for r in self.rows]
-        sign = 1
-        det = self.field.one()
-        for k in range(n):
-            piv = None
-            for i in range(k, n):
-                if not rows[i][k].is_zero():
-                    piv = i
-                    break
-            if piv is None:
+        span = SpanTracker(self.field, self.ncols)
+        for r in self.rows:
+            if not span.add(r):
                 return self.field.zero()
-            if piv != k:
-                rows[k], rows[piv] = rows[piv], rows[k]
-                sign = -sign
-            pivot = rows[k][k]
-            det = det * pivot
-            inv = pivot.inverse()
-            for i in range(k + 1, n):
-                f = rows[i][k] * inv
-                if f.is_zero():
-                    continue
-                for j in range(k, n):
-                    rows[i][j] = rows[i][j] - f * rows[k][j]
-        return det if sign == 1 else -det
-
-    def is_invertible(self) -> bool:
-        return self.is_square and not self.det().is_zero()
+        det = self.field.one()
+        for a in span.pivot_values:
+            det = det * a
+        return det if _permutation_sign(span.pivots) == 1 else -det
 
     def inverse(self) -> "Matrix":
+        """Row j of the inverse writes e_j in the rows of self."""
         if not self.is_square:
             raise ArityMismatch("inverse needs a square matrix")
         n = self.nrows
-        aug = [list(self.rows[i]) + list(Matrix.identity(self.field, n).rows[i])
-               for i in range(n)]
-        for k in range(n):
-            piv = None
-            for i in range(k, n):
-                if not aug[i][k].is_zero():
-                    piv = i
-                    break
-            if piv is None:
+        span = SpanTracker(self.field, n)
+        for r in self.rows:
+            if not span.add(r):
                 raise DegenerateInput("matrix is singular")
-            aug[k], aug[piv] = aug[piv], aug[k]
-            inv = aug[k][k].inverse()
-            aug[k] = [a * inv for a in aug[k]]
-            for i in range(n):
-                if i == k or aug[i][k].is_zero():
-                    continue
-                f = aug[i][k]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
-        return Matrix(self.field, [r[n:] for r in aug])
+        return Matrix(self.field, [span.coordinates(_unit_vector(self.field, n, j))
+                                   for j in range(n)])
 
     def rank(self) -> int:
-        rows = [list(r) for r in self.rows]
-        _, pivots = _row_reduce(self.field, rows)
-        return len(pivots)
+        span = SpanTracker(self.field, self.ncols)
+        for r in self.rows:
+            span.add(r)
+        return span.rank
 
     def kernel_basis(self) -> list[tuple]:
-        """Basis of the right null space, as vectors of length ncols."""
-        rows = [list(r) for r in self.rows]
-        red, pivots = _row_reduce(self.field, rows)
-        pivset = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivset]
+        """Basis of the right null space, as vectors of length ncols.
+
+        Each column that depends on the columns before it gives one vector:
+        its relation to them, with coefficient 1 on itself.
+        """
+        span = SpanTracker(self.field, self.nrows)
         zero, one = self.field.zero(), self.field.one()
         basis = []
-        for j in free:
-            v = [zero] * self.ncols
-            v[j] = one
-            for r, pc in zip(red, pivots):
-                v[pc] = -r[j]
-            basis.append(tuple(v))
+        for j in range(self.ncols):
+            rel = span.offer(self.col(j))
+            if rel is not None:
+                basis.append(tuple(rel) + (one,) + (zero,) * (self.ncols - j - 1))
         return basis
 
     def solve(self, b: Sequence) -> tuple | None:
-        """One solution of A x = b, or None when inconsistent."""
+        """One solution of A x = b, or None when inconsistent.
+
+        The entries on columns that depend on earlier columns are zero.
+        """
         bs = [_coerce_entry(self.field, e) for e in b]
         if len(bs) != self.nrows:
             raise ArityMismatch("rhs length mismatch")
-        rows = [list(r) + [bs[i]] for i, r in enumerate(self.rows)]
-        red, pivots = _row_reduce(self.field, rows, ncols=self.ncols)
-        # any leftover nonzero rhs in a zero row means inconsistency
-        for r in red[len(pivots):]:
-            if not r[-1].is_zero():
-                return None
-        zero = self.field.zero()
-        x = [zero] * self.ncols
-        for r, pc in zip(red, pivots):
-            x[pc] = r[-1]
-        return tuple(x)
+        span = SpanTracker(self.field, self.nrows)
+        for j in range(self.ncols):
+            span.add(self.col(j))
+        x = span.coordinates(bs)
+        return None if x is None else tuple(x)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; block (i,j) is self[i][j] * other."""
@@ -305,113 +273,110 @@ class Matrix:
         return f"[{body}]"
 
 
-def _row_reduce(field, rows: list[list[FieldElement]], ncols: int | None = None):
-    """In-place RREF. Returns (nonzero rows first, pivot column list).
+def _unit_vector(field, n: int, j: int) -> list[FieldElement]:
+    return [field.one() if i == j else field.zero() for i in range(n)]
 
-    When ncols is given, pivots are only sought in the first ncols columns
-    (augmented-system use); the remaining columns are carried along.
-    """
-    if not rows:
-        return rows, []
-    width = ncols if ncols is not None else len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(width):
-        piv = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
+
+def _permutation_sign(perm: Sequence[int]) -> int:
+    # a cycle of length L contributes (-1)^(L-1)
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(len(rows)):
-            if i == r or rows[i][c].is_zero():
-                continue
-            f = rows[i][c]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            sign = -sign
+        sign = -sign
+    return sign
 
 
 class SpanTracker:
-    """Incremental membership testing for a growing subspace."""
+    """Incremental echelon basis of the span of the vectors offered to it.
+
+    This is the package's one elimination routine. A vector is reduced
+    against the stored rows in the order they were stored; each stored row
+    is zero on the pivots of the rows stored before it, so one forward pass
+    clears every pivot. Every stored row also keeps its coefficients in the
+    vectors offered so far, which gives the coordinates of any vector in the
+    span and the linear relation of any offered vector that adds nothing.
+
+    Rows are scaled so that their pivot entry is -1: clearing entry f at a
+    pivot is then an addition of f times the row.
+    """
 
     def __init__(self, field: FieldDescriptor, dim: int):
         self.field = field
         self.dim = dim
-        self._reduced: list[list[FieldElement]] = []
-        self._pivots: list[int] = []
+        self.offered = 0
+        self.pivots: list[int] = []
+        self.pivot_values: list[FieldElement] = []   # pivot entries before scaling
+        self._tails: list[list[FieldElement]] = []   # row entries after the pivot
+        self._combos: list[list[FieldElement]] = []  # row = sum combo[k] * offered[k]
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return len(self.pivots)
 
-    def _reduce(self, v: Sequence[FieldElement]) -> list[FieldElement]:
+    def _reduce(self, v: Sequence[FieldElement]):
+        """(w, c) with w = v + sum_k c[k] * offered[k] and w zero on every pivot."""
         w = list(v)
-        for rv, p in zip(self._reduced, self._pivots):
-            if not w[p].is_zero():
-                f = w[p]
-                w = [a - f * b for a, b in zip(w, rv)]
-        return w
+        zero = self.field.zero()
+        comb = [zero] * self.offered
+        for p, tail, combo in zip(self.pivots, self._tails, self._combos):
+            f = w[p]
+            if f.is_zero():
+                continue
+            w[p] = zero
+            w[p + 1:] = [a + f * b for a, b in zip(w[p + 1:], tail)]
+            for k, c in enumerate(combo):
+                comb[k] = comb[k] + f * c
+        return w, comb
 
-    def contains(self, v: Sequence[FieldElement]) -> bool:
-        return all(a.is_zero() for a in self._reduce(v))
+    def offer(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
+        """Insert v. None when v enlarged the span; otherwise the relation
+        (r_0, ..., r_{m-1}) with v + sum_k r_k * offered[k] = 0."""
+        w, comb = self._reduce(v)
+        self.offered += 1
+        for p, a in enumerate(w):
+            if not a.is_zero():
+                break
+        else:
+            return comb
+        s = -a.inverse()
+        self.pivots.append(p)
+        self.pivot_values.append(a)
+        self._tails.append([x * s for x in w[p + 1:]])
+        self._combos.append([c * s for c in comb] + [s])
+        return None
 
     def add(self, v: Sequence[FieldElement]) -> bool:
         """Insert v; returns True when it enlarged the span."""
-        w = self._reduce(v)
-        piv = None
-        for j, a in enumerate(w):
-            if not a.is_zero():
-                piv = j
-                break
-        if piv is None:
-            return False
-        inv = w[piv].inverse()
-        w = [a * inv for a in w]
-        for i, (rv, p) in enumerate(zip(self._reduced, self._pivots)):
-            if not rv[piv].is_zero():
-                f = rv[piv]
-                self._reduced[i] = [a - f * b for a, b in zip(rv, w)]
-        self._reduced.append(w)
-        self._pivots.append(piv)
-        return True
+        return self.offer(v) is None
+
+    def coordinates(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
+        """Coefficients writing v in the offered vectors, or None outside the span.
+
+        Offered vectors that added nothing get coefficient zero.
+        """
+        w, comb = self._reduce(v)
+        if not all(a.is_zero() for a in w):
+            return None
+        return [-c for c in comb]
+
+    def contains(self, v: Sequence[FieldElement]) -> bool:
+        return all(a.is_zero() for a in self._reduce(v)[0])
 
 
 def solve_in_span(field, basis: Sequence[Sequence[FieldElement]],
                   target: Sequence[FieldElement]) -> list[FieldElement] | None:
     """Coefficients writing target as a combination of basis vectors, or None."""
-    if not basis:
-        return [] if all(a.is_zero() for a in target) else None
-    cols = Matrix(field, [list(v) for v in zip(*basis)])
-    sol = cols.solve(list(target))
-    return None if sol is None else list(sol)
-
-
-def span_closure(ops: Sequence[Matrix], seeds: Sequence[Sequence[FieldElement]],
-                 field: FieldDescriptor, dim: int) -> list[tuple]:
-    """Basis of the smallest ops-invariant subspace containing the seeds.
-
-    Vectors are returned in discovery (BFS) order, so the output is
-    deterministic given the input order.
-    """
-    tracker = SpanTracker(field, dim)
-    out: list[tuple] = []
-    queue = [tuple(v) for v in seeds]
-    while queue:
-        v = queue.pop(0)
-        if not tracker.add(v):
-            continue
-        out.append(v)
-        for op in ops:
-            queue.append(op.apply(v))
-    return out
+    span = SpanTracker(field, len(target))
+    for v in basis:
+        span.add(v)
+    return span.coordinates(target)
 
 
 def poly_eval_matrix(f: Polynomial, a: Matrix) -> Matrix:
@@ -427,41 +392,15 @@ def poly_eval_matrix(f: Polynomial, a: Matrix) -> Matrix:
 
 
 def _cyclic_annihilator(a: Matrix, v: Sequence[FieldElement]) -> Polynomial:
-    # minimal monic g with g(a) v = 0, via Krylov iteration
-    field = a.field
-    n = a.nrows
-    reduced: list[list[FieldElement]] = []
-    pivots: list[int] = []
-    combos: list[list[FieldElement]] = []
+    # minimal monic g with g(a) v = 0: the first Krylov vector a^k v that
+    # depends on v, ..., a^(k-1) v; at most nrows + 1 of them are offered
+    span = SpanTracker(a.field, a.nrows)
     cur = tuple(v)
-    k = 0
     while True:
-        w = list(cur)
-        combo = [field.zero()] * (k + 1)
-        combo[k] = field.one()
-        for rv, p, rc in zip(reduced, pivots, combos):
-            if not w[p].is_zero():
-                f = w[p]
-                w = [x - f * y for x, y in zip(w, rv)]
-                for i, c in enumerate(rc):
-                    combo[i] = combo[i] - f * c
-        piv = None
-        for j, x in enumerate(w):
-            if not x.is_zero():
-                piv = j
-                break
-        if piv is None:
-            return Polynomial(field, combo).monic()
-        inv = w[piv].inverse()
-        w = [x * inv for x in w]
-        combo = [c * inv for c in combo]
-        reduced.append(w)
-        pivots.append(piv)
-        combos.append(combo)
-        if k + 1 > n:
-            raise DegenerateInput("Krylov iteration failed to terminate")
+        rel = span.offer(cur)
+        if rel is not None:
+            return Polynomial(a.field, rel + [a.field.one()])
         cur = a.apply(cur)
-        k += 1
 
 
 def minpoly_matrix(a: Matrix) -> Polynomial:

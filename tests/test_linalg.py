@@ -1,8 +1,15 @@
 """Exact matrix operations, checked against cofactor expansion and known identities."""
 
+from itertools import combinations
+
+import pytest
+
+from conftest import make_field
+from mkt.errors import DegenerateInput
 from mkt.fields import Polynomial, prime_field
-from mkt.linalg import (Matrix, PolyMatrix, companion_matrix, jordan_block,
-                        minpoly_matrix, poly_eval_matrix, solve_in_span)
+from mkt.linalg import (Matrix, PolyMatrix, SpanTracker, companion_matrix,
+                        jordan_block, minpoly_matrix, poly_eval_matrix,
+                        solve_in_span)
 
 
 def rand_matrix(field, rng, n, span=6):
@@ -76,6 +83,151 @@ class TestMatrix:
         a = rand_matrix(Q, rng, 2)
         b = rand_matrix(Q, rng, 3)
         assert a.direct_sum(b).det() == a.det() * b.det()
+
+
+ELIMINATION_FIELDS = [0, 7, 9]   # Q, F_7 and the F_9 extension
+
+
+def rand_entry(field, rng):
+    if field.kind == "extension":
+        p = field.characteristic()
+        return field.element(tuple(field.base.from_int(rng.randrange(p))
+                                   for _ in range(field.step_degree)))
+    return field.from_int(rng.randint(-4, 4))
+
+
+def rand_rect(field, rng, n, m, rank=None):
+    """A random n x m matrix; with rank given, a product through rank columns."""
+    def raw(a, b):
+        return Matrix(field, [[rand_entry(field, rng) for _ in range(b)]
+                              for _ in range(a)])
+    if rank is None:
+        return raw(n, m)
+    if rank == 0:
+        return Matrix.zeros(field, n, m)
+    return raw(n, rank) * raw(rank, m)
+
+
+def sample_matrices(field, rng):
+    """Seeded square and rectangular matrices, most of them rank-deficient."""
+    out = []
+    for n, m in [(1, 1), (2, 2), (3, 3), (4, 4), (2, 3), (3, 2), (3, 5), (4, 3)]:
+        out.append(rand_rect(field, rng, n, m))
+        for r in sorted({0, 1, min(n, m) - 1}):
+            out.append(rand_rect(field, rng, n, m, rank=r))
+    return out
+
+
+def rank_by_minors(m):
+    """Size of the largest nonzero minor, through the cofactor oracle."""
+    for k in range(min(m.nrows, m.ncols), 0, -1):
+        for rows in combinations(range(m.nrows), k):
+            for cols in combinations(range(m.ncols), k):
+                sub = Matrix(m.field, [[m.row(i)[j] for j in cols] for i in rows])
+                if not det_cofactor(sub).is_zero():
+                    return k
+    return 0
+
+
+def apply(m, v):
+    return [sum((a * b for a, b in zip(r, v)), m.field.zero()) for r in m.rows]
+
+
+@pytest.mark.parametrize("q", ELIMINATION_FIELDS)
+class TestElimination:
+    def test_rank_against_minors(self, q, rng):
+        field = make_field(q)
+        for m in sample_matrices(field, rng):
+            assert m.rank() == rank_by_minors(m)
+
+    def test_kernel_basis(self, q, rng):
+        field = make_field(q)
+        for m in sample_matrices(field, rng):
+            basis = m.kernel_basis()
+            assert len(basis) == m.ncols - m.rank()
+            for v in basis:
+                assert len(v) == m.ncols
+                assert all(x.is_zero() for x in apply(m, v))
+            if basis:
+                assert Matrix(field, basis).rank() == len(basis)
+
+    def test_det_against_cofactor(self, q, rng):
+        field = make_field(q)
+        for m in sample_matrices(field, rng):
+            if m.is_square:
+                assert m.det() == det_cofactor(m)
+
+    def test_det_row_swap(self, q, rng):
+        field = make_field(q)
+        for n in (2, 3, 4):
+            m = rand_rect(field, rng, n, n)
+            rows = list(m.rows)
+            rows[0], rows[-1] = rows[-1], rows[0]
+            assert Matrix(field, rows).det() == -m.det()
+
+    def test_inverse_singular(self, q, rng):
+        field = make_field(q)
+        for n in (1, 2, 3, 4):
+            m = rand_rect(field, rng, n, n, rank=n - 1)
+            assert m.det().is_zero()
+            with pytest.raises(DegenerateInput):
+                m.inverse()
+
+    def test_inverse(self, q, rng):
+        field = make_field(q)
+        for m in sample_matrices(field, rng):
+            if m.is_square and not m.det().is_zero():
+                ident = Matrix.identity(field, m.nrows)
+                assert m * m.inverse() == ident and m.inverse() * m == ident
+
+    def test_solve(self, q, rng):
+        field = make_field(q)
+        for m in sample_matrices(field, rng):
+            x = [rand_entry(field, rng) for _ in range(m.ncols)]
+            b = apply(m, x)
+            sol = m.solve(b)
+            assert sol is not None and apply(m, sol) == b
+
+    def test_solve_inconsistent(self, q, rng):
+        field = make_field(q)
+        for n, m in [(2, 2), (3, 3), (4, 2), (3, 4)]:
+            a = rand_rect(field, rng, n, m, rank=min(n, m) - 1)
+            # b outside the column space: appending it raises the rank
+            while True:
+                b = [rand_entry(field, rng) for _ in range(n)]
+                aug = Matrix(field, [list(r) + [e] for r, e in zip(a.rows, b)])
+                if rank_by_minors(aug) > rank_by_minors(a):
+                    break
+            assert a.solve(b) is None
+
+    def test_span_tracker_reconstructs(self, q, rng):
+        field = make_field(q)
+        zero = field.zero()
+
+        def combo(coeffs, vecs, dim):
+            acc = [zero] * dim
+            for c, v in zip(coeffs, vecs):
+                acc = [x + c * y for x, y in zip(acc, v)]
+            return acc
+
+        for m in sample_matrices(field, rng):
+            span = SpanTracker(field, m.ncols)
+            offered = []
+            for r in m.rows:
+                rel = span.offer(r)
+                if rel is not None:
+                    # r + sum rel[k] * offered[k] = 0
+                    assert len(rel) == len(offered)
+                    assert all(x.is_zero() for x in
+                               combo(rel + [field.one()], offered + [r], m.ncols))
+                offered.append(r)
+            assert span.rank == m.rank()
+            for r in offered:
+                c = span.coordinates(r)
+                assert c is not None and combo(c, offered, m.ncols) == list(r)
+            target = combo([rand_entry(field, rng) for _ in offered], offered, m.ncols)
+            assert combo(span.coordinates(target), offered, m.ncols) == target
+            assert span.contains(target)
 
 
 class TestMinpoly:
