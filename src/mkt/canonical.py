@@ -144,24 +144,6 @@ class CanonicalClass:
         return hash((self.kind, self.field, self.weight, self.n, self.unit,
                      self.eps, tuple(sorted(self.tame.items()))))
 
-    def payload(self) -> dict:
-        """Plain-data rendering used by the command line reports."""
-        out = {"kind": self.kind, "weight": self.weight}
-        if self.field is not None:
-            out["field"] = str(self.field)
-        if self.kind == INTEGER:
-            out["value"] = self.n
-        elif self.kind == UNIT:
-            out["value"] = str(self.unit)
-        elif self.kind == ZERO:
-            out["zero"] = True
-        elif self.kind == RATIONAL_PAIR:
-            out["eps_inf"] = self.eps
-            out["tame"] = {str(p): str(r) for p, r in sorted(self.tame.items())}
-        else:
-            out["eps_inf"] = self.eps
-        return out
-
     def __repr__(self):
         if self.kind == INTEGER:
             return f"K0({self.n})"
@@ -174,6 +156,20 @@ class CanonicalClass:
             return f"(eps={self.eps:+d}{', ' + body if body else ''})"
         tag = "real" if self.kind == REAL_SIGN else "sign"
         return f"{tag}(eps={self.eps:+d})"
+
+
+def combine_values(u, v):
+    """The group operation on determinant values: classes add, numbers multiply."""
+    if isinstance(u, CanonicalClass):
+        return u + v
+    return u * v
+
+
+def is_trivial_value(u) -> bool:
+    """Whether a determinant value is the identity of its group."""
+    if isinstance(u, CanonicalClass):
+        return u.is_zero()
+    return u == 1
 
 
 def canonical_class(x: MilnorExpression, real: bool = False) -> CanonicalClass:

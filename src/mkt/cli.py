@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .canonical import (INTEGER, RATIONAL_PAIR, REAL_SIGN, UNIT, ZERO,
                         CanonicalClass, canonical_class)
-from .commuting import MatrixTuple, composition_series, reduce_tuple
+from .commuting import MatrixTuple, composition_series, series_expression
 from .errors import MktError, ParseError, RecursionInvariantViolated
 from .factor import is_irreducible
 from .fields import (EXTENSION, FUNCTION, PRIME, RATIONALS, FieldDescriptor,
@@ -331,14 +331,15 @@ def _cmd_reduce(args) -> tuple[dict, int]:
     doc = _load_document(args.input)
     field = _parse_field(doc.get("field"))
     x = _parse_matrices(field, doc.get("matrices"))
+    series = composition_series(x)
     factors = []
-    for f in composition_series(x):
+    for f in series:
         factors.append({
             "degree": tower_degree(f.extension, field),
             "scalars": [_element_json(s) for s in f.scalars],
             "multiplicity": f.multiplicity,
         })
-    expr = reduce_tuple(x)
+    expr = series_expression(field, x.weight, series)
     cls = canonical_class(expr, real=bool(args.real or doc.get("real")))
     return {"command": "reduce", "field": _field_name(field),
             "weight": x.weight, "size": x.size, "factors": factors,
@@ -460,11 +461,19 @@ _SUITES = {"reciprocity": _suite_reciprocity, "hilbert": _suite_hilbert,
            "axioms": _suite_axioms}
 
 
+# (flag, attribute, smallest accepted value) of the suite parameters
+_SUITE_MINIMA = (("--trials", "trials", 0), ("--deg-max", "deg_max", 1),
+                 ("--bound", "bound", 1), ("--l", "l", 0))
+
+
 def _cmd_check(args) -> tuple[dict, int]:
     fn = _SUITES.get(args.suite)
     if fn is None:
         raise ParseError(f"unknown suite {args.suite!r}; "
                          f"choose from {sorted(_SUITES)}")
+    for flag, attr, least in _SUITE_MINIMA:
+        if getattr(args, attr) < least:
+            raise ParseError(f"{flag} must be at least {least}")
     return fn(args)
 
 
@@ -478,11 +487,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact symbol invariants of fields and commuting matrix tuples.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="JSON document path, or - for stdin")
+    def add_common(p):
+        p.add_argument("input", help="JSON document path, or - for stdin")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("canon", help="canonical class of a symbol expression")
     add_common(p)

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .canonical import CanonicalClass, canonical_class
+from .canonical import (CanonicalClass, canonical_class, combine_values,
+                        is_trivial_value)
 from .errors import (ArityMismatch, DegenerateInput, DescriptorMismatch,
                      NotUnitDeterminant, RecursionInvariantViolated,
                      UnsupportedTower)
@@ -30,7 +31,8 @@ from .transfer import transfer_tower
 
 __all__ = [
     "MatrixTuple", "PolyMatrixTuple", "CompositionFactor",
-    "kronecker", "composition_series", "reduce_tuple", "class_of_tuple",
+    "kronecker", "composition_series", "series_expression", "reduce_tuple",
+    "class_of_tuple",
     "homotopy_mult", "homotopy_swap", "homotopy_shear", "homotopy_steinberg",
     "check_relations",
 ]
@@ -526,16 +528,22 @@ def composition_series(x: MatrixTuple) -> list[CompositionFactor]:
             for k in sorted(order)]
 
 
+def series_expression(field: FieldDescriptor, weight: int,
+                      series: Sequence[CompositionFactor]) -> MilnorExpression:
+    """The scalars of each composition factor as a symbol, transferred to field."""
+    total = zero_expression(field, weight)
+    for f in series:
+        piece = transfer_tower(symbol(list(f.scalars), field=f.extension), field)
+        total = total + f.multiplicity * piece
+    return total
+
+
 def reduce_tuple(x: MatrixTuple) -> MilnorExpression:
     """The symbol expression of a tuple: transferred scalars of its simple factors.
 
     For weight 1 the class of the result is the class of the determinant.
     """
-    total = zero_expression(x.field, x.weight)
-    for f in composition_series(x):
-        piece = transfer_tower(symbol(list(f.scalars), field=f.extension), x.field)
-        total = total + f.multiplicity * piece
-    return total
+    return series_expression(x.field, x.weight, composition_series(x))
 
 
 def class_of_tuple(x: MatrixTuple, real: bool = False) -> CanonicalClass:
@@ -554,18 +562,6 @@ def _as_named(determinants) -> list[tuple[str, Callable]]:
         else:
             out.append((getattr(d, "label", None) or f"det{i}", d))
     return out
-
-
-def _combine_values(u, v):
-    if isinstance(u, CanonicalClass):
-        return u + v
-    return u * v
-
-
-def _is_trivial(u) -> bool:
-    if isinstance(u, CanonicalClass):
-        return u.is_zero()
-    return u == 1
 
 
 def _default_conjugator(field, n: int) -> Matrix:
@@ -595,7 +591,7 @@ def check_relations(tuples: Sequence[MatrixTuple], determinants=(),
         ident = Matrix.identity(x.field, x.size)
         y = x.with_slot(0, ident)
         for name, fn in named:
-            expect(_is_trivial(fn(y)),
+            expect(is_trivial_value(fn(y)),
                    f"tuple {idx}: identity slot not trivial under {name}")
         s = conjugators[idx] if idx < len(conjugators) else _default_conjugator(x.field, x.size)
         xc = x.conjugate(s)
@@ -606,11 +602,11 @@ def check_relations(tuples: Sequence[MatrixTuple], determinants=(),
             prod = x.with_slot(0, x.matrices[0] * x.matrices[1])
             rep = x.with_slot(0, x.matrices[1])
             for name, fn in named:
-                expect(fn(prod) == _combine_values(vals[name], fn(rep)),
+                expect(fn(prod) == combine_values(vals[name], fn(rep)),
                        f"tuple {idx}: slot product not additive under {name}")
             sw = x.swap_slots(0, 1)
             for name, fn in named:
-                expect(_is_trivial(_combine_values(fn(sw), vals[name])),
+                expect(is_trivial_value(combine_values(fn(sw), vals[name])),
                        f"tuple {idx}: swap did not invert {name}")
     for idx in range(len(tuples) - 1):
         x, y = tuples[idx], tuples[idx + 1]
@@ -618,6 +614,6 @@ def check_relations(tuples: Sequence[MatrixTuple], determinants=(),
             continue
         both = x.direct_sum(y)
         for name, fn in named:
-            expect(fn(both) == _combine_values(fn(x), fn(y)),
+            expect(fn(both) == combine_values(fn(x), fn(y)),
                    f"pair {idx}: direct sum not additive under {name}")
     return report

@@ -368,16 +368,3 @@ def is_irreducible(f: Polynomial) -> bool:
         return len(factors) == 1 and factors[0][1] == 1
     raise UnsupportedFactorization(f"irreducibility over {fld} is not supported")
 
-
-def squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Monic squarefree parts with multiplicities; unit dropped."""
-    if f.is_zero():
-        raise ZeroPolynomial("cannot decompose the zero polynomial")
-    if f.degree == 0:
-        return []
-    fm = f.monic()
-    if f.field.kind == RATIONALS:
-        return _squarefree_char0(fm)
-    if f.field.is_finite():
-        return _squarefree_finite(fm)
-    raise UnsupportedFactorization(f"squarefree decomposition over {f.field}")

@@ -13,7 +13,7 @@ last. The zero polynomial has degree -1.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from mkt import zkernel
 from mkt.errors import (
@@ -589,9 +589,6 @@ class Polynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1].is_one()
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def constant_term(self) -> FieldElement:
         return self.coeffs[0] if self.coeffs else self.field.zero()
 
@@ -699,12 +696,6 @@ class Polynomial:
         return Polynomial(self.field,
                           [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
 
-    def shift_x(self) -> "Polynomial":
-        """Multiply by X."""
-        if self.is_zero():
-            return self
-        return Polynomial(self.field, [self.field.zero()] + list(self.coeffs))
-
     def evaluate(self, point: FieldElement) -> FieldElement:
         """Horner evaluation; `point` may live in an extension of this field."""
         target = point.field
@@ -788,10 +779,6 @@ class RationalFunction:
         self.num = num
         self.den = den
         self._hash = None
-
-    @classmethod
-    def from_poly(cls, f: Polynomial) -> "RationalFunction":
-        return cls(f, Polynomial.one(f.field))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -950,17 +937,3 @@ def all_elements(field: FieldDescriptor) -> Iterator[FieldElement]:
         return
     raise UnsupportedField("all_elements needs a finite field")
 
-
-_ARITH_OPS: dict[str, Callable] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-}
-
-
-def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Exact field arithmetic by operator symbol (+, -, *, /)."""
-    if op not in _ARITH_OPS:
-        raise ValueError(f"unknown operator {op!r}")
-    return _ARITH_OPS[op](a, b)

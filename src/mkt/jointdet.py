@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable
 
-from .canonical import CanonicalClass
+from .canonical import CanonicalClass, combine_values
 from .commuting import (MatrixTuple, class_of_tuple, homotopy_mult,
                         homotopy_shear, homotopy_steinberg, homotopy_swap)
 from .errors import (BadModulus, DegenerateInput, RecursionInvariantViolated,
@@ -236,18 +236,6 @@ def make_determinant(field: FieldDescriptor, weight: int, spec: str,
     raise UnsupportedCombination(f"unknown determinant spec: {spec!r}")
 
 
-def _value_mul(u, v):
-    if isinstance(u, CanonicalClass):
-        return u + v
-    return u * v
-
-
-def _value_trivial(u) -> bool:
-    if isinstance(u, CanonicalClass):
-        return u.is_zero()
-    return u == 1
-
-
 def check_axioms(d: JointDeterminant, trials: int = 100,
                  rng: random.Random | None = None,
                  split_only: bool | None = None) -> list[str]:
@@ -279,13 +267,13 @@ def check_axioms(d: JointDeterminant, trials: int = 100,
         x1 = MatrixTuple(field, [a] + rest)
         x2 = MatrixTuple(field, [b] + rest)
         x12 = MatrixTuple(field, [ab] + rest)
-        expect(d(x12) == _value_mul(d(x1), d(x2)),
+        expect(d(x12) == combine_values(d(x1), d(x2)),
                f"multilinearity failed at trial {i}")
 
     for i in range(trials):
         x = commuting_tuple(field, rng, weight, rng.randint(1, 2), split_only=split_only)
         y = commuting_tuple(field, rng, weight, rng.randint(1, 2), split_only=split_only)
-        expect(d(x.direct_sum(y)) == _value_mul(d(x), d(y)),
+        expect(d(x.direct_sum(y)) == combine_values(d(x), d(y)),
                f"block-diagonal additivity failed at trial {i}")
 
     for i in range(trials):

@@ -63,10 +63,6 @@ class Matrix:
         n = len(es)
         return cls(field, [[es[i] if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_ints(cls, field, rows: Iterable[Iterable[int]]) -> "Matrix":
-        return cls(field, rows)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -166,9 +162,6 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.col(j) for j in range(self.ncols)])
-
     def trace(self) -> FieldElement:
         acc = self.field.zero()
         for i in range(self.nrows):
@@ -200,8 +193,8 @@ class Matrix:
         for r in self.rows:
             if not span.add(r):
                 raise DegenerateInput("matrix is singular")
-        return Matrix(self.field, [span.coordinates(_unit_vector(self.field, n, j))
-                                   for j in range(n)])
+        return Matrix(self.field, [span.coordinates(e)
+                                   for e in Matrix.identity(self.field, n).rows])
 
     def rank(self) -> int:
         span = SpanTracker(self.field, self.ncols)
@@ -271,10 +264,6 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(a) for a in r) for r in self.rows)
         return f"[{body}]"
-
-
-def _unit_vector(field, n: int, j: int) -> list[FieldElement]:
-    return [field.one() if i == j else field.zero() for i in range(n)]
 
 
 def _permutation_sign(perm: Sequence[int]) -> int:

@@ -46,11 +46,6 @@ class ResidueSymbolForm:
     def rank(self) -> int:
         return len(self.polys)
 
-    def as_expression(self, kv: FieldDescriptor) -> MilnorExpression:
-        entries = [embed(a, kv) for a in self.constants]
-        entries += [element_from_poly(kv, f) for f in self.polys]
-        return symbol(entries, kv) * self.coeff
-
 
 def _entry_items(e: FieldElement, k: FieldDescriptor) -> list[tuple]:
     """Multilinear expansion choices for one entry of kv = k[x]/(m).

@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from mkt import cli
 from mkt.errors import RecursionInvariantViolated
 
@@ -236,6 +238,33 @@ class TestSuites:
         code, out = run(capsys, ["check", "nonsense"])
         assert code == 1
         assert out["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "hilbert", "--trials", "-3"],
+        ["check", "axioms", "--trials", "-2"],
+        ["check", "reciprocity", "--deg-max", "0"],
+        ["check", "hilbert", "--bound", "0"],
+        ["check", "reciprocity", "--l", "-1"],
+    ])
+    def test_out_of_range_parameter(self, capsys, argv):
+        code, out = run(capsys, argv)
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+        assert argv[2] in out["error"]["message"]
+
+    def test_zero_trials_pass_vacuously(self, capsys):
+        code, out = run(capsys, ["check", "hilbert", "--trials", "0"])
+        assert code == 0
+        assert out["passed"] == 0 and out["failures"] == []
+
+    @pytest.mark.parametrize("command", ["canon", "tame", "reciprocity",
+                                         "transfer", "reduce", "jointdet"])
+    def test_seed_only_for_suites(self, capsys, command):
+        # only the randomized suites draw random numbers
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "-", "--seed", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 class TestErrorHandling:
