@@ -288,9 +288,10 @@ class SpanTracker:
     This is the package's one elimination routine. A vector is reduced
     against the stored rows in the order they were stored; each stored row
     is zero on the pivots of the rows stored before it, so one forward pass
-    clears every pivot. Every stored row also keeps its coefficients in the
-    vectors offered so far, which gives the coordinates of any vector in the
-    span and the linear relation of any offered vector that adds nothing.
+    clears every pivot. Every stored row also remembers how it was reduced,
+    which gives the coordinates of any vector in the span and the linear
+    relation of any offered vector that adds nothing. Those coefficients are
+    built on first use, so det and rank never pay for them.
 
     Rows are scaled so that their pivot entry is -1: clearing entry f at a
     pivot is then an addition of f times the row.
@@ -303,42 +304,59 @@ class SpanTracker:
         self.pivots: list[int] = []
         self.pivot_values: list[FieldElement] = []   # pivot entries before scaling
         self._tails: list[list[FieldElement]] = []   # row entries after the pivot
-        self._combos: list[list[FieldElement]] = []  # row = sum combo[k] * offered[k]
+        # row i = scale * (offered[index] + sum f * row j over its steps)
+        self._origins: list[tuple] = []              # (index, scale, steps)
+        self._combos: list[list[FieldElement]] = []  # row i = sum combo[k] * offered[k]
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def _reduce(self, v: Sequence[FieldElement]):
-        """(w, c) with w = v + sum_k c[k] * offered[k] and w zero on every pivot."""
+        """(w, steps) with w = v + sum f * row j over (j, f) in steps, zero on every pivot."""
         w = list(v)
         zero = self.field.zero()
-        comb = [zero] * self.offered
-        for p, tail, combo in zip(self.pivots, self._tails, self._combos):
+        steps = []
+        for j, (p, tail) in enumerate(zip(self.pivots, self._tails)):
             f = w[p]
             if f.is_zero():
                 continue
             w[p] = zero
             w[p + 1:] = [a + f * b for a, b in zip(w[p + 1:], tail)]
-            for k, c in enumerate(combo):
+            steps.append((j, f))
+        return w, steps
+
+    def _combine(self, steps, length: int) -> list[FieldElement]:
+        """sum f * row j over steps, as coefficients of the first length offered vectors."""
+        # build the missing rows' coefficients in order: each refers only to earlier rows
+        while len(self._combos) < len(self._origins):
+            index, scale, row_steps = self._origins[len(self._combos)]
+            self._combos.append([c * scale for c in self._sum(row_steps, index)] + [scale])
+        return self._sum(steps, length)
+
+    def _sum(self, steps, length: int) -> list[FieldElement]:
+        comb = [self.field.zero()] * length
+        for j, f in steps:
+            for k, c in enumerate(self._combos[j]):
                 comb[k] = comb[k] + f * c
-        return w, comb
+        return comb
 
     def offer(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
         """Insert v. None when v enlarged the span; otherwise the relation
         (r_0, ..., r_{m-1}) with v + sum_k r_k * offered[k] = 0."""
-        w, comb = self._reduce(v)
+        w, steps = self._reduce(v)
+        index = self.offered
         self.offered += 1
         for p, a in enumerate(w):
             if not a.is_zero():
                 break
         else:
-            return comb
+            return self._combine(steps, index)
         s = -a.inverse()
         self.pivots.append(p)
         self.pivot_values.append(a)
         self._tails.append([x * s for x in w[p + 1:]])
-        self._combos.append([c * s for c in comb] + [s])
+        self._origins.append((index, s, steps))
         return None
 
     def add(self, v: Sequence[FieldElement]) -> bool:
@@ -350,10 +368,10 @@ class SpanTracker:
 
         Offered vectors that added nothing get coefficient zero.
         """
-        w, comb = self._reduce(v)
+        w, steps = self._reduce(v)
         if not all(a.is_zero() for a in w):
             return None
-        return [-c for c in comb]
+        return [-c for c in self._combine(steps, self.offered)]
 
     def contains(self, v: Sequence[FieldElement]) -> bool:
         return all(a.is_zero() for a in self._reduce(v)[0])
