@@ -2,9 +2,9 @@
 
 Everything here works on small matrices (module decompositions, Krylov
 minimal polynomials), so the code favors clarity over asymptotics. There is
-one elimination routine, SpanTracker: an incremental echelon basis whose
-rows remember their coefficients in the vectors offered to it, pivoting on
-the first nonzero entry. Determinant, inverse, rank, kernel, solving and
+one elimination routine, SpanTracker: an incremental echelon basis that
+can write each of its rows in the vectors offered to it, pivoting on the
+first nonzero entry. Determinant, inverse, rank, kernel, solving and
 the Krylov minimal polynomial are all read off a tracker. PolyMatrix keeps
 its own fraction-free determinant, since k[t] is not a field.
 """
