@@ -77,10 +77,7 @@ def _parse_field(block) -> FieldDescriptor:
         mod = block.get("modulus")
         if not isinstance(mod, list) or len(mod) != deg + 1:
             raise ParseError('"modulus" must list deg+1 coefficients, low to high')
-        try:
-            poly = Polynomial.from_ints(base, mod)
-        except MktError as e:
-            raise ParseError(f"bad modulus: {e}") from e
+        poly = _parse_poly(base, mod)
         if not poly.is_monic() or not is_irreducible(poly):
             raise ParseError("modulus must be monic and irreducible")
         return extension(base, poly)
@@ -395,11 +392,35 @@ def _default_modulus(base, d: int) -> Polynomial:
     raise ParseError(f"no irreducible of degree {d} found")  # unreachable
 
 
+def _count_monic_irreducibles(q: int, deg_max: int, enough: int) -> int:
+    """Monic irreducibles of degree <= deg_max over F_q, counted up to `enough`.
+
+    Gauss's formula: N_q(d) = (1/d) * sum over e | d of mu(e) * q^(d/e).
+    """
+    count = 0
+    for d in range(1, deg_max + 1):
+        total = 0
+        for e in range(1, d + 1):
+            if d % e == 0:
+                fac = factor_int(e)
+                if all(k == 1 for k in fac.values()):
+                    total += (-1) ** len(fac) * q ** (d // e)
+        count += total // d
+        if count >= enough:
+            break
+    return count
+
+
 def _suite_reciprocity(args) -> tuple[dict, int]:
     field = _field_from_q(args.q)
     ff = function_field(field)
     rng = random.Random(args.seed)
     weight = args.l + 1
+    available = _count_monic_irreducibles(args.q, args.deg_max, weight)
+    if available < weight:
+        raise ParseError(f"--l {args.l} needs {weight} distinct monic irreducibles, "
+                         f"but F_{args.q} has only {available} of degree at most "
+                         f"--deg-max {args.deg_max}")
     failures = []
     for i in range(args.trials):
         polys = []

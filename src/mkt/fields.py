@@ -338,8 +338,8 @@ class FieldElement:
         d = fld.step_degree
         if base.kind == PRIME:
             p = base.p
-            a_ints = _trim_ints([c.rep for c in self.rep])
-            b_ints = _trim_ints([c.rep for c in b.rep])
+            a_ints = zkernel.trim([c.rep for c in self.rep])
+            b_ints = zkernel.trim([c.rep for c in b.rep])
             prod = zkernel.zp_mulmod(a_ints, b_ints, fld.modulus_ints(), p)
             return _ext_from_ints(fld, prod)
         ac = _eltrim(list(self.rep))
@@ -360,7 +360,7 @@ class FieldElement:
             fld = self.field
             base = fld.base
             if base.kind == PRIME:
-                inv = zkernel.zp_invmod(_trim_ints([c.rep for c in self.rep]),
+                inv = zkernel.zp_invmod(zkernel.trim([c.rep for c in self.rep]),
                                         fld.modulus_ints(), base.p)
                 return _ext_from_ints(fld, inv)
             inv = _elinvmod(base, _eltrim(list(self.rep)), list(fld.modulus.coeffs))
@@ -437,13 +437,6 @@ class FieldElement:
             else:
                 parts.append(f"{c!r}*{name}^{i}" if not c.is_one() else f"{name}^{i}")
         return " + ".join(parts) if parts else "0"
-
-
-def _trim_ints(a: list[int]) -> list[int]:
-    n = len(a)
-    while n and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
 
 
 def _ext_from_ints(fld: FieldDescriptor, ints: list[int]) -> FieldElement:

@@ -2,9 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mkt
 from mkt import cli
 from mkt.errors import RecursionInvariantViolated
 
@@ -252,6 +256,28 @@ class TestSuites:
         assert out["error"]["type"] == "ParseError"
         assert argv[2] in out["error"]["message"]
 
+    @pytest.mark.parametrize("q, deg_max, l, code", [
+        ("9", "1", "9", 1),   # F_9 has only 9 monic linear polynomials
+        ("2", "1", "2", 1),   # F_2 has only X and X + 1
+        ("2", "1", "1", 0),   # exactly the two that exist
+    ])
+    def test_reciprocity_suite_needs_enough_irreducibles(self, q, deg_max, l, code):
+        # a subprocess with a time bound, so that an endless draw loop fails
+        # the test instead of hanging the suite
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(mkt.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mkt.cli", "check", "reciprocity", "--q", q,
+             "--deg-max", deg_max, "--l", l, "--trials", "1"],
+            capture_output=True, text=True, timeout=30, env=env)
+        assert proc.returncode == code
+        out = json.loads(proc.stdout)
+        if code:
+            assert out["error"]["type"] == "ParseError"
+            assert "--l" in out["error"]["message"]
+        else:
+            assert out["passed"] == 1 and out["failures"] == []
+
     def test_zero_trials_pass_vacuously(self, capsys):
         code, out = run(capsys, ["check", "hilbert", "--trials", "0"])
         assert code == 0
@@ -292,6 +318,17 @@ class TestErrorHandling:
     def test_reducible_modulus(self, capsys, tmp_path):
         path = write_doc(tmp_path, "d.json", {
             "field": {"kind": "Fq", "p": 3, "deg": 2, "modulus": [2, 0, 1]},
+            "symbols": [{"coeff": 1, "entries": [[1, 1]]}],
+        })
+        code, out = run(capsys, ["canon", path])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("modulus", [["x", 0, 1], [1.5, 0, 1], [1.0, 0, 1],
+                                         [True, 0, 1]])
+    def test_malformed_modulus_coefficient(self, capsys, tmp_path, modulus):
+        path = write_doc(tmp_path, "d.json", {
+            "field": {"kind": "Fq", "p": 3, "deg": 2, "modulus": modulus},
             "symbols": [{"coeff": 1, "entries": [[1, 1]]}],
         })
         code, out = run(capsys, ["canon", path])
