@@ -19,7 +19,7 @@ from .canonical import (INTEGER, RATIONAL_PAIR, REAL_SIGN, UNIT, ZERO,
                         CanonicalClass, canonical_class)
 from .commuting import MatrixTuple, composition_series, series_expression
 from .errors import MktError, ParseError, RecursionInvariantViolated
-from .factor import is_irreducible
+from .factor import forget as forget_factorizations, is_irreducible
 from .fields import (EXTENSION, FUNCTION, PRIME, RATIONALS, FieldDescriptor,
                      Polynomial, RationalFunction, extension, function_field,
                      prime_field, rationals, tower_degree)
@@ -40,6 +40,18 @@ __all__ = ["main"]
 # JSON input parsing
 
 
+def _parse_json(text: str, what: str):
+    """json.loads, with every way it can fail mapped to a ParseError.
+
+    A JSONDecodeError is a ValueError; so is an integer literal beyond
+    Python's digit limit. Deep nesting exhausts the recursion limit.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"{what}: {e}") from e
+
+
 def _load_document(path: str) -> dict:
     try:
         if path == "-":
@@ -49,10 +61,7 @@ def _load_document(path: str) -> dict:
                 text = fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from e
+    doc = _parse_json(text, "invalid JSON")
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     return doc
@@ -80,7 +89,7 @@ def _parse_field(block) -> FieldDescriptor:
         poly = _parse_poly(base, mod)
         if not poly.is_monic() or not is_irreducible(poly):
             raise ParseError("modulus must be monic and irreducible")
-        return extension(base, poly)
+        return extension(base, poly, check=False)
     raise ParseError(f"unknown field kind {kind!r}")
 
 
@@ -462,11 +471,7 @@ def _suite_hilbert(args) -> tuple[dict, int]:
 
 
 def _suite_axioms(args) -> tuple[dict, int]:
-    try:
-        block = json.loads(args.field)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"--field is not valid JSON: {e}") from e
-    field = _parse_field(block)
+    field = _parse_field(_parse_json(args.field, "--field is not valid JSON"))
     places = _parse_places(args.places) if args.places else None
     d = make_determinant(field, args.l, args.spec, places=places)
     rng = random.Random(args.seed)
@@ -569,6 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    forget_factorizations()
     try:
         report, code = args.fn(args)
     except ParseError as e:

@@ -12,6 +12,14 @@ candidates are exact and no Hensel stage is needed. Desk-scale degrees only.
 
 Proper extensions of Q and function fields are not supported and raise
 UnsupportedFactorization.
+
+Results are memoized, keyed on the immutable Polynomial: the transfer
+recursion factors the same entries and reopens places at the same factors
+many times over. Every factor that `factor` returns is recorded as
+irreducible, so a later `is_irreducible` on it is one lookup. Each dict is
+emptied when it reaches _MEMO_CAP entries, and `forget()` empties both; the
+CLI calls it before every command, so no command's report or cost depends on
+an earlier one in the same process.
 """
 
 from __future__ import annotations
@@ -36,6 +44,25 @@ from mkt.fields import (
     prime_field,
 )
 from mkt.numutil import factor_int, next_prime
+
+# entries per memo dict; one CLI command's working set fits well below it
+_MEMO_CAP = 4096
+# f -> (unit, ((g, m), ...)) of factor(f)
+_FACTORED: dict[Polynomial, tuple[FieldElement, tuple[tuple[Polynomial, int], ...]]] = {}
+# f -> is_irreducible(f), for degree >= 2; seeded with the factors above
+_IRREDUCIBLE: dict[Polynomial, bool] = {}
+
+
+def forget() -> None:
+    """Empty the memo of `factor` and `is_irreducible`."""
+    _FACTORED.clear()
+    _IRREDUCIBLE.clear()
+
+
+def _remember(memo: dict, key, value) -> None:
+    if len(memo) >= _MEMO_CAP:
+        memo.clear()
+    memo[key] = value
 
 
 def element_sort_key(e: FieldElement):
@@ -324,6 +351,9 @@ def factor(f: Polynomial) -> tuple[FieldElement, list[tuple[Polynomial, int]]]:
     fld = f.field
     if fld.kind == FUNCTION or (fld.kind == EXTENSION and not fld.is_finite()):
         raise UnsupportedFactorization(f"factorization over {fld} is not supported")
+    known = _FACTORED.get(f)
+    if known is not None:
+        return known[0], list(known[1])
     unit = f.lc()
     if f.degree == 0:
         return unit, []
@@ -339,6 +369,10 @@ def factor(f: Polynomial) -> tuple[FieldElement, list[tuple[Polynomial, int]]]:
             for g in _factor_finite_squarefree(part, rng):
                 out.append((g, mult))
     out.sort(key=lambda pair: poly_sort_key(pair[0]))
+    _remember(_FACTORED, f, (unit, tuple(out)))
+    for g, _m in out:
+        if g.degree >= 2:
+            _remember(_IRREDUCIBLE, g, True)
     return unit, out
 
 
@@ -351,20 +385,28 @@ def is_irreducible(f: Polynomial) -> bool:
     if f.degree == 1:
         return True
     fld = f.field
-    if fld.is_finite():
-        q = fld.order()
-        n = f.degree
-        x = Polynomial.x(fld)
-        h = poly_powmod(x, q ** n, f)
-        if not (h - x).is_zero():
-            return False
-        for t in factor_int(n):
-            h = poly_powmod(x, q ** (n // t), f)
-            if poly_gcd(h - x, f).degree != 0:
-                return False
-        return True
+    if not fld.is_finite() and fld.kind != RATIONALS:
+        raise UnsupportedFactorization(f"irreducibility over {fld} is not supported")
+    known = _IRREDUCIBLE.get(f)
+    if known is None:
+        known = _irreducible_uncached(f)
+        _remember(_IRREDUCIBLE, f, known)
+    return known
+
+
+def _irreducible_uncached(f: Polynomial) -> bool:
+    fld = f.field
     if fld.kind == RATIONALS:
         _, factors = factor(f)
         return len(factors) == 1 and factors[0][1] == 1
-    raise UnsupportedFactorization(f"irreducibility over {fld} is not supported")
-
+    q = fld.order()
+    n = f.degree
+    x = Polynomial.x(fld)
+    h = poly_powmod(x, q ** n, f)
+    if not (h - x).is_zero():
+        return False
+    for t in factor_int(n):
+        h = poly_powmod(x, q ** (n // t), f)
+        if poly_gcd(h - x, f).degree != 0:
+            return False
+    return True

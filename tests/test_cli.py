@@ -118,6 +118,31 @@ class TestReciprocity:
         nonzero = [r for r in out["places"] if "zero" not in r["class"]]
         assert len(nonzero) == 2
 
+    def test_repeat_in_one_process_is_identical_and_starts_cold(
+            self, capsys, tmp_path, monkeypatch):
+        factor_module = sys.modules["mkt.factor"]
+        path = write_doc(tmp_path, "d.json", {
+            "field": {"kind": "Fq", "p": 3, "deg": 2, "modulus": [1, 0, 1]},
+            "symbols": [{"coeff": 1, "entries": [[[1, 1], [0, 1], [1]],
+                                                  [[2], [1, 1], [0], [1]]]}],
+        })
+        memo_sizes = []
+        command = cli._cmd_reciprocity
+
+        def spy(args):
+            memo_sizes.append((len(factor_module._FACTORED),
+                               len(factor_module._IRREDUCIBLE)))
+            return command(args)
+        monkeypatch.setattr(cli, "_cmd_reciprocity", spy)
+        outs = []
+        for _ in range(2):
+            assert cli.main(["reciprocity", path]) == 0
+            outs.append(capsys.readouterr().out)
+            assert factor_module._FACTORED
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["total"]["zero"] is True
+        assert memo_sizes == [(0, 0), (0, 0)]
+
 
 class TestTransfer:
     def test_norm_of_generator_shift(self, capsys, tmp_path):
@@ -298,6 +323,27 @@ class TestErrorHandling:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         code, out = run(capsys, ["canon", str(p)])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+
+    def test_deeply_nested_json(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000))
+        code, out = run(capsys, ["canon", "-"])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+
+    def test_integer_beyond_digit_limit(self, capsys, tmp_path):
+        p = tmp_path / "big.json"
+        p.write_text('{"field": {"kind": "Q"}, "symbols": [{"entries": [%s]}]}'
+                     % ("7" * 5000))
+        code, out = run(capsys, ["canon", str(p)])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("block", ["[" * 100000, '{"kind": "Fq", "p": %s}' % ("7" * 5000),
+                                       "{not json"])
+    def test_bad_field_flag(self, capsys, block):
+        code, out = run(capsys, ["check", "axioms", "--field", block, "--trials", "1"])
         assert code == 1
         assert out["error"]["type"] == "ParseError"
 

@@ -1,18 +1,24 @@
 """Field and polynomial arithmetic against hand-checked and brute-force oracles."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkt.errors import DescriptorMismatch, DivisionByZero, UnsupportedFactorization
-from mkt.factor import factor, is_irreducible
+from mkt.errors import (DescriptorMismatch, DivisionByZero, UnsupportedFactorization,
+                        ZeroPolynomial)
+from mkt.factor import factor, forget, is_irreducible
 from mkt.fields import (Polynomial, extension, poly_gcd, prime_field,
                         rationals, tower_degree)
 from mkt.linalg import Matrix, companion_matrix, minpoly_matrix
+from mkt.sampling import random_element
 from mkt.towers import minimal_polynomial, norm_element, present_as_simple
 from tests.conftest import all_units, make_field
+
+# the module itself; the package attribute mkt.factor is the function
+factor_module = sys.modules["mkt.factor"]
 
 
 class TestFieldArith:
@@ -114,6 +120,76 @@ class TestFactor:
         L = extension(Q, Polynomial.from_ints(Q, [-2, 0, 1]))
         with pytest.raises(UnsupportedFactorization):
             factor(Polynomial.from_ints(L, [1, 1, 1]))
+
+
+class TestFactorMemo:
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        forget()
+        yield
+        forget()
+
+    @staticmethod
+    def _random_poly(field, rng):
+        """a * b^2 with a, b random of degree 0-3, so multiplicities occur."""
+        def poly(deg):
+            return Polynomial(field, [random_element(field, rng) for _ in range(deg + 1)])
+        b = poly(rng.randint(0, 3))
+        return poly(rng.randint(0, 3)) * b * b
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9, 0])
+    def test_returned_factors_irreducible_from_cold(self, rng, q):
+        """factor seeds exactly its factors of degree >= 2, and each of them
+        passes is_irreducible computed afresh; warm answers equal cold ones."""
+        field = make_field(q)
+        for _ in range(12):
+            f = self._random_poly(field, rng)
+            if f.is_zero():
+                continue
+            forget()
+            unit, parts = factor(f)
+            seeded = dict(factor_module._IRREDUCIBLE)
+            assert seeded == {g: True for g, _m in parts if g.degree >= 2}
+            assert factor(f) == (unit, parts)
+            warm = is_irreducible(f)
+            forget()
+            assert is_irreducible(f) == warm
+            for g, _m in parts:
+                forget()
+                assert is_irreducible(g)
+
+    def test_mutating_result_leaves_memo_intact(self):
+        F3 = prime_field(3)
+        f = Polynomial.from_ints(F3, [2, 0, 0, 1])  # X^3 - 1 = (X - 1)^3
+        unit, parts = factor(f)
+        expect = list(parts)
+        parts.append((f, 7))
+        parts[0] = (f, 1)
+        assert factor(f) == (unit, expect)
+
+    def test_memo_stays_within_cap(self, monkeypatch):
+        cap = 16
+        monkeypatch.setattr(factor_module, "_MEMO_CAP", cap)
+        F5 = prime_field(5)
+        for a in range(5):
+            for b in range(5):
+                for c in (1, 2):
+                    f = Polynomial.from_ints(F5, [a, b, c])
+                    factor(f)
+                    is_irreducible(Polynomial.from_ints(F5, [a, b, 1, c]))
+                    assert len(factor_module._FACTORED) <= cap
+                    assert len(factor_module._IRREDUCIBLE) <= cap
+
+    def test_zero_and_unsupported_raise_every_time(self, Q):
+        L = extension(Q, Polynomial.from_ints(Q, [-2, 0, 1]))
+        g = Polynomial.from_ints(L, [1, 1, 1])
+        forget()  # building L proved its modulus irreducible
+        for _ in range(2):
+            with pytest.raises(ZeroPolynomial):
+                factor(Polynomial.zero(Q))
+            with pytest.raises(UnsupportedFactorization):
+                is_irreducible(g)
+        assert not factor_module._FACTORED and not factor_module._IRREDUCIBLE
 
 
 class TestMinimalPolynomial:

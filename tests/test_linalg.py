@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import make_field
+from tests.conftest import make_field
 from mkt.errors import DegenerateInput
 from mkt.fields import Polynomial, prime_field
 from mkt.linalg import (Matrix, PolyMatrix, SpanTracker, companion_matrix,
