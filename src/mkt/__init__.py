@@ -30,9 +30,9 @@ from .towers import minimal_polynomial, norm_element, present_as_simple
 from .transfer import (base_change, reciprocity_check, transfer, transfer_ext,
                        transfer_tower, transfer_tower_stepwise)
 from .commuting import (CompositionFactor, MatrixTuple, PolyMatrixTuple,
-                        check_relations, class_of_tuple, composition_series,
-                        homotopy_mult, homotopy_shear, homotopy_steinberg,
-                        homotopy_swap, kronecker, reduce_tuple)
+                        class_of_tuple, composition_series, homotopy_mult,
+                        homotopy_shear, homotopy_steinberg, homotopy_swap,
+                        kronecker, reduce_tuple)
 from .jointdet import (JointDeterminant, check_axioms, hilbert, legendre,
                        make_determinant)
 from .sampling import commuting_tuple, monic_irreducible, random_symbol
@@ -59,8 +59,8 @@ __all__ = [
     "minimal_polynomial", "norm_element", "present_as_simple",
     "base_change", "reciprocity_check", "transfer", "transfer_ext",
     "transfer_tower", "transfer_tower_stepwise",
-    "CompositionFactor", "MatrixTuple", "PolyMatrixTuple", "check_relations",
-    "class_of_tuple", "composition_series", "homotopy_mult", "homotopy_shear",
+    "CompositionFactor", "MatrixTuple", "PolyMatrixTuple", "class_of_tuple",
+    "composition_series", "homotopy_mult", "homotopy_shear",
     "homotopy_steinberg", "homotopy_swap", "kronecker", "reduce_tuple",
     "JointDeterminant", "check_axioms", "hilbert", "legendre",
     "make_determinant",

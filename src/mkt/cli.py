@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -23,7 +24,8 @@ from .factor import forget as forget_factorizations, is_irreducible
 from .fields import (EXTENSION, FUNCTION, PRIME, RATIONALS, FieldDescriptor,
                      Polynomial, RationalFunction, extension, function_field,
                      prime_field, rationals, tower_degree)
-from .jointdet import check_axioms, hilbert, make_determinant
+from .jointdet import (RATIONAL_HILBERT, SPECS, UNIVERSAL, check_axioms,
+                       hilbert, make_determinant)
 from .linalg import Matrix
 from .numutil import factor_int, is_prime
 from .sampling import monic_irreducible
@@ -93,12 +95,15 @@ def _parse_field(block) -> FieldDescriptor:
     raise ParseError(f"unknown field kind {kind!r}")
 
 
+# the README's rational format; Fraction alone would also take exponents
+# such as "1e200000" and expand them digit by digit
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _parse_rational(v) -> Fraction:
-    if isinstance(v, bool):
-        raise ParseError(f"not a rational: {v!r}")
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
-    if isinstance(v, str):
+    if isinstance(v, str) and _RATIONAL.fullmatch(v):
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
@@ -313,7 +318,7 @@ def _cmd_reciprocity(args) -> tuple[dict, int]:
     base = _parse_field(doc.get("field"))
     ff = function_field(base)
     x = _parse_symbols(ff, doc.get("symbols"))
-    cls, rows = reciprocity_check(x, use_shortcuts=not args.no_shortcuts)
+    cls, rows = reciprocity_check(x)
     places = [{**_place_json(v), "class": _class_json(canonical_class(n))}
               for v, _t, n in rows]
     report = {"command": "reciprocity", "field": _field_name(ff),
@@ -327,7 +332,7 @@ def _cmd_transfer(args) -> tuple[dict, int]:
     if field.kind != EXTENSION:
         raise ParseError("transfer needs an extension field block (deg >= 2)")
     x = _parse_symbols(field, doc.get("symbols"))
-    y = transfer_ext(field, x, use_shortcuts=not args.no_shortcuts)
+    y = transfer_ext(field, x)
     return {"command": "transfer", "field": _field_name(field),
             "base": _field_name(field.base), "terms": _terms_json(y),
             "class": _class_json(canonical_class(y))}, 0
@@ -438,7 +443,7 @@ def _suite_reciprocity(args) -> tuple[dict, int]:
             if f not in polys:
                 polys.append(f)
         w = symbol([ff.element(f) for f in polys], field=ff)
-        cls, _ = reciprocity_check(w, use_shortcuts=not args.no_shortcuts)
+        cls, _ = reciprocity_check(w)
         if not cls.is_zero():
             failures.append({"trial": i, "class": _class_json(cls)})
     report = {"command": "check", "suite": "reciprocity", "q": args.q,
@@ -529,12 +534,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reciprocity", help="sum of transferred boundaries over all places")
     add_common(p)
-    p.add_argument("--no-shortcuts", action="store_true")
     p.set_defaults(fn=_cmd_reciprocity)
 
     p = sub.add_parser("transfer", help="push a symbol down a finite extension")
     add_common(p)
-    p.add_argument("--no-shortcuts", action="store_true")
     p.set_defaults(fn=_cmd_transfer)
 
     p = sub.add_parser("reduce", help="composition factors and class of a matrix tuple")
@@ -544,9 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jointdet", help="evaluate a joint determinant on a tuple")
     add_common(p)
-    p.add_argument("--spec", default="universal",
-                   choices=["universal", "real-sign", "rational-hilbert",
-                            "finite-field-trivial"])
+    p.add_argument("--spec", default=UNIVERSAL, choices=SPECS)
     p.add_argument("--places", default=None,
                    help="comma list of places for rational-hilbert, e.g. inf,3")
     p.set_defaults(fn=_cmd_jointdet)
@@ -559,13 +560,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=5, help="prime power (reciprocity suite)")
     p.add_argument("--l", type=int, default=2, help="symbol weight parameter")
     p.add_argument("--deg-max", type=int, default=4, dest="deg_max")
-    p.add_argument("--no-shortcuts", action="store_true")
     p.add_argument("--bound", type=int, default=10 ** 6, help="hilbert suite bound")
     p.add_argument("--field", default='{"kind":"Q"}',
                    help="field block JSON (axioms suite)")
-    p.add_argument("--spec", default="rational-hilbert",
-                   choices=["universal", "real-sign", "rational-hilbert",
-                            "finite-field-trivial"])
+    p.add_argument("--spec", default=RATIONAL_HILBERT, choices=SPECS)
     p.add_argument("--places", default="inf,3,5")
     p.set_defaults(fn=_cmd_check)
 

@@ -13,10 +13,9 @@ exposes for tuples over Q and finite fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .canonical import (CanonicalClass, canonical_class, combine_values,
-                        is_trivial_value)
+from .canonical import CanonicalClass, canonical_class
 from .errors import (ArityMismatch, DegenerateInput, DescriptorMismatch,
                      NotUnitDeterminant, RecursionInvariantViolated,
                      UnsupportedTower)
@@ -34,7 +33,6 @@ __all__ = [
     "kronecker", "composition_series", "series_expression", "reduce_tuple",
     "class_of_tuple",
     "homotopy_mult", "homotopy_swap", "homotopy_shear", "homotopy_steinberg",
-    "check_relations",
 ]
 
 
@@ -548,72 +546,3 @@ def reduce_tuple(x: MatrixTuple) -> MilnorExpression:
 
 def class_of_tuple(x: MatrixTuple, real: bool = False) -> CanonicalClass:
     return canonical_class(reduce_tuple(x), real=real)
-
-
-# ---------------------------------------------------------------------------
-# relation checks
-
-
-def _as_named(determinants) -> list[tuple[str, Callable]]:
-    out: list[tuple[str, Callable]] = [("class", class_of_tuple)]
-    for i, d in enumerate(determinants):
-        if isinstance(d, tuple):
-            out.append((str(d[0]), d[1]))
-        else:
-            out.append((getattr(d, "label", None) or f"det{i}", d))
-    return out
-
-
-def _default_conjugator(field, n: int) -> Matrix:
-    rows = [[field.one() if j == i or j == i + 1 else field.zero()
-             for j in range(n)] for i in range(n)]
-    return Matrix(field, rows)
-
-
-def check_relations(tuples: Sequence[MatrixTuple], determinants=(),
-                    conjugators: Sequence[Matrix] = ()) -> list[str]:
-    """Check the defining relations on concrete tuples, through every invariant.
-
-    For each input tuple: identity-slot vanishing, conjugation invariance,
-    slotwise multiplicativity and skew-symmetry (weight >= 2); consecutive
-    same-weight pairs are also checked for direct-sum additivity. Every
-    violation is reported as a string; the expected report is empty.
-    """
-    named = _as_named(determinants)
-    report: list[str] = []
-
-    def expect(cond: bool, msg: str):
-        if not cond:
-            report.append(msg)
-
-    for idx, x in enumerate(tuples):
-        vals = {name: fn(x) for name, fn in named}
-        ident = Matrix.identity(x.field, x.size)
-        y = x.with_slot(0, ident)
-        for name, fn in named:
-            expect(is_trivial_value(fn(y)),
-                   f"tuple {idx}: identity slot not trivial under {name}")
-        s = conjugators[idx] if idx < len(conjugators) else _default_conjugator(x.field, x.size)
-        xc = x.conjugate(s)
-        for name, fn in named:
-            expect(fn(xc) == vals[name],
-                   f"tuple {idx}: conjugation changed {name}")
-        if x.weight >= 2:
-            prod = x.with_slot(0, x.matrices[0] * x.matrices[1])
-            rep = x.with_slot(0, x.matrices[1])
-            for name, fn in named:
-                expect(fn(prod) == combine_values(vals[name], fn(rep)),
-                       f"tuple {idx}: slot product not additive under {name}")
-            sw = x.swap_slots(0, 1)
-            for name, fn in named:
-                expect(is_trivial_value(combine_values(fn(sw), vals[name])),
-                       f"tuple {idx}: swap did not invert {name}")
-    for idx in range(len(tuples) - 1):
-        x, y = tuples[idx], tuples[idx + 1]
-        if x.field != y.field or x.weight != y.weight:
-            continue
-        both = x.direct_sum(y)
-        for name, fn in named:
-            expect(fn(both) == combine_values(fn(x), fn(y)),
-                   f"pair {idx}: direct sum not additive under {name}")
-    return report

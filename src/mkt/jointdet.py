@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable
 
-from .canonical import CanonicalClass, combine_values
+from .canonical import CanonicalClass, combine_values, is_trivial_value
 from .commuting import (MatrixTuple, class_of_tuple, homotopy_mult,
                         homotopy_shear, homotopy_steinberg, homotopy_swap)
 from .errors import (BadModulus, DegenerateInput, RecursionInvariantViolated,
@@ -35,13 +35,14 @@ from .valuations import PRIME_PLACE, REAL, Valuation
 __all__ = [
     "legendre", "hilbert", "JointDeterminant", "make_determinant",
     "check_axioms", "UNIVERSAL", "REAL_SIGN_SPEC", "RATIONAL_HILBERT",
-    "FINITE_TRIVIAL",
+    "FINITE_TRIVIAL", "SPECS",
 ]
 
 UNIVERSAL = "universal"
 REAL_SIGN_SPEC = "real-sign"
 RATIONAL_HILBERT = "rational-hilbert"
 FINITE_TRIVIAL = "finite-field-trivial"
+SPECS = (UNIVERSAL, REAL_SIGN_SPEC, RATIONAL_HILBERT, FINITE_TRIVIAL)
 
 
 def _as_fraction(a) -> Fraction:
@@ -237,19 +238,20 @@ def make_determinant(field: FieldDescriptor, weight: int, spec: str,
 
 
 def check_axioms(d: JointDeterminant, trials: int = 100,
-                 rng: random.Random | None = None,
-                 split_only: bool | None = None) -> list[str]:
+                 rng: random.Random | None = None) -> list[str]:
     """Randomized verification of the four defining axioms of d.
 
     Runs `trials` instances of each axiom: slotwise multilinearity,
     block-diagonal additivity, conjugation invariance, and equality at the
     endpoints of the one-parameter families the package can construct.
-    Returns the list of violations (expected empty).
+    Each conjugation trial's tuple also checks two relations the axioms
+    imply: an identity slot gives the trivial value, and (weight >= 2)
+    swapping the first two slots inverts the value. Returns the list of
+    violations (expected empty).
     """
     rng = rng or random.Random(0)
     field, weight = d.field, d.weight
-    if split_only is None:
-        split_only = field.kind == RATIONALS
+    split_only = field.kind == RATIONALS
     report: list[str] = []
 
     def expect(cond: bool, msg: str):
@@ -279,8 +281,14 @@ def check_axioms(d: JointDeterminant, trials: int = 100,
     for i in range(trials):
         x = commuting_tuple(field, rng, weight, rng.randint(1, 3), split_only=split_only)
         s = invertible_matrix(field, rng, x.size)
-        expect(d(x.conjugate(s)) == d(x),
+        dx = d(x)
+        expect(d(x.conjugate(s)) == dx,
                f"conjugation invariance failed at trial {i}")
+        expect(is_trivial_value(d(x.with_slot(0, Matrix.identity(field, x.size)))),
+               f"identity slot not trivial at trial {i}")
+        if weight >= 2:
+            expect(is_trivial_value(combine_values(d(x.swap_slots(0, 1)), dx)),
+                   f"swap did not invert the value at trial {i}")
 
     for i in range(trials):
         kind = rng.choice(["mult", "swap", "steinberg", "shear"])

@@ -168,8 +168,7 @@ def symbol(entries: Sequence, field: FieldDescriptor | None = None) -> MilnorExp
                 break
         if field is None:
             raise DegenerateInput("cannot infer the field; pass it explicitly")
-    key = _check_entries(field, entries)
-    return MilnorExpression(field, len(key), {key: 1})
+    return MilnorExpression(field, len(entries), {tuple(entries): 1})
 
 
 def zero_expression(field: FieldDescriptor, weight: int) -> MilnorExpression:

@@ -4,10 +4,12 @@ The route: an expression over a simple extension k_v = k[x]/(pi_v) is first
 rewritten into combinations {a_1,...,a_s, f_1(alpha),...,f_r(alpha)} with
 the a_i constants from k and the f_i monic irreducible over k of strictly
 increasing degrees below deg pi_v. Those generator forms are then pushed
-down to k: constants-only forms scale by the extension degree, single-poly
-forms admit a norm shortcut, and the general case runs the reciprocity
+down to k, by a route the form alone picks: constants-only forms scale by
+the extension degree, single-poly forms take the norm of the polynomial
+(projection formula), and forms with two or more polys run the reciprocity
 recursion over the places of k(X), which strictly decreases degrees and so
-terminates.
+terminates. The recursion is also correct on single-poly forms; the tests
+check the norm route against it.
 """
 
 from __future__ import annotations
@@ -162,8 +164,7 @@ def rewrite_to_generators(x: MilnorExpression) -> list[ResidueSymbolForm]:
     return forms
 
 
-def _form_transfer(v: Valuation, form: ResidueSymbolForm,
-                   use_shortcuts: bool) -> MilnorExpression:
+def _form_transfer(v: Valuation, form: ResidueSymbolForm) -> MilnorExpression:
     kv = v.residue_field()
     k = v.field.base
     d = v.pi.degree
@@ -172,17 +173,16 @@ def _form_transfer(v: Valuation, form: ResidueSymbolForm,
         if weight == 0:
             return MilnorExpression(k, 0, {(): form.coeff * d})
         return symbol(form.constants, k) * (form.coeff * d)
-    if form.rank == 1 and use_shortcuts:
+    if form.rank == 1:
         beta = element_from_poly(kv, form.polys[0])
         nb = norm_element(beta, k)
         if nb.is_one():
             return zero_expression(k, weight)
         return symbol((*form.constants, nb), k) * form.coeff
-    return _reciprocity_transfer(v, form, use_shortcuts)
+    return _reciprocity_transfer(v, form)
 
 
-def _reciprocity_transfer(v: Valuation, form: ResidueSymbolForm,
-                          use_shortcuts: bool) -> MilnorExpression:
+def _reciprocity_transfer(v: Valuation, form: ResidueSymbolForm) -> MilnorExpression:
     """Push one generator form down to k through the places of k(X)."""
     ff = v.field
     k = ff.base
@@ -208,13 +208,12 @@ def _reciprocity_transfer(v: Valuation, form: ResidueSymbolForm,
             if f.degree >= v.pi.degree:
                 raise RecursionInvariantViolated(
                     "generator degree failed to decrease")
-            acc = acc + transfer(w, t, use_shortcuts=use_shortcuts)
+            acc = acc + transfer(w, t)
     acc = acc + tame_symbol(infinite_place(ff), y)
     return (-acc) * form.coeff
 
 
-def transfer(v: Valuation, x: MilnorExpression,
-             use_shortcuts: bool = True) -> MilnorExpression:
+def transfer(v: Valuation, x: MilnorExpression) -> MilnorExpression:
     """Norm map along the residue extension of a finite place.
 
     x lives over the residue field of v; the result lives over the
@@ -233,12 +232,11 @@ def transfer(v: Valuation, x: MilnorExpression,
         return MilnorExpression(k, 0, {(): x.coefficient([]) * v.pi.degree})
     out = zero_expression(k, x.weight)
     for form in rewrite_to_generators(x):
-        out = out + _form_transfer(v, form, use_shortcuts)
+        out = out + _form_transfer(v, form)
     return out
 
 
-def transfer_ext(E: FieldDescriptor, x: MilnorExpression,
-                 use_shortcuts: bool = True) -> MilnorExpression:
+def transfer_ext(E: FieldDescriptor, x: MilnorExpression) -> MilnorExpression:
     """Transfer along a single extension step E = k[x]/(m) down to k."""
     if E.kind != EXTENSION:
         raise UnsupportedField("transfer_ext needs an extension field")
@@ -249,11 +247,10 @@ def transfer_ext(E: FieldDescriptor, x: MilnorExpression,
         root = -E.modulus.coeffs[0]
         return x.map_entries(lambda e: poly_of_element(e).evaluate(root), E.base)
     ff = function_field(E.base)
-    return transfer(finite_place(ff, E.modulus), x, use_shortcuts=use_shortcuts)
+    return transfer(finite_place(ff, E.modulus), x)
 
 
-def transfer_tower(x: MilnorExpression, base: FieldDescriptor,
-                   use_shortcuts: bool = True) -> MilnorExpression:
+def transfer_tower(x: MilnorExpression, base: FieldDescriptor) -> MilnorExpression:
     """Transfer from a tower top all the way down to base.
 
     Height >= 2 towers are first collapsed to a simple presentation, which
@@ -266,21 +263,20 @@ def transfer_tower(x: MilnorExpression, base: FieldDescriptor,
         raise DescriptorMismatch(f"{base} is not below {L}")
     steps = tower_steps(L, base)
     if len(steps) == 1:
-        return transfer_ext(L, x, use_shortcuts=use_shortcuts)
+        return transfer_ext(L, x)
     pres = present_as_simple(L, base)
     collapsed = x.map_entries(pres.to_simple, pres.simple_field)
-    return transfer_ext(pres.simple_field, collapsed, use_shortcuts=use_shortcuts)
+    return transfer_ext(pres.simple_field, collapsed)
 
 
-def transfer_tower_stepwise(x: MilnorExpression, base: FieldDescriptor,
-                            use_shortcuts: bool = True) -> MilnorExpression:
+def transfer_tower_stepwise(x: MilnorExpression, base: FieldDescriptor) -> MilnorExpression:
     """Compose single-step transfers down the tower; same value as
     transfer_tower on classes, useful as a cross-check."""
     L = x.field
     if not is_ancestor(base, L):
         raise DescriptorMismatch(f"{base} is not below {L}")
     while x.field != base:
-        x = transfer_ext(x.field, x, use_shortcuts=use_shortcuts)
+        x = transfer_ext(x.field, x)
     return x
 
 
@@ -291,7 +287,7 @@ def base_change(x: MilnorExpression, L: FieldDescriptor) -> MilnorExpression:
     return x.map_entries(lambda e: embed(e, L), L)
 
 
-def reciprocity_check(w: MilnorExpression, use_shortcuts: bool = True):
+def reciprocity_check(w: MilnorExpression):
     """Sum of transferred boundaries over every place of k(X).
 
     Returns (canonical class of the sum, per-place rows). The class is zero
@@ -311,7 +307,7 @@ def reciprocity_check(w: MilnorExpression, use_shortcuts: bool = True):
         if v.kind == INFINITE or v.pi.degree == 1:
             n = t
         else:
-            n = transfer(v, t, use_shortcuts=use_shortcuts)
+            n = transfer(v, t)
         total = total + n
         rows.append((v, t, n))
     return canonical_class(total), rows

@@ -8,6 +8,9 @@ from mkt.fields import Polynomial, extension, prime_field, rationals
 # the acceptance tests append one line per criterion; printed after capture
 ACCEPTANCE_REPORT = pathlib.Path(__file__).with_name(".acceptance_report")
 
+# (q, d): the extensions F_{q^d} / F_q the transfer oracles enumerate
+NORM_PAIRS = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2))
+
 
 def pytest_sessionstart(session):
     if ACCEPTANCE_REPORT.exists():

@@ -23,12 +23,9 @@ from mkt.sampling import (commuting_tuple, invertible_matrix, monic_irreducible,
 from mkt.symbols import cyclic_difference_identity, symbol
 from mkt.towers import norm_element
 from mkt.transfer import base_change, reciprocity_check, transfer_tower
-from tests.conftest import ACCEPTANCE_REPORT, all_units, make_field
+from tests.conftest import ACCEPTANCE_REPORT, NORM_PAIRS, all_units, make_field
 
 Qf = rationals()
-
-# (q, d) extension pairs the transfer module enumerates
-NORM_PAIRS = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2))
 
 
 def _record(line: str):

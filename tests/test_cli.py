@@ -317,6 +317,15 @@ class TestSuites:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [["reciprocity", "-"], ["transfer", "-"],
+                                      ["check", "reciprocity"]])
+    def test_removed_route_flag_refused(self, capsys, argv):
+        # the transfer route follows from the generator form alone
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--no-shortcuts"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
 
 class TestErrorHandling:
     def test_malformed_json(self, capsys, tmp_path):
@@ -332,10 +341,14 @@ class TestErrorHandling:
         assert code == 1
         assert out["error"]["type"] == "ParseError"
 
-    def test_integer_beyond_digit_limit(self, capsys, tmp_path):
+    # a JSON integer past Python's digit limit, and an exponent string that
+    # Fraction would expand to 200001 digits
+    @pytest.mark.parametrize("entry", ["7" * 5000, '"1e200000"'],
+                             ids=["digits", "exponent"])
+    def test_integer_beyond_digit_limit(self, capsys, tmp_path, entry):
         p = tmp_path / "big.json"
         p.write_text('{"field": {"kind": "Q"}, "symbols": [{"entries": [%s]}]}'
-                     % ("7" * 5000))
+                     % entry)
         code, out = run(capsys, ["canon", str(p)])
         assert code == 1
         assert out["error"]["type"] == "ParseError"

@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from mkt.canonical import canonical_class
-from mkt.commuting import (MatrixTuple, PolyMatrixTuple, check_relations,
-                           class_of_tuple, composition_series, homotopy_mult,
-                           homotopy_shear, homotopy_steinberg, homotopy_swap,
-                           kronecker, reduce_tuple)
+from mkt.commuting import (MatrixTuple, PolyMatrixTuple, class_of_tuple,
+                           composition_series, homotopy_mult, homotopy_shear,
+                           homotopy_steinberg, homotopy_swap, kronecker,
+                           reduce_tuple)
 from mkt.errors import (ArityMismatch, DegenerateInput, NotUnitDeterminant,
                         UnsupportedTower)
 from mkt.fields import Polynomial, prime_field, rationals
+from mkt.jointdet import check_axioms, make_determinant
 from mkt.linalg import Matrix, PolyMatrix, companion_matrix, jordan_block
 from mkt.sampling import commuting_tuple, invertible_matrix
 from mkt.symbols import symbol
@@ -293,14 +294,11 @@ class TestReduce:
 
 class TestRelationsReport:
     def test_no_violations_rational(self, rng):
-        tuples = [commuting_tuple(Qf, rng, 2, rng.choice([2, 3]),
-                                  split_only=True) for _ in range(6)]
-        assert check_relations(tuples) == []
+        assert check_axioms(make_determinant(Qf, 2, "universal"), trials=6, rng=rng) == []
 
     def test_no_violations_finite(self, rng):
         F7 = prime_field(7)
-        tuples = [commuting_tuple(F7, rng, 2, 3) for _ in range(6)]
-        assert check_relations(tuples) == []
+        assert check_axioms(make_determinant(F7, 2, "universal"), trials=6, rng=rng) == []
 
     def test_swap_negates(self, rng):
         x = commuting_tuple(Qf, rng, 2, 2, split_only=True)

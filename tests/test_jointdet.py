@@ -10,7 +10,8 @@ from mkt.commuting import MatrixTuple, class_of_tuple
 from mkt.errors import (BadModulus, DegenerateInput, UnsupportedCombination,
                         ZeroInput)
 from mkt.fields import prime_field, rationals
-from mkt.jointdet import check_axioms, hilbert, legendre, make_determinant
+from mkt.jointdet import (JointDeterminant, check_axioms, hilbert, legendre,
+                          make_determinant)
 from mkt.linalg import Matrix
 from mkt.sampling import commuting_tuple
 from mkt.symbols import symbol
@@ -297,3 +298,15 @@ class TestAxioms:
     def test_universal_weight1_clean(self):
         d = make_determinant(Qf, 1, "universal")
         assert check_axioms(d, trials=15, rng=random.Random(14)) == []
+
+    def test_slot_one_reader_breaks_identity_slot_and_swap(self, rng):
+        # the class of (m1, m1) ignores slot 0, so an identity there leaves
+        # the value {-1, det m1}, and a swap adds rather than cancels
+        def ev(x):
+            m1 = x.matrices[1]
+            return class_of_tuple(MatrixTuple(Qf, [m1, m1]))
+
+        d = JointDeterminant(Qf, 2, "slot-1", evaluator=ev)
+        report = check_axioms(d, trials=6, rng=rng)
+        assert any(m.startswith("identity slot not trivial") for m in report)
+        assert any(m.startswith("swap did not invert") for m in report)

@@ -1,18 +1,22 @@
 """Transfers down finite extensions, pinned to the norm oracle and vanishing laws."""
 
+from fractions import Fraction
+
 import pytest
 
 from mkt.canonical import canonical_class
 from mkt.errors import UnsupportedTower
 from mkt.fields import (Polynomial, embed, extension, function_field,
-                        prime_field, rationals, tower_degree)
+                        poly_of_element, prime_field, rationals, tower_degree)
 from mkt.sampling import monic_irreducible, random_symbol
-from mkt.symbols import symbol
+from mkt.symbols import symbol, zero_expression
 from mkt.towers import norm_element
-from mkt.transfer import (base_change, reciprocity_check,
-                          rewrite_to_generators, transfer_ext, transfer_tower,
+from mkt.transfer import (_form_transfer, _reciprocity_transfer, base_change,
+                          reciprocity_check, rewrite_to_generators,
+                          transfer_ext, transfer_tower,
                           transfer_tower_stepwise)
-from tests.conftest import all_units, make_field
+from mkt.valuations import finite_place
+from tests.conftest import NORM_PAIRS, all_units, make_field
 
 Qf = rationals()
 
@@ -108,14 +112,36 @@ class TestTransferExt:
                 assert canonical_class(y) == canonical_class(
                     symbol([norm_element(x, L.base)]))
 
-    def test_shortcutless_path_matches(self, rng):
-        # same class with and without the rank shortcuts
-        F8 = make_field(8)
-        for _ in range(15):
-            x = random_symbol(F8, rng, 2)
-            a = transfer_ext(F8, x, use_shortcuts=True)
-            b = transfer_ext(F8, x, use_shortcuts=False)
-            assert canonical_class(a) == canonical_class(b)
+    def test_recursion_oracle_matches_norm(self):
+        """[PAPER] The Bass-Tate recursion transfers K_1 to the norm.
+
+        Every rank-1 generator form of {u} goes through the reciprocity
+        recursion over the places of k(X), which the transfer itself runs
+        only at rank >= 2, and every rank-0 form through the degree scaling;
+        the sum must be the class of N(u). Covers every unit of the six
+        acceptance extensions and a few units of Q(sqrt 2).
+        """
+        sqrt2 = extension(Qf, Polynomial.from_ints(Qf, [-2, 0, 1]))
+        cases = [(make_field(q ** d), prime_field(q), all_units(make_field(q ** d)))
+                 for q, d in NORM_PAIRS]
+        cases.append((sqrt2, Qf, [sqrt2.element((Qf.element(a), Qf.element(b)))
+                                  for a, b in ((1, 1), (3, 2), (-1, 5), (0, 3),
+                                               (7, -4), (Fraction(1, 2), 1))]))
+        for L, base, units in cases:
+            v = finite_place(function_field(base), L.modulus)
+            for u in units:
+                forms = rewrite_to_generators(symbol([u], field=L))
+                if poly_of_element(u).degree >= 1:
+                    assert any(form.rank == 1 for form in forms)
+                total = zero_expression(base, 1)
+                for form in forms:
+                    if form.rank == 1:
+                        total = total + _reciprocity_transfer(v, form)
+                    else:
+                        assert form.rank == 0
+                        total = total + _form_transfer(v, form)
+                assert canonical_class(total) == canonical_class(
+                    symbol([norm_element(u, base)], field=base))
 
     def test_quadratic_over_q(self):
         """[DERIVED] K_1 norm over Q(sqrt 2): N(1 + sqrt 2) = 1 - 2 = -1."""
