@@ -24,6 +24,7 @@ from .factor import forget as forget_factorizations, is_irreducible
 from .fields import (EXTENSION, FUNCTION, PRIME, RATIONALS, FieldDescriptor,
                      Polynomial, RationalFunction, extension, function_field,
                      prime_field, rationals, tower_degree)
+from .fields import forget as forget_fields
 from .jointdet import (RATIONAL_HILBERT, SPECS, UNIVERSAL, check_axioms,
                        hilbert, make_determinant)
 from .linalg import Matrix
@@ -97,6 +98,7 @@ def _parse_field(block) -> FieldDescriptor:
 
 # the README's rational format; Fraction alone would also take exponents
 # such as "1e200000" and expand them digit by digit
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -116,7 +118,7 @@ def _parse_element(field: FieldDescriptor, v):
         if field.kind == RATIONALS:
             return field.element(_parse_rational(v))
         if field.kind == PRIME:
-            if isinstance(v, str):
+            if isinstance(v, str) and _INTEGER.fullmatch(v):
                 v = int(v)
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ParseError(f"not a prime-field element: {v!r}")
@@ -182,7 +184,7 @@ def _parse_matrices(field: FieldDescriptor, mats) -> MatrixTuple:
 def _parse_place_token(tok):
     if tok in ("inf", "infinity", "oo"):
         return "inf"
-    if isinstance(tok, str) and tok.isdigit():
+    if isinstance(tok, str) and _INTEGER.fullmatch(tok):
         tok = int(tok)
     if isinstance(tok, int) and is_prime(tok):
         return tok
@@ -573,6 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     forget_factorizations()
+    forget_fields()
     try:
         report, code = args.fn(args)
     except ParseError as e:

@@ -6,6 +6,13 @@ are immutable and hashable; arithmetic never leaves exact representations
 (Fraction for Q, residues for F_p, fixed-length coefficient tuples for
 extension steps, reduced num/den pairs for k(X)).
 
+Descriptors are canonical: `extension` and `function_field` hand out one
+object per field, so descriptor equality is almost always an identity test.
+A finite extension step of order q <= _TABLE_MAX that has done q operations
+on the coefficient path builds a _Table: its q elements, interned, with
+Zech logarithms, after which +, -, *, inverse and == are index lookups.
+`forget()` drops the descriptor caches and every table.
+
 Coefficient lists everywhere are ordered lowest degree first, highest degree
 last. The zero polynomial has degree -1.
 """
@@ -13,6 +20,7 @@ last. The zero polynomial has degree -1.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator
 
 from mkt import zkernel
@@ -23,7 +31,7 @@ from mkt.errors import (
     UnsupportedField,
     ZeroPolynomial,
 )
-from mkt.numutil import is_prime
+from mkt.numutil import factor_int, is_prime
 
 RATIONALS = "rationals"
 PRIME = "prime"
@@ -31,10 +39,15 @@ EXTENSION = "extension"
 FUNCTION = "function"
 
 
+# a finite extension step of at most this many elements may build a _Table
+_TABLE_MAX = 1 << 16
+
+
 class FieldDescriptor:
     """Identity of a field. Structural equality; do not mutate."""
 
-    __slots__ = ("kind", "p", "base", "modulus", "_hash", "_mod_ints")
+    __slots__ = ("kind", "p", "base", "modulus", "_hash", "_mod_ints", "_order",
+                 "_table", "_budget")
 
     def __init__(self, kind: str, p: int | None = None,
                  base: "FieldDescriptor | None" = None,
@@ -45,6 +58,11 @@ class FieldDescriptor:
         self.modulus = modulus
         self._hash = None
         self._mod_ints = None
+        self._order = None
+        self._table = None
+        # coefficient-path operations left before the table is built; set
+        # by extension() on fields that qualify, never reaches 0 otherwise
+        self._budget = -1
 
     # -- construction ------------------------------------------------------
 
@@ -78,16 +96,22 @@ class FieldDescriptor:
         return 1
 
     def order(self) -> int:
-        if not self.is_finite():
-            raise UnsupportedField("infinite field has no order")
-        return self.characteristic() ** self.absolute_degree()
+        if self._order is None:
+            if not self.is_finite():
+                raise UnsupportedField("infinite field has no order")
+            self._order = self.characteristic() ** self.absolute_degree()
+        return self._order
 
     # -- elements ----------------------------------------------------------
 
     def zero(self) -> "FieldElement":
+        if self._table is not None:
+            return self._table.elems[0]
         return self.from_int(0)
 
     def one(self) -> "FieldElement":
+        if self._table is not None:
+            return self._table.elems[1]
         return self.from_int(1)
 
     def minus_one(self) -> "FieldElement":
@@ -99,6 +123,9 @@ class FieldDescriptor:
         if self.kind == PRIME:
             return FieldElement(self, n % self.p)
         if self.kind == EXTENSION:
+            if self._table is not None:
+                # n sits in the constant coefficient all the way down
+                return self._table.elems[n % self.characteristic()]
             d = self.step_degree
             rep = (self.base.from_int(n),) + tuple(self.base.zero() for _ in range(d - 1))
         else:
@@ -126,7 +153,7 @@ class FieldDescriptor:
                 raise ValueError(f"coefficient sequence longer than step degree {d}")
             coeffs = [self.base.element(c) for c in value]
             coeffs += [self.base.zero()] * (d - len(coeffs))
-            return FieldElement(self, tuple(coeffs))
+            return _ext_element(self, tuple(coeffs))
         if self.kind == FUNCTION:
             if isinstance(value, RationalFunction):
                 if value.num.field != self.base:
@@ -196,6 +223,22 @@ class FieldDescriptor:
 
 _RATIONALS = FieldDescriptor(RATIONALS)
 _PRIME_CACHE: dict[int, FieldDescriptor] = {}
+# modulus -> base[x]/(modulus); base -> base(X); both emptied by forget()
+_EXTENSIONS: dict["Polynomial", FieldDescriptor] = {}
+_FUNCTION_FIELDS: dict[FieldDescriptor, FieldDescriptor] = {}
+# descriptors holding a _Table
+_TABLED: list[FieldDescriptor] = []
+
+
+def forget() -> None:
+    """Drop the cached extension and function-field descriptors and every
+    element table, so that the next computation starts cold."""
+    for fld in _TABLED:
+        fld._table = None
+        fld._budget = fld.order()
+    _TABLED.clear()
+    _EXTENSIONS.clear()
+    _FUNCTION_FIELDS.clear()
 
 
 def rationals() -> FieldDescriptor:
@@ -227,26 +270,169 @@ def extension(base: FieldDescriptor, modulus: "Polynomial", check: bool = True) 
 
         if not is_irreducible(modulus):
             raise BadModulus(f"modulus {modulus} is reducible")
-    return FieldDescriptor(EXTENSION, base=base, modulus=modulus)
+    got = _EXTENSIONS.get(modulus)
+    if got is None:
+        got = FieldDescriptor(EXTENSION, base=base, modulus=modulus)
+        if base.is_finite() and got.order() <= _TABLE_MAX:
+            got._budget = got.order()
+        _EXTENSIONS[modulus] = got
+    return got
 
 
 def function_field(base: FieldDescriptor) -> FieldDescriptor:
     if base.kind == FUNCTION:
         raise UnsupportedField("iterated function fields are not supported")
-    return FieldDescriptor(FUNCTION, base=base)
+    got = _FUNCTION_FIELDS.get(base)
+    if got is None:
+        got = _FUNCTION_FIELDS[base] = FieldDescriptor(FUNCTION, base=base)
+    return got
+
+
+class _Table:
+    """The interned elements of one finite extension step, with Zech logs.
+
+    elems[i] is the i-th element of all_elements(field) and carries ix == i,
+    so elems[0] is zero and elems[1] is one. With g a fixed primitive element
+    and m = q - 1: for i != 0, log[i] is the k in [0, m) with g^k = elems[i];
+    exp[k] is the index of g^k, stored for k in [0, 2m) so that a sum of two
+    logs needs no reduction; zech[n] is log(1 + g^n), or -1 where
+    1 + g^n = 0; neg[i] is the index of -elems[i].
+    """
+
+    __slots__ = ("elems", "exp", "log", "zech", "neg", "m")
+
+    def __init__(self, elems, exp, log, zech, neg):
+        self.elems, self.exp, self.log, self.zech, self.neg = elems, exp, log, zech, neg
+        self.m = len(zech)
+
+    def add(self, i: int, j: int) -> int:
+        if not i:
+            return j
+        if not j:
+            return i
+        li = self.log[i]
+        n = self.log[j] - li
+        if n < 0:
+            n += self.m
+        z = self.zech[n]
+        return self.exp[li + z] if z >= 0 else 0
+
+    def mul(self, i: int, j: int) -> int:
+        if i and j:
+            return self.exp[self.log[i] + self.log[j]]
+        return 0
+
+
+def _spend(fld: FieldDescriptor) -> None:
+    """Count one coefficient-path operation of fld; after order(fld) of them
+    the table pays for itself (ski rental), so build it."""
+    fld._budget -= 1
+    if not fld._budget:
+        _build_table(fld)
+
+
+def _build_table(fld: FieldDescriptor) -> None:
+    fld._budget = -1  # the arithmetic below must not trigger a second build
+    base = fld.base
+    q = fld.order()
+    m = q - 1
+    base_elems = list(all_elements(base))
+    nb = len(base_elems)
+    elems = list(all_elements(fld))
+    for i, e in enumerate(elems):
+        e.ix = i
+    primes = list(factor_int(m)) if m > 1 else []
+    # elems[:nb] is the base field, which holds a generator only when the
+    # step has degree 1
+    g = next(e for e in elems[nb:] or elems[1:]
+             if all(not (e ** (m // r)).is_one() for r in primes))
+    exp = [0] * (2 * m)
+    log = [0] * q
+    for k, i in enumerate(_power_indices(fld, g, m)):
+        exp[k] = exp[k + m] = i
+        log[i] = k
+    base_one = base.one()
+    plus_one = [_index(b + base_one) for b in base_elems]
+    zech = [-1] * m
+    for n in range(m):
+        i = exp[n]
+        j = i - i % nb + plus_one[i % nb]
+        if j:
+            zech[n] = log[j]
+    if fld.characteristic() == 2:
+        neg = list(range(q))
+    else:
+        neg = [0] + [exp[log[i] + m // 2] for i in range(1, q)]
+    fld._table = _Table(elems, exp, log, zech, neg)
+    _TABLED.append(fld)
+
+
+def _power_indices(fld: FieldDescriptor, g: "FieldElement", m: int) -> Iterator[int]:
+    """Positions of g^0, ..., g^(m-1) in all_elements(fld)."""
+    base = fld.base
+    if base.kind == PRIME:
+        # over a prime field the powers stay coefficient ints, which halves
+        # the cost of building a large table
+        p, mod = base.p, fld.modulus_ints()
+        gi = zkernel.trim([c.rep for c in g.rep])
+        x = [1]
+        for _ in range(m):
+            i = 0
+            for c in reversed(x):
+                i = i * p + c
+            yield i
+            x = zkernel.zp_mulmod(x, gi, mod, p)
+        return
+    x = fld.one()
+    for _ in range(m):
+        yield _index(x)
+        x = x * g
+
+
+def _index(x: "FieldElement") -> int:
+    """Position of x in all_elements(x.field); x lies in a finite field.
+
+    The position is a function of the value, so it is kept in x.ix."""
+    if x.ix is not None:
+        return x.ix
+    if x.field.kind == PRIME:
+        return x.rep
+    x.ix = _rep_index(x.field, x.rep)
+    return x.ix
+
+
+def _rep_index(fld: FieldDescriptor, rep: tuple) -> int:
+    nb = fld.base.order()
+    i = 0
+    for c in reversed(rep):
+        i = i * nb + _index(c)
+    return i
+
+
+def _ext_element(fld: FieldDescriptor, rep: tuple) -> "FieldElement":
+    """The element of fld with coefficient tuple rep; interned when fld has
+    a table."""
+    if fld._table is not None:
+        return fld._table.elems[_rep_index(fld, rep)]
+    return FieldElement(fld, rep)
 
 
 class FieldElement:
     """An element of the field named by `field`. Immutable."""
 
-    __slots__ = ("field", "rep", "_hash")
+    __slots__ = ("field", "rep", "_hash", "ix")
 
     def __init__(self, field: FieldDescriptor, rep):
         self.field = field
         self.rep = rep
         self._hash = None
+        # position in all_elements(field): set on table elements when they
+        # are built, on other elements of a tabled field by _index
+        self.ix = None
 
     def is_zero(self) -> bool:
+        if self.ix is not None:
+            return not self.ix
         k = self.field.kind
         if k == RATIONALS or k == PRIME:
             return self.rep == 0
@@ -268,10 +454,13 @@ class FieldElement:
         return (r > 0) - (r < 0)
 
     # -- arithmetic --------------------------------------------------------
+    #
+    # A field with a _Table works on indices. Otherwise an extension step
+    # works on coefficients and counts each operation toward its table.
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise DescriptorMismatch(f"{self.field} vs {other.field}")
             return other
         if isinstance(other, int):
@@ -284,58 +473,75 @@ class FieldElement:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        k = self.field.kind
+        fld = self.field
+        tab = fld._table
+        if tab is not None:
+            return tab.elems[tab.add(_index(self), _index(b))]
+        k = fld.kind
         if k == RATIONALS:
-            return FieldElement(self.field, self.rep + b.rep)
+            return FieldElement(fld, self.rep + b.rep)
         if k == PRIME:
-            return FieldElement(self.field, (self.rep + b.rep) % self.field.p)
+            return FieldElement(fld, (self.rep + b.rep) % fld.p)
         if k == EXTENSION:
-            return FieldElement(self.field, tuple(x + y for x, y in zip(self.rep, b.rep)))
-        return FieldElement(self.field, self.rep.add(b.rep))
+            _spend(fld)
+            return FieldElement(fld, tuple(x + y for x, y in zip(self.rep, b.rep)))
+        return FieldElement(fld, self.rep.add(b.rep))
 
     __radd__ = __add__
 
     def __neg__(self):
-        k = self.field.kind
+        fld = self.field
+        tab = fld._table
+        if tab is not None:
+            return tab.elems[tab.neg[_index(self)]]
+        k = fld.kind
         if k == RATIONALS:
-            return FieldElement(self.field, -self.rep)
+            return FieldElement(fld, -self.rep)
         if k == PRIME:
-            return FieldElement(self.field, (-self.rep) % self.field.p)
+            return FieldElement(fld, (-self.rep) % fld.p)
         if k == EXTENSION:
-            return FieldElement(self.field, tuple(-x for x in self.rep))
-        return FieldElement(self.field, self.rep.neg())
+            _spend(fld)
+            return FieldElement(fld, tuple(-x for x in self.rep))
+        return FieldElement(fld, self.rep.neg())
 
     def __sub__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
+        tab = self.field._table
+        if tab is not None:
+            return tab.elems[tab.add(_index(self), tab.neg[_index(b)])]
         return self + (-b)
 
     def __rsub__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return b + (-self)
+        return b - self
 
     def __mul__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        k = self.field.kind
+        fld = self.field
+        tab = fld._table
+        if tab is not None:
+            return tab.elems[tab.mul(_index(self), _index(b))]
+        k = fld.kind
         if k == RATIONALS:
-            return FieldElement(self.field, self.rep * b.rep)
+            return FieldElement(fld, self.rep * b.rep)
         if k == PRIME:
-            return FieldElement(self.field, self.rep * b.rep % self.field.p)
+            return FieldElement(fld, self.rep * b.rep % fld.p)
         if k == EXTENSION:
+            _spend(fld)
             return self._ext_mul(b)
-        return FieldElement(self.field, self.rep.mul(b.rep))
+        return FieldElement(fld, self.rep.mul(b.rep))
 
     __rmul__ = __mul__
 
     def _ext_mul(self, b: "FieldElement") -> "FieldElement":
         fld = self.field
         base = fld.base
-        d = fld.step_degree
         if base.kind == PRIME:
             p = base.p
             a_ints = zkernel.trim([c.rep for c in self.rep])
@@ -351,13 +557,17 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise DivisionByZero(f"inverse of zero in {self.field}")
-        k = self.field.kind
+        fld = self.field
+        tab = fld._table
+        if tab is not None:
+            return tab.elems[tab.exp[tab.m - tab.log[_index(self)]]]
+        k = fld.kind
         if k == RATIONALS:
-            return FieldElement(self.field, 1 / self.rep)
+            return FieldElement(fld, 1 / self.rep)
         if k == PRIME:
-            return FieldElement(self.field, pow(self.rep, self.field.p - 2, self.field.p))
+            return FieldElement(fld, pow(self.rep, fld.p - 2, fld.p))
         if k == EXTENSION:
-            fld = self.field
+            _spend(fld)
             base = fld.base
             if base.kind == PRIME:
                 inv = zkernel.zp_invmod(zkernel.trim([c.rep for c in self.rep]),
@@ -365,7 +575,7 @@ class FieldElement:
                 return _ext_from_ints(fld, inv)
             inv = _elinvmod(base, _eltrim(list(self.rep)), list(fld.modulus.coeffs))
             return _ext_from_coeffs(fld, inv)
-        return FieldElement(self.field, self.rep.inverse())
+        return FieldElement(fld, self.rep.inverse())
 
     def __truediv__(self, other):
         b = self._coerce(other)
@@ -380,6 +590,9 @@ class FieldElement:
         return b * self.inverse()
 
     def __pow__(self, e: int):
+        tab = self.field._table
+        if tab is not None and not self.is_zero():
+            return tab.elems[tab.exp[tab.log[_index(self)] * e % tab.m]]
         if e < 0:
             return self.inverse() ** (-e)
         result = self.field.one()
@@ -402,10 +615,14 @@ class FieldElement:
         return self.rep
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if isinstance(other, int):
             other = self.field.from_int(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
+        if self.field is other.field and self.ix is not None and other.ix is not None:
+            return self.ix == other.ix
         return self.field == other.field and self._key() == other._key()
 
     def __hash__(self):
@@ -443,13 +660,13 @@ def _ext_from_ints(fld: FieldDescriptor, ints: list[int]) -> FieldElement:
     base = fld.base
     d = fld.step_degree
     coeffs = [FieldElement(base, ints[i] if i < len(ints) else 0) for i in range(d)]
-    return FieldElement(fld, tuple(coeffs))
+    return _ext_element(fld, tuple(coeffs))
 
 
 def _ext_from_coeffs(fld: FieldDescriptor, coeffs: list[FieldElement]) -> FieldElement:
     d = fld.step_degree
     out = list(coeffs) + [fld.base.zero()] * (d - len(coeffs))
-    return FieldElement(fld, tuple(out[:d]))
+    return _ext_element(fld, tuple(out[:d]))
 
 
 # Generic coefficient-list arithmetic over an arbitrary coefficient field.
@@ -541,7 +758,7 @@ class Polynomial:
         elems = [field.element(c) if not isinstance(c, FieldElement) else c
                  for c in coeffs]
         for c in elems:
-            if c.field != field:
+            if c.field is not field and c.field != field:
                 raise DescriptorMismatch("coefficient over wrong field")
         self.field = field
         self.coeffs = tuple(_eltrim(elems))
@@ -916,17 +1133,13 @@ def all_elements(field: FieldDescriptor) -> Iterator[FieldElement]:
             yield FieldElement(field, v)
         return
     if field.kind == EXTENSION and field.is_finite():
-        base_elems = list(all_elements(field.base))
-        d = field.step_degree
-        idx = [0] * d
-        total = len(base_elems) ** d
-        for _ in range(total):
-            yield FieldElement(field, tuple(base_elems[i] for i in idx))
-            for pos in range(d):
-                idx[pos] += 1
-                if idx[pos] < len(base_elems):
-                    break
-                idx[pos] = 0
+        if field._table is not None:
+            yield from field._table.elems
+            return
+        # product() varies its last slot fastest; the first coefficient
+        # varies fastest here
+        for rep in product(all_elements(field.base), repeat=field.step_degree):
+            yield FieldElement(field, rep[::-1])
         return
     raise UnsupportedField("all_elements needs a finite field")
 

@@ -121,27 +121,37 @@ class TestReciprocity:
     def test_repeat_in_one_process_is_identical_and_starts_cold(
             self, capsys, tmp_path, monkeypatch):
         factor_module = sys.modules["mkt.factor"]
+        fields_module = sys.modules["mkt.fields"]
         path = write_doc(tmp_path, "d.json", {
             "field": {"kind": "Fq", "p": 3, "deg": 2, "modulus": [1, 0, 1]},
             "symbols": [{"coeff": 1, "entries": [[[1, 1], [0, 1], [1]],
                                                   [[2], [1, 1], [0], [1]]]}],
         })
-        memo_sizes = []
+        cache_sizes = []
         command = cli._cmd_reciprocity
 
         def spy(args):
-            memo_sizes.append((len(factor_module._FACTORED),
-                               len(factor_module._IRREDUCIBLE)))
+            cache_sizes.append((len(factor_module._FACTORED),
+                                len(factor_module._IRREDUCIBLE),
+                                len(fields_module._EXTENSIONS),
+                                len(fields_module._FUNCTION_FIELDS),
+                                len(fields_module._TABLED)))
             return command(args)
         monkeypatch.setattr(cli, "_cmd_reciprocity", spy)
-        outs = []
+        outs, tabled = [], []
         for _ in range(2):
             assert cli.main(["reciprocity", path]) == 0
             outs.append(capsys.readouterr().out)
             assert factor_module._FACTORED
+            assert fields_module._EXTENSIONS and fields_module._FUNCTION_FIELDS
+            # the F_9 of the document does enough arithmetic to build its table
+            assert [f.order() for f in fields_module._TABLED] == [9]
+            tabled.append(fields_module._TABLED[0])
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["total"]["zero"] is True
-        assert memo_sizes == [(0, 0), (0, 0)]
+        assert cache_sizes == [(0, 0, 0, 0, 0)] * 2
+        # each command built its own descriptor; the first one's table is gone
+        assert tabled[0] is not tabled[1] and tabled[0]._table is None
 
 
 class TestTransfer:
@@ -352,6 +362,39 @@ class TestErrorHandling:
         code, out = run(capsys, ["canon", str(p)])
         assert code == 1
         assert out["error"]["type"] == "ParseError"
+
+    # strings that int() accepts but the integer grammar [+-]?[0-9]+ does not
+    @pytest.mark.parametrize("entry", ["1_0", " 3 ", "0x3"],
+                             ids=["underscore", "spaces", "hex"])
+    def test_prime_field_string_outside_integer_grammar(self, capsys, tmp_path, entry):
+        path = write_doc(tmp_path, "d.json", {
+            "field": {"kind": "Fq", "p": 7},
+            "symbols": [{"entries": [entry]}],
+        })
+        code, out = run(capsys, ["canon", path])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+
+    # str.isdigit() takes a superscript two, which int() then refuses, and
+    # an Arabic-Indic three, which int() reads as 3
+    @pytest.mark.parametrize("places", ["\u00b2", "\u0663", "inf,\u0663", "4"])
+    def test_place_outside_integer_grammar(self, capsys, tmp_path, places):
+        path = write_doc(tmp_path, "d.json", {
+            "field": {"kind": "Q"}, "matrices": [[["2"]], [["3"]]]})
+        code, out = run(capsys, ["jointdet", "--spec", "rational-hilbert",
+                                 "--places", places, path])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("entry,unit", [("3", 3), ("+10", 3), ("-4", 3), (3, 3)])
+    def test_prime_field_integer_strings(self, capsys, tmp_path, entry, unit):
+        path = write_doc(tmp_path, "d.json", {
+            "field": {"kind": "Fq", "p": 7},
+            "symbols": [{"entries": [entry]}],
+        })
+        code, out = run(capsys, ["canon", path])
+        assert code == 0
+        assert out["class"] == {"l": 1, "field": "F7", "unit": unit}
 
     @pytest.mark.parametrize("block", ["[" * 100000, '{"kind": "Fq", "p": %s}' % ("7" * 5000),
                                        "{not json"])

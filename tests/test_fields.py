@@ -10,15 +10,54 @@ from hypothesis import strategies as st
 from mkt.errors import (DescriptorMismatch, DivisionByZero, UnsupportedFactorization,
                         ZeroPolynomial)
 from mkt.factor import factor, forget, is_irreducible
-from mkt.fields import (Polynomial, extension, poly_gcd, prime_field,
+from mkt.fields import (EXTENSION, FieldDescriptor, Polynomial, all_elements,
+                        extension, function_field, poly_gcd, prime_field,
                         rationals, tower_degree)
 from mkt.linalg import Matrix, companion_matrix, minpoly_matrix
-from mkt.sampling import random_element
+from mkt.sampling import monic_irreducible, random_element
+from mkt.symbols import symbol
 from mkt.towers import minimal_polynomial, norm_element, present_as_simple
+from mkt.valuations import finite_place, tame_symbol
 from tests.conftest import all_units, make_field
 
-# the module itself; the package attribute mkt.factor is the function
+# the modules themselves; the package attribute mkt.factor is the function
 factor_module = sys.modules["mkt.factor"]
+fields_module = sys.modules["mkt.fields"]
+
+
+def f81_over_f9():
+    """F_81 as a quadratic step over F_9: the first irreducible X^2 + bX + c
+    in all_elements order."""
+    F9 = make_field(9)
+    for b in all_elements(F9):
+        for c in all_elements(F9):
+            f = Polynomial(F9, [c, b, F9.one()])
+            if is_irreducible(f):
+                return extension(F9, f)
+    raise AssertionError("F_9 has irreducible quadratics")
+
+
+def table_of(L):
+    """L's interned elements, building the table if L has none yet."""
+    if L._table is None:
+        fields_module._build_table(L)
+    return L._table.elems
+
+
+def untabled_twin(L):
+    """A descriptor equal to L that never builds a table: extension() sets
+    the operation budget, the bare constructor does not."""
+    if L.kind != EXTENSION:
+        return L
+    base = untabled_twin(L.base)
+    modulus = Polynomial(base, [twin_element(base, c) for c in L.modulus.coeffs])
+    return FieldDescriptor(EXTENSION, base=base, modulus=modulus)
+
+
+def twin_element(K, x):
+    if K.kind != EXTENSION:
+        return x
+    return K.element(tuple(twin_element(K.base, c) for c in x.rep))
 
 
 class TestFieldArith:
@@ -116,6 +155,44 @@ class TestFactor:
                         g = g * h
                 assert g == f
 
+    # (q, [(degree, number of irreducibles multiplied)]); F_2 has one
+    # irreducible quadratic and two linear and two cubic ones
+    @pytest.mark.parametrize("q,shapes", [
+        (2, [(1, 2), (3, 2), (4, 2), (4, 3)]),
+        (4, [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]),
+        (8, [(1, 3), (2, 2), (2, 3)]),
+        (16, [(1, 3), (2, 2), (2, 3)]),
+    ])
+    def test_char2_equal_degree_split(self, rng, monkeypatch, q, shapes):
+        """[DERIVED] In characteristic 2 the equal-degree split uses the
+        additive trace map; every product of distinct irreducibles of one
+        degree splits into a proper divisor, and factor() recovers them."""
+        traces = []
+        log2_order = factor_module._log2_order
+        monkeypatch.setattr(factor_module, "_log2_order",
+                            lambda order: traces.append(order) or log2_order(order))
+        field = make_field(q)
+        for d, count in shapes:
+            irreducibles = set()
+            while len(irreducibles) < count:
+                irreducibles.add(monic_irreducible(field, rng, d))
+            f = Polynomial.one(field)
+            for g in irreducibles:
+                f = f * g
+            for _ in range(3):
+                h = factor_module._equal_degree_split(f, d, rng)
+                assert h.is_monic() and 0 < h.degree < f.degree
+                assert h.degree % d == 0 and (f % h).is_zero()
+            forget()
+            assert factor(f) == (field.one(), sorted(
+                ((g, 1) for g in irreducibles),
+                key=lambda pair: factor_module.poly_sort_key(pair[0])))
+        assert traces
+        if q > 2:
+            # the splits' arithmetic made the field hot; there -x is x
+            assert field._table is not None
+            assert field._table.neg == list(range(q))
+
     def test_extension_of_q_unsupported(self, Q):
         L = extension(Q, Polynomial.from_ints(Q, [-2, 0, 1]))
         with pytest.raises(UnsupportedFactorization):
@@ -190,6 +267,109 @@ class TestFactorMemo:
             with pytest.raises(UnsupportedFactorization):
                 is_irreducible(g)
         assert not factor_module._FACTORED and not factor_module._IRREDUCIBLE
+
+
+class TestFieldTables:
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        fields_module.forget()
+        yield
+        fields_module.forget()
+
+    @pytest.mark.parametrize("q", [4, 8, 16, 9, 25, 27, 81])
+    def test_table_matches_coefficient_path(self, q):
+        """Every pair of elements gives the same +, -, *, inverse, ==,
+        is_zero and hash through the table as through the coefficients;
+        F_81 is a tower over F_9."""
+        L = f81_over_f9() if q == 81 else make_field(q)
+        fast = table_of(L)
+        twin = untabled_twin(L)
+        slow = list(all_elements(twin))
+        assert twin == L and twin is not L and hash(twin) == hash(L)
+        assert len(fast) == len(slow) == q
+        for i, (a, s) in enumerate(zip(fast, slow)):
+            assert a.ix == i and a._key() == s._key() and hash(a) == hash(s)
+            assert a.is_zero() == s.is_zero() == (i == 0)
+            assert (-a)._key() == (-s)._key()
+            if i:
+                assert a.inverse()._key() == s.inverse()._key()
+            for j, (b, t) in enumerate(zip(fast, slow)):
+                for got, want in ((a + b, s + t), (a - b, s - t), (a * b, s * t)):
+                    assert got is fast[got.ix] and got._key() == want._key()
+                assert (a == b) == (i == j) == (s == t) == (a == t)
+        assert twin._table is None
+
+    @pytest.mark.parametrize("q", [8, 9, 81])
+    def test_constants_and_powers_are_interned(self, q):
+        L = f81_over_f9() if q == 81 else make_field(q)
+        fast = table_of(L)
+        twin = untabled_twin(L)
+        assert L.zero() is fast[0] and L.one() is fast[1]
+        for n in range(-q, q):
+            got = L.from_int(n)
+            assert got is fast[got.ix] and got._key() == twin.from_int(n)._key()
+        for a, s in zip(fast, all_elements(twin)):
+            for e in (-3, -1, 0, 1, 2, 5, q - 1, q):
+                if e < 0 and a.is_zero():
+                    with pytest.raises(DivisionByZero):
+                        a ** e
+                    continue
+                assert (a ** e)._key() == (s ** e)._key()
+
+    def test_descriptors_are_canonical(self):
+        F3 = prime_field(3)
+        F9 = extension(F3, Polynomial.from_ints(F3, [1, 0, 1]))
+        assert extension(F3, Polynomial.from_ints(F3, [1, 0, 1])) is F9
+        assert function_field(F9) is function_field(F9)
+        fields_module.forget()
+        again = extension(F3, Polynomial.from_ints(F3, [1, 0, 1]))
+        assert again is not F9 and again == F9 and hash(again) == hash(F9)
+        assert function_field(again) == function_field(F9)
+
+    def test_table_is_built_after_order_many_operations(self):
+        """Ski rental: a field of order q builds its table on its q-th
+        operation on the coefficient path, and not before."""
+        L = make_field(27)
+        x = L.gen()
+        y = x + 1  # one operation
+        for _ in range(25):
+            x * y
+        assert L._table is None and not fields_module._TABLED
+        z = x * y  # the 27th
+        assert fields_module._TABLED == [L]
+        assert z is L._table.elems[z.ix]
+        # elements made before the table join it by their position
+        assert x.ix is None and x * y is z
+        assert x.ix is not None and x == L._table.elems[x.ix]
+
+    def test_cold_residue_field_builds_no_table(self):
+        """The residue field F_6561 of a degree-4 place of F_9(X), touched
+        far fewer than 6561 times by a tame symbol, builds no table, while
+        F_9 below it is hot enough to build one."""
+        F9 = make_field(9)
+        ff = function_field(F9)
+        pi = Polynomial(F9, [F9.gen() + 1, 0, 0, 0, 1])  # X^4 + a + 1
+        v = finite_place(ff, pi)
+        L = v.residue_field()
+        assert L.order() == 6561 and L.base is F9
+        g = Polynomial(F9, [F9.gen(), F9.one()])
+        t = tame_symbol(v, symbol([ff.element(pi * g), ff.element(g * g + 1)], ff))
+        assert t.field == L and not t.is_zero()
+        assert L._table is None and F9._table is not None
+        assert fields_module._TABLED == [F9]
+
+    def test_forget_drops_tables_and_old_elements_stay_valid(self):
+        F9 = make_field(9)
+        table_of(F9)
+        x = F9.gen()
+        square = x * x
+        fields_module.forget()
+        assert F9._table is None and not fields_module._TABLED
+        assert x * x == square and (x * x).ix is None
+        fresh = make_field(9)
+        assert fresh is not F9 and fresh == F9
+        y = table_of(fresh)[x.ix]
+        assert y == x and x == y and y * y == square
 
 
 class TestMinimalPolynomial:

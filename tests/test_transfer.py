@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from mkt.canonical import canonical_class
+from mkt.canonical import ZERO, canonical_class
+from mkt.commuting import MatrixTuple, class_of_tuple, composition_series
 from mkt.errors import UnsupportedTower
 from mkt.fields import (Polynomial, embed, extension, function_field,
                         poly_of_element, prime_field, rationals, tower_degree)
 from mkt.sampling import monic_irreducible, random_symbol
 from mkt.symbols import symbol, zero_expression
-from mkt.towers import norm_element
+from mkt.towers import multiplication_matrix, norm_element
 from mkt.transfer import (_form_transfer, _reciprocity_transfer, base_change,
                           reciprocity_check, rewrite_to_generators,
                           transfer_ext, transfer_tower,
@@ -150,6 +151,40 @@ class TestTransferExt:
         y = transfer_ext(L, symbol([x], field=L))
         assert canonical_class(y) == canonical_class(symbol([Qf.element(-1)]))
         assert norm_element(x, Qf) == Qf.element(-1)
+
+
+class TestRestrictionOfScalars:
+    @pytest.mark.parametrize("modulus", [[-2, 0, 0, 1], [-1, -1, 0, 1]],
+                             ids=["cube_root_2", "alpha3_alpha_1"])
+    def test_tuple_class_equals_transfer(self, rng, modulus):
+        """[PAPER] The Goodwillie transfer is restriction of scalars, and it
+        agrees with the Bass-Tate transfer (the paper's main theorem).
+
+        The 1x1 tuple (x, y) over a cubic L, viewed over Q, is the pair of
+        multiplication matrices. Its reduction presents the simple factor
+        through the minimal polynomial of its own operator, a generator other
+        than the one of L, so the two sides meet only because the transfer
+        does not depend on the generator. Cubic fields have generator forms
+        of rank 2, which take the Bass-Tate recursion.
+        """
+        L = extension(Qf, Polynomial.from_ints(Qf, modulus))
+        pairs = other_generator = nonzero = 0
+        while pairs < 8:
+            x, y = (L.element(tuple(Qf.element(rng.randint(-3, 3)) for _ in range(3)))
+                    for _ in range(2))
+            if x.is_zero() or y.is_zero():
+                continue
+            pairs += 1
+            pair = MatrixTuple(Qf, [multiplication_matrix(x, Qf),
+                                    multiplication_matrix(y, Qf)])
+            expected = canonical_class(transfer_tower(symbol([x, y], field=L), Qf))
+            assert class_of_tuple(pair) == expected
+            nonzero += expected.kind != ZERO
+            other_generator += any(f.extension.modulus != L.modulus
+                                   for f in composition_series(pair)
+                                   if f.extension != Qf)
+        assert other_generator > pairs // 2
+        assert nonzero > pairs // 2
 
 
 class TestTowers:
