@@ -342,10 +342,25 @@ class TestFieldTables:
         assert x.ix is None and x * y is z
         assert x.ix is not None and x == L._table.elems[x.ix]
 
+    def test_fields_above_the_cap_build_no_table(self):
+        """F_81 is the largest order that may build a table; F_121 keeps
+        coefficient tuples however often it is used."""
+        L = f81_over_f9()
+        assert L.order() == fields_module._TABLE_MAX == 81
+        F11 = prime_field(11)
+        M = extension(F11, Polynomial.from_ints(F11, [1, 0, 1]))
+        for K in (L, M):
+            x = K.gen() + K.one()
+            y = K.one()
+            for _ in range(2 * K.order()):
+                y = y * x
+        assert L._table is not None and M._table is None
+        assert M not in fields_module._TABLED
+
     def test_cold_residue_field_builds_no_table(self):
-        """The residue field F_6561 of a degree-4 place of F_9(X), touched
-        far fewer than 6561 times by a tame symbol, builds no table, while
-        F_9 below it is hot enough to build one."""
+        """The residue field F_6561 of a degree-4 place of F_9(X), above the
+        table cap and touched far fewer than 6561 times by a tame symbol,
+        builds no table, while F_9 below it is hot enough to build one."""
         F9 = make_field(9)
         ff = function_field(F9)
         pi = Polynomial(F9, [F9.gen() + 1, 0, 0, 0, 1])  # X^4 + a + 1
