@@ -19,20 +19,20 @@ from .fields import (FieldDescriptor, FieldElement, Polynomial,
                      RationalFunction, embed, extension, function_field,
                      prime_field, rationals, tower_degree, tower_steps)
 from .factor import factor, is_irreducible
-from .linalg import Matrix, PolyMatrix, companion_matrix, jordan_block
+from .linalg import Matrix, companion_matrix, jordan_block
 from .symbols import (MilnorExpression, cyclic_difference_identity, symbol,
                       symbol_shift_identity, zero_expression)
 from .canonical import CanonicalClass, canonical_class
 from .valuations import (Valuation, finite_place, infinite_place,
-                         rational_prime, real_place, residue, support,
-                         tame_symbol, unit_part, valuate)
+                         rational_prime, real_place, support, tame_symbol,
+                         unit_part, valuate)
 from .towers import minimal_polynomial, norm_element, present_as_simple
 from .transfer import (base_change, reciprocity_check, transfer, transfer_ext,
                        transfer_tower, transfer_tower_stepwise)
-from .commuting import (CompositionFactor, MatrixTuple, PolyMatrixTuple,
-                        class_of_tuple, composition_series, homotopy_mult,
-                        homotopy_shear, homotopy_steinberg, homotopy_swap,
-                        kronecker, reduce_tuple)
+from .commuting import (CompositionFactor, MatrixTuple, class_of_tuple,
+                        composition_series, homotopy_mult, homotopy_shear,
+                        homotopy_steinberg, homotopy_swap, kronecker,
+                        reduce_tuple)
 from .jointdet import (JointDeterminant, check_axioms, hilbert, legendre,
                        make_determinant)
 from .sampling import commuting_tuple, monic_irreducible, random_symbol
@@ -50,16 +50,16 @@ __all__ = [
     "embed", "extension", "function_field", "prime_field", "rationals",
     "tower_degree", "tower_steps",
     "factor", "is_irreducible",
-    "Matrix", "PolyMatrix", "companion_matrix", "jordan_block",
+    "Matrix", "companion_matrix", "jordan_block",
     "MilnorExpression", "cyclic_difference_identity", "symbol",
     "symbol_shift_identity", "zero_expression",
     "CanonicalClass", "canonical_class",
     "Valuation", "finite_place", "infinite_place", "rational_prime",
-    "real_place", "residue", "support", "tame_symbol", "unit_part", "valuate",
+    "real_place", "support", "tame_symbol", "unit_part", "valuate",
     "minimal_polynomial", "norm_element", "present_as_simple",
     "base_change", "reciprocity_check", "transfer", "transfer_ext",
     "transfer_tower", "transfer_tower_stepwise",
-    "CompositionFactor", "MatrixTuple", "PolyMatrixTuple", "class_of_tuple",
+    "CompositionFactor", "MatrixTuple", "class_of_tuple",
     "composition_series", "homotopy_mult", "homotopy_shear",
     "homotopy_steinberg", "homotopy_swap", "kronecker", "reduce_tuple",
     "JointDeterminant", "check_axioms", "hilbert", "legendre",

@@ -78,10 +78,10 @@ def _parse_field(block) -> FieldDescriptor:
         return rationals()
     if kind == "Fq":
         p = block.get("p")
-        if not isinstance(p, int) or not is_prime(p):
+        if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
             raise ParseError('"p" must be a prime integer')
         deg = block.get("deg", 1)
-        if not isinstance(deg, int) or deg < 1:
+        if not isinstance(deg, int) or isinstance(deg, bool) or deg < 1:
             raise ParseError('"deg" must be a positive integer')
         base = prime_field(p)
         if deg == 1:
@@ -578,16 +578,15 @@ def main(argv=None) -> int:
     forget_fields()
     try:
         report, code = args.fn(args)
-    except ParseError as e:
-        _emit({"error": {"type": "ParseError", "message": str(e)}}, args.out)
-        return 1
-    except RecursionInvariantViolated as e:
-        _emit({"error": {"type": type(e).__name__, "message": str(e)}}, args.out)
-        return 2
     except MktError as e:
-        _emit({"error": {"type": type(e).__name__, "message": str(e)}}, args.out)
+        report = {"error": {"type": type(e).__name__, "message": str(e)}}
+        code = 2 if isinstance(e, RecursionInvariantViolated) else 1
+    try:
+        _emit(report, args.out)
+    except OSError as e:
+        _emit({"error": {"type": "ParseError",
+                         "message": f"cannot write {args.out}: {e}"}}, None)
         return 1
-    _emit(report, args.out)
     return code
 
 

@@ -1,8 +1,9 @@
 """Commuting invertible matrix tuples and their reduction to symbol classes.
 
 A weight-l tuple is l pairwise commuting invertible matrices over a common
-field. Tuples generate a group under direct sum; one-parameter polynomial
-families connect tuples that must map to the same class. The reduction
+field. Tuples generate a group under direct sum. A one-parameter family is
+a tuple over k(t) = function_field(k) that is invertible over k[t]; its two
+endpoints, at t = 1 and t = 0, must map to the same class. The reduction
 computes a composition series of the module the tuple defines, reads off the
 scalar action on each simple factor (a finite extension of the ground field),
 and transfers the resulting symbols back down. The result is a Milnor
@@ -18,18 +19,17 @@ from typing import Sequence
 from .canonical import CanonicalClass, canonical_class
 from .errors import (ArityMismatch, DegenerateInput, DescriptorMismatch,
                      NotUnitDeterminant, RecursionInvariantViolated,
-                     UnsupportedTower)
+                     UnsupportedField, UnsupportedTower)
 from .factor import element_sort_key, factor, poly_sort_key
 from .fields import (EXTENSION, FUNCTION, PRIME, RATIONALS, FieldDescriptor,
-                     FieldElement, Polynomial, coordinates, embed, embed_poly,
-                     extension, tower_steps)
-from .linalg import (Matrix, PolyMatrix, SpanTracker, minpoly_matrix,
-                     poly_eval_matrix)
+                     FieldElement, coordinates, embed, embed_poly,
+                     extension, function_field, tower_steps)
+from .linalg import Matrix, SpanTracker, minpoly_matrix, poly_eval_matrix
 from .symbols import MilnorExpression, symbol, zero_expression
 from .transfer import transfer_tower
 
 __all__ = [
-    "MatrixTuple", "PolyMatrixTuple", "CompositionFactor",
+    "MatrixTuple", "CompositionFactor",
     "kronecker", "composition_series", "series_expression", "reduce_tuple",
     "class_of_tuple",
     "homotopy_mult", "homotopy_swap", "homotopy_shear", "homotopy_steinberg",
@@ -43,8 +43,22 @@ def _check_commuting(mats: Sequence) -> None:
                 raise DegenerateInput(f"slots {i} and {j} do not commute")
 
 
+def _check_family_slot(m: Matrix) -> None:
+    """A slot over k(t) must be invertible over k[t]: polynomial entries and
+    a nonzero constant determinant."""
+    if any(e.rep.den.degree > 0 for r in m.rows for e in r):
+        raise NotUnitDeterminant("family entries must be polynomials in t")
+    d = m.det()
+    if d.rep.num.degree != 0:
+        raise NotUnitDeterminant(f"determinant {d} is not a nonzero constant")
+
+
 class MatrixTuple:
-    """l pairwise commuting invertible n x n matrices over one field."""
+    """l pairwise commuting invertible n x n matrices over one field.
+
+    Over k(t) the tuple is a one-parameter family: every slot must be
+    invertible over k[t], and boundary() gives its two endpoints.
+    """
 
     __slots__ = ("field", "size", "weight", "matrices")
 
@@ -61,7 +75,9 @@ class MatrixTuple:
             if not m.is_square or m.nrows != n:
                 raise ArityMismatch("slots must be square of one common size")
         for m in mats:
-            if m.det().is_zero():
+            if field.kind == FUNCTION:
+                _check_family_slot(m)
+            elif m.det().is_zero():
                 raise DegenerateInput("singular slot")
         _check_commuting(mats)
         object.__setattr__(self, "field", field)
@@ -103,6 +119,18 @@ class MatrixTuple:
         mats[i], mats[j] = mats[j], mats[i]
         return MatrixTuple(self.field, mats)
 
+    def boundary(self) -> tuple["MatrixTuple", "MatrixTuple"]:
+        """(family at t = 1, family at t = 0), for a tuple over k(t)."""
+        if self.field.kind != FUNCTION:
+            raise UnsupportedField("only a tuple over k(t) has endpoints")
+        k = self.field.base
+        return self._at(k.one()), self._at(k.zero())
+
+    def _at(self, point: FieldElement) -> "MatrixTuple":
+        k = point.field
+        return MatrixTuple(k, [m.map_entries(lambda e: e.rep.num.evaluate(point), k)
+                               for m in self.matrices])
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixTuple):
             return NotImplemented
@@ -128,78 +156,35 @@ def kronecker(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:
     return MatrixTuple(x.field, mats)
 
 
-class PolyMatrixTuple:
-    """A one-parameter family of commuting matrices with unit determinants."""
-
-    __slots__ = ("field", "size", "weight", "matrices")
-
-    def __init__(self, field: FieldDescriptor, matrices: Sequence[PolyMatrix]):
-        mats = tuple(matrices)
-        if not mats:
-            raise DegenerateInput("a tuple needs at least one slot")
-        n = mats[0].nrows
-        for m in mats:
-            if not isinstance(m, PolyMatrix):
-                raise DegenerateInput("family slots must be polynomial matrices")
-            if m.field != field:
-                raise DescriptorMismatch("slot over the wrong field")
-            if m.nrows != n or m.ncols != n:
-                raise ArityMismatch("slots must be square of one common size")
-        for m in mats:
-            if not m.is_unit_det():
-                raise NotUnitDeterminant(
-                    f"determinant {m.det()} is not a nonzero constant")
-        _check_commuting(mats)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "size", n)
-        object.__setattr__(self, "weight", len(mats))
-        object.__setattr__(self, "matrices", mats)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrixTuple is immutable")
-
-    def evaluate(self, point) -> MatrixTuple:
-        return MatrixTuple(self.field, [m.evaluate(point) for m in self.matrices])
-
-    def boundary(self) -> tuple[MatrixTuple, MatrixTuple]:
-        """(family at 1, family at 0)."""
-        return self.evaluate(self.field.one()), self.evaluate(self.field.zero())
-
-    def __repr__(self):
-        return f"PolyMatrixTuple(weight={self.weight}, size={self.size}, field={self.field})"
-
-
 # ---------------------------------------------------------------------------
-# homotopy constructors
+# homotopy constructors: tuples over k(t) = function_field(k)
 
 
-def _mult_family(field, b: Matrix, c: Matrix) -> PolyMatrix:
+def _lift(m: Matrix, kt: FieldDescriptor) -> Matrix:
+    return m.map_entries(lambda e: embed(e, kt), kt)
+
+
+def _blocks(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
+    """The block matrix [[tl, tr], [bl, br]]."""
+    return Matrix(tl.field, [a + b for a, b in zip(tl.rows + bl.rows, tr.rows + br.rows)])
+
+
+def _mult_family(b: Matrix, c: Matrix) -> Matrix:
     # [[0, I], [-BC, t(I+BC) + (1-t)(B+C)]]
+    kt = function_field(b.field)
     n = b.nrows
-    bc = b * c
-    lin0 = b + c
-    lin1 = (Matrix.identity(field, n) + bc) - lin0
-    zero_p = Polynomial.zero(field)
-    rows = []
-    for i in range(n):
-        row = [zero_p] * n
-        for j in range(n):
-            row.append(Polynomial.constant(field.one() if i == j else field.zero()))
-        rows.append(row)
-    mbc = -bc
-    for i in range(n):
-        row = [Polynomial.constant(mbc.row(i)[j]) for j in range(n)]
-        for j in range(n):
-            row.append(Polynomial(field, [lin0.row(i)[j], lin1.row(i)[j]]))
-        rows.append(row)
-    return PolyMatrix(field, rows)
+    ident = Matrix.identity(kt, n)
+    bc = _lift(b * c, kt)
+    lin0 = _lift(b + c, kt)
+    return _blocks(Matrix.zeros(kt, n), ident,
+                   -bc, lin0 + (ident + bc - lin0) * kt.gen())
 
 
-def _doubled(m: Matrix) -> PolyMatrix:
-    return PolyMatrix.from_matrix(m.direct_sum(m))
+def _doubled(m: Matrix) -> Matrix:
+    return _lift(m.direct_sum(m), function_field(m.field))
 
 
-def homotopy_mult(b: Matrix, c: Matrix, bystanders: Sequence[Matrix] = ()) -> PolyMatrixTuple:
+def homotopy_mult(b: Matrix, c: Matrix, bystanders: Sequence[Matrix] = ()) -> MatrixTuple:
     """Family whose endpoints realize slot-one multiplicativity.
 
     At t=1 the first slot is similar to I (+) BC, at t=0 to B (+) C; the
@@ -212,13 +197,12 @@ def homotopy_mult(b: Matrix, c: Matrix, bystanders: Sequence[Matrix] = ()) -> Po
         raise DegenerateInput("factors do not commute")
     if b.det().is_zero() or c.det().is_zero():
         raise DegenerateInput("singular factor")
-    field = b.field
-    mats = [_mult_family(field, b, c)]
+    mats = [_mult_family(b, c)]
     mats.extend(_doubled(a) for a in bystanders)
-    return PolyMatrixTuple(field, mats)
+    return MatrixTuple(function_field(b.field), mats)
 
 
-def homotopy_swap(x: MatrixTuple, i: int, j: int) -> PolyMatrixTuple:
+def homotopy_swap(x: MatrixTuple, i: int, j: int) -> MatrixTuple:
     """Family placing the same multiplicative block in slots i and j.
 
     Its two endpoints differ, in the group the tuples generate, by twice the
@@ -227,16 +211,13 @@ def homotopy_swap(x: MatrixTuple, i: int, j: int) -> PolyMatrixTuple:
     """
     if x.weight < 2 or i == j or not (0 <= i < x.weight) or not (0 <= j < x.weight):
         raise DegenerateInput("need two distinct valid slots")
-    field = x.field
-    h = _mult_family(field, x.matrices[i], x.matrices[j])
-    mats = []
-    for s, a in enumerate(x.matrices):
-        mats.append(h if s in (i, j) else _doubled(a))
-    return PolyMatrixTuple(field, mats)
+    h = _mult_family(x.matrices[i], x.matrices[j])
+    mats = [h if s in (i, j) else _doubled(a) for s, a in enumerate(x.matrices)]
+    return MatrixTuple(function_field(x.field), mats)
 
 
 def homotopy_shear(a: Matrix, b: Matrix, c: Matrix,
-                   bystanders: Sequence[tuple[Matrix, Matrix]] = ()) -> PolyMatrixTuple:
+                   bystanders: Sequence[tuple[Matrix, Matrix]] = ()) -> MatrixTuple:
     """Family [[A, Ct], [0, B]]: block triangular at t=1, block diagonal at t=0.
 
     A is p x p, B is q x q, C is p x q. Bystanders are (top, bottom) pairs
@@ -247,26 +228,15 @@ def homotopy_shear(a: Matrix, b: Matrix, c: Matrix,
     p, q = a.nrows, b.nrows
     if c.nrows != p or c.ncols != q:
         raise ArityMismatch("off-diagonal block has the wrong shape")
-    field = a.field
-    zero_p = Polynomial.zero(field)
-    x_p = Polynomial.x(field)
-    rows = []
-    for i in range(p):
-        row = [Polynomial.constant(a.row(i)[j]) for j in range(p)]
-        row.extend(Polynomial.constant(c.row(i)[j]) * x_p for j in range(q))
-        rows.append(row)
-    for i in range(q):
-        row = [zero_p] * p
-        row.extend(Polynomial.constant(b.row(i)[j]) for j in range(q))
-        rows.append(row)
-    mats = [PolyMatrix(field, rows)]
-    for top, bottom in bystanders:
-        mats.append(PolyMatrix.from_matrix(top.direct_sum(bottom)))
-    return PolyMatrixTuple(field, mats)
+    kt = function_field(a.field)
+    mats = [_blocks(_lift(a, kt), _lift(c, kt) * kt.gen(),
+                    Matrix.zeros(kt, q, p), _lift(b, kt))]
+    mats.extend(_lift(top.direct_sum(bottom), kt) for top, bottom in bystanders)
+    return MatrixTuple(kt, mats)
 
 
 def homotopy_steinberg(a: FieldElement, b: FieldElement,
-                       bystanders: Sequence[FieldElement] = ()) -> PolyMatrixTuple:
+                       bystanders: Sequence[FieldElement] = ()) -> MatrixTuple:
     """Family connecting the weight-2 tuples (a, 1-a) and (b, 1-b).
 
     First slot: the companion matrix of
@@ -282,23 +252,21 @@ def homotopy_steinberg(a: FieldElement, b: FieldElement,
     for v in (a, b):
         if v.is_zero() or v == one:
             raise DegenerateInput("scalars must avoid 0 and 1")
-    zero_p = Polynomial.zero(field)
-    one_p = Polynomial.one(field)
-    mid = Polynomial(field, [b, a - b])      # b + (a-b) t
-    low = Polynomial(field, [a, b - a])      # a + (b-a) t
-    comp = PolyMatrix(field, [
-        [zero_p, zero_p, Polynomial.constant(-(a * b))],
-        [one_p, zero_p, mid],
-        [zero_p, one_p, low],
+    kt = function_field(field)
+    t = kt.gen()
+    ea, eb = embed(a, kt), embed(b, kt)
+    comp = Matrix(kt, [
+        [0, 0, -(ea * eb)],
+        [1, 0, eb + (ea - eb) * t],
+        [0, 1, ea + (eb - ea) * t],
     ])
-    ident = PolyMatrix.identity(field, 3)
+    ident = Matrix.identity(kt, 3)
     mats = [comp, ident - comp]
     for v in bystanders:
         if v.is_zero():
             raise DegenerateInput("bystander scalars must be nonzero")
-        mats.append(PolyMatrix(field, [[Polynomial.constant(v if i == j else field.zero())
-                                        for j in range(3)] for i in range(3)]))
-    return PolyMatrixTuple(field, mats)
+        mats.append(ident * embed(v, kt))
+    return MatrixTuple(kt, mats)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ class ArityMismatch(MktError):
 
 
 class NotUnitDeterminant(MktError):
-    """A polynomial matrix's determinant is not a nonzero constant."""
+    """A family slot over k(t) is not invertible over k[t]."""
 
 
 class RecursionInvariantViolated(MktError):

@@ -962,7 +962,7 @@ class RationalFunction:
         if num.is_zero():
             num, den = Polynomial.zero(num.field), Polynomial.one(num.field)
         else:
-            g = poly_gcd(num, den)
+            g = poly_gcd(num, den) if den.degree > 0 else den  # a gcd with a unit is 1
             if g.degree > 0:
                 num, den = num // g, den // g
             lead = den.lc()

@@ -5,8 +5,8 @@ minimal polynomials), so the code favors clarity over asymptotics. There is
 one elimination routine, SpanTracker: an incremental echelon basis that
 can write each of its rows in the vectors offered to it, pivoting on the
 first nonzero entry. Determinant, inverse, rank, kernel, solving and
-the Krylov minimal polynomial are all read off a tracker. PolyMatrix keeps
-its own fraction-free determinant, since k[t] is not a field.
+the Krylov minimal polynomial are all read off a tracker. Over k(t) the
+same routine takes the determinant of a matrix with polynomial entries.
 """
 
 from __future__ import annotations
@@ -55,13 +55,6 @@ class Matrix:
         m = n if m is None else m
         zero = field.zero()
         return cls(field, [[zero] * m for _ in range(n)])
-
-    @classmethod
-    def diagonal(cls, field, entries: Sequence) -> "Matrix":
-        es = [_coerce_entry(field, e) for e in entries]
-        zero = field.zero()
-        n = len(es)
-        return cls(field, [[es[i] if i == j else zero for j in range(n)] for i in range(n)])
 
     @property
     def nrows(self) -> int:
@@ -130,24 +123,6 @@ class Matrix:
         e = _coerce_entry(self.field, other)
         return Matrix(self.field, [[a * e for a in r] for r in self.rows])
 
-    def __rmul__(self, other):
-        e = _coerce_entry(self.field, other)
-        return Matrix(self.field, [[e * a for a in r] for r in self.rows])
-
-    def __pow__(self, n: int) -> "Matrix":
-        if not self.is_square:
-            raise ArityMismatch("matrix power needs a square matrix")
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Matrix.identity(self.field, self.nrows)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def apply(self, v: Sequence) -> tuple:
         """Matrix-vector product; v is a sequence of entries."""
         vs = [_coerce_entry(self.field, e) for e in v]
@@ -161,12 +136,6 @@ class Matrix:
                 acc = acc + a * b
             out.append(acc)
         return tuple(out)
-
-    def trace(self) -> FieldElement:
-        acc = self.field.zero()
-        for i in range(self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
 
     def map_entries(self, fn: Callable, field: FieldDescriptor | None = None) -> "Matrix":
         return Matrix(field or self.field, [[fn(a) for a in r] for r in self.rows])
@@ -460,133 +429,3 @@ def jordan_block(field, eigenvalue, size: int) -> Matrix:
             row[i + 1] = one
         rows.append(row)
     return Matrix(field, rows)
-
-
-class PolyMatrix:
-    """Square matrix with entries in k[t]; used for one-parameter families."""
-
-    __slots__ = ("field", "rows")
-
-    def __init__(self, field: FieldDescriptor, rows: Iterable[Iterable[Polynomial]]):
-        rs = []
-        for row in rows:
-            line = []
-            for e in row:
-                if isinstance(e, Polynomial):
-                    if e.field != field:
-                        raise DescriptorMismatch("entry over the wrong field")
-                    line.append(e)
-                elif isinstance(e, FieldElement):
-                    if e.field != field:
-                        raise DescriptorMismatch("entry over the wrong field")
-                    line.append(Polynomial.constant(e))
-                elif isinstance(e, int):
-                    line.append(Polynomial.constant(field.from_int(e)))
-                else:
-                    raise DescriptorMismatch(f"bad PolyMatrix entry: {type(e).__name__}")
-            rs.append(tuple(line))
-        rows_t = tuple(rs)
-        if rows_t:
-            w = len(rows_t[0])
-            for r in rows_t:
-                if len(r) != w:
-                    raise ArityMismatch("ragged rows")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows_t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
-
-    @classmethod
-    def from_matrix(cls, m: Matrix) -> "PolyMatrix":
-        return cls(m.field, [[Polynomial.constant(e) for e in r] for r in m.rows])
-
-    @classmethod
-    def identity(cls, field, n: int) -> "PolyMatrix":
-        return cls.from_matrix(Matrix.identity(field, n))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PolyMatrix) and self.field == other.field
-                and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.field, self.rows))
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(self.field, [[a + b for a, b in zip(r1, r2)]
-                                       for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(self.field, [[a - b for a, b in zip(r1, r2)]
-                                       for r1, r2 in zip(self.rows, other.rows)])
-
-    def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix(self.field, [[-a for a in r] for r in self.rows])
-
-    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if not isinstance(other, PolyMatrix):
-            raise DescriptorMismatch("expected a PolyMatrix")
-        if self.ncols != other.nrows:
-            raise ArityMismatch("inner dimensions disagree")
-        cols = [[other.rows[i][j] for i in range(other.nrows)] for j in range(other.ncols)]
-        zero = Polynomial.zero(self.field)
-        out = []
-        for r in self.rows:
-            line = []
-            for c in cols:
-                acc = zero
-                for a, b in zip(r, c):
-                    acc = acc + a * b
-                line.append(acc)
-            out.append(line)
-        return PolyMatrix(self.field, out)
-
-    def evaluate(self, point) -> Matrix:
-        """Substitute a field value for t."""
-        pt = _coerce_entry(self.field, point)
-        return Matrix(self.field, [[e.evaluate(pt) for e in r] for r in self.rows])
-
-    def det(self) -> Polynomial:
-        """Fraction-free (Bareiss) determinant; exact over k[t]."""
-        if self.nrows != self.ncols:
-            raise ArityMismatch("determinant needs a square matrix")
-        n = self.nrows
-        if n == 0:
-            return Polynomial.one(self.field)
-        b = [list(r) for r in self.rows]
-        sign = 1
-        prev = Polynomial.one(self.field)
-        for k in range(n - 1):
-            piv = None
-            for i in range(k, n):
-                if not b[i][k].is_zero():
-                    piv = i
-                    break
-            if piv is None:
-                return Polynomial.zero(self.field)
-            if piv != k:
-                b[k], b[piv] = b[piv], b[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    b[i][j] = (b[i][j] * b[k][k] - b[i][k] * b[k][j]) // prev
-                b[i][k] = Polynomial.zero(self.field)
-            prev = b[k][k]
-        d = b[n - 1][n - 1]
-        return d if sign == 1 else -d
-
-    def is_unit_det(self) -> bool:
-        d = self.det()
-        return d.degree == 0
-
-    def __repr__(self):
-        body = "; ".join(", ".join(str(a) for a in r) for r in self.rows)
-        return f"[{body}]"

@@ -11,24 +11,16 @@ from fractions import Fraction
 
 from .errors import DegenerateInput
 from .factor import is_irreducible
-from .fields import (EXTENSION, FUNCTION, PRIME, RATIONALS, FieldDescriptor,
-                     FieldElement, Polynomial, RationalFunction)
+from .fields import (EXTENSION, PRIME, RATIONALS, FieldDescriptor, FieldElement,
+                     Polynomial)
 from .linalg import Matrix, companion_matrix
 from .commuting import MatrixTuple
 from .symbols import MilnorExpression, symbol, zero_expression
 
 __all__ = [
-    "random_element", "random_unit", "random_rational", "monic_irreducible",
+    "random_element", "random_unit", "monic_irreducible",
     "random_symbol", "invertible_matrix", "commuting_tuple",
 ]
-
-
-def random_rational(rng: random.Random, span: int = 9) -> Fraction:
-    """A nonzero fraction with numerator and denominator bounded by span."""
-    num = 0
-    while num == 0:
-        num = rng.randint(-span, span)
-    return Fraction(num, rng.randint(1, span))
 
 
 def random_element(field: FieldDescriptor, rng: random.Random, span: int = 9) -> FieldElement:
@@ -39,12 +31,6 @@ def random_element(field: FieldDescriptor, rng: random.Random, span: int = 9) ->
     if field.kind == EXTENSION:
         return field.element(tuple(random_element(field.base, rng, span)
                                    for _ in range(field.step_degree)))
-    if field.kind == FUNCTION:
-        num = _random_poly(field.base, rng, rng.randint(0, 2), span)
-        den = Polynomial.zero(field.base)
-        while den.is_zero():
-            den = _random_poly(field.base, rng, rng.randint(0, 1), span)
-        return field.element(RationalFunction(num, den))
     raise DegenerateInput(f"no sampler for {field}")
 
 
@@ -53,12 +39,6 @@ def random_unit(field: FieldDescriptor, rng: random.Random, span: int = 9) -> Fi
         x = random_element(field, rng, span)
         if not x.is_zero():
             return x
-
-
-def _random_poly(field, rng: random.Random, degree: int, span: int = 9) -> Polynomial:
-    coeffs = [random_element(field, rng, span) for _ in range(degree)]
-    coeffs.append(random_unit(field, rng, span))
-    return Polynomial(field, coeffs)
 
 
 def monic_irreducible(field: FieldDescriptor, rng: random.Random, degree: int,

@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Sequence
 from mkt.errors import (ArityMismatch, DegenerateDifferences, DegenerateInput,
                         DescriptorMismatch, ZeroEntry)
 from mkt.factor import element_sort_key
-from mkt.fields import RATIONALS, FieldDescriptor, FieldElement
+from mkt.fields import FieldDescriptor, FieldElement
 from mkt.numutil import factor_int
 
 SplitFn = Callable[[FieldElement], "list[tuple[FieldElement, int]]"]
@@ -180,13 +180,6 @@ def constant_expression(field: FieldDescriptor, n: int) -> MilnorExpression:
     return MilnorExpression(field, 0, {(): n})
 
 
-def default_split(e: FieldElement) -> list[tuple[FieldElement, int]]:
-    """Trivial factorization; drops the entry value one."""
-    if e.is_one():
-        return []
-    return [(e, 1)]
-
-
 def rational_split(e: FieldElement) -> list[tuple[FieldElement, int]]:
     """Factor a nonzero rational into -1 and prime powers."""
     q = e.rep
@@ -205,19 +198,15 @@ def rational_split(e: FieldElement) -> list[tuple[FieldElement, int]]:
     return out
 
 
-def expand_multilinear(x: MilnorExpression,
-                       split: SplitFn | None = None) -> MilnorExpression:
+def expand_multilinear(x: MilnorExpression, split: SplitFn) -> MilnorExpression:
     """Rewrite every entry through a factorization and distribute.
 
     With split(e) = [(b_1,e_1),...,(b_r,e_r)] meaning e = prod b_i^{e_i},
     each symbol becomes the full multilinear expansion over its entries.
-    Entries that split to an empty list (value one) kill their terms. Over Q
-    the default split separates sign and prime powers; elsewhere it only
-    drops ones.
+    Entries that split to an empty list (value one) kill their terms. Over Q,
+    rational_split separates sign and prime powers.
     """
     field = x.field
-    if split is None:
-        split = rational_split if field.kind == RATIONALS else default_split
     acc: dict[tuple, int] = {}
     for entries, c in x._terms.items():
         lists = [split(e) for e in entries]

@@ -13,10 +13,6 @@ from mkt.fields import (EXTENSION, FieldDescriptor, FieldElement, Polynomial,
 from mkt.linalg import Matrix, minpoly_matrix
 
 
-def _default_base(L: FieldDescriptor) -> FieldDescriptor:
-    return L.base if L.kind == EXTENSION else L
-
-
 def tower_basis(L: FieldDescriptor, base: FieldDescriptor) -> list[FieldElement]:
     """Monomial basis of L over base, ordered to match coordinates()."""
     d = tower_degree(L, base)
@@ -29,10 +25,9 @@ def tower_basis(L: FieldDescriptor, base: FieldDescriptor) -> list[FieldElement]
     return out
 
 
-def multiplication_matrix(x: FieldElement, base: FieldDescriptor | None = None) -> Matrix:
+def multiplication_matrix(x: FieldElement, base: FieldDescriptor) -> Matrix:
     """Matrix of y -> x*y on x's field viewed as a base-vector space."""
     L = x.field
-    base = base or _default_base(L)
     if L == base:
         return Matrix(base, [[x]])
     basis = tower_basis(L, base)
@@ -41,21 +36,12 @@ def multiplication_matrix(x: FieldElement, base: FieldDescriptor | None = None) 
     return Matrix(base, [[cols[j][i] for j in range(d)] for i in range(d)])
 
 
-def minimal_polynomial(x, base: FieldDescriptor | None = None) -> Polynomial:
-    """Monic minimal polynomial of a field element or square matrix.
-
-    For a matrix the coefficient field is the matrix's own field and base
-    must be omitted. For an element, base defaults to the immediate base of
-    its field and may be any ancestor in the tower.
-    """
-    if isinstance(x, Matrix):
-        if base is not None and base != x.field:
-            raise DescriptorMismatch("matrix minimal polynomials live over the entry field")
-        return minpoly_matrix(x)
+def minimal_polynomial(x: FieldElement, base: FieldDescriptor) -> Polynomial:
+    """Monic minimal polynomial of a field element over base, which may be
+    any field in its tower (linalg.minpoly_matrix takes matrices)."""
     if not isinstance(x, FieldElement):
         raise DescriptorMismatch(f"cannot take a minimal polynomial of {type(x).__name__}")
     L = x.field
-    base = base or _default_base(L)
     if L == base:
         return Polynomial(base, [-x, base.one()])
     if not is_ancestor(base, L):
@@ -63,12 +49,11 @@ def minimal_polynomial(x, base: FieldDescriptor | None = None) -> Polynomial:
     return minpoly_matrix(multiplication_matrix(x, base))
 
 
-def norm_element(x: FieldElement, base: FieldDescriptor | None = None) -> FieldElement:
+def norm_element(x: FieldElement, base: FieldDescriptor) -> FieldElement:
     """Field norm of x down to base (determinant of multiplication by x)."""
     if x.is_zero():
         raise ZeroElement("norm of zero is not a unit")
     L = x.field
-    base = base or _default_base(L)
     if L == base:
         return x
     if not is_ancestor(base, L):
@@ -109,8 +94,7 @@ def _primitive_candidates(L: FieldDescriptor,
         yield e
 
 
-def present_as_simple(L: FieldDescriptor,
-                      base: FieldDescriptor | None = None) -> SimplePresentation:
+def present_as_simple(L: FieldDescriptor, base: FieldDescriptor) -> SimplePresentation:
     """Collapse the tower L/base into one extension step base[x]/(m).
 
     Height-one towers come back unchanged. Taller towers need a finite base:
@@ -119,7 +103,6 @@ def present_as_simple(L: FieldDescriptor,
     """
     if L.kind != EXTENSION:
         raise DegenerateInput(f"{L} is not an extension step")
-    base = base or _tower_bottom(L)
     steps = tower_steps(L, base)
     if not steps:
         raise DegenerateInput("the tower has height zero")
@@ -164,9 +147,3 @@ def present_as_simple(L: FieldDescriptor,
         return acc
 
     return SimplePresentation(L, base, simple, modulus, to_simple, from_simple)
-
-
-def _tower_bottom(L: FieldDescriptor) -> FieldDescriptor:
-    while L.kind == EXTENSION:
-        L = L.base
-    return L

@@ -54,17 +54,6 @@ class Valuation:
             object.__setattr__(self, "_residue_field", cached)
         return cached
 
-    def uniformizer(self) -> FieldElement:
-        if self.kind == FINITE:
-            return self.field.element(self.pi)
-        if self.kind == INFINITE:
-            k = self.field.base
-            return self.field.element(
-                RationalFunction(Polynomial.one(k), Polynomial.x(k)))
-        if self.kind == PRIME_PLACE:
-            return rationals().from_int(self.p)
-        raise UnsupportedField("the real place has no uniformizer")
-
     def __eq__(self, other):
         return (isinstance(other, Valuation) and self.kind == other.kind
                 and self.field == other.field and self.pi == other.pi
@@ -184,14 +173,6 @@ def unit_part(v: Valuation, x: FieldElement) -> tuple[int, FieldElement]:
     b = _int_multiplicity(q.denominator, v.p)
     n = a - b
     return n, rationals().element(q / Fraction(v.p) ** n)
-
-
-def residue(v: Valuation, x: FieldElement) -> FieldElement:
-    """Image of a v-unit in the residue field."""
-    n, u = unit_part(v, x)
-    if n != 0:
-        raise DegenerateInput(f"not a unit at {v}")
-    return _unit_residue(v, u)
 
 
 def _unit_residue(v: Valuation, u: FieldElement) -> FieldElement:

@@ -403,6 +403,17 @@ class TestErrorHandling:
         assert code == 1
         assert out["error"]["type"] == "ParseError"
 
+    # JSON true is a Python int, but neither a prime nor a degree
+    @pytest.mark.parametrize("block", [{"kind": "Fq", "p": 3, "deg": True},
+                                       {"kind": "Fq", "p": True}],
+                             ids=["deg", "p"])
+    def test_boolean_field_parameters(self, capsys, tmp_path, block):
+        path = write_doc(tmp_path, "d.json", {
+            "field": block, "symbols": [{"entries": [2]}]})
+        code, out = run(capsys, ["canon", path])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+
     def test_missing_file(self, capsys, tmp_path):
         code, out = run(capsys, ["canon", str(tmp_path / "absent.json")])
         assert code == 1
@@ -456,3 +467,14 @@ class TestErrorHandling:
         assert capsys.readouterr().out == ""
         report = json.loads(dest.read_text())
         assert report["class"] == {"l": 1, "field": "Q", "unit": "2"}
+
+    # both a report and an error report must reach stdout when --out is unusable
+    @pytest.mark.parametrize("doc", [{"field": {"kind": "Q"}, "symbols": [{"entries": ["2"]}]},
+                                     {"field": {"kind": "Q"}, "symbols": [{"entries": ["0"]}]}],
+                             ids=["report", "error"])
+    def test_unwritable_out_path(self, capsys, tmp_path, doc):
+        path = write_doc(tmp_path, "d.json", doc)
+        code, out = run(capsys, ["canon", "--out", str(tmp_path / "no" / "x.json"), path])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+        assert "cannot write" in out["error"]["message"]

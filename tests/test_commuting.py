@@ -5,21 +5,22 @@ from fractions import Fraction
 import pytest
 
 from mkt.canonical import canonical_class
-from mkt.commuting import (MatrixTuple, PolyMatrixTuple, class_of_tuple,
-                           composition_series, homotopy_mult, homotopy_shear,
-                           homotopy_steinberg, homotopy_swap, kronecker,
-                           reduce_tuple)
+from mkt.commuting import (MatrixTuple, class_of_tuple, composition_series,
+                           homotopy_mult, homotopy_shear, homotopy_steinberg,
+                           homotopy_swap, kronecker, reduce_tuple)
 from mkt.errors import (ArityMismatch, DegenerateInput, NotUnitDeterminant,
-                        UnsupportedTower)
-from mkt.fields import Polynomial, prime_field, rationals
+                        UnsupportedField, UnsupportedTower)
+from mkt.fields import Polynomial, embed, function_field, prime_field, rationals
 from mkt.jointdet import check_axioms, make_determinant
-from mkt.linalg import Matrix, PolyMatrix, companion_matrix, jordan_block
+from mkt.linalg import Matrix, companion_matrix, jordan_block
 from mkt.sampling import commuting_tuple, invertible_matrix
 from mkt.symbols import symbol
 from mkt.transfer import transfer_tower
 from tests.conftest import make_field
 
 Qf = rationals()
+Qt = function_field(Qf)
+T = Qt.gen()
 
 
 def qmat(rows):
@@ -99,7 +100,8 @@ class TestBoundary:
     def test_constant_family(self):
         # [TRIVIAL] a constant family has equal endpoints
         x = scalar_tuple(Qf, 2, 3)
-        h = PolyMatrixTuple(Qf, [PolyMatrix.from_matrix(m) for m in x.matrices])
+        h = MatrixTuple(Qt, [m.map_entries(lambda e: embed(e, Qt), Qt)
+                             for m in x.matrices])
         at1, at0 = h.boundary()
         assert at1.matrices == x.matrices and at0.matrices == x.matrices
 
@@ -115,7 +117,16 @@ class TestBoundary:
     def test_unit_det_enforced(self):
         # entries with parameter-dependent determinant are rejected
         with pytest.raises(NotUnitDeterminant):
-            PolyMatrixTuple(Qf, [PolyMatrix(Qf, [[Polynomial.x(Qf)]])])
+            MatrixTuple(Qt, [Matrix(Qt, [[T]])])
+
+    def test_non_polynomial_entries_rejected(self):
+        # diag(t, 1/t) has determinant 1 but no inverse over Q[t]
+        with pytest.raises(NotUnitDeterminant):
+            MatrixTuple(Qt, [Matrix(Qt, [[T, 0], [0, T.inverse()]])])
+
+    def test_boundary_needs_function_field(self):
+        with pytest.raises(UnsupportedField):
+            scalar_tuple(Qf, 2, 3).boundary()
 
 
 class TestHomotopyFamilies:
@@ -125,8 +136,8 @@ class TestHomotopyFamilies:
         h = homotopy_steinberg(a, b)
         d0 = h.matrices[0].det()
         d1 = h.matrices[1].det()
-        assert d0 == Polynomial.constant(-(a * b))
-        assert d1 == Polynomial.constant((Qf.one() - a) * (Qf.one() - b))
+        assert d0 == embed(-(a * b), Qt)
+        assert d1 == embed((Qf.one() - a) * (Qf.one() - b), Qt)
 
     def test_steinberg_endpoint_classes(self, rng):
         for _ in range(10):

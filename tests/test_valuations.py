@@ -12,7 +12,7 @@ from mkt.sampling import monic_irreducible
 from mkt.symbols import symbol
 from mkt.transfer import reciprocity_check
 from mkt.valuations import (finite_place, infinite_place, rational_prime,
-                            residue, support, tame_symbol, unit_part, valuate)
+                            support, tame_symbol, unit_part, valuate)
 
 Qf = rationals()
 
