@@ -39,6 +39,8 @@ from mkt.fields import (
     FieldDescriptor,
     FieldElement,
     Polynomial,
+    _values,
+    _wrap,
     coordinates,
     poly_gcd,
     prime_field,
@@ -91,16 +93,9 @@ def _stable_seed(f: Polynomial) -> int:
 
 
 def poly_powmod(a: Polynomial, e: int, f: Polynomial) -> Polynomial:
-    if f.field.kind == PRIME:
-        return f._wrap_ints(zkernel.zp_powmod(a._ints(), e, f._ints(), f.field.p))
-    result = Polynomial.one(f.field) % f
-    base = a % f
-    while e:
-        if e & 1:
-            result = result * base % f
-        base = base * base % f
-        e >>= 1
-    return result
+    fld = f.field
+    return _wrap(fld, zkernel.zp_powmod(_values(fld, a.coeffs), e, _values(fld, f.coeffs),
+                                        fld.p))
 
 
 # -- finite fields -----------------------------------------------------------
@@ -315,7 +310,7 @@ def _factor_q_squarefree(f: Polynomial) -> list[Polynomial]:
         for combo in combinations(range(len(pool)), s):
             cand = [g_ints[-1] % p]
             for i in combo:
-                cand = zkernel.zp_mul(cand, pool[i]._ints(), p)
+                cand = zkernel.zp_mul(cand, _values(Fp, pool[i].coeffs), p)
             lifted = _primitive(_symmetric_lift(cand, p))
             if sum(len(pool[i].coeffs) - 1 for i in combo) != len(lifted) - 1:
                 continue

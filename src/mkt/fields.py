@@ -49,7 +49,7 @@ _TABLE_MAX = 81
 class FieldDescriptor:
     """Identity of a field. Structural equality; do not mutate."""
 
-    __slots__ = ("kind", "p", "base", "modulus", "_hash", "_mod_ints", "_order",
+    __slots__ = ("kind", "p", "base", "modulus", "_hash", "_mod_values", "_order",
                  "_table", "_budget")
 
     def __init__(self, kind: str, p: int | None = None,
@@ -60,7 +60,8 @@ class FieldDescriptor:
         self.base = base
         self.modulus = modulus
         self._hash = None
-        self._mod_ints = None
+        # kernel coefficients of the modulus, for the arithmetic of this step
+        self._mod_values = _values(base, modulus.coeffs) if kind == EXTENSION else None
         self._order = None
         self._table = None
         # coefficient-path operations left before the table is built; set
@@ -216,12 +217,6 @@ class FieldDescriptor:
         if self.kind == FUNCTION:
             return f"{self.base!r}(X)"
         return f"{self.base!r}[x]/({self.modulus})"
-
-    def modulus_ints(self) -> list[int]:
-        """Modulus coefficients as ints (extension over a prime field only)."""
-        if self._mod_ints is None:
-            self._mod_ints = [c.rep for c in self.modulus.coeffs]
-        return self._mod_ints
 
 
 _RATIONALS = FieldDescriptor(RATIONALS)
@@ -518,25 +513,13 @@ class FieldElement:
             return FieldElement(fld, self.rep * b.rep % fld.p)
         if k == EXTENSION:
             _spend(fld)
-            return self._ext_mul(b)
+            base = fld.base
+            prod = zkernel.zp_mulmod(_rep_values(self), _rep_values(b), fld._mod_values,
+                                     base.p)
+            return _ext_from_coeffs(fld, _wrap(base, prod).coeffs)
         return FieldElement(fld, self.rep.mul(b.rep))
 
     __rmul__ = __mul__
-
-    def _ext_mul(self, b: "FieldElement") -> "FieldElement":
-        fld = self.field
-        base = fld.base
-        if base.kind == PRIME:
-            p = base.p
-            a_ints = zkernel.trim([c.rep for c in self.rep])
-            b_ints = zkernel.trim([c.rep for c in b.rep])
-            prod = zkernel.zp_mulmod(a_ints, b_ints, fld.modulus_ints(), p)
-            return _ext_from_ints(fld, prod)
-        ac = _eltrim(list(self.rep))
-        bc = _eltrim(list(b.rep))
-        prod = _elmul(base, ac, bc)
-        prod = _elrem(base, prod, list(fld.modulus.coeffs))
-        return _ext_from_coeffs(fld, prod)
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
@@ -553,12 +536,8 @@ class FieldElement:
         if k == EXTENSION:
             _spend(fld)
             base = fld.base
-            if base.kind == PRIME:
-                inv = zkernel.zp_invmod(zkernel.trim([c.rep for c in self.rep]),
-                                        fld.modulus_ints(), base.p)
-                return _ext_from_ints(fld, inv)
-            inv = _elinvmod(base, _eltrim(list(self.rep)), list(fld.modulus.coeffs))
-            return _ext_from_coeffs(fld, inv)
+            inv = zkernel.zp_invmod(_rep_values(self), fld._mod_values, base.p)
+            return _ext_from_coeffs(fld, _wrap(base, inv).coeffs)
         return FieldElement(fld, self.rep.inverse())
 
     def __truediv__(self, other):
@@ -640,97 +619,33 @@ class FieldElement:
         return " + ".join(parts) if parts else "0"
 
 
-def _ext_from_ints(fld: FieldDescriptor, ints: list[int]) -> FieldElement:
-    base = fld.base
-    d = fld.step_degree
-    coeffs = [FieldElement(base, ints[i] if i < len(ints) else 0) for i in range(d)]
-    return _ext_element(fld, tuple(coeffs))
-
-
 def _ext_from_coeffs(fld: FieldDescriptor, coeffs: list[FieldElement]) -> FieldElement:
     d = fld.step_degree
     out = list(coeffs) + [fld.base.zero()] * (d - len(coeffs))
     return _ext_element(fld, tuple(out[:d]))
 
 
-# Generic coefficient-list arithmetic over an arbitrary coefficient field.
-# Used for extension steps whose base is not a prime field and by Polynomial.
-
-def _eltrim(a: list[FieldElement]) -> list[FieldElement]:
-    n = len(a)
-    while n and a[n - 1].is_zero():
-        n -= 1
-    return a[:n]
+def _values(field: FieldDescriptor, coeffs) -> list:
+    """Kernel coefficients of coeffs over field: residue ints over a prime
+    field, the elements themselves over any other."""
+    if field.p:
+        return [c.rep for c in coeffs]
+    return list(coeffs)
 
 
-def _eladd(base, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _eltrim(out)
+def _wrap(field: FieldDescriptor, values: list) -> "Polynomial":
+    """The polynomial over field with kernel coefficients values (trimmed)."""
+    out = Polynomial.__new__(Polynomial)
+    out.field = field
+    out.coeffs = (tuple(FieldElement(field, v) for v in values) if field.p
+                  else tuple(values))
+    out._hash = None
+    return out
 
 
-def _elsub(base, a, b):
-    n = max(len(a), len(b))
-    z = base.zero()
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else z
-        y = b[i] if i < len(b) else z
-        out.append(x - y)
-    return _eltrim(out)
-
-
-def _elmul(base, a, b):
-    if not a or not b:
-        return []
-    z = base.zero()
-    out = [z] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _eltrim(out)
-
-
-def _eldivmod(base, a, b):
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    r = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    if da < db:
-        return [], _eltrim(r)
-    inv_lead = b[db].inverse()
-    z = base.zero()
-    q = [z] * (da - db + 1)
-    for k in range(da - db, -1, -1):
-        c = r[db + k]
-        if not c.is_zero():
-            c = c * inv_lead
-            q[k] = c
-            for i in range(db + 1):
-                r[i + k] = r[i + k] - c * b[i]
-    return _eltrim(q), _eltrim(r)
-
-
-def _elrem(base, a, b):
-    return _eldivmod(base, a, b)[1]
-
-
-def _elinvmod(base, a, f):
-    r0, r1 = list(f), _elrem(base, a, f)
-    s0, s1 = [], [base.one()]
-    while r1:
-        q, r2 = _eldivmod(base, r0, r1)
-        r0, r1 = r1, r2
-        s0, s1 = s1, _elsub(base, s0, _elmul(base, q, s1))
-    if len(r0) != 1:
-        raise DivisionByZero("element not invertible modulo f")
-    inv = r0[0].inverse()
-    return _eltrim([c * inv for c in s0])
+def _rep_values(x: FieldElement) -> list:
+    """Kernel coefficients of an extension-step element over its base."""
+    return zkernel.trim(_values(x.field.base, x.rep))
 
 
 class Polynomial:
@@ -745,7 +660,7 @@ class Polynomial:
             if c.field is not field and c.field != field:
                 raise DescriptorMismatch("coefficient over wrong field")
         self.field = field
-        self.coeffs = tuple(_eltrim(elems))
+        self.coeffs = tuple(zkernel.trim(elems))
         self._hash = None
 
     @classmethod
@@ -786,18 +701,6 @@ class Polynomial:
     def constant_term(self) -> FieldElement:
         return self.coeffs[0] if self.coeffs else self.field.zero()
 
-    # kernel path helpers
-    def _ints(self) -> list[int]:
-        return [c.rep for c in self.coeffs]
-
-    def _wrap_ints(self, ints: list[int]) -> "Polynomial":
-        fld = self.field
-        out = Polynomial.__new__(Polynomial)
-        out.field = fld
-        out.coeffs = tuple(FieldElement(fld, v) for v in ints)
-        out._hash = None
-        return out
-
     def _coerce(self, other):
         if isinstance(other, Polynomial):
             if other.field != self.field:
@@ -812,9 +715,9 @@ class Polynomial:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        if self.field.kind == PRIME:
-            return self._wrap_ints(zkernel.zp_add(self._ints(), b._ints(), self.field.p))
-        return Polynomial(self.field, _eladd(self.field, list(self.coeffs), list(b.coeffs)))
+        fld = self.field
+        return _wrap(fld, zkernel.zp_add(_values(fld, self.coeffs), _values(fld, b.coeffs),
+                                         fld.p))
 
     __radd__ = __add__
 
@@ -825,9 +728,9 @@ class Polynomial:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        if self.field.kind == PRIME:
-            return self._wrap_ints(zkernel.zp_sub(self._ints(), b._ints(), self.field.p))
-        return Polynomial(self.field, _elsub(self.field, list(self.coeffs), list(b.coeffs)))
+        fld = self.field
+        return _wrap(fld, zkernel.zp_sub(_values(fld, self.coeffs), _values(fld, b.coeffs),
+                                         fld.p))
 
     def __rsub__(self, other):
         b = self._coerce(other)
@@ -842,9 +745,9 @@ class Polynomial:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        if self.field.kind == PRIME:
-            return self._wrap_ints(zkernel.zp_mul(self._ints(), b._ints(), self.field.p))
-        return Polynomial(self.field, _elmul(self.field, list(self.coeffs), list(b.coeffs)))
+        fld = self.field
+        return _wrap(fld, zkernel.zp_mul(_values(fld, self.coeffs), _values(fld, b.coeffs),
+                                         fld.p))
 
     __rmul__ = __mul__
 
@@ -852,13 +755,9 @@ class Polynomial:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        if b.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        if self.field.kind == PRIME:
-            q, r = zkernel.zp_divmod(self._ints(), b._ints(), self.field.p)
-            return self._wrap_ints(q), self._wrap_ints(r)
-        q, r = _eldivmod(self.field, list(self.coeffs), list(b.coeffs))
-        return Polynomial(self.field, q), Polynomial(self.field, r)
+        fld = self.field
+        q, r = zkernel.zp_divmod(_values(fld, self.coeffs), _values(fld, b.coeffs), fld.p)
+        return _wrap(fld, q), _wrap(fld, r)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -941,12 +840,8 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd; poly_gcd(0, 0) = 0."""
     if f.field != g.field:
         raise DescriptorMismatch("gcd of polynomials over different fields")
-    if f.field.kind == PRIME:
-        return f._wrap_ints(zkernel.zp_gcd(f._ints(), g._ints(), f.field.p))
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    fld = f.field
+    return _wrap(fld, zkernel.zp_gcd(_values(fld, f.coeffs), _values(fld, g.coeffs), fld.p))
 
 
 class RationalFunction:

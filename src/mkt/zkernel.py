@@ -1,122 +1,170 @@
-"""Dense polynomial arithmetic over Z/p: the mod-p kernel.
+"""Dense schoolbook polynomial arithmetic: the one polynomial kernel.
 
-Polynomials are lists of ints, coefficient of X^i at index i, no trailing
-zeros, every value in [0, p). The zero polynomial is the empty list. Any
-prime p is accepted; Python ints carry the products exactly.
+Polynomials are coefficient lists, coefficient of X^i at index i, no
+trailing zeros; the zero polynomial is the empty list. Every routine takes
+the coefficient field's `p` last, and the caller always passes it:
+
+  * p a prime: coefficients are ints in [0, p). Sums of products are
+    carried exactly in Python ints and reduced once per output coefficient.
+  * p None: coefficients are elements of one field. Their truth test means
+    nonzero, and `.inverse()` gives the inverse of a nonzero one.
+
+`fields` passes `field.p`, which is None off prime fields, so polynomials
+over every field, and the elements of every extension step, run through
+this one code path.
+
+The public `zp_*` names are the kernel's boundary. The routines call each
+other only through their private names, so a tracer that rebinds `zp_*`
+counts the calls into the kernel, not its internal steps.
 """
 
 from __future__ import annotations
 
+from mkt.errors import DivisionByZero
+
 
 def backend_name() -> str:
-    """Name of the mod-p kernel, recorded by benchmark runs."""
+    """Name of the polynomial kernel, recorded by benchmark runs."""
     return "pure"
 
 
-def trim(a: list[int]) -> list[int]:
+def trim(a: list) -> list:
+    """Drop the trailing zero coefficients of a in place; return a."""
     n = len(a)
-    while n and a[n - 1] == 0:
+    while n and not a[n - 1]:
         n -= 1
-    return a[:n]
-
-
-def zp_add(a, b, p):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return trim(out)
-
-
-def zp_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = (x - y) % p
-    return trim(out)
-
-
-def zp_scale(a, c, p):
-    c %= p
-    if c == 0:
-        return []
-    return trim([x * c % p for x in a])
-
-
-def zp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return trim(out)
-
-
-def zp_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    if da < db:
-        return [], trim(r)
-    inv_lead = pow(b[db], p - 2, p) if p > 2 else b[db]
-    q = [0] * (da - db + 1)
-    for k in range(da - db, -1, -1):
-        c = r[db + k] % p
-        if c:
-            c = c * inv_lead % p
-            q[k] = c
-            for i in range(db + 1):
-                r[i + k] = (r[i + k] - c * b[i]) % p
-    return trim(q), trim(r)
-
-
-def zp_rem(a, b, p):
-    return zp_divmod(a, b, p)[1]
-
-
-def zp_gcd(a, b, p):
-    """Monic gcd; zp_gcd(0, 0) = 0."""
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, zp_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p) if p > 2 else a[-1]
-        a = [c * inv % p for c in a]
+    del a[n:]
     return a
 
 
-def zp_invmod(a, f, p):
-    """Inverse of a modulo f; raises ZeroDivisionError if gcd(a, f) != 1."""
-    r0, r1 = list(f), zp_rem(a, f, p)
-    s0, s1 = [], [1]
+def _reduce(out: list, p) -> list:
+    if p:
+        out = [c % p for c in out]
+    return trim(out)
+
+
+def _inv(c, p):
+    return pow(c, p - 2, p) if p else c.inverse()
+
+
+def _add(a, b, p):
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(b)
+    out = [x + y for x, y in zip(a, b)]
+    if len(a) == n:
+        return _reduce(out, p)
+    # the top coefficient is a's, so nothing cancels at the top
+    if p:
+        out = [c % p for c in out]
+    return out + a[n:]
+
+
+def _sub(a, b, p):
+    n = min(len(a), len(b))
+    out = [x - y for x, y in zip(a, b)]
+    out += a[n:]
+    out += [-y for y in b[n:]]
+    return _reduce(out, p)
+
+
+def _scale(a, c, p):
+    return _reduce([x * c for x in a], p)
+
+
+def _mul(a, b, p):
+    if not a or not b:
+        return []
+    zero = a[0] - a[0]
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _reduce(out, p)
+
+
+def _divmod(a, b, p):
+    """(quotient, remainder) of a by b; raises DivisionByZero when b = 0."""
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    db, da = len(b) - 1, len(a) - 1
+    if da < db:
+        return [], list(a)
+    inv_lead = _inv(b[db], p)
+    r = list(a)
+    q = [None] * (da - db + 1)
+    for k in range(da - db, -1, -1):
+        c = r[db + k]
+        if p:
+            c %= p
+        if c:
+            c = c * inv_lead % p if p else c * inv_lead
+            # r[db + k] cancels exactly and is never read again
+            for i in range(db):
+                r[i + k] -= c * b[i]
+        q[k] = c
+    return trim(q), _reduce(r[:db], p)
+
+
+def _rem(a, b, p):
+    return _divmod(a, b, p)[1]
+
+
+def _gcd(a, b, p):
+    """Monic gcd; the gcd of 0 and 0 is 0."""
+    while b:
+        a, b = b, _rem(a, b, p)
+    if not a:
+        return []
+    return _scale(a, _inv(a[-1], p), p)
+
+
+def _invmod(a, f, p):
+    """Inverse of a modulo f; raises DivisionByZero if gcd(a, f) != 1."""
+    r0, r1 = f, _rem(a, f, p)
+    if not r1:
+        raise DivisionByZero("element not invertible modulo f")
+    # Bezout cofactors scaled by c = lc(r1): s_i * a = c * r_i (mod f)
+    c = r1[-1]
+    s0, s1 = [], [c]
     while r1:
-        q, r2 = zp_divmod(r0, r1, p)
+        q, r2 = _divmod(r0, r1, p)
         r0, r1 = r1, r2
-        s0, s1 = s1, zp_sub(s0, zp_mul(q, s1, p), p)
+        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
     if len(r0) != 1:
-        raise ZeroDivisionError("element not invertible modulo f")
-    inv = pow(r0[0], p - 2, p) if p > 2 else r0[0]
-    return zp_scale(s0, inv, p)
+        raise DivisionByZero("element not invertible modulo f")
+    g = r0[0] * c
+    return _scale(s0, _inv(g % p if p else g, p), p)
 
 
-def zp_mulmod(a, b, f, p):
-    return zp_rem(zp_mul(a, b, p), f, p)
+def _mulmod(a, b, f, p):
+    return _rem(_mul(a, b, p), f, p)
 
 
-def zp_powmod(a, e: int, f, p):
+def _powmod(a, e: int, f, p):
     """a^e mod f for e >= 0."""
-    result = zp_rem([1], f, p)
-    base = zp_rem(a, f, p)
+    base = _rem(a, f, p)
+    result = None
     while e:
         if e & 1:
-            result = zp_mulmod(result, base, f, p)
-        base = zp_mulmod(base, base, f, p)
+            result = base if result is None else _mulmod(result, base, f, p)
         e >>= 1
+        if e:
+            base = _mulmod(base, base, f, p)
+    if result is None:
+        # e = 0; x ** 0 is the one of x's kind
+        return _rem([f[-1] ** 0], f, p)
     return result
+
+
+zp_add = _add
+zp_sub = _sub
+zp_scale = _scale
+zp_mul = _mul
+zp_divmod = _divmod
+zp_rem = _rem
+zp_gcd = _gcd
+zp_invmod = _invmod
+zp_mulmod = _mulmod
+zp_powmod = _powmod

@@ -1,9 +1,12 @@
 import pathlib
 import random
+import sys
 
 import pytest
 
-from mkt.fields import Polynomial, extension, prime_field, rationals
+from mkt.factor import is_irreducible
+from mkt.fields import (EXTENSION, FieldDescriptor, Polynomial, all_elements, extension,
+                        prime_field, rationals)
 
 # the acceptance tests append one line per criterion; printed after capture
 ACCEPTANCE_REPORT = pathlib.Path(__file__).with_name(".acceptance_report")
@@ -63,6 +66,41 @@ def all_units(field):
             m //= p
         out.append(field.element(tuple(coeffs)))
     return out
+
+
+def f81_over_f9():
+    """F_81 as a quadratic step over F_9: the first irreducible X^2 + bX + c
+    in all_elements order."""
+    F9 = make_field(9)
+    for b in all_elements(F9):
+        for c in all_elements(F9):
+            f = Polynomial(F9, [c, b, F9.one()])
+            if is_irreducible(f):
+                return extension(F9, f)
+    raise AssertionError("F_9 has irreducible quadratics")
+
+
+def table_of(L):
+    """L's interned elements, building the table if L has none yet."""
+    if L._table is None:
+        sys.modules["mkt.fields"]._build_table(L)
+    return L._table.elems
+
+
+def untabled_twin(L):
+    """A descriptor equal to L that never builds a table: extension() sets
+    the operation budget, the bare constructor does not."""
+    if L.kind != EXTENSION:
+        return L
+    base = untabled_twin(L.base)
+    modulus = Polynomial(base, [twin_element(base, c) for c in L.modulus.coeffs])
+    return FieldDescriptor(EXTENSION, base=base, modulus=modulus)
+
+
+def twin_element(K, x):
+    if K.kind != EXTENSION:
+        return x
+    return K.element(tuple(twin_element(K.base, c) for c in x.rep))
 
 
 @pytest.fixture

@@ -10,54 +10,18 @@ from hypothesis import strategies as st
 from mkt.errors import (DescriptorMismatch, DivisionByZero, UnsupportedFactorization,
                         ZeroPolynomial)
 from mkt.factor import factor, forget, is_irreducible
-from mkt.fields import (EXTENSION, FieldDescriptor, Polynomial, all_elements,
-                        extension, function_field, poly_gcd, prime_field,
-                        rationals, tower_degree)
+from mkt.fields import (Polynomial, all_elements, extension, function_field, poly_gcd,
+                        prime_field, rationals, tower_degree)
 from mkt.linalg import Matrix, companion_matrix, minpoly_matrix
 from mkt.sampling import monic_irreducible, random_element
 from mkt.symbols import symbol
 from mkt.towers import minimal_polynomial, norm_element, present_as_simple
 from mkt.valuations import finite_place, tame_symbol
-from tests.conftest import all_units, make_field
+from tests.conftest import (all_units, f81_over_f9, make_field, table_of, untabled_twin)
 
 # the modules themselves; the package attribute mkt.factor is the function
 factor_module = sys.modules["mkt.factor"]
 fields_module = sys.modules["mkt.fields"]
-
-
-def f81_over_f9():
-    """F_81 as a quadratic step over F_9: the first irreducible X^2 + bX + c
-    in all_elements order."""
-    F9 = make_field(9)
-    for b in all_elements(F9):
-        for c in all_elements(F9):
-            f = Polynomial(F9, [c, b, F9.one()])
-            if is_irreducible(f):
-                return extension(F9, f)
-    raise AssertionError("F_9 has irreducible quadratics")
-
-
-def table_of(L):
-    """L's interned elements, building the table if L has none yet."""
-    if L._table is None:
-        fields_module._build_table(L)
-    return L._table.elems
-
-
-def untabled_twin(L):
-    """A descriptor equal to L that never builds a table: extension() sets
-    the operation budget, the bare constructor does not."""
-    if L.kind != EXTENSION:
-        return L
-    base = untabled_twin(L.base)
-    modulus = Polynomial(base, [twin_element(base, c) for c in L.modulus.coeffs])
-    return FieldDescriptor(EXTENSION, base=base, modulus=modulus)
-
-
-def twin_element(K, x):
-    if K.kind != EXTENSION:
-        return x
-    return K.element(tuple(twin_element(K.base, c) for c in x.rep))
 
 
 class TestFieldArith:
