@@ -4,12 +4,15 @@ A joint determinant is a map from weight-l tuples to an abelian group that
 is multilinear in the slots, additive over block-diagonal sums, invariant
 under conjugation, and constant along one-parameter polynomial families.
 Every such map factors through the symbol class of the tuple, so each
-concrete determinant here is a post-processing of class_of_tuple:
+concrete determinant here is a post-processing of the reduced expression
+(reduce_tuple) or of its class (class_of_tuple):
 
   * universal          - the class itself (any supported field);
   * real-sign          - the sign invariant over Q (order two);
   * rational-hilbert   - a product of local Hilbert symbols over a chosen
-                         place set (Q, weight >= 2);
+                         place set (Q, weight >= 2); at weight 2 it is read
+                         off the reduced expression term by term, so no
+                         entry is factored;
   * finite-field-trivial - constantly +1 over a finite field (weight >= 2),
                          with a self-check that the class really vanishes.
 """
@@ -21,9 +24,10 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable
 
-from .canonical import CanonicalClass, combine_values, is_trivial_value
+from .canonical import combine_values, is_trivial_value
 from .commuting import (MatrixTuple, class_of_tuple, homotopy_mult,
-                        homotopy_shear, homotopy_steinberg, homotopy_swap)
+                        homotopy_shear, homotopy_steinberg, homotopy_swap,
+                        reduce_tuple)
 from .errors import (BadModulus, DegenerateInput, RecursionInvariantViolated,
                      UnsupportedCombination, ZeroInput)
 from .fields import PRIME, RATIONALS, FieldDescriptor, FieldElement
@@ -143,20 +147,6 @@ def hilbert(a, b, place) -> int:
     return -1 if e % 2 == 1 else 1
 
 
-def _class_hilbert(cls: CanonicalClass, tok) -> int:
-    """Local Hilbert symbol of a weight-2 class over Q at a normalized place."""
-    if tok == "inf":
-        return cls.eps
-    if tok == 2:
-        # forced by the product formula: all other local symbols are known
-        out = cls.eps
-        for p, r in cls.tame.items():
-            out *= legendre(r, p)
-        return out
-    r = cls.tame.get(tok)
-    return 1 if r is None else legendre(r, tok)
-
-
 @dataclass(frozen=True)
 class JointDeterminant:
     """A named evaluator on commuting tuples satisfying the four axioms."""
@@ -211,10 +201,14 @@ def make_determinant(field: FieldDescriptor, weight: int, spec: str,
             raise UnsupportedCombination("need a nonempty place set")
         if weight == 2:
             def ev(x, toks=toks):
-                cls = class_of_tuple(x)
+                # the Hilbert symbol is bimultiplicative, so each place reads
+                # the odd-coefficient terms of the reduced expression; no
+                # entry is factored
                 out = 1
-                for t in toks:
-                    out *= _class_hilbert(cls, t)
+                for (a, b), c in reduce_tuple(x).items():
+                    if c % 2:
+                        for t in toks:
+                            out *= hilbert(a, b, t)
                 return out
         else:
             def ev(x):
@@ -251,7 +245,6 @@ def check_axioms(d: JointDeterminant, trials: int = 100,
     """
     rng = rng or random.Random(0)
     field, weight = d.field, d.weight
-    split_only = field.kind == RATIONALS
     report: list[str] = []
 
     def expect(cond: bool, msg: str):
@@ -260,7 +253,7 @@ def check_axioms(d: JointDeterminant, trials: int = 100,
 
     for i in range(trials):
         size = rng.randint(1, 3)
-        wide = commuting_tuple(field, rng, weight + 1, size, split_only=split_only)
+        wide = commuting_tuple(field, rng, weight + 1, size)
         rest = list(wide.matrices[2:])
         a, b = wide.matrices[0], wide.matrices[1]
         ab = a * b
@@ -273,13 +266,13 @@ def check_axioms(d: JointDeterminant, trials: int = 100,
                f"multilinearity failed at trial {i}")
 
     for i in range(trials):
-        x = commuting_tuple(field, rng, weight, rng.randint(1, 2), split_only=split_only)
-        y = commuting_tuple(field, rng, weight, rng.randint(1, 2), split_only=split_only)
+        x = commuting_tuple(field, rng, weight, rng.randint(1, 2))
+        y = commuting_tuple(field, rng, weight, rng.randint(1, 2))
         expect(d(x.direct_sum(y)) == combine_values(d(x), d(y)),
                f"block-diagonal additivity failed at trial {i}")
 
     for i in range(trials):
-        x = commuting_tuple(field, rng, weight, rng.randint(1, 3), split_only=split_only)
+        x = commuting_tuple(field, rng, weight, rng.randint(1, 3))
         s = invertible_matrix(field, rng, x.size)
         dx = d(x)
         expect(d(x.conjugate(s)) == dx,
@@ -294,14 +287,12 @@ def check_axioms(d: JointDeterminant, trials: int = 100,
         kind = rng.choice(["mult", "swap", "steinberg", "shear"])
         fam = None
         if kind == "mult":
-            wide = commuting_tuple(field, rng, weight + 1, rng.randint(1, 2),
-                                   split_only=split_only)
+            wide = commuting_tuple(field, rng, weight + 1, rng.randint(1, 2))
             rest = list(wide.matrices[2:])
             a, b = wide.matrices[0], wide.matrices[1]
             fam = homotopy_mult(a, b, rest)
         elif kind == "swap" and weight >= 2:
-            x = commuting_tuple(field, rng, weight, rng.randint(1, 2),
-                                split_only=split_only)
+            x = commuting_tuple(field, rng, weight, rng.randint(1, 2))
             fam = homotopy_swap(x, 0, 1)
         elif kind == "steinberg" and weight >= 2:
             one = field.one()

@@ -79,17 +79,20 @@ def _nilpotent_shift(field, n: int) -> Matrix:
 
 
 def commuting_tuple(field: FieldDescriptor, rng: random.Random, weight: int,
-                    size: int, span: int = 5, split_only: bool = False) -> MatrixTuple:
+                    size: int, span: int = 5) -> MatrixTuple:
     """A random weight-l commuting invertible tuple of the given size.
 
     Built blockwise: every slot shares one block partition; a block carries
     either upper-triangular a*I + c*N slots (eigenvalues in the ground field)
-    or, unless split_only is set, slots that are polynomials in one companion
-    matrix of a random irreducible quadratic (an extension-scalar factor).
+    or, off Q, slots that are polynomials in one companion matrix of a
+    random irreducible quadratic (an extension-scalar factor). Over Q the
+    reduction handles one extension step only, and a tuple with companion
+    blocks can raise UnsupportedTower, so Q tuples have split blocks only.
     The whole tuple is conjugated by a random invertible matrix.
     """
     if weight < 1 or size < 1:
         raise DegenerateInput("weight and size must be positive")
+    split_only = field.kind == RATIONALS
     blocks: list[list[Matrix]] = []   # blocks[b][slot]
     remaining = size
     while remaining > 0:

@@ -222,6 +222,27 @@ class TestJointdet:
         assert out["value"] == -1
         assert out["spec"] == "rational-hilbert(3, inf)"
 
+    def test_rational_hilbert_does_not_factor_entries(self, tmp_path):
+        # N = (10^18 + 3)(2 * 10^18 + 57) is a semiprime that Pollard rho
+        # factors slowly; the local symbols need only N mod 8, 3 and 5. A
+        # subprocess with a time bound, so that a slow factoring fails the
+        # test instead of hanging the suite.
+        path = write_doc(tmp_path, "d.json", {
+            "field": {"kind": "Q"},
+            "matrices": [[["2000000000000000063000000000000000171"]], [["3"]]],
+        })
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(mkt.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mkt.cli", "jointdet", "--spec", "rational-hilbert",
+             "--places", "inf,2,3,5", path],
+            capture_output=True, text=True, timeout=30, env=env)
+        assert proc.returncode == 0
+        out = json.loads(proc.stdout)
+        # N = 3 (mod 8) and N = 2 (mod 3): -1 at 2 and at 3, +1 at inf and 5
+        assert out["value"] == 1
+        assert out["spec"] == "rational-hilbert(2, 3, 5, inf)"
+
     def test_universal_default(self, capsys, tmp_path):
         path = write_doc(tmp_path, "d.json", {
             "field": {"kind": "Q"},

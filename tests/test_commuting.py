@@ -56,13 +56,13 @@ class TestDirectSum:
 
     def test_identity_slot_neutral(self, rng):
         # [PAPER] appending an identity tuple does not move the class
-        x = commuting_tuple(Qf, rng, 2, 2, split_only=True)
+        x = commuting_tuple(Qf, rng, 2, 2)
         y = x.direct_sum(MatrixTuple.identity(Qf, 3, 2))
         assert class_of_tuple(x) == class_of_tuple(y)
 
     def test_mixed_sizes_commute(self, rng):
-        x = commuting_tuple(Qf, rng, 2, 2, split_only=True)
-        y = commuting_tuple(Qf, rng, 2, 3, split_only=True)
+        x = commuting_tuple(Qf, rng, 2, 2)
+        y = commuting_tuple(Qf, rng, 2, 3)
         z = x.direct_sum(y)
         assert z.size == 5
         assert class_of_tuple(z) == class_of_tuple(x) + class_of_tuple(y)
@@ -71,8 +71,8 @@ class TestDirectSum:
 class TestKronecker:
     def test_mixed_product_identity(self, rng):
         # [PAPER] (A kron I)(I kron B) = A kron B in both orders
-        x = commuting_tuple(Qf, rng, 1, 2, split_only=True)
-        y = commuting_tuple(Qf, rng, 1, 2, split_only=True)
+        x = commuting_tuple(Qf, rng, 1, 2)
+        y = commuting_tuple(Qf, rng, 1, 2)
         z = kronecker(x, y)
         a = z.matrices[0]
         b = z.matrices[1]
@@ -167,7 +167,7 @@ class TestHomotopyFamilies:
         assert class_of_tuple(at1) == class_of_tuple(at0)
 
     def test_swap_endpoints(self, rng):
-        x = commuting_tuple(Qf, rng, 2, 2, split_only=True)
+        x = commuting_tuple(Qf, rng, 2, 2)
         h = homotopy_swap(x, 0, 1)
         at1, at0 = h.boundary()
         assert class_of_tuple(at1) == class_of_tuple(at0)
@@ -223,7 +223,7 @@ class TestCompositionSeries:
 
     def test_conjugation_invariance(self, rng):
         for field in (Qf, prime_field(5)):
-            x = commuting_tuple(field, rng, 2, 3, split_only=(field is Qf))
+            x = commuting_tuple(field, rng, 2, 3)
             s = invertible_matrix(field, rng, 3)
             y = x.conjugate(s)
             a = [(f.multiplicity, tuple(str(v) for v in f.scalars))
@@ -291,8 +291,8 @@ class TestReduce:
 
     def test_direct_sum_additive(self, rng):
         for _ in range(10):
-            x = commuting_tuple(Qf, rng, 2, 2, split_only=True)
-            y = commuting_tuple(Qf, rng, 2, 2, split_only=True)
+            x = commuting_tuple(Qf, rng, 2, 2)
+            y = commuting_tuple(Qf, rng, 2, 2)
             assert class_of_tuple(x.direct_sum(y)) \
                 == class_of_tuple(x) + class_of_tuple(y)
 
@@ -312,12 +312,12 @@ class TestRelationsReport:
         assert check_axioms(make_determinant(F7, 2, "universal"), trials=6, rng=rng) == []
 
     def test_swap_negates(self, rng):
-        x = commuting_tuple(Qf, rng, 2, 2, split_only=True)
+        x = commuting_tuple(Qf, rng, 2, 2)
         y = x.swap_slots(0, 1)
         assert class_of_tuple(y) == -class_of_tuple(x)
 
     def test_slot_product_additive(self, rng):
-        x = commuting_tuple(Qf, rng, 2, 2, split_only=True)
+        x = commuting_tuple(Qf, rng, 2, 2)
         a = x.matrices[0]
         b = invertible_matrix(Qf, rng, 2)
         # make b commute with everything: use a polynomial in the slot matrix
