@@ -13,6 +13,11 @@ on the coefficient path builds a _Table: its q elements, interned, with
 Zech logarithms, after which +, -, *, inverse and == are index lookups.
 `forget()` drops the descriptor caches and every table.
 
+Polynomial +, -, *, divmod and gcd, and the product and inverse of an
+extension-step element, are each one call into `zkernel`: `_values` hands
+it integer residues over a prime field and the elements themselves over any
+other field, and `_wrap` turns its result back into a Polynomial.
+
 Coefficient lists everywhere are ordered lowest degree first, highest degree
 last. The zero polynomial has degree -1.
 """

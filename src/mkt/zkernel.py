@@ -50,14 +50,11 @@ def _inv(c, p):
 def _add(a, b, p):
     if len(a) < len(b):
         a, b = b, a
-    n = len(b)
     out = [x + y for x, y in zip(a, b)]
-    if len(a) == n:
-        return _reduce(out, p)
-    # the top coefficient is a's, so nothing cancels at the top
     if p:
         out = [c % p for c in out]
-    return out + a[n:]
+    out += a[len(b):]
+    return trim(out)
 
 
 def _sub(a, b, p):
