@@ -7,14 +7,24 @@ can write each of its rows in the vectors offered to it, pivoting on the
 first nonzero entry. Determinant, inverse, rank, kernel, solving and
 the Krylov minimal polynomial are all read off a tracker. Over k(t) the
 same routine takes the determinant of a matrix with polynomial entries.
+
+Over Q the arithmetic runs on Python ints, fraction-free: a tracker keeps
+primitive integer rows (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968), and a matrix
+multiplies through its integer rows over one common denominator. Fractions
+are made only for the values handed back, which equal those of the
+element path because pivots, relations and coordinates are unique.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from mkt.errors import ArityMismatch, DegenerateInput, DescriptorMismatch
-from mkt.fields import FieldDescriptor, FieldElement, Polynomial, poly_gcd
+from mkt.fields import RATIONALS, FieldDescriptor, FieldElement, Polynomial, poly_gcd
 
 
 def _coerce_entry(field: FieldDescriptor, e) -> FieldElement:
@@ -27,10 +37,20 @@ def _coerce_entry(field: FieldDescriptor, e) -> FieldElement:
     raise DescriptorMismatch(f"cannot use {type(e).__name__} as a matrix entry")
 
 
+def _cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, d) with xs[k] == ints[k] / d; d is the lcm of the denominators."""
+    d = lcm(*[x.denominator for x in xs])
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _fractions(field: FieldDescriptor, nums: Iterable[int], d: int) -> list[FieldElement]:
+    return [FieldElement(field, Fraction(n, d)) for n in nums]
+
+
 class Matrix:
     """Immutable dense matrix with exact field entries."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "_ints")
 
     def __init__(self, field: FieldDescriptor, rows: Iterable[Iterable]):
         rs = tuple(tuple(_coerce_entry(field, e) for e in row) for row in rows)
@@ -41,6 +61,7 @@ class Matrix:
                     raise ArityMismatch("ragged rows")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rs)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -73,6 +94,14 @@ class Matrix:
 
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
+
+    def _int_rows(self) -> tuple[list[list[int]], int]:
+        """(rows, d) with self = rows / d, over Q; built on first use."""
+        if self._ints is None:
+            d = lcm(*[e.rep.denominator for r in self.rows for e in r])
+            ints = [[e.rep.numerator * (d // e.rep.denominator) for e in r] for r in self.rows]
+            object.__setattr__(self, "_ints", (ints, d))
+        return self._ints
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field
@@ -108,6 +137,13 @@ class Matrix:
                 raise DescriptorMismatch("matrices over different fields")
             if self.ncols != other.nrows:
                 raise ArityMismatch("inner dimensions disagree")
+            if self.field.kind == RATIONALS:
+                a, da = self._int_rows()
+                b, db = other._int_rows()
+                cols = list(zip(*b))
+                return Matrix(self.field, [_fractions(self.field, [sum(map(mul, r, c))
+                                                                   for c in cols], da * db)
+                                           for r in a])
             cols = [other.col(j) for j in range(other.ncols)]
             zero = self.field.zero()
             out = []
@@ -128,6 +164,10 @@ class Matrix:
         vs = [_coerce_entry(self.field, e) for e in v]
         if len(vs) != self.ncols:
             raise ArityMismatch("vector length mismatch")
+        if self.field.kind == RATIONALS:
+            rows, d = self._int_rows()
+            u, e = _cleared([x.rep for x in vs])
+            return tuple(_fractions(self.field, [sum(map(mul, r, u)) for r in rows], d * e))
         zero = self.field.zero()
         out = []
         for r in self.rows:
@@ -262,9 +302,13 @@ class SpanTracker:
     relation of any offered vector that adds nothing. Those coefficients are
     built on first use, so det and rank never pay for them.
 
-    Rows are scaled so that their pivot entry is -1: clearing entry f at a
-    pivot is then an addition of f times the row.
+    Off Q, rows are scaled so that their pivot entry is -1: clearing entry f
+    at a pivot is then an addition of f times the row. Over Q the tracker is
+    a _RationalSpan, which keeps primitive integer rows instead.
     """
+
+    def __new__(cls, field: FieldDescriptor, dim: int):
+        return object.__new__(_RationalSpan if field.kind == RATIONALS else cls)
 
     def __init__(self, field: FieldDescriptor, dim: int):
         self.field = field
@@ -272,10 +316,11 @@ class SpanTracker:
         self.offered = 0
         self.pivots: list[int] = []
         self.pivot_values: list[FieldElement] = []   # pivot entries before scaling
-        self._tails: list[list[FieldElement]] = []   # row entries after the pivot
+        # the rest holds the element path's form; _RationalSpan says its own
+        self._rows: list[list] = []                  # row entries after the pivot
         # row i = scale * (offered[index] + sum f * row j over its steps)
         self._origins: list[tuple] = []              # (index, scale, steps)
-        self._combos: list[list[FieldElement]] = []  # row i = sum combo[k] * offered[k]
+        self._combos: list = []                      # row i = sum combo[k] * offered[k]
 
     @property
     def rank(self) -> int:
@@ -286,7 +331,7 @@ class SpanTracker:
         w = list(v)
         zero = self.field.zero()
         steps = []
-        for j, (p, tail) in enumerate(zip(self.pivots, self._tails)):
+        for j, (p, tail) in enumerate(zip(self.pivots, self._rows)):
             f = w[p]
             if f.is_zero():
                 continue
@@ -324,7 +369,7 @@ class SpanTracker:
         s = -a.inverse()
         self.pivots.append(p)
         self.pivot_values.append(a)
-        self._tails.append([x * s for x in w[p + 1:]])
+        self._rows.append([x * s for x in w[p + 1:]])
         self._origins.append((index, s, steps))
         return None
 
@@ -344,6 +389,91 @@ class SpanTracker:
 
     def contains(self, v: Sequence[FieldElement]) -> bool:
         return all(a.is_zero() for a in self._reduce(v)[0])
+
+
+class _RationalSpan(SpanTracker):
+    """SpanTracker over Q on Python ints.
+
+    Row i (in _rows) is a whole primitive integer vector with a positive
+    pivot entry. An offered vector has its denominators cleared once and is
+    reduced by cross-multiplication, w <- a * w - c * row j with a and c the
+    pivot entries of row j and w over their gcd, so w = lam * v + sum mu *
+    row j with integers lam and mu. That w is lam times the element path's
+    w, so the pivot values agree. Row i remembers (index, lam, steps, g)
+    with row i = (lam * offered[index] + sum mu * row j) / g, and its
+    coefficients in the offered vectors are one (numerators, denominator)
+    pair.
+    """
+
+    def _reduce(self, v: Sequence[FieldElement]):
+        """(w, lam, steps): w = lam * v + sum mu * row j over [j, mu] in steps,
+        zero on every pivot, all ints."""
+        w, lam = _cleared([x.rep for x in v])
+        steps = []
+        for j, (p, row) in enumerate(zip(self.pivots, self._rows)):
+            c = w[p]
+            if not c:
+                continue
+            a = row[p]
+            g = gcd(a, c)
+            a, c = a // g, c // g
+            if a == 1:
+                w = [x - c * y for x, y in zip(w, row)]
+            else:
+                w = [a * x - c * y for x, y in zip(w, row)]
+                lam *= a
+                for step in steps:
+                    step[1] *= a
+            steps.append([j, -c])
+        return w, lam, steps
+
+    def _combine(self, steps, length: int) -> tuple[list[int], int]:
+        """(nums, d): sum mu * row j over steps is sum_k nums[k] / d * offered[k], k < length."""
+        while len(self._combos) < len(self._origins):
+            index, lam, row_steps, g = self._origins[len(self._combos)]
+            nums, d = self._sum(row_steps, index)
+            nums.append(lam * d)
+            d *= g
+            common = gcd(d, *nums)
+            self._combos.append(([n // common for n in nums], d // common))
+        return self._sum(steps, length)
+
+    def _sum(self, steps, length: int) -> tuple[list[int], int]:
+        d = lcm(*[self._combos[j][1] for j, _ in steps])
+        comb = [0] * length
+        for j, mu in steps:
+            nums, dj = self._combos[j]
+            f = mu * (d // dj)
+            for k, c in enumerate(nums):
+                comb[k] += f * c
+        return comb, d
+
+    def offer(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
+        w, lam, steps = self._reduce(v)
+        index = self.offered
+        self.offered += 1
+        for p, a in enumerate(w):
+            if a:
+                break
+        else:
+            nums, d = self._combine(steps, index)
+            return _fractions(self.field, nums, d * lam)
+        g = gcd(*w) if a > 0 else -gcd(*w)
+        self.pivots.append(p)
+        self.pivot_values.append(FieldElement(self.field, Fraction(a, lam)))
+        self._rows.append([x // g for x in w])
+        self._origins.append((index, lam, steps, g))
+        return None
+
+    def coordinates(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
+        w, lam, steps = self._reduce(v)
+        if any(w):
+            return None
+        nums, d = self._combine(steps, self.offered)
+        return _fractions(self.field, nums, -d * lam)
+
+    def contains(self, v: Sequence[FieldElement]) -> bool:
+        return not any(self._reduce(v)[0])
 
 
 def solve_in_span(field, basis: Sequence[Sequence[FieldElement]],
