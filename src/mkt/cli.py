@@ -10,6 +10,7 @@ mathematical invariant (which signals a library bug, not user error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -514,7 +515,14 @@ def _cmd_check(args) -> tuple[dict, int]:
 # argument parsing / entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.
+
+    parse_args returns a fresh Namespace, so no report depends on an earlier
+    command. Subcommand NAME runs _cmd_NAME, looked up when main runs, so the
+    parser holds no command function.
+    """
     top = argparse.ArgumentParser(
         prog="mkt",
         description="Exact symbol invariants of fields and commuting matrix tuples.")
@@ -528,31 +536,25 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--real", action="store_true",
                    help="use the real sign invariant (Q only)")
-    p.set_defaults(fn=_cmd_canon)
 
     p = sub.add_parser("tame", help="tame symbol at a place")
     add_common(p)
-    p.set_defaults(fn=_cmd_tame)
 
     p = sub.add_parser("reciprocity", help="sum of transferred boundaries over all places")
     add_common(p)
-    p.set_defaults(fn=_cmd_reciprocity)
 
     p = sub.add_parser("transfer", help="push a symbol down a finite extension")
     add_common(p)
-    p.set_defaults(fn=_cmd_transfer)
 
     p = sub.add_parser("reduce", help="composition factors and class of a matrix tuple")
     add_common(p)
     p.add_argument("--real", action="store_true")
-    p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("jointdet", help="evaluate a joint determinant on a tuple")
     add_common(p)
     p.add_argument("--spec", default=UNIVERSAL, choices=SPECS)
     p.add_argument("--places", default=None,
                    help="comma list of places for rational-hilbert, e.g. inf,3")
-    p.set_defaults(fn=_cmd_jointdet)
 
     p = sub.add_parser("check", help="seeded randomized property suites")
     p.add_argument("suite", help="reciprocity | hilbert | axioms")
@@ -567,7 +569,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="field block JSON (axioms suite)")
     p.add_argument("--spec", default=RATIONAL_HILBERT, choices=SPECS)
     p.add_argument("--places", default="inf,3,5")
-    p.set_defaults(fn=_cmd_check)
 
     return top
 
@@ -577,7 +578,7 @@ def main(argv=None) -> int:
     forget_factorizations()
     forget_fields()
     try:
-        report, code = args.fn(args)
+        report, code = globals()[f"_cmd_{args.command}"](args)
     except MktError as e:
         report = {"error": {"type": type(e).__name__, "message": str(e)}}
         code = 2 if isinstance(e, RecursionInvariantViolated) else 1

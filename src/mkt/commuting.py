@@ -80,8 +80,20 @@ class MatrixTuple:
             elif m.det().is_zero():
                 raise DegenerateInput("singular slot")
         _check_commuting(mats)
+        self._fill(field, mats)
+
+    @classmethod
+    def _trusted(cls, field: FieldDescriptor, matrices: Sequence[Matrix]) -> "MatrixTuple":
+        """A tuple whose slots follow from checked tuples by a map that keeps
+        them square of one size, invertible and commuting; nothing is
+        rechecked."""
+        x = object.__new__(cls)
+        x._fill(field, tuple(matrices))
+        return x
+
+    def _fill(self, field: FieldDescriptor, mats: tuple) -> None:
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "size", n)
+        object.__setattr__(self, "size", mats[0].nrows)
         object.__setattr__(self, "weight", len(mats))
         object.__setattr__(self, "matrices", mats)
 
@@ -104,10 +116,15 @@ class MatrixTuple:
         if self.weight != other.weight:
             raise ArityMismatch("tuples of different weights")
         mats = [a.direct_sum(b) for a, b in zip(self.matrices, other.matrices)]
-        return MatrixTuple(self.field, mats)
+        return MatrixTuple._trusted(self.field, mats)
 
     def conjugate(self, s: Matrix) -> "MatrixTuple":
-        return MatrixTuple(self.field, [m.conjugate(s) for m in self.matrices])
+        inv = s.inverse()
+        mats = [s * m * inv for m in self.matrices]
+        # over k(t), s^-1 may have entries outside k[t]
+        if self.field.kind == FUNCTION:
+            return MatrixTuple(self.field, mats)
+        return MatrixTuple._trusted(self.field, mats)
 
     def with_slot(self, i: int, m: Matrix) -> "MatrixTuple":
         mats = list(self.matrices)
@@ -117,7 +134,7 @@ class MatrixTuple:
     def swap_slots(self, i: int, j: int) -> "MatrixTuple":
         mats = list(self.matrices)
         mats[i], mats[j] = mats[j], mats[i]
-        return MatrixTuple(self.field, mats)
+        return MatrixTuple._trusted(self.field, mats)
 
     def boundary(self) -> tuple["MatrixTuple", "MatrixTuple"]:
         """(family at t = 1, family at t = 0), for a tuple over k(t)."""
@@ -127,9 +144,11 @@ class MatrixTuple:
         return self._at(k.one()), self._at(k.zero())
 
     def _at(self, point: FieldElement) -> "MatrixTuple":
+        # evaluation k[t] -> k is a ring map: the slots still commute, and
+        # each determinant is the nonzero constant of the family's
         k = point.field
-        return MatrixTuple(k, [m.map_entries(lambda e: e.rep.num.evaluate(point), k)
-                               for m in self.matrices])
+        return MatrixTuple._trusted(k, [m.map_entries(lambda e: e.rep.num.evaluate(point), k)
+                                        for m in self.matrices])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixTuple):
@@ -153,7 +172,7 @@ def kronecker(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:
     iy = Matrix.identity(y.field, y.size)
     ix = Matrix.identity(x.field, x.size)
     mats = [a.kron(iy) for a in x.matrices] + [ix.kron(b) for b in y.matrices]
-    return MatrixTuple(x.field, mats)
+    return MatrixTuple._trusted(x.field, mats)
 
 
 # ---------------------------------------------------------------------------

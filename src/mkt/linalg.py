@@ -316,7 +316,7 @@ class SpanTracker:
         self.offered = 0
         self.pivots: list[int] = []
         self.pivot_values: list[FieldElement] = []   # pivot entries before scaling
-        # the rest holds the element path's form; _RationalSpan says its own
+        # the element path's forms; _RationalSpan keeps its own in these lists
         self._rows: list[list] = []                  # row entries after the pivot
         # row i = scale * (offered[index] + sum f * row j over its steps)
         self._origins: list[tuple] = []              # (index, scale, steps)

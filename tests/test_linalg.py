@@ -1,12 +1,14 @@
 """Exact matrix operations, checked against cofactor expansion and known identities."""
 
+import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from tests.conftest import make_field
 from mkt.errors import DegenerateInput
-from mkt.fields import Polynomial, function_field, prime_field
+from mkt.fields import Polynomial, function_field, prime_field, rationals
 from mkt.linalg import (Matrix, SpanTracker, companion_matrix, jordan_block,
                         minpoly_matrix, poly_eval_matrix, solve_in_span)
 
@@ -295,3 +297,225 @@ class TestFunctionFieldMatrix:
             pt = Q.element(t)
             at = Matrix(Q, [[e.evaluate(pt) for e in r] for r in entries])
             assert at.det() == d.num.evaluate(pt)
+
+
+# ---------------------------------------------------------------------------
+# elimination over Q against a test-local Fraction Gauss-Jordan
+
+
+def frac_entry(rng):
+    """A rational with a small signed numerator and a denominator up to 10^30."""
+    den = rng.choice([1, 1, 2, 3, 7, 12, rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 30)])
+    return Fraction(rng.randint(-9, 9), den)
+
+
+def frac_rows(rng, n, m):
+    """n x m Fraction rows: full, low rank, with zero or repeated rows."""
+    shape = rng.choice(["full", "low", "zero", "repeat"])
+    if shape == "low" and min(n, m) > 1:
+        r = rng.randint(1, min(n, m) - 1)
+        left = [[frac_entry(rng) for _ in range(r)] for _ in range(n)]
+        right = [[frac_entry(rng) for _ in range(m)] for _ in range(r)]
+        return mat_mul(left, right)
+    rows = [[frac_entry(rng) for _ in range(m)] for _ in range(n)]
+    if shape == "zero" and n:
+        rows[rng.randrange(n)] = [Fraction(0)] * m
+    if shape == "repeat" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        rows[i] = [x * rng.choice([1, -1, Fraction(-3, 7)]) for x in rows[j]]
+    return rows
+
+
+def q_samples(seed):
+    """Seeded square (0-7) and rectangular Fraction matrices."""
+    rng = random.Random(seed)
+    shapes = [(n, n) for n in range(8)] + [(2, 5), (5, 2), (3, 4), (6, 3), (1, 7), (7, 1)]
+    return [frac_rows(rng, n, m) for n, m in shapes for _ in range(3)]
+
+
+def mat_mul(a, b):
+    cols = list(zip(*b)) if b else []
+    return [[sum((x * y for x, y in zip(r, c)), Fraction(0)) for c in cols] for r in a]
+
+
+def gauss_jordan(rows, ncols):
+    """(reduced rows, pivot columns, det): plain Fraction Gauss-Jordan with
+    row swaps; det is the signed product of the pivots (square input only)."""
+    a = [list(r) for r in rows]
+    pivots, det, top = [], Fraction(1), 0
+    for j in range(ncols):
+        i = next((i for i in range(top, len(a)) if a[i][j]), None)
+        if i is None:
+            continue
+        if i != top:
+            a[i], a[top] = a[top], a[i]
+            det = -det
+        det *= a[top][j]
+        piv = a[top][j]
+        a[top] = [x / piv for x in a[top]]
+        for k in range(len(a)):
+            if k != top and a[k][j]:
+                f = a[k][j]
+                a[k] = [x - f * y for x, y in zip(a[k], a[top])]
+        pivots.append(j)
+        top += 1
+    return a, pivots, det if top == len(a) else Fraction(0)
+
+
+def oracle_kernel(rows, ncols):
+    """Per dependent column j: -(its coordinates on the earlier pivot
+    columns), 1 at j, and zeros everywhere else."""
+    red, pivots, _ = gauss_jordan(rows, ncols)
+    out = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[j] = Fraction(1)
+        for i, p in enumerate(pivots):
+            if p < j:
+                v[p] = -red[i][j]
+        out.append(v)
+    return out
+
+
+def oracle_minpoly(rows):
+    """Coefficients, lowest first, of the first monic relation among
+    vec(I), vec(A), vec(A^2), ... found by Gauss-Jordan."""
+    n = len(rows)
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    vecs = []
+    while True:
+        vecs.append([x for r in power for x in r])
+        # columns are the powers; a relation is a kernel vector with a 1 last
+        cols = [list(c) for c in zip(*vecs)] if n else [[] for _ in vecs]
+        kern = oracle_kernel(cols, len(vecs)) if n else [[Fraction(1)]]
+        if kern:
+            return kern[0]
+        power = mat_mul(power, rows)
+
+
+def q_matrix(rows, ncols):
+    Q = rationals()
+    return Matrix(Q, [[Q.element(x) for x in r] for r in rows]) if rows else Matrix(Q, [])
+
+
+def fracs(v):
+    return [x.rep for x in v]
+
+
+def span_of(rows, ncols):
+    return len(gauss_jordan(rows, ncols)[1])
+
+
+class TestRationalElimination:
+    """Q takes the integer-row path; a Fraction Gauss-Jordan is the oracle."""
+
+    def test_det_rank_and_inverse(self):
+        for rows in q_samples(1):
+            ncols = len(rows[0]) if rows else 0
+            m = q_matrix(rows, ncols)
+            _, pivots, det = gauss_jordan(rows, ncols)
+            assert m.rank() == len(pivots)
+            if not m.is_square:
+                continue
+            assert m.det().rep == det
+            if det == 0:
+                with pytest.raises(DegenerateInput):
+                    m.inverse()
+                continue
+            inv = m.inverse()
+            ident = [[Fraction(int(i == j)) for j in range(m.nrows)] for i in range(m.nrows)]
+            assert mat_mul(rows, [fracs(r) for r in inv.rows]) == ident
+            assert m * inv == Matrix.identity(m.field, m.nrows)
+
+    def test_products_and_apply(self):
+        rng = random.Random(2)
+        for rows in q_samples(2):
+            n = len(rows)
+            ncols = len(rows[0]) if rows else 0
+            other = frac_rows(rng, ncols, rng.randint(0, 4)) if ncols else []
+            v = [frac_entry(rng) for _ in range(ncols)]
+            m = q_matrix(rows, ncols)
+            if other:
+                got = m * q_matrix(other, len(other[0]))
+                assert [fracs(r) for r in got.rows] == mat_mul(rows, other)
+            assert fracs(m.apply(m.field.element(x) for x in v)) == \
+                [sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in rows][:n]
+
+    def test_kernel_basis(self):
+        for rows in q_samples(3):
+            ncols = len(rows[0]) if rows else 0
+            m = q_matrix(rows, ncols)
+            basis = [fracs(v) for v in m.kernel_basis()]
+            assert basis == oracle_kernel(rows, ncols)
+            for v in basis:
+                assert mat_mul(rows, [[x] for x in v]) == [[0]] * len(rows)
+
+    def test_offer_relation(self):
+        Q = rationals()
+        for rows in q_samples(4):
+            ncols = len(rows[0]) if rows else 0
+            span = SpanTracker(Q, ncols)
+            offered, pivot_values = [], []
+            for r in rows:
+                rel = span.offer([Q.element(x) for x in r])
+                # r with the pivots of the earlier rows cleared; its first
+                # nonzero entry is the pivot of elimination in offering order
+                w = list(r)
+                for red, p in zip(*gauss_jordan(offered, ncols)[:2]):
+                    w = [x - w[p] * y for x, y in zip(w, red)]
+                grew = any(w)
+                assert (rel is None) == grew
+                if grew:
+                    pivot_values.append(next(x for x in w if x))
+                if rel is not None:
+                    rel = fracs(rel)
+                    assert len(rel) == len(offered)
+                    assert [x + sum((c * o[k] for c, o in zip(rel, offered)), Fraction(0))
+                            for k, x in enumerate(r)] == [0] * ncols
+                offered.append(r)
+            assert fracs(span.pivot_values) == pivot_values
+
+    def test_coordinates_and_solve(self):
+        Q = rationals()
+        rng = random.Random(5)
+        for rows in q_samples(5):
+            ncols = len(rows[0]) if rows else 0
+            span = SpanTracker(Q, ncols)
+            for r in rows:
+                span.add([Q.element(x) for x in r])
+            coeffs = [frac_entry(rng) for _ in rows]
+            inside = [sum((c * r[k] for c, r in zip(coeffs, rows)), Fraction(0))
+                      for k in range(ncols)]
+            got = fracs(span.coordinates([Q.element(x) for x in inside]))
+            assert [sum((c * r[k] for c, r in zip(got, rows)), Fraction(0))
+                    for k in range(ncols)] == inside
+            outside = [frac_entry(rng) for _ in range(ncols)]
+            if span_of(rows + [outside], ncols) > span_of(rows, ncols):
+                assert span.coordinates([Q.element(x) for x in outside]) is None
+                assert not span.contains([Q.element(x) for x in outside])
+            # the same vectors as columns: A x = inside has a solution
+            cols = [list(c) for c in zip(*rows)]
+            if cols:
+                m = q_matrix(cols, len(rows))
+                x = fracs(m.solve([Q.element(b) for b in inside]))
+                assert [sum((a * y for a, y in zip(c, x)), Fraction(0))
+                        for c in cols] == inside
+                if span_of(rows + [outside], ncols) > span_of(rows, ncols):
+                    assert m.solve([Q.element(b) for b in outside]) is None
+
+    def test_minpoly(self):
+        for rows in q_samples(6):
+            n = len(rows)
+            if rows and len(rows[0]) != n:
+                continue
+            coeffs = fracs(minpoly_matrix(q_matrix(rows, n)).coeffs)
+            # it annihilates A ...
+            acc = [[Fraction(0)] * n for _ in range(n)]
+            for c in reversed(coeffs):
+                acc = [[x + (c if i == j else 0) for j, x in enumerate(r)]
+                       for i, r in enumerate(mat_mul(acc, rows))]
+            assert acc == [[0] * n for _ in range(n)]
+            # ... and no monic polynomial of lower degree does, so no proper divisor
+            assert coeffs == oracle_minpoly(rows)
