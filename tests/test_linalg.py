@@ -383,21 +383,22 @@ def oracle_minpoly(rows):
     """Coefficients, lowest first, of the first monic relation among
     vec(I), vec(A), vec(A^2), ... found by Gauss-Jordan."""
     n = len(rows)
+    if not n:
+        return [Fraction(1)]
     power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     vecs = []
     while True:
         vecs.append([x for r in power for x in r])
         # columns are the powers; a relation is a kernel vector with a 1 last
-        cols = [list(c) for c in zip(*vecs)] if n else [[] for _ in vecs]
-        kern = oracle_kernel(cols, len(vecs)) if n else [[Fraction(1)]]
+        kern = oracle_kernel([list(c) for c in zip(*vecs)], len(vecs))
         if kern:
             return kern[0]
         power = mat_mul(power, rows)
 
 
-def q_matrix(rows, ncols):
+def q_matrix(rows):
     Q = rationals()
-    return Matrix(Q, [[Q.element(x) for x in r] for r in rows]) if rows else Matrix(Q, [])
+    return Matrix(Q, [[Q.element(x) for x in r] for r in rows])
 
 
 def fracs(v):
@@ -414,7 +415,7 @@ class TestRationalElimination:
     def test_det_rank_and_inverse(self):
         for rows in q_samples(1):
             ncols = len(rows[0]) if rows else 0
-            m = q_matrix(rows, ncols)
+            m = q_matrix(rows)
             _, pivots, det = gauss_jordan(rows, ncols)
             assert m.rank() == len(pivots)
             if not m.is_square:
@@ -432,21 +433,20 @@ class TestRationalElimination:
     def test_products_and_apply(self):
         rng = random.Random(2)
         for rows in q_samples(2):
-            n = len(rows)
             ncols = len(rows[0]) if rows else 0
             other = frac_rows(rng, ncols, rng.randint(0, 4)) if ncols else []
             v = [frac_entry(rng) for _ in range(ncols)]
-            m = q_matrix(rows, ncols)
+            m = q_matrix(rows)
             if other:
-                got = m * q_matrix(other, len(other[0]))
+                got = m * q_matrix(other)
                 assert [fracs(r) for r in got.rows] == mat_mul(rows, other)
             assert fracs(m.apply(m.field.element(x) for x in v)) == \
-                [sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in rows][:n]
+                [sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in rows]
 
     def test_kernel_basis(self):
         for rows in q_samples(3):
             ncols = len(rows[0]) if rows else 0
-            m = q_matrix(rows, ncols)
+            m = q_matrix(rows)
             basis = [fracs(v) for v in m.kernel_basis()]
             assert basis == oracle_kernel(rows, ncols)
             for v in basis:
@@ -465,11 +465,11 @@ class TestRationalElimination:
                 w = list(r)
                 for red, p in zip(*gauss_jordan(offered, ncols)[:2]):
                     w = [x - w[p] * y for x, y in zip(w, red)]
-                grew = any(w)
-                assert (rel is None) == grew
-                if grew:
+                if any(w):
+                    assert rel is None
                     pivot_values.append(next(x for x in w if x))
-                if rel is not None:
+                else:
+                    assert rel is not None
                     rel = fracs(rel)
                     assert len(rel) == len(offered)
                     assert [x + sum((c * o[k] for c, o in zip(rel, offered)), Fraction(0))
@@ -488,6 +488,7 @@ class TestRationalElimination:
             coeffs = [frac_entry(rng) for _ in rows]
             inside = [sum((c * r[k] for c, r in zip(coeffs, rows)), Fraction(0))
                       for k in range(ncols)]
+            assert span.contains([Q.element(x) for x in inside])
             got = fracs(span.coordinates([Q.element(x) for x in inside]))
             assert [sum((c * r[k] for c, r in zip(got, rows)), Fraction(0))
                     for k in range(ncols)] == inside
@@ -498,7 +499,7 @@ class TestRationalElimination:
             # the same vectors as columns: A x = inside has a solution
             cols = [list(c) for c in zip(*rows)]
             if cols:
-                m = q_matrix(cols, len(rows))
+                m = q_matrix(cols)
                 x = fracs(m.solve([Q.element(b) for b in inside]))
                 assert [sum((a * y for a, y in zip(c, x)), Fraction(0))
                         for c in cols] == inside
@@ -510,7 +511,7 @@ class TestRationalElimination:
             n = len(rows)
             if rows and len(rows[0]) != n:
                 continue
-            coeffs = fracs(minpoly_matrix(q_matrix(rows, n)).coeffs)
+            coeffs = fracs(minpoly_matrix(q_matrix(rows)).coeffs)
             # it annihilates A ...
             acc = [[Fraction(0)] * n for _ in range(n)]
             for c in reversed(coeffs):
