@@ -124,6 +124,13 @@ class TestBoundary:
         with pytest.raises(NotUnitDeterminant):
             MatrixTuple(Qt, [Matrix(Qt, [[T, 0], [0, T.inverse()]])])
 
+    def test_conjugate_family_keeps_the_checks(self):
+        # diag(t, 1) is invertible over Q(t) but not over Q[t]: the
+        # conjugate has the entry -6/t
+        h = homotopy_mult(qmat([[2]]), qmat([[3]]))
+        with pytest.raises(NotUnitDeterminant):
+            h.conjugate(Matrix(Qt, [[T, 0], [0, 1]]))
+
     def test_boundary_needs_function_field(self):
         with pytest.raises(UnsupportedField):
             scalar_tuple(Qf, 2, 3).boundary()
