@@ -34,8 +34,7 @@ from .sampling import monic_irreducible
 from .symbols import MilnorExpression, symbol
 from .transfer import reciprocity_check, transfer_ext
 from .valuations import (INFINITE, PRIME_PLACE, REAL, finite_place,
-                         infinite_place, rational_prime, real_place,
-                         tame_symbol)
+                         infinite_place, rational_prime, tame_symbol)
 
 __all__ = ["main"]
 

@@ -3,12 +3,21 @@
 A weight-l tuple is l pairwise commuting invertible matrices over a common
 field. Tuples generate a group under direct sum. A one-parameter family is
 a tuple over k(t) = function_field(k) that is invertible over k[t]; its two
-endpoints, at t = 1 and t = 0, must map to the same class. The reduction
-computes a composition series of the module the tuple defines, reads off the
-scalar action on each simple factor (a finite extension of the ground field),
-and transfers the resulting symbols back down. The result is a Milnor
-expression whose canonical class is the complete invariant this package
-exposes for tuples over Q and finite fields.
+endpoints, at t = 1 and t = 0, must map to the same class.
+
+The reduction finds the simple factors of the module V the tuple defines in
+layers. For each irreducible factor pi of the first slot a's minimal
+polynomial, repeated by its exponent, ker pi(a) and the image pi(a)V are
+invariant and V/ker pi(a) is isomorphic to the image, so the factors of V
+are those of the kernel plus those of the image. On the kernel a acts as a
+root of pi, a scalar of field[x]/(pi), and the other slots recurse there.
+Nothing is factored over an extension of Q: there a minimal polynomial with
+one root gives linear layers, and any other is split through its minimal
+polynomial over Q. Each factor gives the scalars by which the slots act on
+it, in a finite extension of the ground field, and their symbol is
+transferred back down. The result is a Milnor expression whose canonical
+class is the complete invariant this package exposes for tuples over Q and
+finite fields.
 """
 
 from __future__ import annotations
@@ -22,10 +31,11 @@ from .errors import (ArityMismatch, DegenerateInput, DescriptorMismatch,
                      UnsupportedField, UnsupportedTower)
 from .factor import element_sort_key, factor, poly_sort_key
 from .fields import (EXTENSION, FUNCTION, PRIME, RATIONALS, FieldDescriptor,
-                     FieldElement, coordinates, embed, embed_poly,
-                     extension, function_field, tower_steps)
+                     FieldElement, Polynomial, embed, embed_poly, extension,
+                     function_field, rationals, tower_steps)
 from .linalg import Matrix, SpanTracker, minpoly_matrix, poly_eval_matrix
 from .symbols import MilnorExpression, symbol, zero_expression
+from .towers import multiplication_matrix
 from .transfer import transfer_tower
 
 __all__ = [
@@ -305,179 +315,111 @@ def _factor_supported(field: FieldDescriptor) -> bool:
     return field.kind == EXTENSION and field.is_finite()
 
 
-def _standard_vector(field, dim: int, i: int) -> tuple:
-    return tuple(field.one() if j == i else field.zero() for j in range(dim))
+def _coordinates(span: SpanTracker, v: tuple) -> list[FieldElement]:
+    c = span.coordinates(v)
+    if c is None:
+        raise RecursionInvariantViolated("subspace is not operator invariant")
+    return c
 
 
-def _coordinate_columns(span: SpanTracker, images) -> list[list[FieldElement]]:
-    cols = []
-    for u in images:
-        c = span.coordinates(u)
-        if c is None:
-            raise RecursionInvariantViolated("subspace is not operator invariant")
-        cols.append(c)
-    return cols
-
-
-def _restrict(field, dim: int, ops: Sequence[Matrix], basis: list[tuple]) -> list[Matrix]:
-    """The matrices of ops on the invariant subspace with the given basis."""
-    span = SpanTracker(field, dim)
-    for v in basis:
-        span.add(v)
-    return [Matrix(field, zip(*_coordinate_columns(span, [op.apply(v) for v in basis])))
+def _restrict(field, ops: Sequence[Matrix], vectors: Sequence[tuple]) -> list[Matrix]:
+    """The matrices of ops on the invariant subspace the vectors span, in the
+    basis of the vectors that are independent of the ones before them."""
+    if not ops:
+        return []
+    span = SpanTracker(field, len(vectors[0]))
+    keep = [k for k, v in enumerate(vectors) if span.add(v)]
+    return [Matrix(field, zip(*[[c[k] for k in keep]
+                                for c in (_coordinates(span, op.apply(vectors[j]))
+                                          for j in keep)]))
             for op in ops]
 
 
-def _combine(field, basis: list[tuple], coeffs: Sequence[FieldElement]) -> tuple:
-    dim = len(basis[0])
-    acc = [field.zero()] * dim
-    for c, v in zip(coeffs, basis):
-        if c.is_zero():
-            continue
-        for i in range(dim):
-            acc[i] = acc[i] + c * v[i]
-    return tuple(acc)
+def _kernel_layers(field, ops: list[Matrix], pi: Polynomial, ker: list[tuple]) -> list[tuple]:
+    """The simple factors of ker pi(a), a = ops[0], for pi irreducible.
 
-
-def _flatten_to_base(field, dim: int, op: Matrix) -> Matrix:
-    """The matrix of op on field^dim viewed as a space over field's bottom."""
-    base = field.base
-    deg = field.step_degree
-    basis_elts = [field.element(tuple(base.one() if t == s else base.zero()
-                                      for t in range(deg))) for s in range(deg)]
-    cols = []
-    for k in range(dim):
-        for s in range(deg):
-            v = [field.zero()] * dim
-            v[k] = basis_elts[s]
-            img = op.apply(tuple(v))
-            col = []
-            for entry in img:
-                col.extend(coordinates(entry, base))
-            cols.append(col)
-    n = dim * deg
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return Matrix(base, rows)
-
-
-def _rational_refinement(field, dim: int, ops: list[Matrix]) -> list[tuple] | None:
-    """A proper nonzero invariant subspace found through the bottom field.
-
-    Applies when the leading operator's minimal polynomial cannot be factored
-    over the current (characteristic-zero extension) field: factor the
-    minimal polynomial of the operator viewed over the bottom field instead,
-    and cut along a kernel of one of those factors. Returns None when no such
-    cut makes progress.
+    On the kernel a acts as the class of x in field[x]/(pi). A linear pi
+    makes that a scalar. Otherwise each kernel vector v outside the blocks
+    so far starts a block v, av, ..., a^(d-1)v, which is one coordinate
+    over the extension.
     """
+    d = pi.degree
+    if d == 1:
+        big, scalar, e = field, -pi.coeffs[0], len(ker)
+        rops = _restrict(field, ops[1:], ker)
+    else:
+        a = ops[0]
+        span = SpanTracker(field, a.nrows)
+        starts = []
+        for v in ker:
+            if span.contains(v):
+                continue
+            block = [v]
+            for _ in range(1, d):
+                block.append(a.apply(block[-1]))
+            if not all(span.add(u) for u in block):
+                raise RecursionInvariantViolated("cyclic block collapsed")
+            starts.append(v)
+        e = len(starts)
+        if e * d != len(ker):
+            raise RecursionInvariantViolated("kernel dimension not divisible by the step degree")
+        # the span holds the blocks in order, so coordinates d at a time are
+        # the entries over big
+        big = extension(field, pi)
+        scalar = big.gen()
+        rops = []
+        for op in ops[1:]:
+            cols = [_coordinates(span, op.apply(v)) for v in starts]
+            rops.append(Matrix(big, [[big.element(tuple(c[i * d:(i + 1) * d])) for c in cols]
+                                     for i in range(e)]))
+    return [(top, (embed(scalar, top),) + scal, mult) for top, scal, mult in _layers(big, rops, e)]
+
+
+def _rational_pieces(field, ops: list[Matrix]) -> list[list[Matrix]]:
+    """ops on the kernels of h(a)^e, a = ops[0], over the factors h^e of the
+    minimal polynomial of a viewed over Q; field is an extension of Q."""
     a = ops[0]
-    flat = _flatten_to_base(field, dim, a)
+    q = rationals()
+    blocks = [[multiplication_matrix(x, q).rows for x in row] for row in a.rows]
+    flat = Matrix(q, [[y for blk in brow for y in blk[s]]
+                      for brow in blocks for s in range(len(brow[0]))])
     _, facs = factor(minpoly_matrix(flat))
-    for h, _m in sorted(facs, key=lambda t: (t[0].degree, poly_sort_key(t[0]))):
-        ker = poly_eval_matrix(embed_poly(h, field), a).kernel_basis()
-        if ker and len(ker) < dim:
-            return [tuple(v) for v in ker]
-    return None
+    if len(facs) == 1:
+        raise UnsupportedTower("splitting this tuple needs a second extension step over Q")
+    return [_restrict(field, ops, poly_eval_matrix(embed_poly(h ** e, field), a).kernel_basis())
+            for h, e in facs]
 
 
-def _simple_submodule(field, dim: int, ops: list[Matrix]):
-    """One simple submodule of field^dim under the given commuting operators.
+def _layers(field, ops: list[Matrix], dim: int) -> list[tuple]:
+    """(top, scalars, multiplicity) for the simple factors of field^dim under ops.
 
-    Returns (top_field, scalars, basis): the iterated extension on which the
-    operators act as the given scalars, and a basis (over `field`) of the
-    submodule inside field^dim.
+    Write the minimal polynomial of a = ops[0] as pi_1 ... pi_r, irreducible
+    factors repeated by their exponents. pi_1(a) commutes with every slot,
+    so its kernel K and image W are invariant and V/K is isomorphic to W:
+    the factors of V are those of K and those of W. On W the minimal
+    polynomial of a is pi_2 ... pi_r, so the next layer takes pi_2.
     """
     if not ops:
-        return field, [], [_standard_vector(field, dim, 0)]
-    a = ops[0]
-    m = minpoly_matrix(a)
-    if m.degree > 1 and not _factor_supported(field):
-        sub = _rational_refinement(field, dim, ops)
-        if sub is None:
-            raise UnsupportedTower(
-                "splitting this tuple needs a second extension step over Q")
-        rops = _restrict(field, dim, ops, sub)
-        top, scal, inner = _simple_submodule(field, len(sub), rops)
-        return top, scal, [_combine(field, sub, v) for v in inner]
-    if m.degree == 1:
-        pi = m
+        return [(field, (), dim)]
+    m = minpoly_matrix(ops[0])
+    if _factor_supported(field):
+        pis = [pi for pi, e in factor(m)[1] for _ in range(e)]
     else:
-        _, facs = factor(m)
-        pi = min((g for g, _ in facs), key=lambda g: (g.degree, poly_sort_key(g)))
-    if pi.degree == 1:
-        root = -pi.coeffs[0]
-        ident = Matrix.identity(field, dim)
-        w = [tuple(v) for v in (a - ident * root).kernel_basis()]
-        if not w:
-            raise RecursionInvariantViolated("eigenvalue lost its eigenspace")
-        rops = _restrict(field, dim, ops[1:], w)
-        top, scal, inner = _simple_submodule(field, len(w), rops)
-        return top, [embed(root, top)] + scal, [_combine(field, w, v) for v in inner]
-
-    d = pi.degree
-    w = [tuple(v) for v in poly_eval_matrix(pi, a).kernel_basis()]
-    big = extension(field, pi)
-    tracker = SpanTracker(field, dim)
-    flat: list[tuple] = []
-    for v in w:
-        if tracker.contains(v):
-            continue
-        block = [v]
-        cur = v
-        for _ in range(1, d):
-            cur = a.apply(cur)
-            block.append(cur)
-        for u in block:
-            if not tracker.add(u):
-                raise RecursionInvariantViolated("cyclic block collapsed")
-        flat.extend(block)
-    e = len(flat) // d
-    if e * d != len(w):
-        raise RecursionInvariantViolated("kernel dimension not divisible by the step degree")
-
-    # the tracker holds exactly the vectors of flat, so its coordinates are
-    # coefficients in flat; block k of d of them is one entry over big
-    rops = []
-    for op in ops[1:]:
-        cols = _coordinate_columns(tracker, [op.apply(flat[k * d]) for k in range(e)])
-        rops.append(Matrix(big, [[big.element(tuple(c[i * d:(i + 1) * d])) for c in cols]
-                                 for i in range(e)]))
-    top, scal, inner = _simple_submodule(big, e, rops)
-    gen = big.gen()
+        # nothing factors over an extension of Q: m = (x - r)^k gives k
+        # linear layers, and any other m is split through Q
+        k = m.degree
+        pi = Polynomial(field, [m.coeffs[-2] / field.from_int(k), field.one()]) if k else m
+        if k > 1 and pi ** k != m:
+            return [t for rops in _rational_pieces(field, ops)
+                    for t in _layers(field, rops, rops[0].nrows)]
+        pis = [pi] * k
     out = []
-    for v in inner:
-        for s in range(d):
-            xs = gen ** s
-            acc = [field.zero()] * dim
-            for k in range(e):
-                cs = coordinates(xs * v[k], field)
-                for j in range(d):
-                    if cs[j].is_zero():
-                        continue
-                    base_vec = flat[k * d + j]
-                    for i in range(dim):
-                        acc[i] = acc[i] + cs[j] * base_vec[i]
-            out.append(tuple(acc))
-    return top, [embed(gen, top)] + scal, out
-
-
-def _quotient(field, ops: list[Matrix], sub: list[tuple], dim: int):
-    tracker = SpanTracker(field, dim)
-    for v in sub:
-        if not tracker.add(v):
-            raise RecursionInvariantViolated("dependent submodule basis")
-    # complete sub by standard vectors; the quotient acts on their classes
-    r = len(sub)
-    comp, keep = [], []
-    for i in range(dim):
-        v = _standard_vector(field, dim, i)
-        if tracker.add(v):
-            comp.append(v)
-            keep.append(r + i)
-    qops = []
-    for op in ops:
-        cols = _coordinate_columns(tracker, [op.apply(v) for v in comp])
-        qops.append(Matrix(field, [[c[k] for c in cols] for k in keep]))
-    return qops, dim - r
+    for i, pi in enumerate(pis):
+        p = poly_eval_matrix(pi, ops[0])
+        out += _kernel_layers(field, ops, pi, p.kernel_basis())
+        if i + 1 < len(pis):
+            ops = _restrict(field, ops, [p.col(j) for j in range(p.ncols)])
+    return out
 
 
 def _tower_key(top: FieldDescriptor, base: FieldDescriptor):
@@ -495,22 +437,14 @@ def composition_series(x: MatrixTuple) -> list[CompositionFactor]:
     field = x.field
     if field.kind == FUNCTION:
         raise UnsupportedTower("tuples over function fields are out of scope")
-    ops = list(x.matrices)
-    dim = x.size
     seen: dict = {}
-    order: list = []
-    while dim > 0:
-        top, scal, basis = _simple_submodule(field, dim, ops)
+    for top, scal, mult in _layers(field, list(x.matrices), x.size):
         key = (_tower_key(top, field), tuple(element_sort_key(s) for s in scal))
         if key in seen:
-            seen[key][2] += 1
+            seen[key][2] += mult
         else:
-            seen[key] = [top, tuple(scal), 1]
-            order.append(key)
-        ops, dim = _quotient(field, ops, basis, dim)
-    return [CompositionFactor(extension=seen[k][0], scalars=seen[k][1],
-                              multiplicity=seen[k][2])
-            for k in sorted(order)]
+            seen[key] = [top, scal, mult]
+    return [CompositionFactor(*seen[k]) for k in sorted(seen)]
 
 
 def series_expression(field: FieldDescriptor, weight: int,

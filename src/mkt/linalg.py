@@ -486,13 +486,15 @@ def solve_in_span(field, basis: Sequence[Sequence[FieldElement]],
 
 
 def poly_eval_matrix(f: Polynomial, a: Matrix) -> Matrix:
-    """f(a) by Horner; f's coefficients must live in a's field."""
+    """f(a) by Horner, whose first step is a * lead + the next coefficient;
+    f's coefficients must live in a's field."""
     if f.field != a.field:
         raise DescriptorMismatch("polynomial and matrix fields disagree")
-    n = a.nrows
-    out = Matrix.zeros(a.field, n)
-    ident = Matrix.identity(a.field, n)
-    for c in reversed(f.coeffs):
+    ident = Matrix.identity(a.field, a.nrows)
+    if f.degree < 1:
+        return ident * f.constant_term()
+    out = a * f.coeffs[-1] + ident * f.coeffs[-2]
+    for c in reversed(f.coeffs[:-2]):
         out = out * a + ident * c
     return out
 

@@ -127,4 +127,5 @@ def commuting_tuple(field: FieldDescriptor, rng: random.Random, weight: int,
             m = m.direct_sum(blk[s])
         mats.append(m)
     conj = invertible_matrix(field, rng, size, span=2)
-    return MatrixTuple(field, [m.conjugate(conj) for m in mats])
+    # the blocks commute and are invertible by construction
+    return MatrixTuple._trusted(field, mats).conjugate(conj)

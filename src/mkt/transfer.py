@@ -20,9 +20,9 @@ from mkt.canonical import canonical_class
 from mkt.errors import (ArityMismatch, DescriptorMismatch,
                         RecursionInvariantViolated, UnsupportedField)
 from mkt.factor import element_sort_key, factor, poly_sort_key
-from mkt.fields import (EXTENSION, FUNCTION, FieldDescriptor, FieldElement,
-                        Polynomial, element_from_poly, embed, function_field,
-                        is_ancestor, poly_of_element, tower_steps)
+from mkt.fields import (EXTENSION, FUNCTION, FieldDescriptor, element_from_poly,
+                        embed, function_field, is_ancestor, poly_of_element,
+                        tower_steps)
 from mkt.symbols import MilnorExpression, symbol, zero_expression
 from mkt.towers import norm_element, present_as_simple
 from mkt.valuations import (INFINITE, Valuation, finite_place, infinite_place,
@@ -49,23 +49,20 @@ class ResidueSymbolForm:
         return len(self.polys)
 
 
-def _entry_items(e: FieldElement, k: FieldDescriptor) -> list[tuple]:
-    """Multilinear expansion choices for one entry of kv = k[x]/(m).
+def _entry_items(g) -> list[tuple]:
+    """Multilinear expansion choices for the entry g(alpha) of kv = k[x]/(m),
+    g a nonzero polynomial over k of degree below deg m.
 
     Returns (tag, payload, exponent) triples; an empty list means the entry
     is one and the whole term dies. Items with value one never appear.
     """
-    g = poly_of_element(e)
     if g.degree <= 0:
         a = g.constant_term()
         return [] if a.is_one() else [(CONST, a, 1)]
     unit, parts = factor(g)
-    items: list[tuple] = []
-    if not unit.is_one():
-        items.append((CONST, unit, 1))
-    for f, m in parts:
-        # deg f < deg modulus, so f(alpha) is neither 0 nor 1
-        items.append((POLY, f, m))
+    items: list[tuple] = [] if unit.is_one() else [(CONST, unit, 1)]
+    # deg f < deg m, so f(alpha) is neither 0 nor 1
+    items += [(POLY, f, m) for f, m in parts]
     return items
 
 
@@ -102,7 +99,7 @@ def rewrite_to_generators(x: MilnorExpression) -> list[ResidueSymbolForm]:
     minus1_dead = minus1.is_one()  # characteristic two
     work: list[tuple[int, tuple]] = []
     for entries, c in x.items():
-        lists = [_entry_items(e, k) for e in entries]
+        lists = [_entry_items(poly_of_element(e)) for e in entries]
         if any(not lst for lst in lists):
             continue
         stack = [(c, ())]
@@ -140,14 +137,7 @@ def rewrite_to_generators(x: MilnorExpression) -> list[ResidueSymbolForm]:
                              rest_before + ((CONST, minus1), (POLY, f)) + rest_after))
             continue
         # {f, g} = {h, g} - {h, f} + {-1, f} with h = f - g (degree drops)
-        h = f - g
-        if h.degree <= 0:
-            h_items = [] if h.constant_term().is_one() else [(CONST, h.constant_term(), 1)]
-        else:
-            unit, parts = factor(h)
-            h_items = [] if unit.is_one() else [(CONST, unit, 1)]
-            h_items += [(POLY, q, m) for q, m in parts]
-        for tag, payload, exp in h_items:
+        for tag, payload, exp in _entry_items(f - g):
             work.append((coeff * exp,
                          rest_before + ((tag, payload), (POLY, g)) + rest_after))
             work.append((-coeff * exp,
@@ -202,13 +192,9 @@ def _reciprocity_transfer(v: Valuation, form: ResidueSymbolForm) -> MilnorExpres
         t = tame_symbol(w, y)
         if t.is_zero():
             continue
-        if f.degree == 1:
-            acc = acc + t
-        else:
-            if f.degree >= v.pi.degree:
-                raise RecursionInvariantViolated(
-                    "generator degree failed to decrease")
-            acc = acc + transfer(w, t)
+        if f.degree >= v.pi.degree:
+            raise RecursionInvariantViolated("generator degree failed to decrease")
+        acc = acc + transfer(w, t)
     acc = acc + tame_symbol(infinite_place(ff), y)
     return (-acc) * form.coeff
 
@@ -304,10 +290,7 @@ def reciprocity_check(w: MilnorExpression):
     rows = []
     for v in support(w):
         t = tame_symbol(v, w)
-        if v.kind == INFINITE or v.pi.degree == 1:
-            n = t
-        else:
-            n = transfer(v, t)
+        n = t if v.kind == INFINITE else transfer(v, t)
         total = total + n
         rows.append((v, t, n))
     return canonical_class(total), rows

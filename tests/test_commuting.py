@@ -1,5 +1,6 @@
 """Commuting tuples, homotopy families, composition series, and the reduction map."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from mkt.commuting import (MatrixTuple, class_of_tuple, composition_series,
                            homotopy_swap, kronecker, reduce_tuple)
 from mkt.errors import (ArityMismatch, DegenerateInput, NotUnitDeterminant,
                         UnsupportedField, UnsupportedTower)
-from mkt.fields import Polynomial, embed, function_field, prime_field, rationals
+from mkt.fields import (Polynomial, embed, extension, function_field, prime_field,
+                        rationals)
 from mkt.jointdet import check_axioms, make_determinant
 from mkt.linalg import Matrix, companion_matrix, jordan_block
 from mkt.sampling import commuting_tuple, invertible_matrix
@@ -25,6 +27,11 @@ T = Qt.gen()
 
 def qmat(rows):
     return Matrix(Qf, [[Qf.element(Fraction(v)) for v in r] for r in rows])
+
+
+def blocks(tl, tr, bl, br):
+    """The block matrix [[tl, tr], [bl, br]]."""
+    return Matrix(tl.field, [a + b for a, b in zip(tl.rows + bl.rows, tr.rows + br.rows)])
 
 
 def scalar_tuple(field, *vals):
@@ -239,6 +246,41 @@ class TestCompositionSeries:
                  for f in composition_series(y)]
             assert sorted(a) == sorted(b)
 
+    # X^2 + 1 and its companion; S is a fixed invertible change of basis
+    I2 = qmat([[1, 0], [0, 1]])
+    A = qmat([[0, -1], [1, 0]])
+    S = qmat([[1, 2, 0, 1], [0, 1, -1, 0], [3, 0, 1, 2], [1, 1, 0, 1]])
+
+    def gaussian_series(self, a, b):
+        """The factors of (a, b) conjugated by S, and Q[x]/(x^2 + 1)."""
+        x = MatrixTuple(Qf, [a, b]).conjugate(self.S)
+        return composition_series(x), extension(Qf, Polynomial.from_ints(Qf, [1, 0, 1]))
+
+    def test_rational_extension_splits_through_q(self):
+        """[DERIVED] Over E = Q[x]/(x^2 + 1) the second slot has eigenvalues 1
+        and 2; nothing factors over E, so they are separated through Q."""
+        factors, E = self.gaussian_series(self.A.direct_sum(self.A),
+                                          self.I2.direct_sum(self.I2 * 2))
+        assert [(f.extension, f.scalars, f.multiplicity) for f in factors] == [
+            (E, (E.gen(), E.one()), 1), (E, (E.gen(), E.from_int(2)), 1)]
+
+    def test_companion_jordan_block_multiplicity(self):
+        # [DERIVED] [[A, I], [0, A]] has one factor, E with x acting, twice
+        z = Matrix.zeros(Qf, 2)
+        a = blocks(self.A, self.I2, z, self.A)
+        factors, E = self.gaussian_series(a, Matrix.identity(Qf, 4) * 3)
+        assert [(f.extension, f.scalars, f.multiplicity) for f in factors] == [
+            (E, (E.gen(), E.from_int(3)), 2)]
+
+    def test_single_root_over_rational_extension(self):
+        """[DERIVED] Over E the second slot [[A, I], [0, A]] is the Jordan block
+        of x with size 2: its minimal polynomial (X - x)^2 has one root."""
+        z = Matrix.zeros(Qf, 2)
+        factors, E = self.gaussian_series(self.A.direct_sum(self.A),
+                                          blocks(self.A, self.I2, z, self.A))
+        assert [(f.extension, f.scalars, f.multiplicity) for f in factors] == [
+            (E, (E.gen(), E.gen()), 2)]
+
     def test_height_two_rational_tower_escalates(self):
         """A 4-dimensional pair needing a genuine second extension step over Q
         is out of policy and must say so."""
@@ -253,6 +295,24 @@ class TestCompositionSeries:
         x = MatrixTuple(Qf, [a, b])
         with pytest.raises(UnsupportedTower):
             composition_series(x)
+
+
+class TestSampling:
+    @pytest.mark.parametrize("q", [0, 7, 9])
+    def test_sampled_tuples_are_checked_slotwise_conjugates(self, q, monkeypatch):
+        """A sampled tuple equals the one built by conjugating slot by slot
+        through the public constructor, from the same random draws."""
+        field = make_field(q)
+        shapes = [(1, 3), (2, 4), (3, 5), (2, 6)]
+
+        def sample():
+            return [commuting_tuple(field, random.Random(seed), weight, size)
+                    for seed, (weight, size) in enumerate(shapes)]
+
+        fast = sample()
+        monkeypatch.setattr(MatrixTuple, "conjugate", lambda x, s: MatrixTuple(
+            x.field, [m.conjugate(s) for m in x.matrices]))
+        assert fast == sample()
 
 
 class TestReduce:

@@ -251,6 +251,28 @@ class TestMinpoly:
         assert poly_eval_matrix(f, m) == Matrix.zeros(F5, 4, 4)
 
 
+class TestPolyEval:
+    @pytest.mark.parametrize("q", ELIMINATION_FIELDS)
+    def test_matches_the_sum_of_powers(self, q):
+        """f(a) equals the sum of c_i a^i over powers built by repeated
+        products, for the zero polynomial, constants and degrees up to 4."""
+        field = make_field(q)
+        rng = random.Random(70 + q)
+        for n in (1, 2, 3):
+            a = rand_rect(field, rng, n, n)
+            powers = [Matrix.identity(field, n)]
+            for _ in range(4):
+                powers.append(powers[-1] * a)
+            for degree in range(-1, 5):
+                coeffs = [rand_entry(field, rng) for _ in range(degree + 1)]
+                if coeffs and coeffs[-1].is_zero():
+                    coeffs[-1] = -field.one()
+                expected = Matrix.zeros(field, n)
+                for c, power in zip(coeffs, powers):
+                    expected = expected + power * c
+                assert poly_eval_matrix(Polynomial(field, coeffs), a) == expected
+
+
 class TestSolveInSpan:
     def test_member(self, Q):
         b1 = (Q.element(1), Q.element(0), Q.element(1))
