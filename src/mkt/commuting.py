@@ -329,9 +329,9 @@ def _restrict(field, ops: Sequence[Matrix], vectors: Sequence[tuple]) -> list[Ma
         return []
     span = SpanTracker(field, len(vectors[0]))
     keep = [k for k, v in enumerate(vectors) if span.add(v)]
-    return [Matrix(field, zip(*[[c[k] for k in keep]
-                                for c in (_coordinates(span, op.apply(vectors[j]))
-                                          for j in keep)]))
+    return [Matrix._trusted(field, zip(*[[c[k] for k in keep]
+                                         for c in (_coordinates(span, op.apply(vectors[j]))
+                                                   for j in keep)]))
             for op in ops]
 
 

@@ -9,9 +9,13 @@ extension steps, reduced num/den pairs for k(X)).
 Descriptors are canonical: `extension` and `function_field` hand out one
 object per field, so descriptor equality is almost always an identity test.
 A finite extension step of order q <= _TABLE_MAX that has done q operations
-on the coefficient path builds a _Table: its q elements, interned, with
-Zech logarithms, after which +, -, *, inverse and == are index lookups.
-`forget()` drops the descriptor caches and every table.
+on the coefficient path builds a _Table: its q elements, interned, and full
+q x q addition and multiplication tables on their indices, built once from
+Zech logarithms (Huber, IEEE Trans. IT 1990). After that +, -, *, inverse
+and == are list lookups, and `linalg` runs elimination and matrix products
+on rows of indices (`table_indices`). `forget()` drops the descriptor caches
+and every table; an index is a function of the value, so indices kept from
+before stay valid when the table is built again.
 
 Polynomial +, -, *, divmod and gcd, and the product and inverse of an
 extension-step element, are each one call into `zkernel`: `_values` hands
@@ -292,38 +296,33 @@ def function_field(base: FieldDescriptor) -> FieldDescriptor:
 
 
 class _Table:
-    """The interned elements of one finite extension step, with Zech logs.
+    """The interned elements of one finite extension step, with index tables.
 
     elems[i] is the i-th element of all_elements(field) and carries ix == i,
-    so elems[0] is zero and elems[1] is one. With g a fixed primitive element
-    and m = q - 1: for i != 0, log[i] is the k in [0, m) with g^k = elems[i];
-    exp[k] is the index of g^k, stored for k in [0, 2m) so that a sum of two
-    logs needs no reduction; zech[n] is log(1 + g^n), or -1 where
-    1 + g^n = 0; neg[i] is the index of -elems[i].
+    so elems[0] is zero and elems[1] is one. add[i][j] and mul[i][j] are the
+    indices of elems[i] + elems[j] and elems[i] * elems[j]; neg[i] and inv[i]
+    those of -elems[i] and 1 / elems[i] (inv[0] is 0). With g a fixed
+    primitive element and m = q - 1: for i != 0, log[i] is the k in [0, m)
+    with g^k = elems[i], and exp[k] is the index of g^k, stored for k in
+    [0, 2m) so that a sum of two logs needs no reduction.
     """
 
-    __slots__ = ("elems", "exp", "log", "zech", "neg", "m")
+    __slots__ = ("elems", "add", "mul", "neg", "inv", "exp", "log", "m")
 
-    def __init__(self, elems, exp, log, zech, neg):
-        self.elems, self.exp, self.log, self.zech, self.neg = elems, exp, log, zech, neg
-        self.m = len(zech)
-
-    def add(self, i: int, j: int) -> int:
-        if not i:
-            return j
-        if not j:
-            return i
-        li = self.log[i]
-        n = self.log[j] - li
-        if n < 0:
-            n += self.m
-        z = self.zech[n]
-        return self.exp[li + z] if z >= 0 else 0
-
-    def mul(self, i: int, j: int) -> int:
-        if i and j:
-            return self.exp[self.log[i] + self.log[j]]
-        return 0
+    def __init__(self, elems, exp, log, zech):
+        q = len(elems)
+        m = q - 1
+        self.elems, self.exp, self.log, self.m = elems, exp, log, m
+        self.mul = [[0] * q] + [[0] + [exp[li + lj] for lj in log[1:]] for li in log[1:]]
+        # elems[i] + elems[j] = g^li (1 + g^(lj - li)); zech[n] is log(1 + g^n),
+        # or -1 where 1 + g^n = 0
+        self.add = [list(range(q))]
+        for i in range(1, q):
+            li = log[i]
+            sums = [exp[li + z] if z >= 0 else 0 for z in zech]
+            self.add.append([i] + [sums[lj - li] for lj in log[1:]])
+        self.neg = [row.index(0) for row in self.add]
+        self.inv = [0] + [exp[m - li] for li in log[1:]]
 
 
 def _spend(fld: FieldDescriptor) -> None:
@@ -365,11 +364,7 @@ def _build_table(fld: FieldDescriptor) -> None:
         j = i - i % nb + plus_one[i % nb]
         if j:
             zech[n] = log[j]
-    if fld.characteristic() == 2:
-        neg = list(range(q))
-    else:
-        neg = [0] + [exp[log[i] + m // 2] for i in range(1, q)]
-    fld._table = _Table(elems, exp, log, zech, neg)
+    fld._table = _Table(elems, exp, log, zech)
     _TABLED.append(fld)
 
 
@@ -383,6 +378,17 @@ def _index(x: "FieldElement") -> int:
         return x.rep
     x.ix = _rep_index(x.field, x.rep)
     return x.ix
+
+
+def table_indices(fld: FieldDescriptor, xs: Iterable["FieldElement"]) -> list[int]:
+    """Positions of the elements xs of fld in all_elements(fld), which index
+    fld._table."""
+    out = []
+    for x in xs:
+        if x.field is not fld and x.field != fld:
+            raise DescriptorMismatch(f"element of {x.field} given to {fld}")
+        out.append(_index(x))
+    return out
 
 
 def _rep_index(fld: FieldDescriptor, rep: tuple) -> int:
@@ -439,8 +445,10 @@ class FieldElement:
 
     # -- arithmetic --------------------------------------------------------
     #
-    # A field with a _Table works on indices. Otherwise an extension step
-    # works on coefficients and counts each operation toward its table.
+    # A field with a _Table works on indices: two elements of that very
+    # descriptor take one lookup, anything else is coerced first. Otherwise
+    # an extension step works on coefficients and counts each operation
+    # toward its table.
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -454,13 +462,20 @@ class FieldElement:
         return None
 
     def __add__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
         fld = self.field
         tab = fld._table
         if tab is not None:
-            return tab.elems[tab.add(_index(self), _index(b))]
+            if other.__class__ is not FieldElement or other.field is not fld:
+                other = self._coerce(other)
+                if other is None:
+                    return NotImplemented
+            try:
+                return tab.elems[tab.add[self.ix][other.ix]]
+            except TypeError:  # an operand that is not a table element
+                return tab.elems[tab.add[_index(self)][_index(other)]]
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
         k = fld.kind
         if k == RATIONALS:
             return FieldElement(fld, self.rep + b.rep)
@@ -489,12 +504,20 @@ class FieldElement:
         return FieldElement(fld, self.rep.neg())
 
     def __sub__(self, other):
+        fld = self.field
+        tab = fld._table
+        if tab is not None:
+            if other.__class__ is not FieldElement or other.field is not fld:
+                other = self._coerce(other)
+                if other is None:
+                    return NotImplemented
+            try:
+                return tab.elems[tab.add[self.ix][tab.neg[other.ix]]]
+            except TypeError:
+                return tab.elems[tab.add[_index(self)][tab.neg[_index(other)]]]
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        tab = self.field._table
-        if tab is not None:
-            return tab.elems[tab.add(_index(self), tab.neg[_index(b)])]
         return self + (-b)
 
     def __rsub__(self, other):
@@ -504,13 +527,20 @@ class FieldElement:
         return b - self
 
     def __mul__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
         fld = self.field
         tab = fld._table
         if tab is not None:
-            return tab.elems[tab.mul(_index(self), _index(b))]
+            if other.__class__ is not FieldElement or other.field is not fld:
+                other = self._coerce(other)
+                if other is None:
+                    return NotImplemented
+            try:
+                return tab.elems[tab.mul[self.ix][other.ix]]
+            except TypeError:
+                return tab.elems[tab.mul[_index(self)][_index(other)]]
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
         k = fld.kind
         if k == RATIONALS:
             return FieldElement(fld, self.rep * b.rep)
@@ -532,7 +562,7 @@ class FieldElement:
         fld = self.field
         tab = fld._table
         if tab is not None:
-            return tab.elems[tab.exp[tab.m - tab.log[_index(self)]]]
+            return tab.elems[tab.inv[_index(self)]]
         k = fld.kind
         if k == RATIONALS:
             return FieldElement(fld, 1 / self.rep)

@@ -14,6 +14,12 @@ integer-preserving Gaussian elimination", Math. Comp. 1968), and a matrix
 multiplies through its integer rows over one common denominator. Fractions
 are made only for the values handed back, which equal those of the
 element path because pivots, relations and coordinates are unique.
+
+Over a finite field with a table (`fields._Table`, order <= 81) the same
+holds on table indices: a tracker keeps rows of indices, a matrix
+multiplies and applies itself through index rows built on first use, and
+a + f * b is add[a][mul[f][b]]. Only the values handed back become
+elements. The element path stays for every other field.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from mkt.errors import ArityMismatch, DegenerateInput, DescriptorMismatch
-from mkt.fields import RATIONALS, FieldDescriptor, FieldElement, Polynomial, poly_gcd
+from mkt.fields import (RATIONALS, FieldDescriptor, FieldElement, Polynomial, poly_gcd,
+                        table_indices)
 
 
 def _coerce_entry(field: FieldDescriptor, e) -> FieldElement:
@@ -50,7 +57,7 @@ def _fractions(field: FieldDescriptor, nums: Iterable[int], d: int) -> list[Fiel
 class Matrix:
     """Immutable dense matrix with exact field entries."""
 
-    __slots__ = ("field", "rows", "_ints")
+    __slots__ = ("field", "rows", "_fast")
 
     def __init__(self, field: FieldDescriptor, rows: Iterable[Iterable]):
         rs = tuple(tuple(_coerce_entry(field, e) for e in row) for row in rows)
@@ -59,9 +66,22 @@ class Matrix:
             for r in rs:
                 if len(r) != w:
                     raise ArityMismatch("ragged rows")
+        self._fill(field, rs)
+
+    @classmethod
+    def _trusted(cls, field: FieldDescriptor, rows: Iterable[Iterable]) -> "Matrix":
+        """A matrix whose rows, of one length, hold elements of field made by
+        arithmetic on checked matrices; nothing is rechecked."""
+        out = object.__new__(cls)
+        out._fill(field, tuple(map(tuple, rows)))
+        return out
+
+    def _fill(self, field: FieldDescriptor, rows: tuple) -> None:
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rs)
-        object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "rows", rows)
+        # the rows on a fast path, built on first use: (integer rows,
+        # denominator) over Q, table-index rows over a tabled field
+        object.__setattr__(self, "_fast", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -69,13 +89,14 @@ class Matrix:
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._trusted(field, [[one if i == j else zero for j in range(n)]
+                                    for i in range(n)])
 
     @classmethod
     def zeros(cls, field, n: int, m: int | None = None) -> "Matrix":
         m = n if m is None else m
         zero = field.zero()
-        return cls(field, [[zero] * m for _ in range(n)])
+        return cls._trusted(field, [[zero] * m for _ in range(n)])
 
     @property
     def nrows(self) -> int:
@@ -96,12 +117,19 @@ class Matrix:
         return tuple(r[j] for r in self.rows)
 
     def _int_rows(self) -> tuple[list[list[int]], int]:
-        """(rows, d) with self = rows / d, over Q; built on first use."""
-        if self._ints is None:
+        """(rows, d) with self = rows / d, over Q."""
+        if self._fast is None:
             d = lcm(*[e.rep.denominator for r in self.rows for e in r])
             ints = [[e.rep.numerator * (d // e.rep.denominator) for e in r] for r in self.rows]
-            object.__setattr__(self, "_ints", (ints, d))
-        return self._ints
+            object.__setattr__(self, "_fast", (ints, d))
+        return self._fast
+
+    def _index_rows(self) -> list[list[int]]:
+        """The rows as table indices, over a field that has (or had) a table."""
+        if self._fast is None:
+            object.__setattr__(self, "_fast", [table_indices(self.field, r)
+                                               for r in self.rows])
+        return self._fast
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field
@@ -112,16 +140,16 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._shape_check(other)
-        return Matrix(self.field, [[a + b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.rows, other.rows)])
+        return Matrix._trusted(self.field, [[a + b for a, b in zip(r1, r2)]
+                                            for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._shape_check(other)
-        return Matrix(self.field, [[a - b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.rows, other.rows)])
+        return Matrix._trusted(self.field, [[a - b for a, b in zip(r1, r2)]
+                                            for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-a for a in r] for r in self.rows])
+        return Matrix._trusted(self.field, [[-a for a in r] for r in self.rows])
 
     def _shape_check(self, other: "Matrix"):
         if not isinstance(other, Matrix):
@@ -141,9 +169,12 @@ class Matrix:
                 a, da = self._int_rows()
                 b, db = other._int_rows()
                 cols = list(zip(*b))
-                return Matrix(self.field, [_fractions(self.field, [sum(map(mul, r, c))
-                                                                   for c in cols], da * db)
-                                           for r in a])
+                return Matrix._trusted(self.field, [
+                    _fractions(self.field, [sum(map(mul, r, c)) for c in cols], da * db)
+                    for r in a])
+            tab = self.field._table
+            if tab is not None:
+                return self._tabled_product(tab, other)
             cols = [other.col(j) for j in range(other.ncols)]
             zero = self.field.zero()
             out = []
@@ -155,9 +186,9 @@ class Matrix:
                         acc = acc + a * b
                     line.append(acc)
                 out.append(line)
-            return Matrix(self.field, out)
+            return Matrix._trusted(self.field, out)
         e = _coerce_entry(self.field, other)
-        return Matrix(self.field, [[a * e for a in r] for r in self.rows])
+        return Matrix._trusted(self.field, [[a * e for a in r] for r in self.rows])
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix-vector product; v is a sequence of entries."""
@@ -168,6 +199,18 @@ class Matrix:
             rows, d = self._int_rows()
             u, e = _cleared([x.rep for x in vs])
             return tuple(_fractions(self.field, [sum(map(mul, r, u)) for r in rows], d * e))
+        tab = self.field._table
+        if tab is not None:
+            add, elems = tab.add, tab.elems
+            # multiplication is commutative: mul[u_k][a] is u_k * a
+            us = [tab.mul[i] for i in table_indices(self.field, vs)]
+            out = []
+            for r in self._index_rows():
+                acc = 0
+                for a, mu in zip(r, us):
+                    acc = add[acc][mu[a]]
+                out.append(elems[acc])
+            return tuple(out)
         zero = self.field.zero()
         out = []
         for r in self.rows:
@@ -176,6 +219,24 @@ class Matrix:
                 acc = acc + a * b
             out.append(acc)
         return tuple(out)
+
+    def _tabled_product(self, tab, other: "Matrix") -> "Matrix":
+        """self * other on index rows; the product keeps its index rows."""
+        add, mul, elems = tab.add, tab.mul, tab.elems
+        cols = list(zip(*other._index_rows()))
+        ixs = []
+        for r in self._index_rows():
+            muls = [mul[a] for a in r]
+            line = []
+            for c in cols:
+                acc = 0
+                for ma, b in zip(muls, c):
+                    acc = add[acc][ma[b]]
+                line.append(acc)
+            ixs.append(line)
+        out = Matrix._trusted(self.field, [[elems[i] for i in line] for line in ixs])
+        object.__setattr__(out, "_fast", ixs)
+        return out
 
     def map_entries(self, fn: Callable, field: FieldDescriptor | None = None) -> "Matrix":
         return Matrix(field or self.field, [[fn(a) for a in r] for r in self.rows])
@@ -202,8 +263,8 @@ class Matrix:
         for r in self.rows:
             if not span.add(r):
                 raise DegenerateInput("matrix is singular")
-        return Matrix(self.field, [span.coordinates(e)
-                                   for e in Matrix.identity(self.field, n).rows])
+        return Matrix._trusted(self.field, [span.coordinates(e)
+                                            for e in Matrix.identity(self.field, n).rows])
 
     def rank(self) -> int:
         span = SpanTracker(self.field, self.ncols)
@@ -252,7 +313,7 @@ class Matrix:
                     a = self.rows[i][j]
                     line.extend(a * b for b in other.rows[k])
                 out.append(line)
-        return Matrix(self.field, out)
+        return Matrix._trusted(self.field, out)
 
     def direct_sum(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -264,7 +325,7 @@ class Matrix:
             out.append(list(self.rows[i]) + [zero] * m2)
         for i in range(n2):
             out.append([zero] * m1 + list(other.rows[i]))
-        return Matrix(self.field, out)
+        return Matrix._trusted(self.field, out)
 
     def conjugate(self, s: "Matrix") -> "Matrix":
         """s * self * s^-1."""
@@ -304,11 +365,14 @@ class SpanTracker:
 
     Off Q, rows are scaled so that their pivot entry is -1: clearing entry f
     at a pivot is then an addition of f times the row. Over Q the tracker is
-    a _RationalSpan, which keeps primitive integer rows instead.
+    a _RationalSpan, which keeps primitive integer rows instead, and over a
+    field with a table it is a _TabledSpan, which keeps rows of indices.
     """
 
     def __new__(cls, field: FieldDescriptor, dim: int):
-        return object.__new__(_RationalSpan if field.kind == RATIONALS else cls)
+        if field.kind == RATIONALS:
+            return object.__new__(_RationalSpan)
+        return object.__new__(cls if field._table is None else _TabledSpan)
 
     def __init__(self, field: FieldDescriptor, dim: int):
         self.field = field
@@ -316,7 +380,7 @@ class SpanTracker:
         self.offered = 0
         self.pivots: list[int] = []
         self.pivot_values: list[FieldElement] = []   # pivot entries before scaling
-        # the element path's forms; _RationalSpan keeps its own in these lists
+        # the element path's forms; the subclasses keep their own in these lists
         self._rows: list[list] = []                  # row entries after the pivot
         # row i = scale * (offered[index] + sum f * row j over its steps)
         self._origins: list[tuple] = []              # (index, scale, steps)
@@ -388,7 +452,7 @@ class SpanTracker:
         return [-c for c in self._combine(steps, self.offered)]
 
     def contains(self, v: Sequence[FieldElement]) -> bool:
-        return all(a.is_zero() for a in self._reduce(v)[0])
+        return not any(self._reduce(v)[0])
 
 
 class _RationalSpan(SpanTracker):
@@ -472,8 +536,73 @@ class _RationalSpan(SpanTracker):
         nums, d = self._combine(steps, self.offered)
         return _fractions(self.field, nums, -d * lam)
 
-    def contains(self, v: Sequence[FieldElement]) -> bool:
-        return not any(self._reduce(v)[0])
+
+class _TabledSpan(SpanTracker):
+    """SpanTracker over a tabled finite field, on table indices.
+
+    The element path's rows, steps and coefficients with every element
+    replaced by its index in the table the field had when the tracker was
+    made, so forget() cannot pull it away mid-use.
+    """
+
+    def __init__(self, field: FieldDescriptor, dim: int):
+        super().__init__(field, dim)
+        self._tab = field._table
+
+    def _reduce(self, v: Sequence[FieldElement]):
+        w = table_indices(self.field, v)
+        add, mul = self._tab.add, self._tab.mul
+        steps = []
+        for j, (p, tail) in enumerate(zip(self.pivots, self._rows)):
+            f = w[p]
+            if not f:
+                continue
+            w[p] = 0
+            mf = mul[f]
+            w[p + 1:] = [add[a][mf[b]] for a, b in zip(w[p + 1:], tail)]
+            steps.append((j, f))
+        return w, steps
+
+    def _combine(self, steps, length: int) -> list[int]:
+        while len(self._combos) < len(self._origins):
+            index, scale, row_steps = self._origins[len(self._combos)]
+            ms = self._tab.mul[scale]
+            self._combos.append([ms[c] for c in self._sum(row_steps, index)] + [scale])
+        return self._sum(steps, length)
+
+    def _sum(self, steps, length: int) -> list[int]:
+        add, mul = self._tab.add, self._tab.mul
+        comb = [0] * length
+        for j, f in steps:
+            mf = mul[f]
+            row = self._combos[j]
+            comb[:len(row)] = [add[a][mf[c]] for a, c in zip(comb, row)]
+        return comb
+
+    def offer(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
+        w, steps = self._reduce(v)
+        index = self.offered
+        self.offered += 1
+        tab = self._tab
+        for p, a in enumerate(w):
+            if a:
+                break
+        else:
+            return [tab.elems[c] for c in self._combine(steps, index)]
+        s = tab.neg[tab.inv[a]]
+        ms = tab.mul[s]
+        self.pivots.append(p)
+        self.pivot_values.append(tab.elems[a])
+        self._rows.append([ms[x] for x in w[p + 1:]])
+        self._origins.append((index, s, steps))
+        return None
+
+    def coordinates(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
+        w, steps = self._reduce(v)
+        if any(w):
+            return None
+        tab = self._tab
+        return [tab.elems[tab.neg[c]] for c in self._combine(steps, self.offered)]
 
 
 def solve_in_span(field, basis: Sequence[Sequence[FieldElement]],

@@ -54,9 +54,21 @@ class MilnorExpression:
             clean[key] = clean.get(key, 0) + c
             if clean[key] == 0:
                 del clean[key]
+        self._fill(field, weight, clean)
+
+    @classmethod
+    def _trusted(cls, field: FieldDescriptor, weight: int,
+                 terms: dict[tuple, int]) -> "MilnorExpression":
+        """An expression whose keys are entries of checked expressions over
+        field, of length weight; only the zero coefficients are dropped."""
+        x = object.__new__(cls)
+        x._fill(field, weight, {k: c for k, c in terms.items() if c})
+        return x
+
+    def _fill(self, field: FieldDescriptor, weight: int, terms: dict) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_sorted", None)
 
     def __setattr__(self, name, value):
@@ -93,7 +105,7 @@ class MilnorExpression:
         acc = dict(self._terms)
         for k, c in other._terms.items():
             acc[k] = acc.get(k, 0) + (-c if flip else c)
-        return MilnorExpression(self.field, self.weight, acc)
+        return MilnorExpression._trusted(self.field, self.weight, acc)
 
     def __add__(self, other):
         return self._binop(other, flip=False)
@@ -102,13 +114,13 @@ class MilnorExpression:
         return self._binop(other, flip=True)
 
     def __neg__(self):
-        return MilnorExpression(self.field, self.weight,
-                                {k: -c for k, c in self._terms.items()})
+        return MilnorExpression._trusted(self.field, self.weight,
+                                         {k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return MilnorExpression(self.field, self.weight,
-                                    {k: c * other for k, c in self._terms.items()})
+            return MilnorExpression._trusted(self.field, self.weight,
+                                             {k: c * other for k, c in self._terms.items()})
         if isinstance(other, MilnorExpression):
             if other.field != self.field:
                 raise DescriptorMismatch("expressions over different fields")
@@ -117,7 +129,7 @@ class MilnorExpression:
                 for k2, c2 in other._terms.items():
                     key = k1 + k2
                     acc[key] = acc.get(key, 0) + c1 * c2
-            return MilnorExpression(self.field, self.weight + other.weight, acc)
+            return MilnorExpression._trusted(self.field, self.weight + other.weight, acc)
         return NotImplemented
 
     def __rmul__(self, other):

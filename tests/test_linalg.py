@@ -6,9 +6,10 @@ from itertools import combinations
 
 import pytest
 
-from tests.conftest import make_field
+from tests.conftest import (f81_over_f9, make_field, table_of, twin_element,
+                            untabled_twin)
 from mkt.errors import DegenerateInput
-from mkt.fields import Polynomial, function_field, prime_field, rationals
+from mkt.fields import Polynomial, forget, function_field, prime_field, rationals
 from mkt.linalg import (Matrix, SpanTracker, companion_matrix, jordan_block,
                         minpoly_matrix, poly_eval_matrix, solve_in_span)
 
@@ -86,10 +87,19 @@ class TestMatrix:
         assert a.direct_sum(b).det() == a.det() * b.det()
 
 
-ELIMINATION_FIELDS = [0, 7, 9]   # Q, F_7 and the F_9 extension
+# Q, F_4 (characteristic 2, where -x is x), F_7, F_9, and F_81 as a step over
+# F_9; the extensions run elimination on table indices once they are hot
+ELIMINATION_FIELDS = [0, 4, 7, 9, 81]
+
+
+def elimination_field(q):
+    return f81_over_f9() if q == 81 else make_field(q)
 
 
 def rand_entry(field, rng):
+    if field.kind == "extension" and field.base.kind == "extension":
+        return field.element(tuple(rand_entry(field.base, rng)
+                                   for _ in range(field.step_degree)))
     if field.kind == "extension":
         p = field.characteristic()
         return field.element(tuple(field.base.from_int(rng.randrange(p))
@@ -137,12 +147,12 @@ def apply(m, v):
 @pytest.mark.parametrize("q", ELIMINATION_FIELDS)
 class TestElimination:
     def test_rank_against_minors(self, q, rng):
-        field = make_field(q)
+        field = elimination_field(q)
         for m in sample_matrices(field, rng):
             assert m.rank() == rank_by_minors(m)
 
     def test_kernel_basis(self, q, rng):
-        field = make_field(q)
+        field = elimination_field(q)
         for m in sample_matrices(field, rng):
             basis = m.kernel_basis()
             assert len(basis) == m.ncols - m.rank()
@@ -153,13 +163,13 @@ class TestElimination:
                 assert Matrix(field, basis).rank() == len(basis)
 
     def test_det_against_cofactor(self, q, rng):
-        field = make_field(q)
+        field = elimination_field(q)
         for m in sample_matrices(field, rng):
             if m.is_square:
                 assert m.det() == det_cofactor(m)
 
     def test_det_row_swap(self, q, rng):
-        field = make_field(q)
+        field = elimination_field(q)
         for n in (2, 3, 4):
             m = rand_rect(field, rng, n, n)
             rows = list(m.rows)
@@ -167,7 +177,7 @@ class TestElimination:
             assert Matrix(field, rows).det() == -m.det()
 
     def test_inverse_singular(self, q, rng):
-        field = make_field(q)
+        field = elimination_field(q)
         for n in (1, 2, 3, 4):
             m = rand_rect(field, rng, n, n, rank=n - 1)
             assert m.det().is_zero()
@@ -175,14 +185,14 @@ class TestElimination:
                 m.inverse()
 
     def test_inverse(self, q, rng):
-        field = make_field(q)
+        field = elimination_field(q)
         for m in sample_matrices(field, rng):
             if m.is_square and not m.det().is_zero():
                 ident = Matrix.identity(field, m.nrows)
                 assert m * m.inverse() == ident and m.inverse() * m == ident
 
     def test_solve(self, q, rng):
-        field = make_field(q)
+        field = elimination_field(q)
         for m in sample_matrices(field, rng):
             x = [rand_entry(field, rng) for _ in range(m.ncols)]
             b = apply(m, x)
@@ -190,7 +200,7 @@ class TestElimination:
             assert sol is not None and apply(m, sol) == b
 
     def test_solve_inconsistent(self, q, rng):
-        field = make_field(q)
+        field = elimination_field(q)
         for n, m in [(2, 2), (3, 3), (4, 2), (3, 4)]:
             a = rand_rect(field, rng, n, m, rank=min(n, m) - 1)
             # b outside the column space: appending it raises the rank
@@ -202,7 +212,7 @@ class TestElimination:
             assert a.solve(b) is None
 
     def test_span_tracker_reconstructs(self, q, rng):
-        field = make_field(q)
+        field = elimination_field(q)
         zero = field.zero()
 
         def combo(coeffs, vecs, dim):
@@ -256,7 +266,7 @@ class TestPolyEval:
     def test_matches_the_sum_of_powers(self, q):
         """f(a) equals the sum of c_i a^i over powers built by repeated
         products, for the zero polynomial, constants and degrees up to 4."""
-        field = make_field(q)
+        field = elimination_field(q)
         rng = random.Random(70 + q)
         for n in (1, 2, 3):
             a = rand_rect(field, rng, n, n)
@@ -271,6 +281,117 @@ class TestPolyEval:
                 for c, power in zip(coeffs, powers):
                     expected = expected + power * c
                 assert poly_eval_matrix(Polynomial(field, coeffs), a) == expected
+
+
+def twin_vector(twin, v):
+    return [twin_element(twin, x) for x in v]
+
+
+def twin_matrix(twin, m):
+    return Matrix(twin, [twin_vector(twin, r) for r in m.rows])
+
+
+def interned(field, xs):
+    elems = field._table.elems
+    return all(x is elems[x.ix] for x in xs)
+
+
+@pytest.mark.parametrize("q", [4, 9, 81])
+class TestTabledElimination:
+    """Elimination and products on table indices against the element path,
+    run on an equal descriptor that never builds a table."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        forget()
+        yield
+        forget()
+
+    def test_tracker_matches_untabled_twin(self, q, rng):
+        field = elimination_field(q)
+        table_of(field)
+        twin = untabled_twin(field)
+        for m in sample_matrices(field, rng):
+            t = twin_matrix(twin, m)
+            fast, slow = SpanTracker(field, m.ncols), SpanTracker(twin, m.ncols)
+            assert type(fast) is not SpanTracker and type(slow) is SpanTracker
+            for r, s in zip(m.rows, t.rows):
+                rel = fast.offer(r)
+                assert rel == slow.offer(s)
+                assert rel is None or interned(field, rel)
+            assert fast.pivots == slow.pivots and fast.pivot_values == slow.pivot_values
+            assert interned(field, fast.pivot_values)
+            vectors = list(m.rows) + [[rand_entry(field, rng) for _ in range(m.ncols)]]
+            vectors.append(m.rows[0] if m.nrows < 2 else
+                           [a + rand_entry(field, rng) * b for a, b in zip(*m.rows[:2])])
+            for v in vectors:
+                c = fast.coordinates(v)
+                assert c == slow.coordinates(twin_vector(twin, v))
+                assert c is None or interned(field, c)
+                assert fast.contains(v) == slow.contains(twin_vector(twin, v)) == (c is not None)
+            assert m.rank() == t.rank() and m.kernel_basis() == t.kernel_basis()
+            if m.is_square:
+                assert m.det() == t.det()
+                if not m.det().is_zero():
+                    assert m.inverse() == t.inverse()
+
+    def test_products_and_apply_match_untabled_twin(self, q, rng):
+        field = elimination_field(q)
+        table_of(field)
+        twin = untabled_twin(field)
+        for n, k, m in [(1, 1, 1), (2, 3, 2), (3, 3, 3), (4, 2, 5)]:
+            a, b = rand_rect(field, rng, n, k), rand_rect(field, rng, k, m)
+            v = [rand_entry(field, rng) for _ in range(k)]
+            ab = a * b
+            assert ab == twin_matrix(twin, a) * twin_matrix(twin, b)
+            assert all(interned(field, r) for r in ab.rows)
+            assert a.apply(v) == twin_matrix(twin, a).apply(twin_vector(twin, v))
+            # the product keeps its index rows, and they are its entries'
+            assert ab * Matrix.identity(field, m) == ab
+            assert ab._index_rows() == [[x.ix for x in r] for r in ab.rows]
+
+    def test_index_rows_survive_forget(self, q, rng):
+        """Index rows cached under one table serve the same descriptor's
+        next table, and the element path while it has none."""
+        field = elimination_field(q)
+        table_of(field)
+        twin = untabled_twin(field)
+        a, b = rand_rect(field, rng, 3, 3), rand_rect(field, rng, 3, 2)
+        v = [rand_entry(field, rng) for _ in range(3)]
+        want_ab = twin_matrix(twin, a) * twin_matrix(twin, b)
+        want_av = twin_matrix(twin, a).apply(twin_vector(twin, v))
+        assert a * b == want_ab and a.apply(v) == want_av
+        assert a._fast is not None and b._fast is not None
+        span = SpanTracker(field, 3)
+        span.add(a.rows[0])
+        forget()
+        assert field._table is None
+        # a tracker keeps the table it was made with
+        assert span.coordinates(a.rows[0]) == [field.one()]
+        assert a * b == want_ab and a.apply(v) == want_av
+        x, y = field.gen(), field.gen() + field.one()
+        while field._table is None:  # the old descriptor grows a new table
+            x = x * y
+        assert a * b == want_ab and a.apply(v) == want_av
+        assert all(interned(field, r) for r in (a * b).rows)
+
+    def test_tracker_made_before_the_table(self, q, rng):
+        """A tracker made on a cold field stays on the element path, and
+        keeps agreeing once the field has built its table."""
+        field = elimination_field(q)
+        twin = untabled_twin(field)
+        rows = [[rand_entry(field, rng) for _ in range(4)] for _ in range(3)]
+        assert field._table is None
+        span = SpanTracker(field, 4)
+        assert type(span) is SpanTracker
+        table_of(field)
+        rows.append([x + y for x, y in zip(rows[0], rows[1])])
+        slow = SpanTracker(twin, 4)
+        for r in rows:
+            assert span.offer(r) == slow.offer(twin_vector(twin, r))
+        assert span.pivot_values == slow.pivot_values
+        for r in rows:
+            assert span.coordinates(r) == slow.coordinates(twin_vector(twin, r))
 
 
 class TestSolveInSpan:

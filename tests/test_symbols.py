@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkt.canonical import canonical_class
-from mkt.errors import DegenerateDifferences, DegenerateInput, ZeroEntry
+from mkt.errors import (DegenerateDifferences, DegenerateInput, DescriptorMismatch,
+                        ZeroEntry)
 from mkt.fields import prime_field, rationals
-from mkt.symbols import (cyclic_difference_identity, expand_multilinear,
-                         rational_split, symbol, symbol_shift_identity,
-                         zero_expression)
+from mkt.symbols import (MilnorExpression, cyclic_difference_identity,
+                         expand_multilinear, rational_split, symbol,
+                         symbol_shift_identity, zero_expression)
 from tests.conftest import make_field
 
 Qf = rationals()
@@ -52,6 +53,33 @@ class TestExpressionAlgebra:
     def test_zero_expression(self):
         z = zero_expression(Qf, 2)
         assert z.is_zero() and z.weight == 2
+
+    def test_public_constructor_still_checks_entries(self):
+        """Arithmetic builds its results unchecked; the constructor does not."""
+        two = Qf.element(2)
+        with pytest.raises(ZeroEntry):
+            MilnorExpression(Qf, 2, {(two, Qf.zero()): 1})
+        with pytest.raises(ZeroEntry):
+            MilnorExpression(Qf, 1, {(0,): 1})
+        with pytest.raises(DescriptorMismatch):
+            MilnorExpression(Qf, 1, {(prime_field(5).element(2),): 1})
+        with pytest.raises(DescriptorMismatch):
+            MilnorExpression(prime_field(5), 2, {(prime_field(5).element(2), two): 1})
+
+    def test_arithmetic_matches_the_checked_constructor(self):
+        x = qsym(2, 3) + 2 * qsym(5, -1)
+        y = qsym(2, 3) - qsym(7, 7)
+        for got, terms, weight in (
+                (x + y, {(2, 3): 2, (5, -1): 2, (7, 7): -1}, 2),
+                (x - y, {(5, -1): 2, (7, 7): 1}, 2),
+                (-x, {(2, 3): -1, (5, -1): -2}, 2),
+                (x * 0, {}, 2),
+                (x * -3, {(2, 3): -3, (5, -1): -6}, 2),
+                (x * qsym(11), {(2, 3, 11): 1, (5, -1, 11): 2}, 3)):
+            want = MilnorExpression(Qf, weight, {tuple(Qf.element(v) for v in k): c
+                                                 for k, c in terms.items()})
+            assert got == want and got.items() == want.items()
+        assert (x - x).is_zero() and not (x - x)._terms
 
 
 class TestProduct:
