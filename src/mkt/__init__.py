@@ -28,7 +28,7 @@ from .valuations import (Valuation, finite_place, infinite_place,
                          unit_part, valuate)
 from .towers import minimal_polynomial, norm_element, present_as_simple
 from .transfer import (base_change, reciprocity_check, transfer, transfer_ext,
-                       transfer_tower, transfer_tower_stepwise)
+                       transfer_tower)
 from .commuting import (CompositionFactor, MatrixTuple, class_of_tuple,
                         composition_series, homotopy_mult, homotopy_shear,
                         homotopy_steinberg, homotopy_swap, kronecker,
@@ -58,7 +58,7 @@ __all__ = [
     "real_place", "support", "tame_symbol", "unit_part", "valuate",
     "minimal_polynomial", "norm_element", "present_as_simple",
     "base_change", "reciprocity_check", "transfer", "transfer_ext",
-    "transfer_tower", "transfer_tower_stepwise",
+    "transfer_tower",
     "CompositionFactor", "MatrixTuple", "class_of_tuple",
     "composition_series", "homotopy_mult", "homotopy_shear",
     "homotopy_steinberg", "homotopy_swap", "kronecker", "reduce_tuple",

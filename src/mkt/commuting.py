@@ -11,13 +11,13 @@ polynomial, repeated by its exponent, ker pi(a) and the image pi(a)V are
 invariant and V/ker pi(a) is isomorphic to the image, so the factors of V
 are those of the kernel plus those of the image. On the kernel a acts as a
 root of pi, a scalar of field[x]/(pi), and the other slots recurse there.
-Nothing is factored over an extension of Q: there a minimal polynomial with
-one root gives linear layers, and any other is split through its minimal
-polynomial over Q. Each factor gives the scalars by which the slots act on
-it, in a finite extension of the ground field, and their symbol is
-transferred back down. The result is a Milnor expression whose canonical
-class is the complete invariant this package exposes for tuples over Q and
-finite fields.
+Over an extension Q(alpha) the factors pi come from Trager's norm method
+(`factor.irreducible_factors`); a nonlinear one would need a second
+extension step over Q and raises UnsupportedTower. Each factor gives the
+scalars by which the slots act on it, in a finite extension of the ground
+field, and their symbol is transferred back down. The result is a Milnor
+expression whose canonical class is the complete invariant this package
+exposes for tuples over Q and finite fields.
 """
 
 from __future__ import annotations
@@ -29,13 +29,11 @@ from .canonical import CanonicalClass, canonical_class
 from .errors import (ArityMismatch, DegenerateInput, DescriptorMismatch,
                      NotUnitDeterminant, RecursionInvariantViolated,
                      UnsupportedField, UnsupportedTower)
-from .factor import element_sort_key, factor, poly_sort_key
-from .fields import (EXTENSION, FUNCTION, PRIME, RATIONALS, FieldDescriptor,
-                     FieldElement, Polynomial, embed, embed_poly, extension,
-                     function_field, rationals, tower_steps)
+from .factor import element_sort_key, irreducible_factors, poly_sort_key
+from .fields import (EXTENSION, FUNCTION, FieldDescriptor, FieldElement,
+                     Polynomial, embed, extension, function_field, tower_steps)
 from .linalg import Matrix, SpanTracker, minpoly_matrix, poly_eval_matrix
 from .symbols import MilnorExpression, symbol, zero_expression
-from .towers import multiplication_matrix
 from .transfer import transfer_tower
 
 __all__ = [
@@ -309,12 +307,6 @@ class CompositionFactor:
     multiplicity: int
 
 
-def _factor_supported(field: FieldDescriptor) -> bool:
-    if field.kind in (RATIONALS, PRIME):
-        return True
-    return field.kind == EXTENSION and field.is_finite()
-
-
 def _coordinates(span: SpanTracker, v: tuple) -> list[FieldElement]:
     c = span.coordinates(v)
     if c is None:
@@ -341,12 +333,14 @@ def _kernel_layers(field, ops: list[Matrix], pi: Polynomial, ker: list[tuple]) -
     On the kernel a acts as the class of x in field[x]/(pi). A linear pi
     makes that a scalar. Otherwise each kernel vector v outside the blocks
     so far starts a block v, av, ..., a^(d-1)v, which is one coordinate
-    over the extension.
+    over the extension; over an extension of Q that step is refused.
     """
     d = pi.degree
     if d == 1:
         big, scalar, e = field, -pi.coeffs[0], len(ker)
         rops = _restrict(field, ops[1:], ker)
+    elif field.kind == EXTENSION and not field.is_finite():
+        raise UnsupportedTower("splitting this tuple needs a second extension step over Q")
     else:
         a = ops[0]
         span = SpanTracker(field, a.nrows)
@@ -375,21 +369,6 @@ def _kernel_layers(field, ops: list[Matrix], pi: Polynomial, ker: list[tuple]) -
     return [(top, (embed(scalar, top),) + scal, mult) for top, scal, mult in _layers(big, rops, e)]
 
 
-def _rational_pieces(field, ops: list[Matrix]) -> list[list[Matrix]]:
-    """ops on the kernels of h(a)^e, a = ops[0], over the factors h^e of the
-    minimal polynomial of a viewed over Q; field is an extension of Q."""
-    a = ops[0]
-    q = rationals()
-    blocks = [[multiplication_matrix(x, q).rows for x in row] for row in a.rows]
-    flat = Matrix(q, [[y for blk in brow for y in blk[s]]
-                      for brow in blocks for s in range(len(brow[0]))])
-    _, facs = factor(minpoly_matrix(flat))
-    if len(facs) == 1:
-        raise UnsupportedTower("splitting this tuple needs a second extension step over Q")
-    return [_restrict(field, ops, poly_eval_matrix(embed_poly(h ** e, field), a).kernel_basis())
-            for h, e in facs]
-
-
 def _layers(field, ops: list[Matrix], dim: int) -> list[tuple]:
     """(top, scalars, multiplicity) for the simple factors of field^dim under ops.
 
@@ -401,18 +380,7 @@ def _layers(field, ops: list[Matrix], dim: int) -> list[tuple]:
     """
     if not ops:
         return [(field, (), dim)]
-    m = minpoly_matrix(ops[0])
-    if _factor_supported(field):
-        pis = [pi for pi, e in factor(m)[1] for _ in range(e)]
-    else:
-        # nothing factors over an extension of Q: m = (x - r)^k gives k
-        # linear layers, and any other m is split through Q
-        k = m.degree
-        pi = Polynomial(field, [m.coeffs[-2] / field.from_int(k), field.one()]) if k else m
-        if k > 1 and pi ** k != m:
-            return [t for rops in _rational_pieces(field, ops)
-                    for t in _layers(field, rops, rops[0].nrows)]
-        pis = [pi] * k
+    pis = irreducible_factors(minpoly_matrix(ops[0]))
     out = []
     for i, pi in enumerate(pis):
         p = poly_eval_matrix(pi, ops[0])

@@ -10,8 +10,9 @@ integer part modulo one good prime followed by subset recombination. The
 prime is chosen above twice a coefficient bound for true factors, so lifted
 candidates are exact and no Hensel stage is needed. Desk-scale degrees only.
 
-Proper extensions of Q and function fields are not supported and raise
-UnsupportedFactorization.
+`factor` refuses proper extensions of Q and function fields with
+UnsupportedFactorization; only the private `irreducible_factors` splits over
+a height-one extension Q(alpha), by Trager's norm method.
 
 Results are memoized, keyed on the immutable Polynomial: the transfer
 recursion factors the same entries and reopens places at the same factors
@@ -42,10 +43,13 @@ from mkt.fields import (
     _values,
     _wrap,
     coordinates,
+    embed_poly,
     poly_gcd,
     prime_field,
 )
+from mkt.linalg import Matrix, companion_matrix, minpoly_matrix
 from mkt.numutil import factor_int, next_prime
+from mkt.towers import multiplication_matrix
 
 # entries per memo dict; one CLI command's working set fits well below it
 _MEMO_CAP = 4096
@@ -220,7 +224,7 @@ def _factor_finite_squarefree(f: Polynomial, rng: random.Random) -> list[Polynom
 # -- rationals ---------------------------------------------------------------
 
 def _squarefree_char0(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    # f monic nonconstant over Q
+    # f monic nonconstant over a field of characteristic zero
     result = []
     c = poly_gcd(f, f.derivative())
     w = f // c
@@ -369,6 +373,49 @@ def factor(f: Polynomial) -> tuple[FieldElement, list[tuple[Polynomial, int]]]:
         if g.degree >= 2:
             _remember(_IRREDUCIBLE, g, True)
     return unit, out
+
+
+def irreducible_factors(m: Polynomial) -> list[Polynomial]:
+    """The irreducible factors of a monic m, each repeated by its exponent.
+
+    Over Q and finite fields they come from `factor`. Over a height-one
+    extension L = Q(alpha) Trager's method splits each squarefree part g of
+    degree >= 2: for the first s = 0, 1, 2, ... with N = Norm(g(x - s alpha))
+    squarefree, the factors of g are gcd(g, h(x + s alpha)), h over the
+    factors of N over Q.
+    """
+    L = m.field
+    if L.kind != EXTENSION or L.is_finite():
+        return [g for g, e in factor(m)[1] for _ in range(e)]
+    if m.degree == 1:
+        return [m]
+    return [f for g, e in _squarefree_char0(m)
+            for f in (_trager(g) if g.degree > 1 else [g]) for _ in range(e)]
+
+
+def _trager(g: Polynomial) -> list[Polynomial]:
+    """The monic irreducible factors of a squarefree g over L = Q(alpha)."""
+    L, Q = g.field, g.field.base
+    s = 0
+    while True:
+        # g is squarefree, so the companion of g(x - s alpha) flattened to
+        # Q-blocks is semisimple: its minimal polynomial is N iff of full degree
+        blocks = [[multiplication_matrix(x, Q).rows for x in row]
+                  for row in companion_matrix(_shift(g, -L.gen() * s)).rows]
+        flat = Matrix(Q, [[y for blk in brow for y in blk[i]]
+                          for brow in blocks for i in range(L.step_degree)])
+        norm = minpoly_matrix(flat)
+        if norm.degree == flat.nrows:
+            return [poly_gcd(g, _shift(embed_poly(h, L), L.gen() * s)) for h, _ in factor(norm)[1]]
+        s += 1
+
+
+def _shift(f: Polynomial, c: FieldElement) -> Polynomial:
+    """f(x + c), by Horner."""
+    acc = Polynomial.zero(f.field)
+    for a in reversed(f.coeffs):
+        acc = acc * Polynomial(f.field, [c, f.field.one()]) + a
+    return acc
 
 
 def is_irreducible(f: Polynomial) -> bool:

@@ -84,20 +84,16 @@ def commuting_tuple(field: FieldDescriptor, rng: random.Random, weight: int,
 
     Built blockwise: every slot shares one block partition; a block carries
     either upper-triangular a*I + c*N slots (eigenvalues in the ground field)
-    or, off Q, slots that are polynomials in one companion matrix of a
-    random irreducible quadratic (an extension-scalar factor). Over Q the
-    reduction handles one extension step only, and a tuple with companion
-    blocks can raise UnsupportedTower, so Q tuples have split blocks only.
-    The whole tuple is conjugated by a random invertible matrix.
+    or slots that are polynomials in one companion matrix of a random
+    irreducible quadratic (an extension-scalar factor). The whole tuple is
+    conjugated by a random invertible matrix.
     """
     if weight < 1 or size < 1:
         raise DegenerateInput("weight and size must be positive")
-    split_only = field.kind == RATIONALS
     blocks: list[list[Matrix]] = []   # blocks[b][slot]
     remaining = size
     while remaining > 0:
-        use_companion = (not split_only) and remaining >= 2 and rng.random() < 0.35
-        if use_companion:
+        if remaining >= 2 and rng.random() < 0.35:
             b = 2
             pi = monic_irreducible(field, rng, 2, span=3)
             comp = companion_matrix(pi)

@@ -17,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mkt.canonical import canonical_class
-from mkt.errors import (ArityMismatch, DescriptorMismatch,
-                        RecursionInvariantViolated, UnsupportedField)
+from mkt.errors import (ArityMismatch, DescriptorMismatch, RecursionInvariantViolated,
+                        UnsupportedField, UnsupportedTower)
 from mkt.factor import element_sort_key, factor, poly_sort_key
 from mkt.fields import (EXTENSION, FUNCTION, FieldDescriptor, element_from_poly,
                         embed, function_field, is_ancestor, poly_of_element,
                         tower_steps)
 from mkt.symbols import MilnorExpression, symbol, zero_expression
-from mkt.towers import norm_element, present_as_simple
+from mkt.towers import norm_element
 from mkt.valuations import (INFINITE, Valuation, finite_place, infinite_place,
                             support, tame_symbol)
 
@@ -239,28 +239,15 @@ def transfer_ext(E: FieldDescriptor, x: MilnorExpression) -> MilnorExpression:
 def transfer_tower(x: MilnorExpression, base: FieldDescriptor) -> MilnorExpression:
     """Transfer from a tower top all the way down to base.
 
-    Height >= 2 towers are first collapsed to a simple presentation, which
-    restricts them to finite fields; height one and zero work everywhere.
+    Transfers are functorial, so this is the composite of the one-step
+    transfers down the tower. A step over an extension of Q would factor
+    over a number field, so towers of height >= 2 over Q are refused.
     """
     L = x.field
-    if L == base:
-        return x
     if not is_ancestor(base, L):
         raise DescriptorMismatch(f"{base} is not below {L}")
-    steps = tower_steps(L, base)
-    if len(steps) == 1:
-        return transfer_ext(L, x)
-    pres = present_as_simple(L, base)
-    collapsed = x.map_entries(pres.to_simple, pres.simple_field)
-    return transfer_ext(pres.simple_field, collapsed)
-
-
-def transfer_tower_stepwise(x: MilnorExpression, base: FieldDescriptor) -> MilnorExpression:
-    """Compose single-step transfers down the tower; same value as
-    transfer_tower on classes, useful as a cross-check."""
-    L = x.field
-    if not is_ancestor(base, L):
-        raise DescriptorMismatch(f"{base} is not below {L}")
+    if not L.is_finite() and len(tower_steps(L, base)) > 1:
+        raise UnsupportedTower("height >= 2 towers over Q are out of scope")
     while x.field != base:
         x = transfer_ext(x.field, x)
     return x

@@ -258,11 +258,24 @@ class TestCompositionSeries:
 
     def test_rational_extension_splits_through_q(self):
         """[DERIVED] Over E = Q[x]/(x^2 + 1) the second slot has eigenvalues 1
-        and 2; nothing factors over E, so they are separated through Q."""
+        and 2; its minimal polynomial is split over E through its norm to Q."""
         factors, E = self.gaussian_series(self.A.direct_sum(self.A),
                                           self.I2.direct_sum(self.I2 * 2))
         assert [(f.extension, f.scalars, f.multiplicity) for f in factors] == [
             (E, (E.gen(), E.one()), 1), (E, (E.gen(), E.from_int(2)), 1)]
+
+    def test_conjugate_eigenvalues_split_over_extension(self):
+        """[DERIVED] Over E the second slot of (A + A, A + (-A)) acts by x and
+        by -x. Its minimal polynomial X^2 + 1 has a norm to Q that is
+        squarefree only after the shift X -> X - 2x, so the two factors come
+        from the third Trager shift. The class is {x, -x} + {x, x} = 0."""
+        factors, E = self.gaussian_series(self.A.direct_sum(self.A),
+                                          self.A.direct_sum(-self.A))
+        i = E.gen()
+        assert [(f.extension, f.scalars, f.multiplicity) for f in factors] == [
+            (E, (i, -i), 1), (E, (i, i), 1)]
+        x = MatrixTuple(Qf, [self.A.direct_sum(self.A), self.A.direct_sum(-self.A)])
+        assert class_of_tuple(x).is_zero()
 
     def test_companion_jordan_block_multiplicity(self):
         # [DERIVED] [[A, I], [0, A]] has one factor, E with x acting, twice

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from mkt.errors import (DescriptorMismatch, DivisionByZero, UnsupportedFactorization,
                         ZeroPolynomial)
-from mkt.factor import factor, forget, is_irreducible
-from mkt.fields import (Polynomial, all_elements, extension, function_field, poly_gcd,
-                        prime_field, rationals, tower_degree)
+from mkt.factor import factor, forget, irreducible_factors, is_irreducible
+from mkt.fields import (Polynomial, all_elements, embed, extension, function_field,
+                        poly_gcd, prime_field, rationals, tower_degree)
 from mkt.linalg import Matrix, companion_matrix, minpoly_matrix
 from mkt.sampling import monic_irreducible, random_element
 from mkt.symbols import symbol
-from mkt.towers import minimal_polynomial, norm_element, present_as_simple
+from mkt.towers import (minimal_polynomial, multiplication_matrix, norm_element,
+                        present_as_simple)
 from mkt.valuations import finite_place, tame_symbol
 from tests.conftest import (all_units, f81_over_f9, make_field, table_of, untabled_twin)
 
@@ -161,6 +162,51 @@ class TestFactor:
         L = extension(Q, Polynomial.from_ints(Q, [-2, 0, 1]))
         with pytest.raises(UnsupportedFactorization):
             factor(Polynomial.from_ints(L, [1, 1, 1]))
+
+
+def shifted_norm(f, s):
+    """Norm over Q of f(x - s alpha), f over L = Q(alpha): the determinant
+    over Q(x) of multiplication by it on L(x), by Horner on Q-blocks."""
+    L = f.field
+    Qx = function_field(L.base)
+
+    def lift(c):
+        return multiplication_matrix(c, L.base).map_entries(lambda e: embed(e, Qx), Qx)
+
+    step = Matrix.identity(Qx, L.step_degree) * Qx.gen() - lift(L.gen() * s)
+    acc = Matrix.zeros(Qx, L.step_degree)
+    for c in reversed(f.coeffs):
+        acc = acc * step + lift(c)
+    det = acc.det().rep
+    assert det.den.degree == 0
+    return det.num
+
+
+class TestIrreducibleFactors:
+    @pytest.mark.parametrize("mu", [[1, 0, 1], [-2, 0, 1], [-2, 0, 0, 1]],
+                             ids=["i", "sqrt2", "cbrt2"])
+    def test_factors_rebuild_and_are_irreducible(self, mu, rng, Q):
+        """[DERIVED] Over L = Q(alpha) the factors multiply back to m, and each
+        factor f is irreducible over L: for some s the norm of f(x - s alpha)
+        is irreducible over Q, while any factorization of f would factor it."""
+        L = extension(Q, Polynomial.from_ints(Q, mu))
+        split = Polynomial(L, [embed(c, L) for c in Polynomial.from_ints(Q, mu).coeffs])
+        for _ in range(4):
+            m = split
+            for _ in range(rng.randint(1, 3)):
+                g = Polynomial(L, [L.element(tuple(Q.element(rng.randint(-3, 3))
+                                                   for _ in range(L.step_degree)))
+                                   for _ in range(rng.randint(1, 2))] + [L.one()])
+                m = m * g ** rng.randint(1, 2)
+            factors = irreducible_factors(m)
+            product = Polynomial.one(L)
+            for f in factors:
+                product = product * f
+            assert product == m
+            assert len(factors) >= 2
+            for f in factors:
+                assert f.is_monic()
+                assert any(is_irreducible(shifted_norm(f, s)) for s in range(4))
 
 
 class TestFactorMemo:

@@ -9,13 +9,12 @@ from mkt.commuting import MatrixTuple, class_of_tuple, composition_series
 from mkt.errors import UnsupportedTower
 from mkt.fields import (Polynomial, embed, extension, function_field,
                         poly_of_element, prime_field, rationals, tower_degree)
-from mkt.sampling import monic_irreducible, random_symbol
+from mkt.sampling import monic_irreducible, random_symbol, random_unit
 from mkt.symbols import symbol, zero_expression
 from mkt.towers import multiplication_matrix, norm_element
 from mkt.transfer import (_form_transfer, _reciprocity_transfer, base_change,
                           reciprocity_check, rewrite_to_generators,
-                          transfer_ext, transfer_tower,
-                          transfer_tower_stepwise)
+                          transfer_ext, transfer_tower)
 from mkt.valuations import finite_place
 from tests.conftest import NORM_PAIRS, all_units, make_field
 
@@ -211,18 +210,19 @@ class TestTowers:
             assert canonical_class(y) == canonical_class(
                 symbol([norm_element(x, prime_field(2))]))
 
-    def test_collapsed_vs_stepwise(self, rng):
-        F4 = make_field(4)
-        from mkt.factor import is_irreducible
-        f = Polynomial(F4, [F4.gen(), F4.one(), F4.one()])
-        if not is_irreducible(f):
-            f = Polynomial(F4, [F4.gen(), F4.gen(), F4.one()])
-        F16 = extension(F4, f)
-        for _ in range(15):
-            x = random_symbol(F16, rng, 2)
-            a = transfer_tower(x, prime_field(2))
-            b = transfer_tower_stepwise(x, prime_field(2))
-            assert canonical_class(a) == canonical_class(b)
+    @pytest.mark.parametrize("q", [9, 25])
+    def test_two_step_tower_matches_norm(self, q, rng):
+        """[DERIVED] Down F_p -> F_q -> F_{q^2}, weight 1 is the norm straight
+        to F_p, and weight 2 lands in K_2(F_p) = 0."""
+        mid = make_field(q)
+        top = extension(mid, monic_irreducible(mid, rng, 2))
+        base = mid.base
+        for x in (random_unit(top, rng) for _ in range(12)):
+            y = transfer_tower(symbol([x], field=top), base)
+            assert canonical_class(y) == canonical_class(symbol([norm_element(x, base)]))
+        for _ in range(4):
+            y = transfer_tower(random_symbol(top, rng, 2), base)
+            assert y.field == base and canonical_class(y).is_zero()
 
     def test_deep_q_tower_rejected(self):
         L = extension(Qf, Polynomial.from_ints(Qf, [-2, 0, 1]))
