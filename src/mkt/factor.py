@@ -40,6 +40,7 @@ from mkt.fields import (
     FieldDescriptor,
     FieldElement,
     Polynomial,
+    _kind,
     _values,
     _wrap,
     coordinates,
@@ -98,8 +99,8 @@ def _stable_seed(f: Polynomial) -> int:
 
 def poly_powmod(a: Polynomial, e: int, f: Polynomial) -> Polynomial:
     fld = f.field
-    return _wrap(fld, zkernel.zp_powmod(_values(fld, a.coeffs), e, _values(fld, f.coeffs),
-                                        fld.p))
+    k = _kind(fld)
+    return _wrap(fld, zkernel.zp_powmod(_values(k, a.coeffs), e, _values(k, f.coeffs), k), k)
 
 
 # -- finite fields -----------------------------------------------------------
@@ -314,7 +315,7 @@ def _factor_q_squarefree(f: Polynomial) -> list[Polynomial]:
         for combo in combinations(range(len(pool)), s):
             cand = [g_ints[-1] % p]
             for i in combo:
-                cand = zkernel.zp_mul(cand, _values(Fp, pool[i].coeffs), p)
+                cand = zkernel.zp_mul(cand, _values(p, pool[i].coeffs), p)
             lifted = _primitive(_symmetric_lift(cand, p))
             if sum(len(pool[i].coeffs) - 1 for i in combo) != len(lifted) - 1:
                 continue

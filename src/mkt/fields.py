@@ -17,10 +17,13 @@ on rows of indices (`table_indices`). `forget()` drops the descriptor caches
 and every table; an index is a function of the value, so indices kept from
 before stay valid when the table is built again.
 
-Polynomial +, -, *, divmod and gcd, and the product and inverse of an
-extension-step element, are each one call into `zkernel`: `_values` hands
-it integer residues over a prime field and the elements themselves over any
-other field, and `_wrap` turns its result back into a Polynomial.
+Polynomial +, -, *, divmod, gcd and resultant, and the product and inverse
+of an extension-step element, are each one call into `zkernel`, made in the
+coefficient field's kernel kind (`_kind`): integer residues over a prime
+field, table indices over a tabled field, the elements themselves over any
+other. `_values` hands the coefficients in and `_wrap` turns the result back
+into a Polynomial, read in the kind the call was made with: a table can be
+built during a call on elements, when the operation budget runs out.
 
 Coefficient lists everywhere are ordered lowest degree first, highest degree
 last. The zero polynomial has degree -1.
@@ -69,8 +72,9 @@ class FieldDescriptor:
         self.base = base
         self.modulus = modulus
         self._hash = None
-        # kernel coefficients of the modulus, for the arithmetic of this step
-        self._mod_values = _values(base, modulus.coeffs) if kind == EXTENSION else None
+        # (kernel kind, kernel coefficients) of the modulus, for the arithmetic
+        # of this step; see _modulus_values
+        self._mod_values = None
         self._order = None
         self._table = None
         # coefficient-path operations left before the table is built; set
@@ -549,9 +553,10 @@ class FieldElement:
         if k == EXTENSION:
             _spend(fld)
             base = fld.base
-            prod = zkernel.zp_mulmod(_rep_values(self), _rep_values(b), fld._mod_values,
-                                     base.p)
-            return _ext_from_coeffs(fld, _wrap(base, prod).coeffs)
+            k = _kind(base)
+            prod = zkernel.zp_mulmod(_rep_values(self, k), _rep_values(b, k),
+                                     _modulus_values(fld, k), k)
+            return _ext_from_coeffs(fld, _elements(base, prod, k))
         return FieldElement(fld, self.rep.mul(b.rep))
 
     __rmul__ = __mul__
@@ -571,8 +576,9 @@ class FieldElement:
         if k == EXTENSION:
             _spend(fld)
             base = fld.base
-            inv = zkernel.zp_invmod(_rep_values(self), fld._mod_values, base.p)
-            return _ext_from_coeffs(fld, _wrap(base, inv).coeffs)
+            k = _kind(base)
+            inv = zkernel.zp_invmod(_rep_values(self, k), _modulus_values(fld, k), k)
+            return _ext_from_coeffs(fld, _elements(base, inv, k))
         return FieldElement(fld, self.rep.inverse())
 
     def __truediv__(self, other):
@@ -660,27 +666,59 @@ def _ext_from_coeffs(fld: FieldDescriptor, coeffs: list[FieldElement]) -> FieldE
     return _ext_element(fld, tuple(out[:d]))
 
 
-def _values(field: FieldDescriptor, coeffs) -> list:
-    """Kernel coefficients of coeffs over field: residue ints over a prime
-    field, the elements themselves over any other."""
-    if field.p:
+def _kind(field: FieldDescriptor):
+    """The zkernel coefficient kind of field, as it stands now: p over a
+    prime field, the _Table over a tabled one, None over any other."""
+    return field.p or field._table
+
+
+def _values(kind, coeffs) -> list:
+    """Kernel coefficients of kind: residue ints, table indices, or the
+    elements themselves."""
+    if kind is None:
+        return list(coeffs)
+    if kind.__class__ is int:
         return [c.rep for c in coeffs]
-    return list(coeffs)
+    out = [c.ix for c in coeffs]
+    if None in out:  # a coefficient made before the table
+        out = [_index(c) for c in coeffs]
+    return out
 
 
-def _wrap(field: FieldDescriptor, values: list) -> "Polynomial":
-    """The polynomial over field with kernel coefficients values (trimmed)."""
+def _elements(field: FieldDescriptor, values: list, kind) -> tuple:
+    """The elements of field with kernel coefficients values of kind."""
+    if kind is None:
+        return tuple(values)
+    if kind.__class__ is int:
+        return tuple([FieldElement(field, v) for v in values])
+    elems = kind.elems
+    return tuple([elems[i] for i in values])
+
+
+def _wrap(field: FieldDescriptor, values: list, kind) -> "Polynomial":
+    """The polynomial over field with kernel coefficients values (trimmed),
+    read in the kind the kernel call was made with."""
     out = Polynomial.__new__(Polynomial)
     out.field = field
-    out.coeffs = (tuple(FieldElement(field, v) for v in values) if field.p
-                  else tuple(values))
+    out.coeffs = _elements(field, values, kind)
     out._hash = None
     return out
 
 
-def _rep_values(x: FieldElement) -> list:
+def _rep_values(x: FieldElement, kind) -> list:
     """Kernel coefficients of an extension-step element over its base."""
-    return zkernel.trim(_values(x.field.base, x.rep))
+    return zkernel.trim(_values(kind, x.rep))
+
+
+def _modulus_values(fld: FieldDescriptor, kind) -> list:
+    """Kernel coefficients of fld's modulus in kind, the base's kind now.
+
+    The base's kind changes when its table is built or forgotten, so the
+    cache holds the kind it was computed for."""
+    got = fld._mod_values
+    if got is None or got[0] is not kind:
+        got = fld._mod_values = (kind, _values(kind, fld.modulus.coeffs))
+    return got[1]
 
 
 class Polynomial:
@@ -751,8 +789,8 @@ class Polynomial:
         if b is None:
             return NotImplemented
         fld = self.field
-        return _wrap(fld, zkernel.zp_add(_values(fld, self.coeffs), _values(fld, b.coeffs),
-                                         fld.p))
+        k = _kind(fld)
+        return _wrap(fld, zkernel.zp_add(_values(k, self.coeffs), _values(k, b.coeffs), k), k)
 
     __radd__ = __add__
 
@@ -764,8 +802,8 @@ class Polynomial:
         if b is None:
             return NotImplemented
         fld = self.field
-        return _wrap(fld, zkernel.zp_sub(_values(fld, self.coeffs), _values(fld, b.coeffs),
-                                         fld.p))
+        k = _kind(fld)
+        return _wrap(fld, zkernel.zp_sub(_values(k, self.coeffs), _values(k, b.coeffs), k), k)
 
     def __rsub__(self, other):
         b = self._coerce(other)
@@ -781,8 +819,8 @@ class Polynomial:
         if b is None:
             return NotImplemented
         fld = self.field
-        return _wrap(fld, zkernel.zp_mul(_values(fld, self.coeffs), _values(fld, b.coeffs),
-                                         fld.p))
+        k = _kind(fld)
+        return _wrap(fld, zkernel.zp_mul(_values(k, self.coeffs), _values(k, b.coeffs), k), k)
 
     __rmul__ = __mul__
 
@@ -791,8 +829,9 @@ class Polynomial:
         if b is None:
             return NotImplemented
         fld = self.field
-        q, r = zkernel.zp_divmod(_values(fld, self.coeffs), _values(fld, b.coeffs), fld.p)
-        return _wrap(fld, q), _wrap(fld, r)
+        k = _kind(fld)
+        q, r = zkernel.zp_divmod(_values(k, self.coeffs), _values(k, b.coeffs), k)
+        return _wrap(fld, q, k), _wrap(fld, r, k)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -876,7 +915,22 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.field != g.field:
         raise DescriptorMismatch("gcd of polynomials over different fields")
     fld = f.field
-    return _wrap(fld, zkernel.zp_gcd(_values(fld, f.coeffs), _values(fld, g.coeffs), fld.p))
+    k = _kind(fld)
+    return _wrap(fld, zkernel.zp_gcd(_values(k, f.coeffs), _values(k, g.coeffs), k), k)
+
+
+def poly_resultant(f: Polynomial, g: Polynomial) -> FieldElement:
+    """Res(f, g): lc(f)^deg(g) times the product of g over the roots of f,
+    by Euclid's algorithm in the kernel; zero when f or g is zero. For f
+    monic irreducible it is the norm of g(x) from k[x]/(f) down to k."""
+    if f.field != g.field:
+        raise DescriptorMismatch("resultant of polynomials over different fields")
+    fld = f.field
+    if not f.coeffs or not g.coeffs:
+        return fld.zero()
+    k = _kind(fld)
+    res = zkernel.zp_resultant(_values(k, f.coeffs), _values(k, g.coeffs), k)
+    return _elements(fld, [res], k)[0]
 
 
 class RationalFunction:

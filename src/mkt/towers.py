@@ -9,7 +9,8 @@ from mkt.errors import (DegenerateInput, DescriptorMismatch, UnsupportedTower,
                         ZeroElement)
 from mkt.fields import (EXTENSION, FieldDescriptor, FieldElement, Polynomial,
                         all_elements, coordinates, embed, extension,
-                        from_coordinates, is_ancestor, tower_degree, tower_steps)
+                        from_coordinates, is_ancestor, poly_of_element, poly_resultant,
+                        tower_degree, tower_steps)
 from mkt.linalg import Matrix, minpoly_matrix
 
 
@@ -50,7 +51,13 @@ def minimal_polynomial(x: FieldElement, base: FieldDescriptor) -> Polynomial:
 
 
 def norm_element(x: FieldElement, base: FieldDescriptor) -> FieldElement:
-    """Field norm of x down to base (determinant of multiplication by x)."""
+    """Field norm of x down to base, which may be any field in its tower.
+
+    For a step L = k[x]/(m), m monic, N_{L/k}(g(x)) = Res(m, g), so the norm
+    is that resultant over k, taken one step at a time down the tower as
+    transfers are. No matrix is built; the determinant of multiplication by
+    x, multiplication_matrix(x, base).det(), is the same value.
+    """
     if x.is_zero():
         raise ZeroElement("norm of zero is not a unit")
     L = x.field
@@ -58,7 +65,9 @@ def norm_element(x: FieldElement, base: FieldDescriptor) -> FieldElement:
         return x
     if not is_ancestor(base, L):
         raise DescriptorMismatch(f"{base} is not below {L}")
-    return multiplication_matrix(x, base).det()
+    while x.field != base:
+        x = poly_resultant(x.field.modulus, poly_of_element(x))
+    return x
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,8 @@ from mkt.errors import (ArityMismatch, DescriptorMismatch, RecursionInvariantVio
 from mkt.factor import element_sort_key, factor, poly_sort_key
 from mkt.fields import (EXTENSION, FUNCTION, FieldDescriptor, element_from_poly,
                         embed, function_field, is_ancestor, poly_of_element,
-                        tower_steps)
+                        poly_resultant, tower_steps)
 from mkt.symbols import MilnorExpression, symbol, zero_expression
-from mkt.towers import norm_element
 from mkt.valuations import (INFINITE, Valuation, finite_place, infinite_place,
                             support, tame_symbol)
 
@@ -155,7 +154,6 @@ def rewrite_to_generators(x: MilnorExpression) -> list[ResidueSymbolForm]:
 
 
 def _form_transfer(v: Valuation, form: ResidueSymbolForm) -> MilnorExpression:
-    kv = v.residue_field()
     k = v.field.base
     d = v.pi.degree
     weight = len(form.constants) + len(form.polys)
@@ -164,8 +162,8 @@ def _form_transfer(v: Valuation, form: ResidueSymbolForm) -> MilnorExpression:
             return MilnorExpression(k, 0, {(): form.coeff * d})
         return symbol(form.constants, k) * (form.coeff * d)
     if form.rank == 1:
-        beta = element_from_poly(kv, form.polys[0])
-        nb = norm_element(beta, k)
+        # the norm of f(alpha) from k[x]/(pi_v) down to k, straight from f
+        nb = poly_resultant(v.pi, form.polys[0])
         if nb.is_one():
             return zero_expression(k, weight)
         return symbol((*form.constants, nb), k) * form.coeff

@@ -2,16 +2,21 @@
 
 Polynomials are coefficient lists, coefficient of X^i at index i, no
 trailing zeros; the zero polynomial is the empty list. Every routine takes
-the coefficient field's `p` last, and the caller always passes it:
+the coefficient kind `p` last, and the caller always passes it. There are
+three kinds:
 
-  * p a prime: coefficients are ints in [0, p). Sums of products are
+  * p a prime int: coefficients are ints in [0, p). Sums of products are
     carried exactly in Python ints and reduced once per output coefficient.
   * p None: coefficients are elements of one field. Their truth test means
     nonzero, and `.inverse()` gives the inverse of a nonzero one.
+  * p a field table (any other object): coefficients are indices into it,
+    0 for zero and 1 for one, and the table's `add`, `mul`, `neg` and `inv`
+    lists give the index of a sum, product, negative and inverse.
 
-`fields` passes `field.p`, which is None off prime fields, so polynomials
-over every field, and the elements of every extension step, run through
-this one code path.
+`fields` passes the kind of the coefficient field: its p over a prime
+field, its table over a tabled finite field, None over any other. So
+polynomials over every field, and the elements of every extension step, run
+through this one code path.
 
 The public `zp_*` names are the kernel's boundary. The routines call each
 other only through their private names, so a tracer that rebinds `zp_*`
@@ -37,6 +42,10 @@ def trim(a: list) -> list:
     return a
 
 
+def _tabled(p) -> bool:
+    return p is not None and p.__class__ is not int
+
+
 def _reduce(out: list, p) -> list:
     if p:
         out = [c % p for c in out]
@@ -44,21 +53,52 @@ def _reduce(out: list, p) -> list:
 
 
 def _inv(c, p):
-    return pow(c, p - 2, p) if p else c.inverse()
+    if p is None:
+        return c.inverse()
+    if p.__class__ is int:
+        return pow(c, p - 2, p)
+    return p.inv[c]
+
+
+def _times(x, y, p):
+    """The product of two coefficients."""
+    if p is None:
+        return x * y
+    if p.__class__ is int:
+        return x * y % p
+    return p.mul[x][y]
+
+
+def _negate(x, p):
+    if p is None:
+        return -x
+    if p.__class__ is int:
+        return -x % p
+    return p.neg[x]
 
 
 def _add(a, b, p):
     if len(a) < len(b):
         a, b = b, a
-    out = [x + y for x, y in zip(a, b)]
-    if p:
-        out = [c % p for c in out]
+    if _tabled(p):
+        add = p.add
+        out = [add[x][y] for x, y in zip(a, b)]
+    else:
+        out = [x + y for x, y in zip(a, b)]
+        if p:
+            out = [c % p for c in out]
     out += a[len(b):]
     return trim(out)
 
 
 def _sub(a, b, p):
     n = min(len(a), len(b))
+    if _tabled(p):
+        add, neg = p.add, p.neg
+        out = [add[x][neg[y]] for x, y in zip(a, b)]
+        out += a[n:]
+        out += [neg[y] for y in b[n:]]
+        return trim(out)
     out = [x - y for x, y in zip(a, b)]
     out += a[n:]
     out += [-y for y in b[n:]]
@@ -66,12 +106,24 @@ def _sub(a, b, p):
 
 
 def _scale(a, c, p):
+    if _tabled(p):
+        row = p.mul[c]
+        return trim([row[x] for x in a])
     return _reduce([x * c for x in a], p)
 
 
 def _mul(a, b, p):
     if not a or not b:
         return []
+    if _tabled(p):
+        add, mul = p.add, p.mul
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                row = mul[x]
+                for j, y in enumerate(b, i):
+                    out[j] = add[out[j]][row[y]]
+        return trim(out)
     zero = a[0] - a[0]
     out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -88,6 +140,8 @@ def _divmod(a, b, p):
     db, da = len(b) - 1, len(a) - 1
     if da < db:
         return [], list(a)
+    if _tabled(p):
+        return _divmod_indices(a, b, p)
     inv_lead = _inv(b[db], p)
     r = list(a)
     q = [None] * (da - db + 1)
@@ -102,6 +156,24 @@ def _divmod(a, b, p):
                 r[i + k] -= c * b[i]
         q[k] = c
     return trim(q), _reduce(r[:db], p)
+
+
+def _divmod_indices(a, b, t):
+    db, da = len(b) - 1, len(a) - 1
+    add, mul, neg = t.add, t.mul, t.neg
+    inv_lead = t.inv[b[db]]
+    minus_b = [neg[y] for y in b[:db]]
+    r = list(a)
+    q = [0] * (da - db + 1)
+    for k in range(da - db, -1, -1):
+        c = r[db + k]
+        if c:
+            c = q[k] = mul[c][inv_lead]
+            row = mul[c]
+            # r[db + k] cancels exactly and is never read again
+            for i, y in enumerate(minus_b, k):
+                r[i] = add[r[i]][row[y]]
+    return trim(q), trim(r[:db])
 
 
 def _rem(a, b, p):
@@ -131,8 +203,7 @@ def _invmod(a, f, p):
         s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
     if len(r0) != 1:
         raise DivisionByZero("element not invertible modulo f")
-    g = r0[0] * c
-    return _scale(s0, _inv(g % p if p else g, p), p)
+    return _scale(s0, _inv(_times(r0[0], c, p), p), p)
 
 
 def _mulmod(a, b, f, p):
@@ -150,9 +221,32 @@ def _powmod(a, e: int, f, p):
         if e:
             base = _mulmod(base, base, f, p)
     if result is None:
-        # e = 0; x ** 0 is the one of x's kind
+        # e = 0; x ** 0 is the one of x's kind (index 1 is a table's one)
         return _rem([f[-1] ** 0], f, p)
     return result
+
+
+def _resultant(a, b, p):
+    """Res(a, b) of nonzero a and b: lc(a)^deg(b) times the product of b
+    over the roots of a, so N(b(x)) = Res(a, b) in k[x]/(a) for a monic.
+
+    Euclid's algorithm, with r = a mod b:
+    Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r) * Res(b, r),
+    and Res(a, c) = c^deg(a) for a constant c.
+    """
+    acc = a[-1] ** 0  # the one of a's kind
+    while len(b) > 1:
+        r = _rem(a, b, p)
+        if not r:
+            return acc - acc  # the zero of a's kind
+        if (len(a) - 1) * (len(b) - 1) & 1:
+            acc = _negate(acc, p)
+        for _ in range(len(a) - len(r)):
+            acc = _times(acc, b[-1], p)
+        a, b = b, r
+    for _ in range(len(a) - 1):
+        acc = _times(acc, b[0], p)
+    return acc
 
 
 zp_add = _add
@@ -165,3 +259,4 @@ zp_gcd = _gcd
 zp_invmod = _invmod
 zp_mulmod = _mulmod
 zp_powmod = _powmod
+zp_resultant = _resultant

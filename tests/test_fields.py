@@ -11,14 +11,15 @@ from mkt.errors import (DescriptorMismatch, DivisionByZero, UnsupportedFactoriza
                         ZeroPolynomial)
 from mkt.factor import factor, forget, irreducible_factors, is_irreducible
 from mkt.fields import (Polynomial, all_elements, embed, extension, function_field,
-                        poly_gcd, prime_field, rationals, tower_degree)
+                        poly_gcd, poly_resultant, prime_field, rationals, tower_degree)
 from mkt.linalg import Matrix, companion_matrix, minpoly_matrix
 from mkt.sampling import monic_irreducible, random_element
 from mkt.symbols import symbol
 from mkt.towers import (minimal_polynomial, multiplication_matrix, norm_element,
                         present_as_simple)
 from mkt.valuations import finite_place, tame_symbol
-from tests.conftest import (all_units, f81_over_f9, make_field, table_of, untabled_twin)
+from tests.conftest import (NORM_PAIRS, all_units, f81_over_f9, make_field, table_of,
+                            untabled_twin)
 
 # the modules themselves; the package attribute mkt.factor is the function
 factor_module = sys.modules["mkt.factor"]
@@ -464,6 +465,85 @@ class TestNorm:
                 pw = x ** e
                 assert pw.rep[1:] == tuple(base.zero() for _ in pw.rep[1:])
                 assert norm_element(x, base) == pw.rep[0]
+
+
+    def test_determinant_oracle_on_norm_pairs(self):
+        """norm_element takes resultants; the determinant of multiplication
+        by x is an independent oracle. Every unit of each NORM_PAIRS field."""
+        for q, d in NORM_PAIRS:
+            L = make_field(q ** d)
+            base = prime_field(q)
+            for x in all_units(L):
+                assert norm_element(x, base) == multiplication_matrix(x, base).det()
+
+    def test_determinant_oracle_down_a_tower(self):
+        """F_16 over F_4 over F_2: the norm one step down and two steps down
+        equals the determinant over that base, on all 15 units."""
+        F4 = make_field(4)
+        F16 = extension(F4, Polynomial(F4, [F4.gen(), F4.one(), F4.one()]))
+        for x in all_units(F16):
+            for base in (F4, prime_field(2)):
+                assert norm_element(x, base) == multiplication_matrix(x, base).det()
+
+    @pytest.mark.parametrize("modulus", [[1, 0, 1], [-2, 0, 0, 1], [-1, -1, 0, 1]],
+                             ids=["i", "cube_root_2", "alpha3_alpha_1"])
+    def test_determinant_oracle_over_q(self, rng, modulus):
+        Q = rationals()
+        L = extension(Q, Polynomial.from_ints(Q, modulus))
+        d = len(modulus) - 1
+        for _ in range(25):
+            x = L.element(tuple(Q.element(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+                                for _ in range(d)))
+            if x.is_zero():
+                continue
+            assert norm_element(x, Q) == multiplication_matrix(x, Q).det()
+
+
+def sylvester_det(f, g):
+    """det of the Sylvester matrix of f and g: deg g rows of f's
+    coefficients, then deg f rows of g's, highest degree first."""
+    n, m = f.degree, g.degree
+    zero = f.field.zero()
+    rows = [[zero] * i + list(reversed(f.coeffs)) + [zero] * (m - 1 - i) for i in range(m)]
+    rows += [[zero] * i + list(reversed(g.coeffs)) + [zero] * (n - 1 - i) for i in range(n)]
+    return Matrix(f.field, rows).det()
+
+
+class TestResultant:
+    """Euclid's resultant against the Sylvester determinant, on residues
+    (F_7), table indices (F_9), elements (its untabled twin) and Q."""
+
+    @pytest.mark.parametrize("q", [7, 9, "9-twin", 0])
+    def test_sylvester_determinant(self, rng, q):
+        fields_module.forget()
+        k = untabled_twin(make_field(9)) if q == "9-twin" else make_field(q)
+        if q == 9:
+            table_of(k)
+        for _ in range(30):
+            f, g = (Polynomial(k, [random_element(k, rng, span=3)
+                                   for _ in range(rng.randint(1, 5))] + [k.one()])
+                    for _ in range(2))
+            f = f * random_element(k, rng, span=3) if rng.random() < 0.3 else f
+            if f.is_zero():
+                continue
+            assert poly_resultant(f, g) == sylvester_det(f, g)
+        fields_module.forget()
+
+    def test_common_factor_and_constant(self):
+        F9 = make_field(9)
+        a = F9.gen()
+        c = Polynomial(F9, [a, F9.one()])
+        f = c * Polynomial(F9, [F9.one(), F9.zero(), F9.one(), a])
+        g = c * Polynomial(F9, [a + 1, F9.one()])
+        assert poly_resultant(f, g).is_zero()
+        assert sylvester_det(f, g).is_zero()
+        m = Polynomial(F9, [a, F9.one(), F9.zero(), F9.one()])
+        three = Polynomial.constant(a + 1)
+        assert poly_resultant(m, three) == (a + 1) ** 3 == sylvester_det(m, three)
+        # Res(h, m) = (-1)^(deg h * deg m) Res(m, h), odd here
+        h = Polynomial(F9, [a + 1, F9.one()])
+        assert not poly_resultant(m, h).is_zero()
+        assert poly_resultant(h, m) == -poly_resultant(m, h) == sylvester_det(h, m)
 
 
 class TestPresentAsSimple:

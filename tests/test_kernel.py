@@ -1,9 +1,11 @@
-"""The polynomial kernel on both of its coefficient kinds.
+"""The polynomial kernel on its three coefficient kinds.
 
-Residue ints with their prime p, and lists of field elements with p None
-(Q, F_9 before and after its table, F_81 over F_9, F_16), go through the
+Residue ints with their prime p, lists of field elements with p None (Q,
+F_9 before and after its table, F_81 over F_9, F_16), and lists of table
+indices with the field's table (F_9, F_27, F_81 over F_9) go through the
 same routines. The checks are algebraic identities, so no second
-implementation is needed as an oracle.
+implementation is needed as an oracle; the Polynomial tests at the end
+compare the index path with the element path of an untabled twin.
 """
 
 import random
@@ -13,9 +15,11 @@ import pytest
 
 from mkt import zkernel
 from mkt.errors import DivisionByZero
-from mkt.fields import Polynomial, extension, prime_field, rationals
-from mkt.sampling import monic_irreducible, random_element
-from tests.conftest import f81_over_f9, make_field, table_of, untabled_twin
+from mkt.factor import poly_powmod
+from mkt.fields import (Polynomial, extension, poly_gcd, poly_resultant, prime_field,
+                        rationals, table_indices)
+from mkt.sampling import monic_irreducible, random_element, random_unit
+from tests.conftest import f81_over_f9, make_field, table_of, twin_element, untabled_twin
 
 fields_module = sys.modules["mkt.fields"]
 
@@ -62,6 +66,25 @@ class Elements:
         return list(monic_irreducible(self.field, rng, 3, span=3).coeffs)
 
 
+class Indices:
+    """Coefficients are indices into the table of a tabled field; the kernel
+    gets the table."""
+
+    zero, one = 0, 1
+
+    def __init__(self, field):
+        table_of(field)
+        self.field = field
+        self.p = field._table
+
+    def coeff(self, rng):
+        return rng.randrange(self.field.order())
+
+    def irreducible(self, rng):
+        f = monic_irreducible(self.field, rng, 3, span=3)
+        return table_indices(self.field, f.coeffs)
+
+
 def _f9_with_table():
     F9 = make_field(9)
     table_of(F9)
@@ -77,6 +100,9 @@ KINDS.update({
     "F_9-table": lambda: Elements(_f9_with_table()),
     "F_81/F_9": lambda: Elements(f81_over_f9()),
     "F_16": lambda: Elements(make_field(16)),
+    "F_9-indices": lambda: Indices(make_field(9)),
+    "F_27-indices": lambda: Indices(make_field(27)),
+    "F_81/F_9-indices": lambda: Indices(f81_over_f9()),
 })
 
 
@@ -175,4 +201,120 @@ def test_zero_divisor_in_a_reducible_step_raises_the_typed_error(base):
     with pytest.raises(DivisionByZero) as err:
         L.gen().inverse()
     assert isinstance(err.value, ZeroDivisionError)
+    fields_module.forget()
+
+
+def _same_coeffs(got, want):
+    """got over a tabled field and want over its untabled twin hold the same
+    coefficients, and got's are the interned table elements."""
+    assert got.coeffs == want.coeffs
+    assert all(c.ix is not None for c in got.coeffs)
+
+
+def test_polynomial_operations_on_indices_match_the_untabled_twin():
+    """Every Polynomial operation over a tabled F_9 runs on table indices;
+    over its untabled twin the same operation runs on elements. Both give
+    the same coefficients, and so do the product and inverse of a degree-3
+    step over each of them."""
+    fields_module.forget()
+    F9 = make_field(9)
+    table_of(F9)
+    twin = untabled_twin(F9)
+    rng = random.Random(13)
+
+    def pair(deg):
+        coeffs = [random_element(F9, rng) for _ in range(deg)] + [random_unit(F9, rng)]
+        return (Polynomial(F9, coeffs),
+                Polynomial(twin, [twin_element(twin, c) for c in coeffs]))
+
+    for _ in range(20):
+        (f, ft), (g, gt), (m, mt) = pair(rng.randint(0, 7)), pair(rng.randint(0, 4)), pair(3)
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+                   lambda a, b: a // b, lambda a, b: a % b, poly_gcd,
+                   lambda a, b: a * b.lc(), lambda a, b: poly_powmod(a, 11, b)):
+            _same_coeffs(op(f, g), op(ft, gt))
+        _same_coeffs(-f, -ft)
+        _same_coeffs(f ** 3, ft ** 3)
+        _same_coeffs(f.monic(), ft.monic())
+        _same_coeffs(f.derivative(), ft.derivative())
+        assert poly_resultant(m, g) == poly_resultant(mt, gt)
+    modulus = monic_irreducible(F9, rng, 3)
+    L = extension(F9, modulus)
+    Lt = extension(twin, Polynomial(twin, [twin_element(twin, c) for c in modulus.coeffs]))
+    for _ in range(20):
+        x, y = random_unit(L, rng), random_unit(L, rng)
+        xt, yt = (Lt.element(tuple(twin_element(twin, c) for c in e.rep)) for e in (x, y))
+        assert (x * y).rep == (xt * yt).rep
+        assert x.inverse().rep == xt.inverse().rep
+    assert twin._table is None and L._table is None
+    fields_module.forget()
+
+
+def _on_last_budget_operation():
+    """F_9 without a table, one coefficient-path operation before it builds
+    one, and two polynomials over it with a common factor, made over its
+    twin and copied across without arithmetic."""
+    fields_module.forget()
+    F9 = make_field(9)
+    twin = untabled_twin(F9)
+    rng = random.Random(17)
+    c, f, g = (Polynomial(twin, [random_element(twin, rng) for _ in range(deg)] + [twin.one()])
+               for deg in (2, 5, 3))
+    ft, gt = f * c, g * c
+    f, g = (Polynomial(F9, [F9.element(x.rep) for x in h.coeffs]) for h in (ft, gt))
+    assert F9._table is None and twin._table is None
+    F9._budget = 1
+    return F9, (f, ft), (g, gt)
+
+
+@pytest.mark.parametrize("op", ["gcd", "divmod"])
+def test_a_table_built_inside_a_kernel_call(op):
+    """A call made on elements builds the field's table when its first
+    element operation spends the last of the budget. Its result is read back
+    as elements, the kind the call was made with, and equals the result over
+    the untabled twin."""
+    F9, (f, ft), (g, gt) = _on_last_budget_operation()
+    if op == "gcd":
+        got, want = [poly_gcd(f, g)], [poly_gcd(ft, gt)]
+        assert got[0].degree == 2
+    else:
+        got, want = divmod(f, g), divmod(ft, gt)
+    assert F9._table is not None
+    for a, b in zip(got, want):
+        assert a.field is F9 and a.coeffs == b.coeffs
+    fields_module.forget()
+
+
+def test_step_arithmetic_follows_the_base_kind():
+    """A degree-3 step over F_9 (order 729, never tabled) multiplies and
+    inverts in its base's kernel kind: elements before F_9 has a table,
+    indices while it has one, and elements again after forget() drops it.
+    Its modulus is cached per kind, and every result equals the one over
+    the untabled twin."""
+    fields_module.forget()
+    F9 = make_field(9)
+    twin = untabled_twin(F9)
+    rng = random.Random(19)
+    modulus = monic_irreducible(twin, rng, 3)
+    L = extension(F9, Polynomial(F9, [F9.element(c.rep) for c in modulus.coeffs]),
+                  check=False)
+    Lt = extension(twin, modulus, check=False)
+    pairs = [(random_unit(Lt, rng), random_unit(Lt, rng)) for _ in range(6)]
+
+    def check():
+        for xt, yt in pairs:
+            x, y = (L.element(tuple(F9.element(c.rep) for c in e.rep)) for e in (xt, yt))
+            assert (x * y).rep == (xt * yt).rep
+            assert x.inverse().rep == xt.inverse().rep
+
+    F9._budget = -1  # no table until asked for
+    check()
+    table_of(F9)
+    check()
+    assert L._mod_values[0] is F9._table
+    fields_module.forget()
+    assert F9._table is None
+    F9._budget = -1
+    check()
+    assert L._mod_values[0] is None
     fields_module.forget()
