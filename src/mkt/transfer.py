@@ -5,8 +5,8 @@ rewritten into combinations {a_1,...,a_s, f_1(alpha),...,f_r(alpha)} with
 the a_i constants from k and the f_i monic irreducible over k of strictly
 increasing degrees below deg pi_v. Those generator forms are then pushed
 down to k, by a route the form alone picks: constants-only forms scale by
-the extension degree, single-poly forms take the norm of the polynomial
-(projection formula), and forms with two or more polys run the reciprocity
+the extension degree, single-poly forms take the norm of the polynomial,
+the resultant Res(pi_v, f) (projection formula), and forms with two or more polys run the reciprocity
 recursion over the places of k(X), which strictly decreases degrees and so
 terminates. The recursion is also correct on single-poly forms; the tests
 check the norm route against it.

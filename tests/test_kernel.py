@@ -178,6 +178,19 @@ def test_modular_inverse_and_power(kind):
             power = zkernel.zp_mulmod(power, a, f, p)
 
 
+def test_resultant_is_multiplicative(kind):
+    """Res(a, b c) = Res(a, b) Res(a, c); the product of two coefficients is
+    taken as a product of constant polynomials, in the kind's own terms."""
+    rng, p = random.Random(23), kind.p
+    for _ in range(15):
+        a, b, c = (rand_poly(kind, rng, 4) for _ in range(3))
+        if not (a and b and c):
+            continue
+        bc = zkernel.zp_resultant(a, zkernel.zp_mul(b, c, p), p)
+        rb, rc = zkernel.zp_resultant(a, b, p), zkernel.zp_resultant(a, c, p)
+        assert zkernel.trim([bc]) == zkernel.zp_mul([rb], [rc], p)
+
+
 def test_inverse_of_a_zero_divisor_raises():
     """X divides the reducible modulus X^2 + X, so it has no inverse: the
     kernel raises DivisionByZero, a ZeroDivisionError, for every kind."""
