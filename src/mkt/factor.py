@@ -40,6 +40,7 @@ from mkt.fields import (
     FieldDescriptor,
     FieldElement,
     Polynomial,
+    _ext_element,
     _kind,
     _values,
     _wrap,
@@ -203,7 +204,7 @@ def _log2_order(q: int) -> int:
 def _random_element(fld: FieldDescriptor, rng: random.Random) -> FieldElement:
     if fld.kind == PRIME:
         return fld.from_int(rng.randrange(fld.p))
-    return FieldElement(fld, tuple(_random_element(fld.base, rng)
+    return _ext_element(fld, tuple(_random_element(fld.base, rng)
                                    for _ in range(fld.step_degree)))
 
 

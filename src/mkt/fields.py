@@ -8,22 +8,23 @@ extension steps, reduced num/den pairs for k(X)).
 
 Descriptors are canonical: `extension` and `function_field` hand out one
 object per field, so descriptor equality is almost always an identity test.
-A finite extension step of order q <= _TABLE_MAX that has done q operations
-on the coefficient path builds a _Table: its q elements, interned, and full
-q x q addition and multiplication tables on their indices, built once from
-Zech logarithms (Huber, IEEE Trans. IT 1990). After that +, -, *, inverse
-and == are list lookups, and `linalg` runs elimination and matrix products
-on rows of indices (`table_indices`). `forget()` drops the descriptor caches
-and every table; an index is a function of the value, so indices kept from
-before stay valid when the table is built again.
+`extension` gives a finite step of order q <= _TABLE_MAX its _Table at
+birth: its q elements, interned, and full q x q addition and multiplication
+tables on their indices, built from Zech logarithms (Huber, IEEE Trans. IT
+1990). The table lives as long as the descriptor, and every element of a
+tabled field is one of its table's elements, so +, -, *, inverse and == are
+list lookups and `linalg` runs elimination and matrix products on rows of
+indices (`table_indices`). Every other field computes on coefficients for
+its whole life. An index is a function of the value, so equal descriptors
+(one per command, since `forget()` empties the descriptor caches) share
+their indices.
 
 Polynomial +, -, *, divmod, gcd and resultant, and the product and inverse
 of an extension-step element, are each one call into `zkernel`, made in the
 coefficient field's kernel kind (`_kind`): integer residues over a prime
 field, table indices over a tabled field, the elements themselves over any
 other. `_values` hands the coefficients in and `_wrap` turns the result back
-into a Polynomial, read in the kind the call was made with: a table can be
-built during a call on elements, when the operation budget runs out.
+into a Polynomial.
 
 Coefficient lists everywhere are ordered lowest degree first, highest degree
 last. The zero polynomial has degree -1.
@@ -51,18 +52,21 @@ EXTENSION = "extension"
 FUNCTION = "function"
 
 
-# a finite extension step of at most this many elements may build a _Table.
-# The measured hot fields are F_9 and, now and then, F_81; at F_{251^2} a
-# 63,001-element table saved no time and raised peak RSS from 21.8 to 38.7 MB,
-# so larger fields keep coefficient tuples.
-_TABLE_MAX = 81
+# extension() builds a _Table for a finite step of at most this many elements.
+# A build takes 0.3-0.5 ms for F_9, 0.9 ms for F_27 and 3-4.6 ms for F_81
+# (Python 3.11, 2-core x86 host). The hot field is F_9; the F_81 residue
+# fields of degree-2 places over F_9 are made hundreds of times but used
+# lightly, and a cap of 81 cut the ff_reciprocity benchmark by 28-31% in
+# items/s. At F_{251^2} a 63,001-element table saved no time and raised
+# peak RSS from 21.8 to 38.7 MB.
+_TABLE_MAX = 27
 
 
 class FieldDescriptor:
     """Identity of a field. Structural equality; do not mutate."""
 
     __slots__ = ("kind", "p", "base", "modulus", "_hash", "_mod_values", "_order",
-                 "_table", "_budget")
+                 "_table")
 
     def __init__(self, kind: str, p: int | None = None,
                  base: "FieldDescriptor | None" = None,
@@ -72,14 +76,12 @@ class FieldDescriptor:
         self.base = base
         self.modulus = modulus
         self._hash = None
-        # (kernel kind, kernel coefficients) of the modulus, for the arithmetic
-        # of this step; see _modulus_values
-        self._mod_values = None
+        # the modulus's coefficients in the base's kernel kind, for the
+        # arithmetic of this step
+        self._mod_values = None if modulus is None else _values(_kind(base), modulus.coeffs)
         self._order = None
+        # set by extension() on small finite steps, kept for life
         self._table = None
-        # coefficient-path operations left before the table is built; set
-        # by extension() on fields that qualify, never reaches 0 otherwise
-        self._budget = -1
 
     # -- construction ------------------------------------------------------
 
@@ -157,8 +159,11 @@ class FieldDescriptor:
         extension steps, and Polynomial/RationalFunction over k for k(X).
         """
         if isinstance(value, FieldElement):
-            if value.field != self:
-                raise DescriptorMismatch(f"element of {value.field} given to {self}")
+            if value.field is not self:
+                if value.field != self:
+                    raise DescriptorMismatch(f"element of {value.field} given to {self}")
+                if self._table is not None:  # an equal descriptor's element
+                    return self._table.elems[_index(value)]
             return value
         if isinstance(value, int):
             return self.from_int(value)
@@ -189,9 +194,9 @@ class FieldDescriptor:
             coeffs = [self.base.zero()] * d
             if d == 1:
                 # x = root of a linear modulus is a base constant
-                return FieldElement(self, (-self.modulus.coeffs[0],))
+                return _ext_element(self, (-self.modulus.coeffs[0],))
             coeffs[1] = self.base.one()
-            return FieldElement(self, tuple(coeffs))
+            return _ext_element(self, tuple(coeffs))
         if self.kind == FUNCTION:
             return FieldElement(self, RationalFunction(Polynomial.x(self.base),
                                                        Polynomial.one(self.base)))
@@ -237,17 +242,11 @@ _PRIME_CACHE: dict[int, FieldDescriptor] = {}
 # modulus -> base[x]/(modulus); base -> base(X); both emptied by forget()
 _EXTENSIONS: dict["Polynomial", FieldDescriptor] = {}
 _FUNCTION_FIELDS: dict[FieldDescriptor, FieldDescriptor] = {}
-# descriptors holding a _Table
-_TABLED: list[FieldDescriptor] = []
 
 
 def forget() -> None:
-    """Drop the cached extension and function-field descriptors and every
-    element table, so that the next computation starts cold."""
-    for fld in _TABLED:
-        fld._table = None
-        fld._budget = fld.order()
-    _TABLED.clear()
+    """Drop the cached extension and function-field descriptors, so that the
+    next computation starts cold; a table goes with its descriptor."""
     _EXTENSIONS.clear()
     _FUNCTION_FIELDS.clear()
 
@@ -283,9 +282,11 @@ def extension(base: FieldDescriptor, modulus: "Polynomial", check: bool = True) 
             raise BadModulus(f"modulus {modulus} is reducible")
     got = _EXTENSIONS.get(modulus)
     if got is None:
+        if modulus.field is not base:
+            modulus = Polynomial(base, modulus.coeffs)
         got = FieldDescriptor(EXTENSION, base=base, modulus=modulus)
         if base.is_finite() and got.order() <= _TABLE_MAX:
-            got._budget = got.order()
+            _build_table(got)
         _EXTENSIONS[modulus] = got
     return got
 
@@ -329,16 +330,9 @@ class _Table:
         self.inv = [0] + [exp[m - li] for li in log[1:]]
 
 
-def _spend(fld: FieldDescriptor) -> None:
-    """Count one coefficient-path operation of fld; after order(fld) of them
-    the table pays for itself (ski rental), so build it."""
-    fld._budget -= 1
-    if not fld._budget:
-        _build_table(fld)
-
-
 def _build_table(fld: FieldDescriptor) -> None:
-    fld._budget = -1  # the arithmetic below must not trigger a second build
+    """Give fld its _Table, unless its modulus is reducible: then no element
+    generates the units, and fld stays on coefficients."""
     base = fld.base
     q = fld.order()
     m = q - 1
@@ -349,9 +343,13 @@ def _build_table(fld: FieldDescriptor) -> None:
         e.ix = i
     primes = list(factor_int(m)) if m > 1 else []
     # elems[:nb] is the base field, which holds a generator only when the
-    # step has degree 1
-    g = next(e for e in elems[nb:] or elems[1:]
-             if all(not (e ** (m // r)).is_one() for r in primes))
+    # step has degree 1. g^m = 1 makes g a unit, of order m by the prime
+    # test; over a reducible modulus no element passes both
+    g = next((e for e in elems[nb:] or elems[1:]
+              if (e ** m).is_one() and all(not (e ** (m // r)).is_one() for r in primes)),
+             None)
+    if g is None:
+        return
     exp = [0] * (2 * m)
     log = [0] * q
     x = fld.one()
@@ -369,7 +367,6 @@ def _build_table(fld: FieldDescriptor) -> None:
         if j:
             zech[n] = log[j]
     fld._table = _Table(elems, exp, log, zech)
-    _TABLED.append(fld)
 
 
 def _index(x: "FieldElement") -> int:
@@ -420,8 +417,8 @@ class FieldElement:
         self.field = field
         self.rep = rep
         self._hash = None
-        # position in all_elements(field): set on table elements when they
-        # are built, on other elements of a tabled field by _index
+        # position in all_elements(field): set on every table element, and
+        # by _index on elements of untabled finite fields
         self.ix = None
 
     def is_zero(self) -> bool:
@@ -450,15 +447,12 @@ class FieldElement:
     # -- arithmetic --------------------------------------------------------
     #
     # A field with a _Table works on indices: two elements of that very
-    # descriptor take one lookup, anything else is coerced first. Otherwise
-    # an extension step works on coefficients and counts each operation
-    # toward its table.
+    # descriptor take one lookup, anything else is coerced into the table
+    # first. Every other field works on its representations.
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise DescriptorMismatch(f"{self.field} vs {other.field}")
-            return other
+            return other if other.field is self.field else self.field.element(other)
         if isinstance(other, int):
             return self.field.from_int(other)
         if isinstance(other, Fraction) and self.field.kind == RATIONALS:
@@ -473,10 +467,7 @@ class FieldElement:
                 other = self._coerce(other)
                 if other is None:
                     return NotImplemented
-            try:
-                return tab.elems[tab.add[self.ix][other.ix]]
-            except TypeError:  # an operand that is not a table element
-                return tab.elems[tab.add[_index(self)][_index(other)]]
+            return tab.elems[tab.add[self.ix][other.ix]]
         b = self._coerce(other)
         if b is None:
             return NotImplemented
@@ -486,7 +477,6 @@ class FieldElement:
         if k == PRIME:
             return FieldElement(fld, (self.rep + b.rep) % fld.p)
         if k == EXTENSION:
-            _spend(fld)
             return FieldElement(fld, tuple(x + y for x, y in zip(self.rep, b.rep)))
         return FieldElement(fld, self.rep.add(b.rep))
 
@@ -496,14 +486,13 @@ class FieldElement:
         fld = self.field
         tab = fld._table
         if tab is not None:
-            return tab.elems[tab.neg[_index(self)]]
+            return tab.elems[tab.neg[self.ix]]
         k = fld.kind
         if k == RATIONALS:
             return FieldElement(fld, -self.rep)
         if k == PRIME:
             return FieldElement(fld, (-self.rep) % fld.p)
         if k == EXTENSION:
-            _spend(fld)
             return FieldElement(fld, tuple(-x for x in self.rep))
         return FieldElement(fld, self.rep.neg())
 
@@ -515,10 +504,7 @@ class FieldElement:
                 other = self._coerce(other)
                 if other is None:
                     return NotImplemented
-            try:
-                return tab.elems[tab.add[self.ix][tab.neg[other.ix]]]
-            except TypeError:
-                return tab.elems[tab.add[_index(self)][tab.neg[_index(other)]]]
+            return tab.elems[tab.add[self.ix][tab.neg[other.ix]]]
         b = self._coerce(other)
         if b is None:
             return NotImplemented
@@ -538,10 +524,7 @@ class FieldElement:
                 other = self._coerce(other)
                 if other is None:
                     return NotImplemented
-            try:
-                return tab.elems[tab.mul[self.ix][other.ix]]
-            except TypeError:
-                return tab.elems[tab.mul[_index(self)][_index(other)]]
+            return tab.elems[tab.mul[self.ix][other.ix]]
         b = self._coerce(other)
         if b is None:
             return NotImplemented
@@ -551,11 +534,10 @@ class FieldElement:
         if k == PRIME:
             return FieldElement(fld, self.rep * b.rep % fld.p)
         if k == EXTENSION:
-            _spend(fld)
             base = fld.base
             k = _kind(base)
             prod = zkernel.zp_mulmod(_rep_values(self, k), _rep_values(b, k),
-                                     _modulus_values(fld, k), k)
+                                     fld._mod_values, k)
             return _ext_from_coeffs(fld, _elements(base, prod, k))
         return FieldElement(fld, self.rep.mul(b.rep))
 
@@ -567,17 +549,16 @@ class FieldElement:
         fld = self.field
         tab = fld._table
         if tab is not None:
-            return tab.elems[tab.inv[_index(self)]]
+            return tab.elems[tab.inv[self.ix]]
         k = fld.kind
         if k == RATIONALS:
             return FieldElement(fld, 1 / self.rep)
         if k == PRIME:
             return FieldElement(fld, pow(self.rep, fld.p - 2, fld.p))
         if k == EXTENSION:
-            _spend(fld)
             base = fld.base
             k = _kind(base)
-            inv = zkernel.zp_invmod(_rep_values(self, k), _modulus_values(fld, k), k)
+            inv = zkernel.zp_invmod(_rep_values(self, k), fld._mod_values, k)
             return _ext_from_coeffs(fld, _elements(base, inv, k))
         return FieldElement(fld, self.rep.inverse())
 
@@ -596,7 +577,7 @@ class FieldElement:
     def __pow__(self, e: int):
         tab = self.field._table
         if tab is not None and not self.is_zero():
-            return tab.elems[tab.exp[tab.log[_index(self)] * e % tab.m]]
+            return tab.elems[tab.exp[tab.log[self.ix] * e % tab.m]]
         if e < 0:
             return self.inverse() ** (-e)
         result = self.field.one()
@@ -667,8 +648,8 @@ def _ext_from_coeffs(fld: FieldDescriptor, coeffs: list[FieldElement]) -> FieldE
 
 
 def _kind(field: FieldDescriptor):
-    """The zkernel coefficient kind of field, as it stands now: p over a
-    prime field, the _Table over a tabled one, None over any other."""
+    """The zkernel coefficient kind of field: p over a prime field, the
+    _Table over a tabled one, None over any other."""
     return field.p or field._table
 
 
@@ -679,10 +660,7 @@ def _values(kind, coeffs) -> list:
         return list(coeffs)
     if kind.__class__ is int:
         return [c.rep for c in coeffs]
-    out = [c.ix for c in coeffs]
-    if None in out:  # a coefficient made before the table
-        out = [_index(c) for c in coeffs]
-    return out
+    return [c.ix for c in coeffs]
 
 
 def _elements(field: FieldDescriptor, values: list, kind) -> tuple:
@@ -696,8 +674,8 @@ def _elements(field: FieldDescriptor, values: list, kind) -> tuple:
 
 
 def _wrap(field: FieldDescriptor, values: list, kind) -> "Polynomial":
-    """The polynomial over field with kernel coefficients values (trimmed),
-    read in the kind the kernel call was made with."""
+    """The polynomial over field with kernel coefficients values (trimmed)
+    of kind."""
     out = Polynomial.__new__(Polynomial)
     out.field = field
     out.coeffs = _elements(field, values, kind)
@@ -710,28 +688,14 @@ def _rep_values(x: FieldElement, kind) -> list:
     return zkernel.trim(_values(kind, x.rep))
 
 
-def _modulus_values(fld: FieldDescriptor, kind) -> list:
-    """Kernel coefficients of fld's modulus in kind, the base's kind now.
-
-    The base's kind changes when its table is built or forgotten, so the
-    cache holds the kind it was computed for."""
-    got = fld._mod_values
-    if got is None or got[0] is not kind:
-        got = fld._mod_values = (kind, _values(kind, fld.modulus.coeffs))
-    return got[1]
-
-
 class Polynomial:
     """Dense univariate polynomial over a field descriptor."""
 
     __slots__ = ("field", "coeffs", "_hash")
 
     def __init__(self, field: FieldDescriptor, coeffs: Iterable):
-        elems = [field.element(c) if not isinstance(c, FieldElement) else c
+        elems = [c if c.__class__ is FieldElement and c.field is field else field.element(c)
                  for c in coeffs]
-        for c in elems:
-            if c.field is not field and c.field != field:
-                raise DescriptorMismatch("coefficient over wrong field")
         self.field = field
         self.coeffs = tuple(zkernel.trim(elems))
         self._hash = None

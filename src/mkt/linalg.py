@@ -15,11 +15,11 @@ multiplies through its integer rows over one common denominator. Fractions
 are made only for the values handed back, which equal those of the
 element path because pivots, relations and coordinates are unique.
 
-Over a finite field with a table (`fields._Table`, order <= 81) the same
-holds on table indices: a tracker keeps rows of indices, a matrix
-multiplies and applies itself through index rows built on first use, and
-a + f * b is add[a][mul[f][b]]. Only the values handed back become
-elements. The element path stays for every other field.
+Over a finite field with a table (`fields._Table`, order <= 27, built
+with the field) the same holds on table indices: a tracker keeps rows of
+indices, a matrix multiplies and applies itself through index rows built on
+first use, and a + f * b is add[a][mul[f][b]]. Only the values handed back
+become elements. The element path stays for every other field.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class Matrix:
         return self._fast
 
     def _index_rows(self) -> list[list[int]]:
-        """The rows as table indices, over a field that has (or had) a table."""
+        """The rows as table indices, over a tabled field."""
         if self._fast is None:
             object.__setattr__(self, "_fast", [table_indices(self.field, r)
                                                for r in self.rows])
@@ -541,17 +541,12 @@ class _TabledSpan(SpanTracker):
     """SpanTracker over a tabled finite field, on table indices.
 
     The element path's rows, steps and coefficients with every element
-    replaced by its index in the table the field had when the tracker was
-    made, so forget() cannot pull it away mid-use.
+    replaced by its index in the field's table.
     """
-
-    def __init__(self, field: FieldDescriptor, dim: int):
-        super().__init__(field, dim)
-        self._tab = field._table
 
     def _reduce(self, v: Sequence[FieldElement]):
         w = table_indices(self.field, v)
-        add, mul = self._tab.add, self._tab.mul
+        add, mul = self.field._table.add, self.field._table.mul
         steps = []
         for j, (p, tail) in enumerate(zip(self.pivots, self._rows)):
             f = w[p]
@@ -566,12 +561,12 @@ class _TabledSpan(SpanTracker):
     def _combine(self, steps, length: int) -> list[int]:
         while len(self._combos) < len(self._origins):
             index, scale, row_steps = self._origins[len(self._combos)]
-            ms = self._tab.mul[scale]
+            ms = self.field._table.mul[scale]
             self._combos.append([ms[c] for c in self._sum(row_steps, index)] + [scale])
         return self._sum(steps, length)
 
     def _sum(self, steps, length: int) -> list[int]:
-        add, mul = self._tab.add, self._tab.mul
+        add, mul = self.field._table.add, self.field._table.mul
         comb = [0] * length
         for j, f in steps:
             mf = mul[f]
@@ -583,7 +578,7 @@ class _TabledSpan(SpanTracker):
         w, steps = self._reduce(v)
         index = self.offered
         self.offered += 1
-        tab = self._tab
+        tab = self.field._table
         for p, a in enumerate(w):
             if a:
                 break
@@ -601,7 +596,7 @@ class _TabledSpan(SpanTracker):
         w, steps = self._reduce(v)
         if any(w):
             return None
-        tab = self._tab
+        tab = self.field._table
         return [tab.elems[tab.neg[c]] for c in self._combine(steps, self.offered)]
 
 

@@ -1,6 +1,5 @@
 import pathlib
 import random
-import sys
 
 import pytest
 
@@ -68,28 +67,30 @@ def all_units(field):
     return out
 
 
-def f81_over_f9():
-    """F_81 as a quadratic step over F_9: the first irreducible X^2 + bX + c
-    in all_elements order."""
-    F9 = make_field(9)
-    for b in all_elements(F9):
-        for c in all_elements(F9):
-            f = Polynomial(F9, [c, b, F9.one()])
+def quadratic_over(k):
+    """A quadratic step over k: the first irreducible X^2 + bX + c in
+    all_elements order."""
+    for b in all_elements(k):
+        for c in all_elements(k):
+            f = Polynomial(k, [c, b, k.one()])
             if is_irreducible(f):
-                return extension(F9, f)
-    raise AssertionError("F_9 has irreducible quadratics")
+                return extension(k, f)
+    raise AssertionError(f"{k} has irreducible quadratics")
 
 
-def table_of(L):
-    """L's interned elements, building the table if L has none yet."""
-    if L._table is None:
-        sys.modules["mkt.fields"]._build_table(L)
-    return L._table.elems
+def f81_over_f9():
+    """F_81 as a step over F_9, above the table cap."""
+    return quadratic_over(make_field(9))
+
+
+def f16_over_f4():
+    """F_16 as a step over F_4: a tabled step over a tabled field."""
+    return quadratic_over(make_field(4))
 
 
 def untabled_twin(L):
-    """A descriptor equal to L that never builds a table: extension() sets
-    the operation budget, the bare constructor does not."""
+    """A descriptor equal to L without a table: extension() builds tables,
+    the bare constructor does not."""
     if L.kind != EXTENSION:
         return L
     base = untabled_twin(L.base)

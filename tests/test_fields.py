@@ -1,5 +1,6 @@
 """Field and polynomial arithmetic against hand-checked and brute-force oracles."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -10,15 +11,16 @@ from hypothesis import strategies as st
 from mkt.errors import (DescriptorMismatch, DivisionByZero, UnsupportedFactorization,
                         ZeroPolynomial)
 from mkt.factor import factor, forget, irreducible_factors, is_irreducible
-from mkt.fields import (Polynomial, all_elements, embed, extension, function_field,
-                        poly_gcd, poly_resultant, prime_field, rationals, tower_degree)
+from mkt.fields import (Polynomial, all_elements, coordinates, element_from_poly, embed,
+                        extension, from_coordinates, function_field, poly_gcd,
+                        poly_resultant, prime_field, rationals, tower_degree)
 from mkt.linalg import Matrix, companion_matrix, minpoly_matrix
 from mkt.sampling import monic_irreducible, random_element
 from mkt.symbols import symbol
 from mkt.towers import (minimal_polynomial, multiplication_matrix, norm_element,
                         present_as_simple)
 from mkt.valuations import finite_place, tame_symbol
-from tests.conftest import (NORM_PAIRS, all_units, f81_over_f9, make_field, table_of,
+from tests.conftest import (NORM_PAIRS, all_units, f16_over_f4, f81_over_f9, make_field,
                             untabled_twin)
 
 # the modules themselves; the package attribute mkt.factor is the function
@@ -155,7 +157,7 @@ class TestFactor:
                 key=lambda pair: factor_module.poly_sort_key(pair[0])))
         assert traces
         if q > 2:
-            # the splits' arithmetic made the field hot; there -x is x
+            # the field has its table; there -x is x
             assert field._table is not None
             assert field._table.neg == list(range(q))
 
@@ -280,6 +282,12 @@ class TestFactorMemo:
         assert not factor_module._FACTORED and not factor_module._IRREDUCIBLE
 
 
+def tabled_field(q):
+    """A field that extension() gives a table; "16/4" is F_16 as a step over
+    F_4, a tower of two tabled steps."""
+    return f16_over_f4() if q == "16/4" else make_field(q)
+
+
 class TestFieldTables:
     @pytest.fixture(autouse=True)
     def cold(self):
@@ -287,17 +295,16 @@ class TestFieldTables:
         yield
         fields_module.forget()
 
-    @pytest.mark.parametrize("q", [4, 8, 16, 9, 25, 27, 81])
+    @pytest.mark.parametrize("q", [4, 8, 16, 9, 25, 27, "16/4"])
     def test_table_matches_coefficient_path(self, q):
         """Every pair of elements gives the same +, -, *, inverse, ==,
-        is_zero and hash through the table as through the coefficients;
-        F_81 is a tower over F_9."""
-        L = f81_over_f9() if q == 81 else make_field(q)
-        fast = table_of(L)
+        is_zero and hash through the table as through the coefficients."""
+        L = tabled_field(q)
+        fast = L._table.elems
         twin = untabled_twin(L)
         slow = list(all_elements(twin))
         assert twin == L and twin is not L and hash(twin) == hash(L)
-        assert len(fast) == len(slow) == q
+        assert len(fast) == len(slow) == L.order()
         for i, (a, s) in enumerate(zip(fast, slow)):
             assert a.ix == i and a._key() == s._key() and hash(a) == hash(s)
             assert a.is_zero() == s.is_zero() == (i == 0)
@@ -310,22 +317,46 @@ class TestFieldTables:
                 assert (a == b) == (i == j) == (s == t) == (a == t)
         assert twin._table is None
 
-    @pytest.mark.parametrize("q", [8, 9, 81])
+    @pytest.mark.parametrize("q", [8, 9, "16/4"])
     def test_constants_and_powers_are_interned(self, q):
-        L = f81_over_f9() if q == 81 else make_field(q)
-        fast = table_of(L)
+        L = tabled_field(q)
+        fast = L._table.elems
         twin = untabled_twin(L)
+        n_elems = L.order()
         assert L.zero() is fast[0] and L.one() is fast[1]
-        for n in range(-q, q):
+        for n in range(-n_elems, n_elems):
             got = L.from_int(n)
             assert got is fast[got.ix] and got._key() == twin.from_int(n)._key()
         for a, s in zip(fast, all_elements(twin)):
-            for e in (-3, -1, 0, 1, 2, 5, q - 1, q):
+            for e in (-3, -1, 0, 1, 2, 5, n_elems - 1, n_elems):
                 if e < 0 and a.is_zero():
                     with pytest.raises(DivisionByZero):
                         a ** e
                     continue
                 assert (a ** e)._key() == (s ** e)._key()
+
+    @pytest.mark.parametrize("q", [4, 9, 27, "16/4"])
+    def test_every_element_of_a_tabled_field_is_interned(self, q):
+        """Whatever makes an element of a tabled field hands out one of its
+        table's elements: constructors, arithmetic, embeddings, coordinates
+        and the random elements of equal-degree splitting."""
+        L = tabled_field(q)
+        elems = L._table.elems
+        base = L.base
+        x, y = L.gen(), L.gen() + L.one()
+        made = [L.element(3), L.element((1, 1)), L.element([base.one()]), L.from_int(-1),
+                x, y, L.zero(), L.one(), L.minus_one(),
+                x + y, x - y, y - x, -x, x * y, y * 2, 2 * y, x + 1, 1 - x, x / y,
+                x.inverse(), x ** 5, x ** -2, y ** 0,
+                embed(base.gen() if base.kind == "extension" else base.one(), L),
+                from_coordinates(coordinates(y, base), L, base),
+                element_from_poly(L, Polynomial(base, [base.one(), base.one()])),
+                element_from_poly(L, Polynomial(base, [base.one()] * 4))]
+        made += all_elements(L)
+        rng = random.Random(11)
+        made += [factor_module._random_element(L, rng) for _ in range(20)]
+        for z in made:
+            assert z.field is L and z is elems[z.ix]
 
     def test_descriptors_are_canonical(self):
         F3 = prime_field(3)
@@ -337,41 +368,23 @@ class TestFieldTables:
         assert again is not F9 and again == F9 and hash(again) == hash(F9)
         assert function_field(again) == function_field(F9)
 
-    def test_table_is_built_after_order_many_operations(self):
-        """Ski rental: a field of order q builds its table on its q-th
-        operation on the coefficient path, and not before."""
-        L = make_field(27)
-        x = L.gen()
-        y = x + 1  # one operation
-        for _ in range(25):
-            x * y
-        assert L._table is None and not fields_module._TABLED
-        z = x * y  # the 27th
-        assert fields_module._TABLED == [L]
-        assert z is L._table.elems[z.ix]
-        # elements made before the table join it by their position
-        assert x.ix is None and x * y is z
-        assert x.ix is not None and x == L._table.elems[x.ix]
-
     def test_fields_above_the_cap_build_no_table(self):
-        """F_81 is the largest order that may build a table; F_121 keeps
-        coefficient tuples however often it is used."""
-        L = f81_over_f9()
-        assert L.order() == fields_module._TABLE_MAX == 81
+        """F_27 is the largest order that gets a table; F_81 over F_9 and
+        F_121 keep coefficient tuples however often they are used."""
+        F27 = make_field(27)
+        assert F27.order() == fields_module._TABLE_MAX == 27 and F27._table is not None
         F11 = prime_field(11)
-        M = extension(F11, Polynomial.from_ints(F11, [1, 0, 1]))
-        for K in (L, M):
+        for K in (f81_over_f9(), extension(F11, Polynomial.from_ints(F11, [1, 0, 1]))):
             x = K.gen() + K.one()
             y = K.one()
             for _ in range(2 * K.order()):
                 y = y * x
-        assert L._table is not None and M._table is None
-        assert M not in fields_module._TABLED
+            assert K._table is None and y.ix is None
 
     def test_cold_residue_field_builds_no_table(self):
         """The residue field F_6561 of a degree-4 place of F_9(X), above the
-        table cap and touched far fewer than 6561 times by a tame symbol,
-        builds no table, while F_9 below it is hot enough to build one."""
+        table cap, keeps coefficients through a tame symbol, while F_9 below
+        it runs on its table."""
         F9 = make_field(9)
         ff = function_field(F9)
         pi = Polynomial(F9, [F9.gen() + 1, 0, 0, 0, 1])  # X^4 + a + 1
@@ -382,20 +395,22 @@ class TestFieldTables:
         t = tame_symbol(v, symbol([ff.element(pi * g), ff.element(g * g + 1)], ff))
         assert t.field == L and not t.is_zero()
         assert L._table is None and F9._table is not None
-        assert fields_module._TABLED == [F9]
 
-    def test_forget_drops_tables_and_old_elements_stay_valid(self):
-        F9 = make_field(9)
-        table_of(F9)
-        x = F9.gen()
-        square = x * x
-        fields_module.forget()
-        assert F9._table is None and not fields_module._TABLED
-        assert x * x == square and (x * x).ix is None
-        fresh = make_field(9)
-        assert fresh is not F9 and fresh == F9
-        y = table_of(fresh)[x.ix]
-        assert y == x and x == y and y * y == square
+    def test_reducible_step_gets_no_table(self):
+        """F_5[x]/(X^2 + X), built without the irreducibility check, has 25
+        elements but is no field: no element generates its units, so it gets
+        no table, and the class of X, a zero divisor, has no inverse."""
+        F5 = prime_field(5)
+        L = extension(F5, Polynomial.from_ints(F5, [0, 1, 1]), check=False)
+        assert L.order() == 25 and L._table is None
+        x, y = L.gen(), L.gen() + L.one()
+        z = L.one()
+        for _ in range(40):
+            z = z * y
+        assert z == y  # y^2 = y: (x + 1)^2 = x^2 + 2x + 1 = x + 1
+        assert x * (x + 1) == 0
+        with pytest.raises(DivisionByZero):
+            x.inverse()
 
 
 class TestMinimalPolynomial:
@@ -517,8 +532,6 @@ class TestResultant:
     def test_sylvester_determinant(self, rng, q):
         fields_module.forget()
         k = untabled_twin(make_field(9)) if q == "9-twin" else make_field(q)
-        if q == 9:
-            table_of(k)
         for _ in range(30):
             f, g = (Polynomial(k, [random_element(k, rng, span=3)
                                    for _ in range(rng.randint(1, 5))] + [k.one()])

@@ -1,8 +1,8 @@
 """The polynomial kernel on its three coefficient kinds.
 
 Residue ints with their prime p, lists of field elements with p None (Q,
-F_9 before and after its table, F_81 over F_9, F_16), and lists of table
-indices with the field's table (F_9, F_27, F_81 over F_9) go through the
+F_9 with and without a table, F_81 over F_9, F_16), and lists of table
+indices with the field's table (F_9, F_27, F_16 over F_4) go through the
 same routines. The checks are algebraic identities, so no second
 implementation is needed as an oracle; the Polynomial tests at the end
 compare the index path with the element path of an untabled twin.
@@ -19,7 +19,7 @@ from mkt.factor import poly_powmod
 from mkt.fields import (Polynomial, extension, poly_gcd, poly_resultant, prime_field,
                         rationals, table_indices)
 from mkt.sampling import monic_irreducible, random_element, random_unit
-from tests.conftest import f81_over_f9, make_field, table_of, twin_element, untabled_twin
+from tests.conftest import f16_over_f4, f81_over_f9, make_field, twin_element, untabled_twin
 
 fields_module = sys.modules["mkt.fields"]
 
@@ -73,7 +73,6 @@ class Indices:
     zero, one = 0, 1
 
     def __init__(self, field):
-        table_of(field)
         self.field = field
         self.p = field._table
 
@@ -85,24 +84,18 @@ class Indices:
         return table_indices(self.field, f.coeffs)
 
 
-def _f9_with_table():
-    F9 = make_field(9)
-    table_of(F9)
-    return F9
-
-
 # each builds its coefficient kind inside the test, after the caches are reset;
 # the residue kinds are named by their prime
 KINDS = {str(p): (lambda p=p: Residues(p)) for p in PRIMES}
 KINDS.update({
     "Q": lambda: Elements(rationals()),
     "F_9-coefficients": lambda: Elements(untabled_twin(make_field(9))),
-    "F_9-table": lambda: Elements(_f9_with_table()),
+    "F_9-table": lambda: Elements(make_field(9)),
     "F_81/F_9": lambda: Elements(f81_over_f9()),
     "F_16": lambda: Elements(make_field(16)),
     "F_9-indices": lambda: Indices(make_field(9)),
     "F_27-indices": lambda: Indices(make_field(27)),
-    "F_81/F_9-indices": lambda: Indices(f81_over_f9()),
+    "F_16/F_4-indices": lambda: Indices(f16_over_f4()),
 })
 
 
@@ -228,10 +221,10 @@ def test_polynomial_operations_on_indices_match_the_untabled_twin():
     """Every Polynomial operation over a tabled F_9 runs on table indices;
     over its untabled twin the same operation runs on elements. Both give
     the same coefficients, and so do the product and inverse of a degree-3
-    step over each of them."""
+    step over each of them. Elements of the twin given to F_9 join its
+    table."""
     fields_module.forget()
     F9 = make_field(9)
-    table_of(F9)
     twin = untabled_twin(F9)
     rng = random.Random(13)
 
@@ -251,83 +244,16 @@ def test_polynomial_operations_on_indices_match_the_untabled_twin():
         _same_coeffs(f.monic(), ft.monic())
         _same_coeffs(f.derivative(), ft.derivative())
         assert poly_resultant(m, g) == poly_resultant(mt, gt)
-    modulus = monic_irreducible(F9, rng, 3)
-    L = extension(F9, modulus)
-    Lt = extension(twin, Polynomial(twin, [twin_element(twin, c) for c in modulus.coeffs]))
+    # extension() takes a modulus given over the twin across to F_9 itself;
+    # an equal modulus would fetch L again, so the step over the twin is
+    # built bare
+    L = extension(F9, monic_irreducible(twin, rng, 3))
+    Lt = untabled_twin(L)
+    assert L.modulus.field is F9 and Lt.base._table is None
     for _ in range(20):
         x, y = random_unit(L, rng), random_unit(L, rng)
         xt, yt = (Lt.element(tuple(twin_element(twin, c) for c in e.rep)) for e in (x, y))
         assert (x * y).rep == (xt * yt).rep
         assert x.inverse().rep == xt.inverse().rep
     assert twin._table is None and L._table is None
-    fields_module.forget()
-
-
-def _on_last_budget_operation():
-    """F_9 without a table, one coefficient-path operation before it builds
-    one, and two polynomials over it with a common factor, made over its
-    twin and copied across without arithmetic."""
-    fields_module.forget()
-    F9 = make_field(9)
-    twin = untabled_twin(F9)
-    rng = random.Random(17)
-    c, f, g = (Polynomial(twin, [random_element(twin, rng) for _ in range(deg)] + [twin.one()])
-               for deg in (2, 5, 3))
-    ft, gt = f * c, g * c
-    f, g = (Polynomial(F9, [F9.element(x.rep) for x in h.coeffs]) for h in (ft, gt))
-    assert F9._table is None and twin._table is None
-    F9._budget = 1
-    return F9, (f, ft), (g, gt)
-
-
-@pytest.mark.parametrize("op", ["gcd", "divmod"])
-def test_a_table_built_inside_a_kernel_call(op):
-    """A call made on elements builds the field's table when its first
-    element operation spends the last of the budget. Its result is read back
-    as elements, the kind the call was made with, and equals the result over
-    the untabled twin."""
-    F9, (f, ft), (g, gt) = _on_last_budget_operation()
-    if op == "gcd":
-        got, want = [poly_gcd(f, g)], [poly_gcd(ft, gt)]
-        assert got[0].degree == 2
-    else:
-        got, want = divmod(f, g), divmod(ft, gt)
-    assert F9._table is not None
-    for a, b in zip(got, want):
-        assert a.field is F9 and a.coeffs == b.coeffs
-    fields_module.forget()
-
-
-def test_step_arithmetic_follows_the_base_kind():
-    """A degree-3 step over F_9 (order 729, never tabled) multiplies and
-    inverts in its base's kernel kind: elements before F_9 has a table,
-    indices while it has one, and elements again after forget() drops it.
-    Its modulus is cached per kind, and every result equals the one over
-    the untabled twin."""
-    fields_module.forget()
-    F9 = make_field(9)
-    twin = untabled_twin(F9)
-    rng = random.Random(19)
-    modulus = monic_irreducible(twin, rng, 3)
-    L = extension(F9, Polynomial(F9, [F9.element(c.rep) for c in modulus.coeffs]),
-                  check=False)
-    Lt = extension(twin, modulus, check=False)
-    pairs = [(random_unit(Lt, rng), random_unit(Lt, rng)) for _ in range(6)]
-
-    def check():
-        for xt, yt in pairs:
-            x, y = (L.element(tuple(F9.element(c.rep) for c in e.rep)) for e in (xt, yt))
-            assert (x * y).rep == (xt * yt).rep
-            assert x.inverse().rep == xt.inverse().rep
-
-    F9._budget = -1  # no table until asked for
-    check()
-    table_of(F9)
-    check()
-    assert L._mod_values[0] is F9._table
-    fields_module.forget()
-    assert F9._table is None
-    F9._budget = -1
-    check()
-    assert L._mod_values[0] is None
     fields_module.forget()

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from tests.conftest import (f81_over_f9, make_field, table_of, twin_element,
+from tests.conftest import (f16_over_f4, f81_over_f9, make_field, twin_element,
                             untabled_twin)
 from mkt.errors import DegenerateInput
 from mkt.fields import Polynomial, forget, function_field, prime_field, rationals
@@ -88,11 +88,13 @@ class TestMatrix:
 
 
 # Q, F_4 (characteristic 2, where -x is x), F_7, F_9, and F_81 as a step over
-# F_9; the extensions run elimination on table indices once they are hot
+# F_9; F_4 and F_9 run elimination on table indices, F_81 on elements
 ELIMINATION_FIELDS = [0, 4, 7, 9, 81]
 
 
 def elimination_field(q):
+    if q == "16/4":
+        return f16_over_f4()
     return f81_over_f9() if q == 81 else make_field(q)
 
 
@@ -296,7 +298,7 @@ def interned(field, xs):
     return all(x is elems[x.ix] for x in xs)
 
 
-@pytest.mark.parametrize("q", [4, 9, 81])
+@pytest.mark.parametrize("q", [4, 9, "16/4"])
 class TestTabledElimination:
     """Elimination and products on table indices against the element path,
     run on an equal descriptor that never builds a table."""
@@ -309,7 +311,6 @@ class TestTabledElimination:
 
     def test_tracker_matches_untabled_twin(self, q, rng):
         field = elimination_field(q)
-        table_of(field)
         twin = untabled_twin(field)
         for m in sample_matrices(field, rng):
             t = twin_matrix(twin, m)
@@ -337,7 +338,6 @@ class TestTabledElimination:
 
     def test_products_and_apply_match_untabled_twin(self, q, rng):
         field = elimination_field(q)
-        table_of(field)
         twin = untabled_twin(field)
         for n, k, m in [(1, 1, 1), (2, 3, 2), (3, 3, 3), (4, 2, 5)]:
             a, b = rand_rect(field, rng, n, k), rand_rect(field, rng, k, m)
@@ -349,49 +349,6 @@ class TestTabledElimination:
             # the product keeps its index rows, and they are its entries'
             assert ab * Matrix.identity(field, m) == ab
             assert ab._index_rows() == [[x.ix for x in r] for r in ab.rows]
-
-    def test_index_rows_survive_forget(self, q, rng):
-        """Index rows cached under one table serve the same descriptor's
-        next table, and the element path while it has none."""
-        field = elimination_field(q)
-        table_of(field)
-        twin = untabled_twin(field)
-        a, b = rand_rect(field, rng, 3, 3), rand_rect(field, rng, 3, 2)
-        v = [rand_entry(field, rng) for _ in range(3)]
-        want_ab = twin_matrix(twin, a) * twin_matrix(twin, b)
-        want_av = twin_matrix(twin, a).apply(twin_vector(twin, v))
-        assert a * b == want_ab and a.apply(v) == want_av
-        assert a._fast is not None and b._fast is not None
-        span = SpanTracker(field, 3)
-        span.add(a.rows[0])
-        forget()
-        assert field._table is None
-        # a tracker keeps the table it was made with
-        assert span.coordinates(a.rows[0]) == [field.one()]
-        assert a * b == want_ab and a.apply(v) == want_av
-        x, y = field.gen(), field.gen() + field.one()
-        while field._table is None:  # the old descriptor grows a new table
-            x = x * y
-        assert a * b == want_ab and a.apply(v) == want_av
-        assert all(interned(field, r) for r in (a * b).rows)
-
-    def test_tracker_made_before_the_table(self, q, rng):
-        """A tracker made on a cold field stays on the element path, and
-        keeps agreeing once the field has built its table."""
-        field = elimination_field(q)
-        twin = untabled_twin(field)
-        rows = [[rand_entry(field, rng) for _ in range(4)] for _ in range(3)]
-        assert field._table is None
-        span = SpanTracker(field, 4)
-        assert type(span) is SpanTracker
-        table_of(field)
-        rows.append([x + y for x, y in zip(rows[0], rows[1])])
-        slow = SpanTracker(twin, 4)
-        for r in rows:
-            assert span.offer(r) == slow.offer(twin_vector(twin, r))
-        assert span.pivot_values == slow.pivot_values
-        for r in rows:
-            assert span.coordinates(r) == slow.coordinates(twin_vector(twin, r))
 
 
 class TestSolveInSpan:
