@@ -124,8 +124,6 @@ def _parse_element(field: FieldDescriptor, v):
                 raise ParseError(f"not a prime-field element: {v!r}")
             return field.from_int(v)
         if field.kind == EXTENSION:
-            if isinstance(v, (int, str)):
-                return field.element(_parse_element(field.base, v))  # type: ignore[arg-type]
             if isinstance(v, list):
                 return field.element(tuple(_parse_element(field.base, c) for c in v))
             raise ParseError(f"not an extension element: {v!r}")

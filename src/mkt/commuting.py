@@ -29,7 +29,7 @@ from .canonical import CanonicalClass, canonical_class
 from .errors import (ArityMismatch, DegenerateInput, DescriptorMismatch,
                      NotUnitDeterminant, RecursionInvariantViolated,
                      UnsupportedField, UnsupportedTower)
-from .factor import element_sort_key, irreducible_factors, poly_sort_key
+from .factor import irreducible_factors
 from .fields import (EXTENSION, FUNCTION, FieldDescriptor, FieldElement,
                      Polynomial, embed, extension, function_field, tower_steps)
 from .linalg import Matrix, SpanTracker, minpoly_matrix, poly_eval_matrix
@@ -392,7 +392,7 @@ def _layers(field, ops: list[Matrix], dim: int) -> list[tuple]:
 
 def _tower_key(top: FieldDescriptor, base: FieldDescriptor):
     steps = tower_steps(top, base)
-    return (len(steps), tuple(poly_sort_key(s.modulus) for s in steps))
+    return (len(steps), tuple(s.modulus.coeff_key() for s in steps))
 
 
 def composition_series(x: MatrixTuple) -> list[CompositionFactor]:
@@ -407,7 +407,7 @@ def composition_series(x: MatrixTuple) -> list[CompositionFactor]:
         raise UnsupportedTower("tuples over function fields are out of scope")
     seen: dict = {}
     for top, scal, mult in _layers(field, list(x.matrices), x.size):
-        key = (_tower_key(top, field), tuple(element_sort_key(s) for s in scal))
+        key = (_tower_key(top, field), tuple(s.key() for s in scal))
         if key in seen:
             seen[key][2] += mult
         else:

@@ -49,7 +49,7 @@ from mkt.fields import (
     poly_gcd,
     prime_field,
 )
-from mkt.linalg import Matrix, companion_matrix, minpoly_matrix
+from mkt.linalg import Matrix, _cleared, companion_matrix, minpoly_matrix
 from mkt.numutil import factor_int, next_prime
 from mkt.towers import multiplication_matrix
 
@@ -71,21 +71,6 @@ def _remember(memo: dict, key, value) -> None:
     if len(memo) >= _MEMO_CAP:
         memo.clear()
     memo[key] = value
-
-
-def element_sort_key(e: FieldElement):
-    k = e.field.kind
-    if k == RATIONALS or k == PRIME:
-        return (0, e.rep)
-    if k == EXTENSION:
-        return (1, tuple(element_sort_key(c) for c in e.rep))
-    # function field: order by (num, den) coefficient data
-    rf = e.rep
-    return (2, poly_sort_key(rf.num), poly_sort_key(rf.den))
-
-
-def poly_sort_key(f: Polynomial):
-    return (f.degree, tuple(element_sort_key(c) for c in f.coeffs))
 
 
 def _stable_seed(f: Polynomial) -> int:
@@ -119,13 +104,15 @@ def _pth_root_poly(f: Polynomial) -> Polynomial:
     return Polynomial(fld, out)
 
 
-def _squarefree_finite(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    # f monic nonconstant
+def _squarefree(f: Polynomial) -> list[tuple[Polynomial, int]]:
+    """Squarefree parts of a monic nonconstant f with their multiplicities.
+    The p-th roots are taken only in characteristic p, where a derivative
+    can vanish and a cofactor can remain."""
     p = f.field.characteristic()
     result: list[tuple[Polynomial, int]] = []
     d = f.derivative()
     if d.is_zero():
-        for g, m in _squarefree_finite(_pth_root_poly(f)):
+        for g, m in _squarefree(_pth_root_poly(f)):
             result.append((g, m * p))
         return result
     c = poly_gcd(f, d)
@@ -140,7 +127,7 @@ def _squarefree_finite(f: Polynomial) -> list[tuple[Polynomial, int]]:
         c = c // y
         m += 1
     if c.degree > 0:
-        for g, mm in _squarefree_finite(_pth_root_poly(c)):
+        for g, mm in _squarefree(_pth_root_poly(c)):
             result.append((g, mm * p))
     return result
 
@@ -225,37 +212,6 @@ def _factor_finite_squarefree(f: Polynomial, rng: random.Random) -> list[Polynom
 
 # -- rationals ---------------------------------------------------------------
 
-def _squarefree_char0(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    # f monic nonconstant over a field of characteristic zero
-    result = []
-    c = poly_gcd(f, f.derivative())
-    w = f // c
-    m = 1
-    while w.degree > 0:
-        y = poly_gcd(w, c)
-        z = w // y
-        if z.degree > 0:
-            result.append((z, m))
-        w = y
-        c = c // y
-        m += 1
-    return result
-
-
-def _int_coeffs(f: Polynomial) -> list[int]:
-    """Primitive integer coefficients of a monic rational polynomial,
-    positive leading coefficient."""
-    dens = [c.rep.denominator for c in f.coeffs]
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // math.gcd(lcm, d)
-    ints = [int(c.rep * lcm) for c in f.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    return [v // g for v in ints]
-
-
 def _primitive(ints: list[int]) -> list[int]:
     g = 0
     for v in ints:
@@ -298,13 +254,13 @@ def _factor_q_squarefree(f: Polynomial) -> list[Polynomial]:
     Q = f.field
     if f.degree == 1:
         return [f]
-    ints = _int_coeffs(f)
+    ints = _primitive(_cleared([c.rep for c in f.coeffs])[0])
     p = _good_prime(ints)
     Fp = prime_field(p)
     fp = Polynomial.from_ints(Fp, ints).monic()
     rng = random.Random(_stable_seed(fp))
     modular = _factor_finite_squarefree(fp, rng)
-    modular.sort(key=poly_sort_key)
+    modular.sort(key=Polynomial.coeff_key)
     if len(modular) == 1:
         return [f]
     result_ints: list[list[int]] = []
@@ -331,7 +287,7 @@ def _factor_q_squarefree(f: Polynomial) -> list[Polynomial]:
         result_ints.append(lifted)
         quot = Polynomial(Q, [Fraction(v) for v in g_ints]) // Polynomial(
             Q, [Fraction(v) for v in lifted])
-        g_ints = _int_coeffs(quot.monic())
+        g_ints = _primitive(_cleared([c.rep for c in quot.coeffs])[0])
         pool = [pool[i] for i in range(len(pool)) if i not in combo]
     if len(g_ints) > 1:
         result_ints.append(g_ints)
@@ -361,15 +317,15 @@ def factor(f: Polynomial) -> tuple[FieldElement, list[tuple[Polynomial, int]]]:
     fm = f.monic()
     out: list[tuple[Polynomial, int]] = []
     if fld.kind == RATIONALS:
-        for part, mult in _squarefree_char0(fm):
+        for part, mult in _squarefree(fm):
             for g in _factor_q_squarefree(part):
                 out.append((g, mult))
     else:
         rng = random.Random(_stable_seed(fm))
-        for part, mult in _squarefree_finite(fm):
+        for part, mult in _squarefree(fm):
             for g in _factor_finite_squarefree(part, rng):
                 out.append((g, mult))
-    out.sort(key=lambda pair: poly_sort_key(pair[0]))
+    out.sort(key=lambda pair: pair[0].coeff_key())
     _remember(_FACTORED, f, (unit, tuple(out)))
     for g, _m in out:
         if g.degree >= 2:
@@ -391,7 +347,7 @@ def irreducible_factors(m: Polynomial) -> list[Polynomial]:
         return [g for g, e in factor(m)[1] for _ in range(e)]
     if m.degree == 1:
         return [m]
-    return [f for g, e in _squarefree_char0(m)
+    return [f for g, e in _squarefree(m)
             for f in (_trager(g) if g.degree > 1 else [g]) for _ in range(e)]
 
 

@@ -26,6 +26,12 @@ field, table indices over a tabled field, the elements themselves over any
 other. `_values` hands the coefficients in and `_wrap` turns the result back
 into a Polynomial.
 
+Each element has one key, `FieldElement.key()`, and each polynomial one,
+`Polynomial.coeff_key()` = (degree, coefficient keys). Within one field a
+key is the value's identity and its canonical order: `==` and hash read it,
+and every module sorts symbols, factors, places and forms by it. It is
+built on first use and kept in the object.
+
 Coefficient lists everywhere are ordered lowest degree first, highest degree
 last. The zero polynomial has degree -1.
 """
@@ -215,7 +221,7 @@ class FieldDescriptor:
             return True
         if self.kind == FUNCTION:
             return self.base == other.base
-        return self.base == other.base and self.modulus.same_coeffs(other.modulus)
+        return self.base == other.base and self.modulus.coeff_key() == other.modulus.coeff_key()
 
     def __hash__(self):
         if self._hash is None:
@@ -411,12 +417,12 @@ def _ext_element(fld: FieldDescriptor, rep: tuple) -> "FieldElement":
 class FieldElement:
     """An element of the field named by `field`. Immutable."""
 
-    __slots__ = ("field", "rep", "_hash", "ix")
+    __slots__ = ("field", "rep", "_key", "ix")
 
     def __init__(self, field: FieldDescriptor, rep):
         self.field = field
         self.rep = rep
-        self._hash = None
+        self._key = None  # key(), built on first use
         # position in all_elements(field): set on every table element, and
         # by _index on elements of untabled finite fields
         self.ix = None
@@ -591,13 +597,21 @@ class FieldElement:
 
     # -- identity ----------------------------------------------------------
 
-    def _key(self):
-        k = self.field.kind
-        if k == EXTENSION:
-            return tuple(c._key() for c in self.rep)
-        if k == FUNCTION:
-            return (self.rep.num.coeff_key(), self.rep.den.coeff_key())
-        return self.rep
+    def key(self):
+        """The element's identity within its field, and its canonical order:
+        rep over Q and F_p, the coefficients' keys for an extension step,
+        (num.coeff_key(), den.coeff_key()) over k(X)."""
+        k = self._key
+        if k is None:
+            kind = self.field.kind
+            if kind == EXTENSION:
+                k = tuple([c.key() for c in self.rep])
+            elif kind == FUNCTION:
+                k = (self.rep.num.coeff_key(), self.rep.den.coeff_key())
+            else:
+                k = self.rep
+            self._key = k
+        return k
 
     def __eq__(self, other):
         if self is other:
@@ -606,14 +620,11 @@ class FieldElement:
             other = self.field.from_int(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        if self.field is other.field and self.ix is not None and other.ix is not None:
-            return self.ix == other.ix
-        return self.field == other.field and self._key() == other._key()
+        return self.key() == other.key() and (self.field is other.field
+                                              or self.field == other.field)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field, self._key()))
-        return self._hash
+        return hash(self.key())
 
     def __repr__(self):
         k = self.field.kind
@@ -679,7 +690,7 @@ def _wrap(field: FieldDescriptor, values: list, kind) -> "Polynomial":
     out = Polynomial.__new__(Polynomial)
     out.field = field
     out.coeffs = _elements(field, values, kind)
-    out._hash = None
+    out._key = None
     return out
 
 
@@ -691,14 +702,14 @@ def _rep_values(x: FieldElement, kind) -> list:
 class Polynomial:
     """Dense univariate polynomial over a field descriptor."""
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "coeffs", "_key")
 
     def __init__(self, field: FieldDescriptor, coeffs: Iterable):
         elems = [c if c.__class__ is FieldElement and c.field is field else field.element(c)
                  for c in coeffs]
         self.field = field
         self.coeffs = tuple(zkernel.trim(elems))
-        self._hash = None
+        self._key = None  # coeff_key(), built on first use
 
     @classmethod
     def zero(cls, field) -> "Polynomial":
@@ -842,21 +853,22 @@ class Polynomial:
             acc = acc * point + embed(c, target)
         return acc
 
-    def same_coeffs(self, other: "Polynomial") -> bool:
-        return self.coeffs == other.coeffs
-
     def coeff_key(self):
-        return tuple(c._key() for c in self.coeffs)
+        """(degree, coefficient keys): the polynomial's identity over its
+        field, and its canonical order."""
+        k = self._key
+        if k is None:
+            k = self._key = (len(self.coeffs) - 1, tuple([c.key() for c in self.coeffs]))
+        return k
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.coeff_key() == other.coeff_key() and (self.field is other.field
+                                                          or self.field == other.field)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field, self.coeff_key()))
-        return self._hash
+        return hash(self.coeff_key())
 
     def __repr__(self):
         if self.is_zero():

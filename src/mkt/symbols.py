@@ -13,7 +13,6 @@ from typing import Callable, Mapping, Sequence
 
 from mkt.errors import (ArityMismatch, DegenerateDifferences, DegenerateInput,
                         DescriptorMismatch, ZeroEntry)
-from mkt.factor import element_sort_key
 from mkt.fields import FieldDescriptor, FieldElement
 from mkt.numutil import factor_int
 
@@ -79,7 +78,7 @@ class MilnorExpression:
         cached = self._sorted
         if cached is None:
             cached = sorted(self._terms.items(),
-                            key=lambda kv: [element_sort_key(e) for e in kv[0]])
+                            key=lambda kv: [e.key() for e in kv[0]])
             object.__setattr__(self, "_sorted", cached)
         return list(cached)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from mkt.canonical import canonical_class
 from mkt.errors import (ArityMismatch, DescriptorMismatch, RecursionInvariantViolated,
                         UnsupportedField, UnsupportedTower)
-from mkt.factor import element_sort_key, factor, poly_sort_key
+from mkt.factor import factor
 from mkt.fields import (EXTENSION, FUNCTION, FieldDescriptor, element_from_poly,
                         embed, function_field, is_ancestor, poly_of_element,
                         poly_resultant, tower_steps)
@@ -68,8 +68,8 @@ def _entry_items(g) -> list[tuple]:
 def _tag_key(tagged: tuple):
     tag, payload = tagged
     if tag == CONST:
-        return (0, element_sort_key(payload))
-    return (1, payload.degree, poly_sort_key(payload))
+        return (0, payload.key())
+    return (1, payload.coeff_key())
 
 
 def _sorted_with_sign(entries: tuple) -> tuple[tuple, int]:
@@ -148,8 +148,8 @@ def rewrite_to_generators(x: MilnorExpression) -> list[ResidueSymbolForm]:
     forms = [ResidueSymbolForm(c, consts, polys)
              for (consts, polys), c in acc.items() if c]
     forms.sort(key=lambda fm: (len(fm.polys),
-                               [poly_sort_key(f) for f in fm.polys],
-                               [element_sort_key(a) for a in fm.constants]))
+                               [f.coeff_key() for f in fm.polys],
+                               [a.key() for a in fm.constants]))
     return forms
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from mkt.errors import (ArityMismatch, BadModulus, DegenerateInput,
                         DescriptorMismatch, UnsupportedField, ZeroInput)
-from mkt.factor import factor, is_irreducible, poly_sort_key
+from mkt.factor import factor, is_irreducible
 from mkt.fields import (FUNCTION, RATIONALS, FieldDescriptor, FieldElement,
                         Polynomial, RationalFunction, element_from_poly,
                         extension, prime_field, rationals)
@@ -107,7 +107,8 @@ def _check_value(v: Valuation, x: FieldElement):
         raise ZeroInput("zero has no valuation")
 
 
-def _poly_multiplicity(f: Polynomial, pi: Polynomial) -> int:
+def _poly_multiplicity(f: Polynomial, pi: Polynomial) -> tuple[int, Polynomial]:
+    """(n, f / pi^n) with pi^n the highest power of pi dividing f."""
     n = 0
     while f.degree >= pi.degree:
         q, r = divmod(f, pi)
@@ -115,7 +116,7 @@ def _poly_multiplicity(f: Polynomial, pi: Polynomial) -> int:
             break
         f = q
         n += 1
-    return n
+    return n, f
 
 
 def _int_multiplicity(n: int, p: int) -> int:
@@ -134,8 +135,7 @@ def valuate(v: Valuation, x: FieldElement) -> int:
     if v.kind == FINITE:
         rf = x.rep
         # num and den are coprime, so pi divides at most one of them
-        return (_poly_multiplicity(rf.num, v.pi)
-                - _poly_multiplicity(rf.den, v.pi))
+        return _poly_multiplicity(rf.num, v.pi)[0] - _poly_multiplicity(rf.den, v.pi)[0]
     if v.kind == INFINITE:
         rf = x.rep
         return rf.den.degree - rf.num.degree
@@ -150,13 +150,8 @@ def unit_part(v: Valuation, x: FieldElement) -> tuple[int, FieldElement]:
     _check_value(v, x)
     if v.kind == FINITE:
         rf = x.rep
-        a = _poly_multiplicity(rf.num, v.pi)
-        b = _poly_multiplicity(rf.den, v.pi)
-        num, den = rf.num, rf.den
-        for _ in range(a):
-            num = num // v.pi
-        for _ in range(b):
-            den = den // v.pi
+        a, num = _poly_multiplicity(rf.num, v.pi)
+        b, den = _poly_multiplicity(rf.den, v.pi)
         return a - b, v.field.element(RationalFunction(num, den))
     if v.kind == INFINITE:
         rf = x.rep
@@ -266,7 +261,7 @@ def support(x: MilnorExpression) -> list[Valuation]:
                     if poly.degree >= 1:
                         for g, _m in factor(poly)[1]:
                             pis.add(g)
-        places = [finite_place(field, pi) for pi in sorted(pis, key=poly_sort_key)]
+        places = [finite_place(field, pi) for pi in sorted(pis, key=Polynomial.coeff_key)]
         places.append(infinite_place(field))
         return places
     if field.kind == RATIONALS:

@@ -432,6 +432,21 @@ class TestErrorHandling:
         assert code == 1
         assert out["error"]["type"] == "ParseError"
 
+    # an F_9 element is a coefficient list over F_3, never a bare integer:
+    # a symbol entry, and a tame place's uniformizer coefficient
+    @pytest.mark.parametrize("command,doc", [
+        ("canon", {"symbols": [{"entries": [2]}]}),
+        ("tame", {"place": {"pi": [1]},
+                  "symbols": [{"entries": [{"num": [[0, 1]], "den": [[1]]}]}]}),
+    ], ids=["entry", "place"])
+    def test_bare_integer_as_extension_element(self, capsys, tmp_path, command, doc):
+        f9 = {"kind": "Fq", "p": 3, "deg": 2, "modulus": [1, 0, 1]}
+        path = write_doc(tmp_path, "d.json", {"field": f9, **doc})
+        code, out = run(capsys, [command, path])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+        assert out["error"]["message"].startswith("not an extension element")
+
     # JSON true is a Python int, but neither a prime nor a degree
     @pytest.mark.parametrize("block", [{"kind": "Fq", "p": 3, "deg": True},
                                        {"kind": "Fq", "p": True}],

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from mkt.errors import (DescriptorMismatch, DivisionByZero, UnsupportedFactorization,
                         ZeroPolynomial)
 from mkt.factor import factor, forget, irreducible_factors, is_irreducible
-from mkt.fields import (Polynomial, all_elements, coordinates, element_from_poly, embed,
-                        extension, from_coordinates, function_field, poly_gcd,
-                        poly_resultant, prime_field, rationals, tower_degree)
+from mkt.fields import (Polynomial, RationalFunction, all_elements, coordinates,
+                        element_from_poly, embed, extension, from_coordinates,
+                        function_field, poly_gcd, poly_resultant, prime_field, rationals,
+                        tower_degree)
 from mkt.linalg import Matrix, companion_matrix, minpoly_matrix
 from mkt.sampling import monic_irreducible, random_element
 from mkt.symbols import symbol
@@ -21,7 +22,7 @@ from mkt.towers import (minimal_polynomial, multiplication_matrix, norm_element,
                         present_as_simple)
 from mkt.valuations import finite_place, tame_symbol
 from tests.conftest import (NORM_PAIRS, all_units, f16_over_f4, f81_over_f9, make_field,
-                            untabled_twin)
+                            twin_element, untabled_twin)
 
 # the modules themselves; the package attribute mkt.factor is the function
 factor_module = sys.modules["mkt.factor"]
@@ -154,7 +155,7 @@ class TestFactor:
             forget()
             assert factor(f) == (field.one(), sorted(
                 ((g, 1) for g in irreducibles),
-                key=lambda pair: factor_module.poly_sort_key(pair[0])))
+                key=lambda pair: pair[0].coeff_key()))
         assert traces
         if q > 2:
             # the field has its table; there -x is x
@@ -306,14 +307,14 @@ class TestFieldTables:
         assert twin == L and twin is not L and hash(twin) == hash(L)
         assert len(fast) == len(slow) == L.order()
         for i, (a, s) in enumerate(zip(fast, slow)):
-            assert a.ix == i and a._key() == s._key() and hash(a) == hash(s)
+            assert a.ix == i and a.key() == s.key() and hash(a) == hash(s)
             assert a.is_zero() == s.is_zero() == (i == 0)
-            assert (-a)._key() == (-s)._key()
+            assert (-a).key() == (-s).key()
             if i:
-                assert a.inverse()._key() == s.inverse()._key()
+                assert a.inverse().key() == s.inverse().key()
             for j, (b, t) in enumerate(zip(fast, slow)):
                 for got, want in ((a + b, s + t), (a - b, s - t), (a * b, s * t)):
-                    assert got is fast[got.ix] and got._key() == want._key()
+                    assert got is fast[got.ix] and got.key() == want.key()
                 assert (a == b) == (i == j) == (s == t) == (a == t)
         assert twin._table is None
 
@@ -326,14 +327,14 @@ class TestFieldTables:
         assert L.zero() is fast[0] and L.one() is fast[1]
         for n in range(-n_elems, n_elems):
             got = L.from_int(n)
-            assert got is fast[got.ix] and got._key() == twin.from_int(n)._key()
+            assert got is fast[got.ix] and got.key() == twin.from_int(n).key()
         for a, s in zip(fast, all_elements(twin)):
             for e in (-3, -1, 0, 1, 2, 5, n_elems - 1, n_elems):
                 if e < 0 and a.is_zero():
                     with pytest.raises(DivisionByZero):
                         a ** e
                     continue
-                assert (a ** e)._key() == (s ** e)._key()
+                assert (a ** e).key() == (s ** e).key()
 
     @pytest.mark.parametrize("q", [4, 9, 27, "16/4"])
     def test_every_element_of_a_tabled_field_is_interned(self, q):
@@ -411,6 +412,65 @@ class TestFieldTables:
         assert x * (x + 1) == 0
         with pytest.raises(DivisionByZero):
             x.inverse()
+
+
+def tagged_element_key(e):
+    """A kind-tagged sort key, built afresh on every call: the reference
+    order that key() reproduces within one field."""
+    if e.field.kind in ("rationals", "prime"):
+        return (0, e.rep)
+    if e.field.kind == "extension":
+        return (1, tuple(tagged_element_key(c) for c in e.rep))
+    return (2, tagged_poly_key(e.rep.num), tagged_poly_key(e.rep.den))
+
+
+def tagged_poly_key(f):
+    return (f.degree, tuple(tagged_element_key(c) for c in f.coeffs))
+
+
+KEY_FIELDS = {"Q": rationals, "F_5": lambda: prime_field(5), "F_9": lambda: make_field(9),
+              "F_16/F_4": f16_over_f4, "F_81/F_9": f81_over_f9,
+              "F_3(X)": lambda: function_field(prime_field(3)),
+              "Q(X)": lambda: function_field(rationals())}
+
+
+def small_element(K, rng):
+    if K.kind != "function":
+        return random_element(K, rng, span=2)
+    k = K.base
+    num = Polynomial(k, [random_element(k, rng, span=2) for _ in range(rng.randrange(3))])
+    den = Polynomial(k, [random_element(k, rng, span=2) for _ in range(rng.randrange(3))]
+                     + [k.one()])
+    return K.element(RationalFunction(num, den))
+
+
+class TestKeys:
+    @pytest.mark.parametrize("name", list(KEY_FIELDS))
+    def test_keys_order_and_identify_within_a_field(self, name):
+        """key() and coeff_key() order the elements and polynomials of one
+        field as the kind-tagged keys did, and equal values over twin
+        descriptors have equal keys and hashes."""
+        K = KEY_FIELDS[name]()
+        rng = random.Random(5)
+        elems = [small_element(K, rng) for _ in range(30)]
+        polys = [Polynomial(K, [small_element(K, rng) for _ in range(rng.randrange(4))])
+                 for _ in range(30)]
+        for xs, key, tagged in ((elems, lambda e: e.key(), tagged_element_key),
+                                (polys, Polynomial.coeff_key, tagged_poly_key)):
+            assert len(set(xs)) < len(xs)  # some values repeat
+            for a in xs:
+                for b in xs:
+                    assert (key(a) < key(b)) == (tagged(a) < tagged(b))
+                    assert (key(a) == key(b)) == (tagged(a) == tagged(b)) == (a == b)
+            assert sorted(xs, key=key) == sorted(xs, key=tagged)
+        twin = untabled_twin(K)
+        assert twin == K and (twin is not K) == (K.kind == "extension")
+        for a in elems:
+            t = twin_element(twin, a)
+            assert t.field is twin and t == a and t.key() == a.key() and hash(t) == hash(a)
+        for f in polys:
+            g = Polynomial(twin, [twin_element(twin, c) for c in f.coeffs])
+            assert g == f and g.coeff_key() == f.coeff_key() and hash(g) == hash(f)
 
 
 class TestMinimalPolynomial:
