@@ -376,18 +376,19 @@ def _layers(field, ops: list[Matrix], dim: int) -> list[tuple]:
     factors repeated by their exponents. pi_1(a) commutes with every slot,
     so its kernel K and image W are invariant and V/K is isomorphic to W:
     the factors of V are those of K and those of W. On W the minimal
-    polynomial of a is pi_2 ... pi_r, so the next layer takes pi_2.
+    polynomial of a is pi_2 ... pi_r, so the next layer takes pi_2. On the
+    last layer it is pi_r itself, so pi_r(a) = 0 and its kernel is everything.
     """
     if not ops:
         return [(field, (), dim)]
     pis = irreducible_factors(minpoly_matrix(ops[0]))
     out = []
-    for i, pi in enumerate(pis):
+    for pi in pis[:-1]:
         p = poly_eval_matrix(pi, ops[0])
         out += _kernel_layers(field, ops, pi, p.kernel_basis())
-        if i + 1 < len(pis):
-            ops = _restrict(field, ops, [p.col(j) for j in range(p.ncols)])
-    return out
+        ops = _restrict(field, ops, [p.col(j) for j in range(p.ncols)])
+    n = ops[0].nrows
+    return out + _kernel_layers(field, ops, pis[-1], Matrix.identity(field, n).rows)
 
 
 def _tower_key(top: FieldDescriptor, base: FieldDescriptor):

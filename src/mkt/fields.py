@@ -438,7 +438,16 @@ class FieldElement:
         return self.rep.num.degree < 0
 
     def is_one(self) -> bool:
-        return self == self.field.one()
+        if self.ix is not None:
+            return self.ix == 1
+        k = self.field.kind
+        if k == RATIONALS or k == PRIME:
+            return self.rep == 1
+        if k == EXTENSION:
+            rep = self.rep
+            return rep[0].is_one() and all(c.is_zero() for c in rep[1:])
+        rf = self.rep  # den is monic, so num = den = 1 means deg den = 0
+        return rf.den.degree == 0 and rf.num.degree == 0 and rf.num.coeffs[0].is_one()
 
     def __bool__(self):
         return not self.is_zero()
@@ -624,7 +633,12 @@ class FieldElement:
                                               or self.field == other.field)
 
     def __hash__(self):
-        return hash(self.key())
+        k = self._key
+        if k is None:
+            k = self.key()
+        if k.__class__ is Fraction and k.denominator == 1:
+            return hash(k.numerator)  # equal to hash(k), without Fraction.__hash__
+        return hash(k)
 
     def __repr__(self):
         k = self.field.kind
@@ -868,7 +882,8 @@ class Polynomial:
                                                           or self.field == other.field)
 
     def __hash__(self):
-        return hash(self.coeff_key())
+        k = self._key
+        return hash(k if k is not None else self.coeff_key())
 
     def __repr__(self):
         if self.is_zero():

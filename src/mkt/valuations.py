@@ -3,6 +3,15 @@
 Places covered: the finite places v_pi and the degree place v_inf of a
 rational function field k(X), the p-adic places of Q, and the real place
 (sign data only; it carries no residue map).
+
+The boundary map needs two things of each entry x = pi^n u: n and the
+residue of the unit u. Both come off the trial division that finds n
+(`_split_poly`): the remainder of the first division by pi that fails is
+(f / pi^n) mod pi, a residue-field element read from its coefficients, and
+a denominator of 1 (the denominator is monic) needs no division at all. At
+the infinite place they are deg den - deg num and lc(num); at a prime p they
+come off the integer quotients. So `tame_symbol` builds no unit; `unit_part`
+does, for callers that want u itself.
 """
 
 from __future__ import annotations
@@ -107,24 +116,30 @@ def _check_value(v: Valuation, x: FieldElement):
         raise ZeroInput("zero has no valuation")
 
 
-def _poly_multiplicity(f: Polynomial, pi: Polynomial) -> tuple[int, Polynomial]:
-    """(n, f / pi^n) with pi^n the highest power of pi dividing f."""
+def _split_poly(f: Polynomial, pi: Polynomial) -> tuple[int, Polynomial, Polynomial]:
+    """(n, f / pi^n, (f / pi^n) mod pi) for f != 0, pi^n the highest power
+    of pi dividing f.
+
+    The residue is the remainder of the first division that fails, or f / pi^n
+    itself once its degree is below deg pi.
+    """
     n = 0
     while f.degree >= pi.degree:
         q, r = divmod(f, pi)
         if not r.is_zero():
-            break
+            return n, f, r
         f = q
         n += 1
-    return n, f
+    return n, f, f
 
 
-def _int_multiplicity(n: int, p: int) -> int:
-    m = 0
-    while n % p == 0:
-        n //= p
-        m += 1
-    return m
+def _split_int(m: int, p: int) -> tuple[int, int]:
+    """(n, m / p^n) for m != 0, p^n the highest power of p dividing m."""
+    n = 0
+    while m % p == 0:
+        m //= p
+        n += 1
+    return n, m
 
 
 def valuate(v: Valuation, x: FieldElement) -> int:
@@ -135,12 +150,12 @@ def valuate(v: Valuation, x: FieldElement) -> int:
     if v.kind == FINITE:
         rf = x.rep
         # num and den are coprime, so pi divides at most one of them
-        return _poly_multiplicity(rf.num, v.pi)[0] - _poly_multiplicity(rf.den, v.pi)[0]
+        return _split_poly(rf.num, v.pi)[0] - _split_poly(rf.den, v.pi)[0]
     if v.kind == INFINITE:
         rf = x.rep
         return rf.den.degree - rf.num.degree
     q = x.rep
-    return _int_multiplicity(q.numerator, v.p) - _int_multiplicity(q.denominator, v.p)
+    return _split_int(q.numerator, v.p)[0] - _split_int(q.denominator, v.p)[0]
 
 
 def unit_part(v: Valuation, x: FieldElement) -> tuple[int, FieldElement]:
@@ -150,8 +165,8 @@ def unit_part(v: Valuation, x: FieldElement) -> tuple[int, FieldElement]:
     _check_value(v, x)
     if v.kind == FINITE:
         rf = x.rep
-        a, num = _poly_multiplicity(rf.num, v.pi)
-        b, den = _poly_multiplicity(rf.den, v.pi)
+        a, num, _ = _split_poly(rf.num, v.pi)
+        b, den, _ = _split_poly(rf.den, v.pi)
         return a - b, v.field.element(RationalFunction(num, den))
     if v.kind == INFINITE:
         rf = x.rep
@@ -164,26 +179,31 @@ def unit_part(v: Valuation, x: FieldElement) -> tuple[int, FieldElement]:
             u = RationalFunction(rf.num, rf.den * xpow)
         return n, v.field.element(u)
     q = x.rep
-    a = _int_multiplicity(q.numerator, v.p)
-    b = _int_multiplicity(q.denominator, v.p)
-    n = a - b
-    return n, rationals().element(q / Fraction(v.p) ** n)
+    a, num = _split_int(q.numerator, v.p)
+    b, den = _split_int(q.denominator, v.p)
+    return a - b, rationals().element(Fraction(num, den))
 
 
-def _unit_residue(v: Valuation, u: FieldElement) -> FieldElement:
-    rf = u.rep
+def _residue_split(v: Valuation, kv: FieldDescriptor, x: FieldElement
+                   ) -> tuple[int, FieldElement]:
+    """(n, residue of u in kv) for x = pi^n * u, read off the divisions that
+    find n: no unit is built."""
+    rf = x.rep
     if v.kind == FINITE:
-        kv = v.residue_field()
-        if v.pi.degree == 1:
-            root = -v.pi.coeffs[0]
-            return rf.num.evaluate(root) / rf.den.evaluate(root)
-        return (element_from_poly(kv, rf.num % v.pi)
-                / element_from_poly(kv, rf.den % v.pi))
+        pi = v.pi
+        linear = pi.degree == 1
+        a, _, r = _split_poly(rf.num, pi)
+        res = r.coeffs[0] if linear else element_from_poly(kv, r)
+        if rf.den.degree == 0:  # den is monic, so it is 1
+            return a, res
+        b, _, s = _split_poly(rf.den, pi)
+        return a - b, res / (s.coeffs[0] if linear else element_from_poly(kv, s))
     if v.kind == INFINITE:
-        return rf.num.lc() / rf.den.lc()
-    q = rf
-    fp = prime_field(v.p)
-    return fp.from_int(q.numerator) / fp.from_int(q.denominator)
+        # u = x * X^n with n = deg den - deg num; den is monic
+        return rf.den.degree - rf.num.degree, rf.num.lc()
+    a, num = _split_int(rf.numerator, v.p)
+    b, den = _split_int(rf.denominator, v.p)
+    return a - b, kv.from_int(num) / kv.from_int(den)
 
 
 def tame_symbol(v: Valuation, x: MilnorExpression) -> MilnorExpression:
@@ -211,9 +231,9 @@ def tame_symbol(v: Valuation, x: MilnorExpression) -> MilnorExpression:
         vals = []
         residues = []
         for e in entries:
-            n, u = unit_part(v, e)
+            n, res = _residue_split(v, kv, e)
             vals.append(n)
-            residues.append(_unit_residue(v, u))
+            residues.append(res)
         positions = [i for i in range(m) if vals[i] != 0]
         if not positions:
             continue
@@ -241,7 +261,7 @@ def tame_symbol(v: Valuation, x: MilnorExpression) -> MilnorExpression:
                 mult = -mult
             key = tuple(res_entries)
             acc[key] = acc.get(key, 0) + mult
-    return MilnorExpression(kv, x.weight - 1, acc)
+    return MilnorExpression._trusted(kv, x.weight - 1, acc)
 
 
 def support(x: MilnorExpression) -> list[Valuation]:

@@ -473,6 +473,43 @@ class TestKeys:
             assert g == f and g.coeff_key() == f.coeff_key() and hash(g) == hash(f)
 
 
+ONE_FIELDS = {"Q": rationals, "F_5": lambda: prime_field(5), "F_9": lambda: make_field(9),
+              "F_81/F_9": f81_over_f9, "F_81/F_9 twin": lambda: untabled_twin(f81_over_f9()),
+              "F_3(X)": lambda: function_field(prime_field(3)),
+              "Q(X)": lambda: function_field(rationals())}
+
+
+class TestIsOneAndHash:
+    @pytest.mark.parametrize("name", list(ONE_FIELDS))
+    def test_is_one_and_hash_read_the_value(self, name):
+        """is_one agrees with == one() on ones made several ways and on
+        other elements, with and without a kept table index; every hash is
+        the hash of the key."""
+        K = ONE_FIELDS[name]()
+        rng = random.Random(11)
+        elems = [small_element(K, rng) for _ in range(40)]
+        elems += [K.one(), K.from_int(1), K.zero(), K.minus_one(), K.from_int(2)]
+        elems += [e * e.inverse() for e in elems[:10] if not e.is_zero()]
+        if K.kind == "extension":
+            elems += [K.element((1,)), K.element((1, 1)), K.element((0, 1)), K.gen()]
+            # the same values again, now carrying their index in all_elements
+            elems += [K.element(tuple(e.rep)) for e in elems]
+            fields_module.table_indices(K, elems[len(elems) // 2:])
+            assert any(e.ix == 1 for e in elems) and any(e.ix not in (None, 1) for e in elems)
+        if K.kind == "function":
+            c = Polynomial(K.base, [K.base.from_int(2)])
+            elems += [K.element(RationalFunction(c, c)), K.element(c), K.gen()]
+        ones = 0
+        for e in elems:
+            assert e.is_one() == (e == K.one())
+            assert hash(e) == hash(e.key())
+            ones += e.is_one()
+        assert 0 < ones < len(elems)
+        if K.kind == "rationals":
+            assert hash(K.from_int(3)) == hash(3) == hash(Fraction(3))
+            assert hash(K.element(Fraction(-7, 3))) == hash(Fraction(-7, 3))
+
+
 class TestMinimalPolynomial:
     def test_identity_matrix(self, Q):
         # [TRIVIAL]

@@ -1,15 +1,17 @@
 """Places of k(X) and Q, the tame symbol algorithm, and reciprocity sums."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from mkt.canonical import canonical_class
 from mkt.errors import ZeroInput
-from mkt.fields import (Polynomial, RationalFunction, function_field,
-                        prime_field, rationals)
-from mkt.sampling import monic_irreducible
-from mkt.symbols import symbol
+from mkt.fields import (Polynomial, RationalFunction, element_from_poly,
+                        function_field, prime_field, rationals)
+from mkt.sampling import monic_irreducible, random_unit
+from mkt.symbols import MilnorExpression, symbol
 from mkt.transfer import reciprocity_check
 from mkt.valuations import (finite_place, infinite_place, rational_prime,
                             support, tame_symbol, unit_part, valuate)
@@ -173,6 +175,120 @@ class TestTameSymbol:
         t1 = tame_symbol(v, w1)
         t2 = tame_symbol(v, w2)
         assert canonical_class(t1 + t2).is_zero()
+
+
+def textbook_residue(v, u):
+    """The residue of a v-unit u: u(root of pi) in k[x]/(pi), u at X = oo,
+    or a / b mod p."""
+    if v.kind == "prime":
+        q = u.rep
+        return v.residue_field().from_int(q.numerator) / q.denominator
+    num, den = u.rep.num, u.rep.den
+    if v.kind == "infinite":
+        # u(1/t) = t^d num(1/t) / (t^d den(1/t)), deg num = deg den = d, at t = 0
+        rev = lambda f: Polynomial(f.field, f.coeffs[::-1])
+        return rev(num).constant_term() / rev(den).constant_term()
+    kv = v.residue_field()
+    if v.pi.degree == 1:
+        root = -v.pi.constant_term()
+        return num.evaluate(root) / den.evaluate(root)
+    return element_from_poly(kv, num % v.pi) / element_from_poly(kv, den % v.pi)
+
+
+def reference_tame(v, x):
+    """The boundary map by its definition: write each entry as pi^n u
+    (unit_part), expand every symbol multilinearly over the choice of pi or
+    u per entry, turn the second and later pi of a choice into -1, move the
+    first pi to the last slot, and strip it, leaving textbook residues."""
+    kv = v.residue_field()
+    out = {}
+    for entries, coeff in x.items():
+        parts = [unit_part(v, e) for e in entries]
+        for choice in product((False, True), repeat=len(parts)):
+            if not any(choice) or any(c and n == 0 for c, (n, _) in zip(choice, parts)):
+                continue
+            first = choice.index(True)
+            mult = coeff * (-1) ** (len(parts) - 1 - first)
+            res = []
+            for i, (c, (n, u)) in enumerate(zip(choice, parts)):
+                if c:
+                    mult *= n
+                if i != first:
+                    res.append(kv.minus_one() if c else textbook_residue(v, u))
+            if any(r.is_one() for r in res):
+                continue
+            out[tuple(res)] = out.get(tuple(res), 0) + mult
+    return MilnorExpression(kv, x.weight - 1, out)
+
+
+def oracle_places():
+    """(name, place): finite places of degree 1, 2 and 3 over F_9(X) and
+    F_4(X), their infinite places, places of Q(X) and primes of Q."""
+    from tests.conftest import make_field
+    rng = random.Random(3)
+    out = []
+    for q in (9, 4):
+        ff = function_field(make_field(q))
+        for d in (1, 2, 3):
+            out.append((f"F_{q}(X) deg {d}",
+                        finite_place(ff, monic_irreducible(ff.base, rng, d))))
+        out.append((f"F_{q}(X) inf", infinite_place(ff)))
+    qx = function_field(Qf)
+    out.append(("Q(X) X-2", finite_place(qx, poly(Qf, [-2, 1]))))
+    out.append(("Q(X) X^2+1", finite_place(qx, poly(Qf, [1, 0, 1]))))
+    out.append(("Q(X) inf", infinite_place(qx)))
+    out += [(f"Q at {p}", rational_prime(p)) for p in (2, 3, 5)]
+    return out
+
+
+def oracle_entry(v, rng, shape):
+    """A nonzero entry of v's field: 'den' has a denominator divisible by
+    pi (or p), 'num2' a numerator divisible by pi^2, 'plain' denominator 1."""
+    if v.kind == "prime":
+        p = v.p
+        a, b = rng.choice((1, -1)) * rng.randint(1, 40), rng.randint(1, 40)
+        if shape == "den":
+            b *= p ** rng.randint(1, 2)
+        elif shape == "num2":
+            a *= p ** rng.randint(2, 3)
+        else:
+            b = 1
+        return Qf.element(Fraction(a, b))
+    ff = v.field
+    k = ff.base
+    span = 3
+    rand_poly = lambda d: Polynomial(k, [random_unit(k, rng, span) for _ in range(d + 1)])
+    pi = v.pi if v.kind == "finite" else poly(k, [0, 1])  # X stands in at oo
+    num, den = rand_poly(rng.randint(0, 2)), rand_poly(rng.randint(0, 2)).monic()
+    if shape == "den":
+        den = den * pi ** rng.randint(1, 2)
+    elif shape == "num2":
+        num = num * pi ** rng.randint(2, 3)
+    else:
+        den = Polynomial.one(k)
+    return ff.element(RationalFunction(num, den))
+
+
+class TestResidueOracle:
+    @pytest.mark.parametrize("name,v", oracle_places(), ids=[n for n, _ in oracle_places()])
+    def test_tame_symbol_matches_the_definition(self, name, v):
+        """tame_symbol, which reads residues off its trial divisions, equals
+        the expansion from unit_part and textbook residues, on seeded
+        symbols of weight 1 to 3 mixing all three entry shapes."""
+        rng = random.Random(sum(map(ord, name)))
+        shapes = ("den", "num2", "plain")
+        seen = set()
+        for trial in range(24):
+            weight = 1 + trial % 3
+            terms = {}
+            for _ in range(rng.randint(1, 2)):
+                entries = tuple(oracle_entry(v, rng, rng.choice(shapes))
+                                for _ in range(weight))
+                terms[entries] = rng.choice((1, -1, 2))
+            x = MilnorExpression(v.field, weight, terms)
+            seen.update(valuate(v, e) for entries in terms for e in entries)
+            assert tame_symbol(v, x) == reference_tame(v, x)
+        assert min(seen) < 0 and max(seen) > 1  # poles and double zeros occurred
 
 
 class TestSupport:
