@@ -11,6 +11,10 @@ polynomial, repeated by its exponent, ker pi(a) and the image pi(a)V are
 invariant and V/ker pi(a) is isomorphic to the image, so the factors of V
 are those of the kernel plus those of the image. On the kernel a acts as a
 root of pi, a scalar of field[x]/(pi), and the other slots recurse there.
+A slot that acts on the whole current space as a scalar c (a 1 x 1 slot,
+c * I, or a on the last layer when the last pi is x - c) is the base case:
+c goes in front of the other slots' factors on the same space, with no
+minimal polynomial, factoring, kernel or restriction.
 Over an extension Q(alpha) the factors pi come from Trager's norm method
 (`factor.irreducible_factors`); a nonlinear one would need a second
 extension step over Q and raises UnsupportedTower. Each factor gives the
@@ -366,29 +370,48 @@ def _kernel_layers(field, ops: list[Matrix], pi: Polynomial, ker: list[tuple]) -
             cols = [_coordinates(span, op.apply(v)) for v in starts]
             rops.append(Matrix(big, [[big.element(tuple(c[i * d:(i + 1) * d])) for c in cols]
                                      for i in range(e)]))
-    return [(top, (embed(scalar, top),) + scal, mult) for top, scal, mult in _layers(big, rops, e)]
+    return _scalar_layers(scalar, big, rops, e)
+
+
+def _scalar_layers(c: FieldElement, field, rest: list[Matrix], dim: int) -> list[tuple]:
+    """The factors of field^dim when a slot acts on it as the scalar c: those
+    of the remaining slots, each with c in front."""
+    return [(top, (embed(c, top),) + scal, mult) for top, scal, mult in _layers(field, rest, dim)]
 
 
 def _layers(field, ops: list[Matrix], dim: int) -> list[tuple]:
     """(top, scalars, multiplicity) for the simple factors of field^dim under ops.
 
-    Write the minimal polynomial of a = ops[0] as pi_1 ... pi_r, irreducible
-    factors repeated by their exponents. pi_1(a) commutes with every slot,
-    so its kernel K and image W are invariant and V/K is isomorphic to W:
-    the factors of V are those of K and those of W. On W the minimal
-    polynomial of a is pi_2 ... pi_r, so the next layer takes pi_2. On the
-    last layer it is pi_r itself, so pi_r(a) = 0 and its kernel is everything.
+    The space of dimension 0 has no factors. When a = ops[0] is a scalar
+    c * I (every 1 x 1 is), the factors are those of the other slots on the
+    same space with c in front, and a needs no minimal polynomial. Otherwise
+    write the minimal polynomial of a as pi_1 ... pi_r, irreducible factors
+    repeated by their exponents. pi_1(a) commutes with every slot, so its
+    kernel K and image W are invariant and V/K is isomorphic to W: the
+    factors of V are those of K and those of W. On W the minimal polynomial
+    of a is pi_2 ... pi_r, so the next layer takes pi_2. On the last layer
+    it is pi_r itself, so pi_r(a) = 0 and its kernel is everything; a linear
+    pi_r = x - c makes a the scalar c there, the same base case.
     """
+    if not dim:
+        return []
     if not ops:
         return [(field, (), dim)]
-    pis = irreducible_factors(minpoly_matrix(ops[0]))
+    a = ops[0]
+    c = a.rows[0][0]
+    if all(e == c if i == j else e.is_zero()
+           for i, r in enumerate(a.rows) for j, e in enumerate(r)):
+        return _scalar_layers(c, field, ops[1:], dim)
+    pis = irreducible_factors(minpoly_matrix(a))
     out = []
     for pi in pis[:-1]:
         p = poly_eval_matrix(pi, ops[0])
         out += _kernel_layers(field, ops, pi, p.kernel_basis())
         ops = _restrict(field, ops, [p.col(j) for j in range(p.ncols)])
-    n = ops[0].nrows
-    return out + _kernel_layers(field, ops, pis[-1], Matrix.identity(field, n).rows)
+    n, last = ops[0].nrows, pis[-1]
+    if last.degree == 1:
+        return out + _scalar_layers(-last.coeffs[0], field, ops[1:], n)
+    return out + _kernel_layers(field, ops, last, Matrix.identity(field, n).rows)
 
 
 def _tower_key(top: FieldDescriptor, base: FieldDescriptor):

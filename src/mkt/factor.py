@@ -269,6 +269,7 @@ def _factor_q_squarefree(f: Polynomial) -> list[Polynomial]:
     s = 1
     while 2 * s <= len(pool):
         hit = None
+        gq = Polynomial(Q, [Fraction(v) for v in g_ints]).monic()
         for combo in combinations(range(len(pool)), s):
             cand = [g_ints[-1] % p]
             for i in combo:
@@ -276,7 +277,6 @@ def _factor_q_squarefree(f: Polynomial) -> list[Polynomial]:
             lifted = _primitive(_symmetric_lift(cand, p))
             if sum(len(pool[i].coeffs) - 1 for i in combo) != len(lifted) - 1:
                 continue
-            gq = Polynomial(Q, [Fraction(v) for v in g_ints]).monic()
             if _divides_q(lifted, gq):
                 hit = (combo, lifted)
                 break
@@ -285,8 +285,7 @@ def _factor_q_squarefree(f: Polynomial) -> list[Polynomial]:
             continue
         combo, lifted = hit
         result_ints.append(lifted)
-        quot = Polynomial(Q, [Fraction(v) for v in g_ints]) // Polynomial(
-            Q, [Fraction(v) for v in lifted])
+        quot = gq // Polynomial(Q, [Fraction(v) for v in lifted])
         g_ints = _primitive(_cleared([c.rep for c in quot.coeffs])[0])
         pool = [pool[i] for i in range(len(pool)) if i not in combo]
     if len(g_ints) > 1:
@@ -316,7 +315,9 @@ def factor(f: Polynomial) -> tuple[FieldElement, list[tuple[Polynomial, int]]]:
         return unit, []
     fm = f.monic()
     out: list[tuple[Polynomial, int]] = []
-    if fld.kind == RATIONALS:
+    if f.degree == 1:
+        out.append((fm, 1))
+    elif fld.kind == RATIONALS:
         for part, mult in _squarefree(fm):
             for g in _factor_q_squarefree(part):
                 out.append((g, mult))

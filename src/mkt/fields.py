@@ -927,7 +927,7 @@ def poly_resultant(f: Polynomial, g: Polynomial) -> FieldElement:
 class RationalFunction:
     """Reduced quotient of polynomials; denominator monic and nonzero."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
@@ -947,7 +947,6 @@ class RationalFunction:
                 den = den * inv
         self.num = num
         self.den = den
-        self._hash = None
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -966,16 +965,6 @@ class RationalFunction:
         if self.is_zero():
             raise DivisionByZero("inverse of the zero rational function")
         return RationalFunction(self.den, self.num)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
 
     def __repr__(self):
         if self.den.degree == 0:

@@ -609,17 +609,26 @@ def solve_in_span(field, basis: Sequence[Sequence[FieldElement]],
     return span.coordinates(target)
 
 
+def _plus_scalar(m: Matrix, c: FieldElement) -> Matrix:
+    """m + c * I, adding c on the diagonal only."""
+    if c.is_zero():
+        return m
+    return Matrix._trusted(m.field, [r[:i] + (r[i] + c,) + r[i + 1:]
+                                     for i, r in enumerate(m.rows)])
+
+
 def poly_eval_matrix(f: Polynomial, a: Matrix) -> Matrix:
-    """f(a) by Horner, whose first step is a * lead + the next coefficient;
-    f's coefficients must live in a's field."""
+    """f(a) by Horner, each coefficient added on the diagonal; the first step
+    is a * lead, or a itself for monic f. f's coefficients must live in a's
+    field."""
     if f.field != a.field:
         raise DescriptorMismatch("polynomial and matrix fields disagree")
-    ident = Matrix.identity(a.field, a.nrows)
     if f.degree < 1:
-        return ident * f.constant_term()
-    out = a * f.coeffs[-1] + ident * f.coeffs[-2]
+        return Matrix.identity(a.field, a.nrows) * f.constant_term()
+    lead = f.coeffs[-1]
+    out = _plus_scalar(a if lead.is_one() else a * lead, f.coeffs[-2])
     for c in reversed(f.coeffs[:-2]):
-        out = out * a + ident * c
+        out = _plus_scalar(out * a, c)
     return out
 
 
@@ -643,17 +652,16 @@ def minpoly_matrix(a: Matrix) -> Polynomial:
     n = a.nrows
     if n == 0:
         return Polynomial.one(field)
-    acc = Polynomial.one(field)
     zero, one = field.zero(), field.one()
+    acc = None
     for j in range(n):
+        g = _cyclic_annihilator(a, tuple(one if i == j else zero for i in range(n)))
+        if acc is None:
+            acc = g  # the first annihilator is the lcm so far
+        elif not (acc % g).is_zero():
+            acc = (acc * g) // poly_gcd(acc, g)
         if acc.degree >= n:
             break
-        e = tuple(one if i == j else zero for i in range(n))
-        g = _cyclic_annihilator(a, e)
-        if (acc % g).is_zero():
-            continue
-        d = poly_gcd(acc, g)
-        acc = (acc * g) // d
     return acc.monic()
 
 

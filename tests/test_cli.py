@@ -10,8 +10,9 @@ import sys
 import pytest
 
 import mkt
-from mkt import cli
+from mkt import cli, errors
 from mkt.errors import RecursionInvariantViolated
+from mkt.jointdet import SPECS
 
 
 def run(capsys, argv):
@@ -217,8 +218,30 @@ class TestReduce:
         assert code == 1
         assert out["error"]["type"] == "DegenerateInput"
 
+    def test_empty_tuple_is_neutral(self, capsys, tmp_path):
+        # the 0 x 0 tuple is the neutral element of direct sum
+        path = write_doc(tmp_path, "d.json", {"field": {"kind": "Q"}, "matrices": [[], []]})
+        code, out = run(capsys, ["reduce", path])
+        assert code == 0
+        assert out["size"] == 0 and out["factors"] == [] and out["terms"] == []
+        assert out["class"]["zero"] is True and out["class"]["tame"] == {}
+
 
 class TestJointdet:
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("places", [None, "inf,2"])
+    def test_empty_tuple_never_raises(self, capsys, tmp_path, spec, places):
+        """Every spec answers the 0 x 0 tuple or refuses it with a typed error."""
+        path = write_doc(tmp_path, "d.json", {"field": {"kind": "Q"}, "matrices": [[], []]})
+        argv = ["jointdet", "--spec", spec, path]
+        code, out = run(capsys, argv + (["--places", places] if places else []))
+        if code == 0:
+            assert out["value"] in (1, {"l": 2, "field": "Q", "eps_inf": 1, "tame": {},
+                                        "zero": True})
+        else:
+            assert code == 1 and issubclass(getattr(errors, out["error"]["type"]),
+                                            errors.MktError)
+
     def test_rational_hilbert_value(self, capsys, tmp_path):
         path = write_doc(tmp_path, "d.json", {
             "field": {"kind": "Q"},

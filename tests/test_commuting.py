@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+from mkt import commuting
 from mkt.canonical import canonical_class
 from mkt.commuting import (MatrixTuple, class_of_tuple, composition_series,
                            homotopy_mult, homotopy_shear, homotopy_steinberg,
@@ -14,11 +16,12 @@ from mkt.errors import (ArityMismatch, DegenerateInput, NotUnitDeterminant,
 from mkt.fields import (Polynomial, embed, extension, function_field, prime_field,
                         rationals)
 from mkt.jointdet import check_axioms, make_determinant
-from mkt.linalg import Matrix, companion_matrix, jordan_block
-from mkt.sampling import commuting_tuple, invertible_matrix
+from mkt.linalg import Matrix, companion_matrix, jordan_block, poly_eval_matrix
+from mkt.sampling import (commuting_tuple, invertible_matrix, monic_irreducible,
+                          random_element, random_unit)
 from mkt.symbols import symbol
 from mkt.transfer import transfer_tower
-from tests.conftest import make_field
+from tests.conftest import f81_over_f9, make_field
 
 Qf = rationals()
 Qt = function_field(Qf)
@@ -308,6 +311,126 @@ class TestCompositionSeries:
         x = MatrixTuple(Qf, [a, b])
         with pytest.raises(UnsupportedTower):
             composition_series(x)
+
+
+def shift_block(field, a, c, size):
+    """a * I + c * N on field^size, N the nilpotent upper shift."""
+    zero = field.zero()
+    return Matrix(field, [[a if j == i else c if j == i + 1 else zero for j in range(size)]
+                          for i in range(size)])
+
+
+def scalar_block(field, pairs, size):
+    """Slots a_k * I + c_k * N for the (a_k, c_k) in pairs: size copies of the
+    factor over field where the slots act by the a_k."""
+    return ([shift_block(field, a, c, size) for a, c in pairs],
+            {(field, tuple(a for a, _ in pairs)): size})
+
+
+def companion_block(pi, gs):
+    """Slots g_k(C), C the companion of pi; the first nonconstant g_k must be
+    x. One factor over field[x]/(pi), where slot k acts by g_k(x)."""
+    L = extension(pi.field, pi)
+    c = companion_matrix(pi)
+    scalars = tuple(sum((embed(a, L) * L.gen() ** i for i, a in enumerate(g.coeffs)), L.zero())
+                    for g in gs)
+    return [poly_eval_matrix(g, c) for g in gs], {(L, scalars): 1}
+
+
+def planted_fields():
+    return {"Q": Qf, "F9": make_field(9), "F81/F9": f81_over_f9()}
+
+
+class TestPlantedSeries:
+    """Direct sums of blocks with known factors, conjugated by a random
+    invertible matrix: the composition series is the planted multiset."""
+
+    @staticmethod
+    def check(field, blocks, rng):
+        mats, planted = None, {}
+        for block_mats, factors in blocks:
+            mats = block_mats if mats is None else [a.direct_sum(b)
+                                                    for a, b in zip(mats, block_mats)]
+            for key, mult in factors.items():
+                planted[key] = planted.get(key, 0) + mult
+        x = MatrixTuple(field, mats).conjugate(invertible_matrix(field, rng, mats[0].nrows))
+        assert {(f.extension, f.scalars): f.multiplicity
+                for f in composition_series(x)} == planted
+
+    @pytest.mark.parametrize("name", ["Q", "F9", "F81/F9"])
+    def test_scalar_blocks(self, name):
+        """1 x 1 tuples, a scalar first slot, scalar blocks (c = 0) and
+        eigenvalues repeated across blocks; every last pi is linear."""
+        field = planted_fields()[name]
+        rng = random.Random(sum(map(ord, name)))
+        # a nonzero scalar, and a nilpotent coefficient that may be zero
+        unit, elem = partial(random_unit, field, rng), partial(random_element, field, rng)
+        zero = field.zero()
+        for _ in range(3):
+            a, b = unit(), unit()
+            for blocks in (
+                    [scalar_block(field, [(unit(), zero), (unit(), zero)], 1)],
+                    [scalar_block(field, [(unit(), zero) for _ in range(3)], 1)],
+                    [scalar_block(field, [(a, zero), (unit(), elem()), (unit(), elem())], 2),
+                     scalar_block(field, [(a, zero), (unit(), zero), (unit(), elem())], 3)],
+                    [scalar_block(field, [(unit(), zero), (unit(), zero)], 2),
+                     scalar_block(field, [(unit(), zero), (unit(), zero)], 1)],
+                    [scalar_block(field, [(a, elem()), (b, elem())], 2),
+                     scalar_block(field, [(a, zero), (unit(), elem())], 2),
+                     scalar_block(field, [(unit(), elem()), (b, zero)], 1)],
+                    [scalar_block(field, [(a, elem()), (b, zero)], 3),
+                     scalar_block(field, [(a, zero), (b, zero)], 2)]):
+                self.check(field, blocks, rng)
+
+    def test_companion_blocks_over_f9(self):
+        """Companion blocks make the last pi of a slot nonlinear, next to
+        scalar blocks with the same or other eigenvalues."""
+        field = make_field(9)
+        rng = random.Random(1709)
+        # a nonzero scalar, and a nilpotent coefficient that may be zero
+        unit, elem = partial(random_unit, field, rng), partial(random_element, field, rng)
+        zero = field.zero()
+        x = Polynomial.x(field)
+        for _ in range(4):
+            pi = monic_irreducible(field, rng, 2)
+            a, g, h = unit(), x + elem(), x + elem()
+            for blocks in (
+                    [companion_block(pi, [x, g])],
+                    [companion_block(pi, [x, g]),
+                     scalar_block(field, [(unit(), elem()), (unit(), elem())], 2)],
+                    [companion_block(pi, [x, g]), companion_block(pi, [x, h]),
+                     scalar_block(field, [(a, zero), (unit(), elem())], 1)],
+                    [companion_block(pi, [Polynomial.constant(a), x, g]),
+                     scalar_block(field, [(a, zero), (unit(), elem()), (unit(), zero)], 2)],
+                    [companion_block(pi, [x, Polynomial.constant(a)]),
+                     companion_block(monic_irreducible(field, rng, 2), [x, h])]):
+                self.check(field, blocks, rng)
+
+    def test_empty_tuple_has_no_factors(self):
+        empty = Matrix(Qf, [])
+        x = MatrixTuple(Qf, [empty, empty])
+        assert composition_series(x) == []
+        assert class_of_tuple(x).is_zero()
+
+    def test_scalar_first_slot_costs_no_minimal_polynomial(self, monkeypatch):
+        """Neither a 1 x 1 slot nor a scalar c * I gets a minimal polynomial
+        or a factorization; the other slots do."""
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(arg):
+                calls.append((name, arg))
+                return fn(arg)
+            monkeypatch.setattr(commuting, name, wrapped)
+
+        spy("minpoly_matrix", commuting.minpoly_matrix)
+        spy("irreducible_factors", commuting.irreducible_factors)
+        composition_series(scalar_tuple(Qf, 2, 3, 5))
+        assert calls == []
+        b = qmat([[2, 1, 0], [0, 2, 0], [0, 0, 5]])
+        composition_series(MatrixTuple(Qf, [qmat([[3, 0, 0], [0, 3, 0], [0, 0, 3]]), b]))
+        assert [name for name, _ in calls] == ["minpoly_matrix", "irreducible_factors"]
+        assert calls[0][1] == b
 
 
 class TestSampling:

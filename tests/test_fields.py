@@ -107,6 +107,26 @@ class TestFactor:
         assert parts == [(Polynomial.from_ints(Q, [-1, 1]), 1),
                          (Polynomial.from_ints(Q, [1, 1]), 1)]
 
+    @pytest.mark.parametrize("q", [0, 5, 9])
+    def test_linear_is_its_own_factor(self, q, rng, monkeypatch):
+        """A linear f is lc(f) times its monic self, with no squarefree split,
+        and the answer is memoized."""
+        field = make_field(q)
+        forget()
+
+        def no_split(f):
+            raise AssertionError(f"squarefree split of {f}")
+
+        monkeypatch.setattr(factor_module, "_squarefree", no_split)
+        for _ in range(10):
+            lead = random_element(field, rng)
+            while lead.is_zero():
+                lead = random_element(field, rng)
+            f = Polynomial(field, [random_element(field, rng), lead])
+            assert factor(f) == (lead, [(f.monic(), 1)])
+            assert factor_module._FACTORED[f] == (lead, ((f.monic(), 1),))
+        forget()
+
     def test_expansion_roundtrip(self, rng, Q):
         """Multiplying the factorization back together reproduces the input bit-exactly."""
         for field in (Q, prime_field(5), make_field(9)):

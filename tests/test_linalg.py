@@ -12,6 +12,7 @@ from mkt.errors import DegenerateInput
 from mkt.fields import Polynomial, forget, function_field, prime_field, rationals
 from mkt.linalg import (Matrix, SpanTracker, companion_matrix, jordan_block,
                         minpoly_matrix, poly_eval_matrix, solve_in_span)
+from mkt.sampling import invertible_matrix
 
 
 def rand_matrix(field, rng, n, span=6):
@@ -262,6 +263,35 @@ class TestMinpoly:
         f = minpoly_matrix(m)
         assert poly_eval_matrix(f, m) == Matrix.zeros(F5, 4, 4)
 
+    @pytest.mark.parametrize("q", [0, 5, 9])
+    def test_derogatory_against_power_relation(self, q):
+        """Conjugated direct sums of Jordan blocks with repeated eigenvalues,
+        of equal companion blocks, and scalar matrices: the minimal polynomial
+        is the first dependency among I, A, A^2, ..."""
+        field = make_field(q)
+        rng = random.Random(1700 + q)
+        derogatory = 0
+        for _ in range(8):
+            lam, mu = rand_entry(field, rng), rand_entry(field, rng)
+            comp = companion_matrix(Polynomial(field, [rand_entry(field, rng),
+                                                       rand_entry(field, rng), field.one()]))
+            parts = rng.choice([
+                [jordan_block(field, lam, 2), jordan_block(field, lam, 1),
+                 jordan_block(field, mu, 2)],
+                [comp, comp, jordan_block(field, lam, 1)],
+                [jordan_block(field, lam, 1)] * rng.randint(1, 4),
+                [jordan_block(field, lam, 3), jordan_block(field, lam, 2)],
+            ])
+            a = parts[0]
+            for b in parts[1:]:
+                a = a.direct_sum(b)
+            # unconjugated, the unit vectors see one block each
+            for b in (a, a.conjugate(invertible_matrix(field, rng, a.nrows))):
+                m = minpoly_matrix(b)
+                assert m == Polynomial(field, power_relation(b))
+                derogatory += m.degree < b.nrows
+        assert derogatory >= 8
+
 
 class TestPolyEval:
     @pytest.mark.parametrize("q", ELIMINATION_FIELDS)
@@ -283,6 +313,47 @@ class TestPolyEval:
                 for c, power in zip(coeffs, powers):
                     expected = expected + power * c
                 assert poly_eval_matrix(Polynomial(field, coeffs), a) == expected
+
+    @pytest.mark.parametrize("q", ELIMINATION_FIELDS)
+    def test_monic_matches_the_sum_of_powers(self, q):
+        """Monic f of degrees 1-4, whose a * lead step is skipped, with zero
+        and nonzero lower coefficients."""
+        field = elimination_field(q)
+        rng = random.Random(170 + q)
+        for n in (1, 2, 3):
+            a = rand_rect(field, rng, n, n)
+            powers = [Matrix.identity(field, n)]
+            for _ in range(4):
+                powers.append(powers[-1] * a)
+            for degree in range(1, 5):
+                for _ in range(3):
+                    coeffs = [rand_entry(field, rng) for _ in range(degree)] + [field.one()]
+                    expected = Matrix.zeros(field, n)
+                    for c, power in zip(coeffs, powers):
+                        expected = expected + power * c
+                    assert poly_eval_matrix(Polynomial(field, coeffs), a) == expected
+
+
+def power_relation(a):
+    """Coefficients, lowest first, of the first relation c_0 vec(I) + ... +
+    vec(A^k) = 0 among the flattened powers of a, by plain elimination on
+    field elements."""
+    field, zero, one = a.field, a.field.zero(), a.field.one()
+    basis = []  # (pivot, row scaled to 1 there, its combination of powers)
+    power, k = Matrix.identity(field, a.nrows), 0
+    while True:
+        vec = [x for r in power.rows for x in r]
+        combo = [zero] * k + [one]
+        for p, row, rc in basis:
+            f = vec[p]
+            vec = [x - f * y for x, y in zip(vec, row)]
+            combo = [x - f * y for x, y in zip(combo, rc + [zero] * (k + 1 - len(rc)))]
+        pivot = next((i for i, x in enumerate(vec) if not x.is_zero()), None)
+        if pivot is None:
+            return combo
+        inv = vec[pivot].inverse()
+        basis.append((pivot, [x * inv for x in vec], [x * inv for x in combo]))
+        power, k = power * a, k + 1
 
 
 def twin_vector(twin, v):

@@ -10,9 +10,15 @@ one workload are paired by seed; for every end-to-end metric named in
 BENCHMARK.json the file gets each side's median and quartiles over its
 runs, the ratio of the medians, the parent's quartile distance over its
 median and the number of pairs the change wins. The traced seed-1 records
-give the inputs and report digests and the layer split of both sides. When
-one side holds several records for one (workload, seed, trace), the last
-one counts.
+give the inputs and report digests, whether the reports are identical, and
+the layer split of both sides. When one side holds several records for one
+(workload, seed, trace), the last one counts.
+
+With --claim the file also says whether the claim is met: the change wins
+at least 9 of every 10 pairs (a tie counts for neither side), the medians
+differ by more than the parent's quartile distance, and the ratio of the
+medians, taken so that a gain is above 1 (parent over change for a metric
+where lower is better), reaches AT_LEAST.
 """
 
 from __future__ import annotations
@@ -64,6 +70,9 @@ def workload_summary(runs: list[dict], traced: list, metrics: list[dict]) -> dic
         out["inputs_digest_seed_1"] = traced[0]["info"]["inputs_digest"]
         out["reports_digest_seed_1"] = {s: t["info"]["reports_digest"] if t else None
                                         for s, t in zip(SIDES, traced)}
+        digests = out["reports_digest_seed_1"]
+        out["reports_identical_seed_1"] = (digests["parent"] == digests["change"]
+                                           if all(traced) else None)
     for m in metrics:
         name = m["name"]
         values = {s: [_value(r[s], name) for r in runs] for s in SIDES}
@@ -83,6 +92,17 @@ def workload_summary(runs: list[dict], traced: list, metrics: list[dict]) -> dic
         out["trace_seed_1"] = {name: {s: round(_value(t, name), 4)
                                       for s, t in zip(SIDES, traced)} for name in names}
     return out
+
+
+def claim_met(summary: dict, metric: dict, at_least: float) -> bool:
+    """Whether one workload's summary bears out a gain of at_least on metric."""
+    entry = summary[metric["name"]]
+    parent, change = entry["parent"], entry["change"]
+    p, c = parent["median"], change["median"]
+    gain, base = (c, p) if metric["better"] == "higher" else (p, c)
+    return (10 * entry["change_wins"] >= 9 * summary["pairs"]
+            and abs(c - p) > parent["q3"] - parent["q1"]
+            and gain >= at_least * base)
 
 
 def summarize(parent: list[dict], change: list[dict], spec: dict) -> dict:
@@ -124,7 +144,13 @@ def main(argv=None) -> int:
            "method": args.method}
     if args.claim:
         workload, metric, least = args.claim.split(":")
-        doc["claim"] = {"workload": workload, "metric": metric, "at_least": float(least)}
+        spec_metric = {m["name"]: m for m in spec["end_to_end"]}.get(metric)
+        if spec_metric is None:
+            print(f"bench_file: no end-to-end metric {metric}", file=sys.stderr)
+            return 2
+        doc["claim"] = {"workload": workload, "metric": metric, "at_least": float(least),
+                        "met": workload in workloads and claim_met(
+                            workloads[workload], spec_metric, float(least))}
     doc["workloads"] = workloads
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
