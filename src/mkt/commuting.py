@@ -244,7 +244,9 @@ def homotopy_swap(x: MatrixTuple, i: int, j: int) -> MatrixTuple:
         raise DegenerateInput("need two distinct valid slots")
     h = _mult_family(x.matrices[i], x.matrices[j])
     mats = [h if s in (i, j) else _doubled(a) for s, a in enumerate(x.matrices)]
-    return MatrixTuple(function_field(x.field), mats)
+    # the slots of x commute and are invertible, so the family's do and have
+    # constant determinants
+    return MatrixTuple._trusted(function_field(x.field), mats)
 
 
 def homotopy_shear(a: Matrix, b: Matrix, c: Matrix,
@@ -297,7 +299,8 @@ def homotopy_steinberg(a: FieldElement, b: FieldElement,
         if v.is_zero():
             raise DegenerateInput("bystander scalars must be nonzero")
         mats.append(ident * embed(v, kt))
-    return MatrixTuple(kt, mats)
+    # comp and I - comp commute, with determinants -ab and (1-a)(1-b)
+    return MatrixTuple._trusted(kt, mats)
 
 
 # ---------------------------------------------------------------------------

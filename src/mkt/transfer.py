@@ -1,200 +1,64 @@
 """Transfers (norms) of symbol expressions along finite field extensions.
 
-The route: an expression over a simple extension k_v = k[x]/(pi_v) is first
-rewritten into combinations {a_1,...,a_s, f_1(alpha),...,f_r(alpha)} with
-the a_i constants from k and the f_i monic irreducible over k of strictly
-increasing degrees below deg pi_v. Those generator forms are then pushed
-down to k, by a route the form alone picks: constants-only forms scale by
-the extension degree, single-poly forms take the norm of the polynomial,
-the resultant Res(pi_v, f) (projection formula), and forms with two or more polys run the reciprocity
-recursion over the places of k(X), which strictly decreases degrees and so
-terminates. The recursion is also correct on single-poly forms; the tests
-check the norm route against it.
+The transfer from k_v = k[x]/(pi_v) down to k is Bass and Tate's: if y over
+k(X) has boundary x at the place v, Weil reciprocity gives
+N_v(x) = -(sum over finite w != v of N_w(d_w y)) - d_inf y, for any such
+lift y. `transfer` pushes each term c{g_1(alpha),...,g_l(alpha)} of x down
+on its own, the g_i of degree below deg pi_v, by a route the number of
+non-constant g_i picks: with none, the term is c deg pi_v {g_1,...,g_l}
+over k; with one, that entry becomes Res(pi_v, g_i), its norm (the
+projection formula); with two or more, the term lifts to
+y = {g_1,...,g_l, pi_v} and the reciprocity sum runs over the places of the
+irreducible factors of the g_i, all of degree below deg pi_v, so the
+recursion terminates.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from mkt.canonical import canonical_class
 from mkt.errors import (ArityMismatch, DescriptorMismatch, RecursionInvariantViolated,
                         UnsupportedField, UnsupportedTower)
 from mkt.factor import factor
-from mkt.fields import (EXTENSION, FUNCTION, FieldDescriptor, element_from_poly,
-                        embed, function_field, is_ancestor, poly_of_element,
+from mkt.fields import (EXTENSION, FUNCTION, FieldDescriptor, Polynomial, embed,
+                        function_field, is_ancestor, poly_of_element,
                         poly_resultant, tower_steps)
 from mkt.symbols import MilnorExpression, symbol, zero_expression
-from mkt.valuations import (INFINITE, Valuation, finite_place, infinite_place,
-                            support, tame_symbol)
-
-CONST = "c"
-POLY = "p"
+from mkt.valuations import (FINITE, INFINITE, Valuation, finite_place,
+                            infinite_place, support, tame_symbol)
 
 
-@dataclass(frozen=True)
-class ResidueSymbolForm:
-    """One generator form {a_1,...,a_s, f_1(alpha),...,f_r(alpha)}.
-
-    constants: elements of the base field k, none equal to one.
-    polys: monic irreducible over k, strictly increasing degrees.
-    """
-
-    coeff: int
-    constants: tuple
-    polys: tuple
-
-    @property
-    def rank(self) -> int:
-        return len(self.polys)
-
-
-def _entry_items(g) -> list[tuple]:
-    """Multilinear expansion choices for the entry g(alpha) of kv = k[x]/(m),
-    g a nonzero polynomial over k of degree below deg m.
-
-    Returns (tag, payload, exponent) triples; an empty list means the entry
-    is one and the whole term dies. Items with value one never appear.
-    """
-    if g.degree <= 0:
-        a = g.constant_term()
-        return [] if a.is_one() else [(CONST, a, 1)]
-    unit, parts = factor(g)
-    items: list[tuple] = [] if unit.is_one() else [(CONST, unit, 1)]
-    # deg f < deg m, so f(alpha) is neither 0 nor 1
-    items += [(POLY, f, m) for f, m in parts]
-    return items
-
-
-def _tag_key(tagged: tuple):
-    tag, payload = tagged
-    if tag == CONST:
-        return (0, payload.key())
-    return (1, payload.coeff_key())
-
-
-def _sorted_with_sign(entries: tuple) -> tuple[tuple, int]:
-    order = sorted(range(len(entries)), key=lambda i: _tag_key(entries[i]))
-    inv = 0
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                inv += 1
-    out = tuple(entries[i] for i in order)
-    return out, (-1 if inv % 2 else 1)
-
-
-def rewrite_to_generators(x: MilnorExpression) -> list[ResidueSymbolForm]:
-    """Rewrite an expression over a simple extension into generator forms.
-
-    Each output form has constant entries first and polynomial entries of
-    strictly increasing degrees after; the rewriting only uses relations
-    that hold for symbol classes, so the sum of the forms equals x.
-    """
-    kv = x.field
-    if kv.kind != EXTENSION:
-        raise UnsupportedField("generator forms need a simple extension field")
-    k = kv.base
-    minus1 = k.minus_one()
-    minus1_dead = minus1.is_one()  # characteristic two
-    work: list[tuple[int, tuple]] = []
-    for entries, c in x.items():
-        lists = [_entry_items(poly_of_element(e)) for e in entries]
-        if any(not lst for lst in lists):
-            continue
-        stack = [(c, ())]
-        for lst in lists:
-            stack = [(cf * exp, chosen + ((tag, payload),))
-                     for cf, chosen in stack
-                     for tag, payload, exp in lst]
-        work.extend(stack)
-
-    acc: dict[tuple, int] = {}
-    while work:
-        coeff, entries = work.pop()
-        entries, sign = _sorted_with_sign(entries)
-        coeff *= sign
-        offender = None
-        for i in range(len(entries) - 1):
-            t1, p1 = entries[i]
-            t2, p2 = entries[i + 1]
-            if t1 == POLY and t2 == POLY and p1.degree == p2.degree:
-                offender = i
-                break
-        if offender is None:
-            consts = tuple(p for t, p in entries if t == CONST)
-            polys = tuple(p for t, p in entries if t == POLY)
-            key = (consts, polys)
-            acc[key] = acc.get(key, 0) + coeff
-            continue
-        i = offender
-        f, g = entries[i][1], entries[i + 1][1]
-        rest_before, rest_after = entries[:i], entries[i + 2:]
-        if f == g:
-            # {f, f} = {-1, f}; in characteristic two that is {1, f} = 0
-            if not minus1_dead:
-                work.append((coeff,
-                             rest_before + ((CONST, minus1), (POLY, f)) + rest_after))
-            continue
-        # {f, g} = {h, g} - {h, f} + {-1, f} with h = f - g (degree drops)
-        for tag, payload, exp in _entry_items(f - g):
-            work.append((coeff * exp,
-                         rest_before + ((tag, payload), (POLY, g)) + rest_after))
-            work.append((-coeff * exp,
-                         rest_before + ((tag, payload), (POLY, f)) + rest_after))
-        if not minus1_dead:
-            work.append((coeff,
-                         rest_before + ((CONST, minus1), (POLY, f)) + rest_after))
-
-    forms = [ResidueSymbolForm(c, consts, polys)
-             for (consts, polys), c in acc.items() if c]
-    forms.sort(key=lambda fm: (len(fm.polys),
-                               [f.coeff_key() for f in fm.polys],
-                               [a.key() for a in fm.constants]))
-    return forms
-
-
-def _form_transfer(v: Valuation, form: ResidueSymbolForm) -> MilnorExpression:
+def _term_transfer(v: Valuation, entries: tuple, c: int) -> MilnorExpression:
+    """The transfer of c{entries} from the residue field of v down to k; no
+    entry is one."""
     k = v.field.base
     d = v.pi.degree
-    weight = len(form.constants) + len(form.polys)
-    if form.rank == 0:
-        if weight == 0:
-            return MilnorExpression(k, 0, {(): form.coeff * d})
-        return symbol(form.constants, k) * (form.coeff * d)
-    if form.rank == 1:
-        # the norm of f(alpha) from k[x]/(pi_v) down to k, straight from f
-        nb = poly_resultant(v.pi, form.polys[0])
-        if nb.is_one():
-            return zero_expression(k, weight)
-        return symbol((*form.constants, nb), k) * form.coeff
-    return _reciprocity_transfer(v, form)
-
-
-def _reciprocity_transfer(v: Valuation, form: ResidueSymbolForm) -> MilnorExpression:
-    """Push one generator form down to k through the places of k(X)."""
+    gs = [poly_of_element(e) for e in entries]
+    moving = [i for i, g in enumerate(gs) if g.degree >= 1]
+    if len(moving) < 2:
+        consts = [g.constant_term() for g in gs]
+        if not moving:
+            return symbol(consts, k) * (c * d)
+        i = moving[0]
+        consts[i] = poly_resultant(v.pi, gs[i])
+        if consts[i].is_one():
+            return zero_expression(k, len(gs))
+        return symbol(consts, k) * c
     ff = v.field
-    k = ff.base
-    kv = v.residue_field()
-    entries = [embed(a, ff) for a in form.constants]
-    entries += [ff.element(f) for f in form.polys]
-    entries.append(ff.element(v.pi))
-    y = symbol(entries, ff)
-    expected = symbol([embed(a, kv) for a in form.constants]
-                      + [element_from_poly(kv, f) for f in form.polys], kv)
-    if tame_symbol(v, y) != expected:
-        raise RecursionInvariantViolated("the lift does not reduce to its form")
-    weight = expected.weight
-    acc = zero_expression(k, weight)
-    for f in form.polys:
+    y = symbol([ff.element(g) for g in gs] + [ff.element(v.pi)], ff)
+    if tame_symbol(v, y) != symbol(entries, v.residue_field()):
+        raise RecursionInvariantViolated("the lift does not reduce to its term")
+    places = {f for i in moving for f, _ in factor(gs[i])[1]}
+    acc = zero_expression(k, len(gs))
+    for f in sorted(places, key=Polynomial.coeff_key):
         w = finite_place(ff, f)
         t = tame_symbol(w, y)
         if t.is_zero():
             continue
-        if f.degree >= v.pi.degree:
-            raise RecursionInvariantViolated("generator degree failed to decrease")
+        if f.degree >= d:
+            raise RecursionInvariantViolated("place degree failed to decrease")
         acc = acc + transfer(w, t)
     acc = acc + tame_symbol(infinite_place(ff), y)
-    return (-acc) * form.coeff
+    return (-acc) * c
 
 
 def transfer(v: Valuation, x: MilnorExpression) -> MilnorExpression:
@@ -204,7 +68,7 @@ def transfer(v: Valuation, x: MilnorExpression) -> MilnorExpression:
     coefficient field k. Weight is preserved; degree-one places give the
     identity.
     """
-    if v.kind != "finite":
+    if v.kind != FINITE:
         raise UnsupportedField("transfers go along finite places")
     kv = v.residue_field()
     if x.field != kv:
@@ -215,8 +79,9 @@ def transfer(v: Valuation, x: MilnorExpression) -> MilnorExpression:
     if x.weight == 0:
         return MilnorExpression(k, 0, {(): x.coefficient([]) * v.pi.degree})
     out = zero_expression(k, x.weight)
-    for form in rewrite_to_generators(x):
-        out = out + _form_transfer(v, form)
+    for entries, c in x.items():
+        if not any(e.is_one() for e in entries):
+            out = out + _term_transfer(v, entries, c)
     return out
 
 

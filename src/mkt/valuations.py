@@ -24,7 +24,7 @@ from mkt.factor import factor, is_irreducible
 from mkt.fields import (FUNCTION, RATIONALS, FieldDescriptor, FieldElement,
                         Polynomial, RationalFunction, element_from_poly,
                         extension, prime_field, rationals)
-from mkt.numutil import is_prime
+from mkt.numutil import factor_int, is_prime
 from mkt.symbols import MilnorExpression
 
 FINITE = "finite"
@@ -285,7 +285,6 @@ def support(x: MilnorExpression) -> list[Valuation]:
         places.append(infinite_place(field))
         return places
     if field.kind == RATIONALS:
-        from mkt.numutil import factor_int
         primes: set[int] = set()
         for entries, _ in x.items():
             for e in entries:

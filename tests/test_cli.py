@@ -382,7 +382,7 @@ class TestSuites:
     @pytest.mark.parametrize("argv", [["reciprocity", "-"], ["transfer", "-"],
                                       ["check", "reciprocity"]])
     def test_removed_route_flag_refused(self, capsys, argv):
-        # the transfer route follows from the generator form alone
+        # each term's transfer route follows from the term alone
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--no-shortcuts"])
         assert exc.value.code == 2

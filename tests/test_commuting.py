@@ -189,6 +189,15 @@ class TestHomotopyFamilies:
         at1, at0 = h.boundary()
         assert class_of_tuple(at1) == class_of_tuple(at0)
 
+    def test_trusted_families_pass_the_public_checks(self, rng):
+        # swap and steinberg skip the constructor's checks; their slots
+        # must pass them anyway
+        families = [homotopy_swap(commuting_tuple(Qf, rng, 3, 2), 0, 2),
+                    homotopy_steinberg(Qf.element(3), Qf.element(Fraction(2, 3)),
+                                       [Qf.element(-2)])]
+        for h in families:
+            assert MatrixTuple(h.field, h.matrices) == h
+
     def test_mult_requires_commuting(self):
         b = qmat([[1, 1], [0, 1]])
         c = qmat([[1, 0], [1, 1]])

@@ -12,58 +12,12 @@ from mkt.fields import (Polynomial, embed, extension, function_field,
 from mkt.sampling import monic_irreducible, random_symbol, random_unit
 from mkt.symbols import symbol, zero_expression
 from mkt.towers import multiplication_matrix, norm_element
-from mkt.transfer import (_form_transfer, _reciprocity_transfer, base_change,
-                          reciprocity_check, rewrite_to_generators,
-                          transfer_ext, transfer_tower)
-from mkt.valuations import finite_place
+from mkt.transfer import (base_change, reciprocity_check, transfer, transfer_ext,
+                          transfer_tower)
+from mkt.valuations import FINITE, finite_place, infinite_place, support, tame_symbol
 from tests.conftest import NORM_PAIRS, all_units, make_field
 
 Qf = rationals()
-
-
-class TestRewriteToGenerators:
-    def test_constants_only(self):
-        # [TRIVIAL] a weight-1 constant gives a single r=0 form
-        F9 = make_field(9)
-        c = embed(F9.base.from_int(2), F9)
-        forms = rewrite_to_generators(symbol([c], field=F9))
-        assert len(forms) == 1
-        assert forms[0].polys == ()
-
-    def test_already_generator_shaped(self):
-        # [TRIVIAL] {a, a+1} over F_9 uses the degree-1 polynomials X and X+1
-        F9 = make_field(9)
-        a = F9.gen()
-        forms = rewrite_to_generators(symbol([a, a + F9.one()], field=F9))
-        for form in forms:
-            degs = [len(f.coeffs) - 1 for f in form.polys]
-            assert degs == sorted(set(degs))
-            assert all(d < 2 for d in degs)
-
-    def test_reduction_mod_modulus_first(self):
-        # [TRIVIAL] alpha^2 reduces to the constant -1 in F_9 before any rewriting
-        F9 = make_field(9)
-        a = F9.gen()
-        forms = rewrite_to_generators(symbol([a * a], field=F9))
-        assert len(forms) == 1 and forms[0].polys == ()
-        assert forms[0].constants == (F9.base.from_int(2),)
-
-    def test_equal_degree_rewriting_round(self):
-        """[DERIVED] {a+1, a+2}-style equal-degree entries over F_8.
-
-        The rewriting identity is validated by transferring both the raw
-        symbol and its rewritten forms and comparing classes; over a finite
-        field both must be the zero class.
-        """
-        F8 = make_field(8)
-        a = F8.gen()
-        x = symbol([a + F8.one(), a], field=F8)
-        forms = rewrite_to_generators(x)
-        for form in forms:
-            degs = [len(f.coeffs) - 1 for f in form.polys]
-            assert degs == sorted(set(degs))  # strictly increasing
-        y = transfer_tower(x, F8.base)
-        assert canonical_class(y).is_zero()
 
 
 class TestTransferExt:
@@ -113,12 +67,11 @@ class TestTransferExt:
                     symbol([norm_element(x, L.base)]))
 
     def test_recursion_oracle_matches_norm(self):
-        """[PAPER] The Bass-Tate recursion transfers K_1 to the norm.
+        """[PAPER] Weil reciprocity on the lift {g, pi_v} gives the norm.
 
-        Every rank-1 generator form of {u} goes through the reciprocity
-        recursion over the places of k(X), which the transfer itself runs
-        only at rank >= 2, and every rank-0 form through the degree scaling;
-        the sum must be the class of N(u). Covers every unit of the six
+        For u = g(alpha) over k_v = k[X]/(pi_v), the lift y = {g, pi_v} over
+        k(X) has boundary {u} at v, so N(u) is minus the transferred
+        boundaries of y at every other place. Covers every unit of the six
         acceptance extensions and a few units of Q(sqrt 2).
         """
         sqrt2 = extension(Qf, Polynomial.from_ints(Qf, [-2, 0, 1]))
@@ -128,19 +81,19 @@ class TestTransferExt:
                                   for a, b in ((1, 1), (3, 2), (-1, 5), (0, 3),
                                                (7, -4), (Fraction(1, 2), 1))]))
         for L, base, units in cases:
-            v = finite_place(function_field(base), L.modulus)
+            ff = function_field(base)
+            v = finite_place(ff, L.modulus)
             for u in units:
-                forms = rewrite_to_generators(symbol([u], field=L))
-                if poly_of_element(u).degree >= 1:
-                    assert any(form.rank == 1 for form in forms)
-                total = zero_expression(base, 1)
-                for form in forms:
-                    if form.rank == 1:
-                        total = total + _reciprocity_transfer(v, form)
-                    else:
-                        assert form.rank == 0
-                        total = total + _form_transfer(v, form)
-                assert canonical_class(total) == canonical_class(
+                y = symbol([ff.element(poly_of_element(u)), ff.element(L.modulus)],
+                           field=ff)
+                # the boundary drops a term whose entry is one
+                assert tame_symbol(v, y) == (zero_expression(L, 1) if u.is_one()
+                                             else symbol([u], field=L))
+                total = tame_symbol(infinite_place(ff), y)
+                for w in support(y):
+                    if w.kind == FINITE and w != v:
+                        total = total + transfer(w, tame_symbol(w, y))
+                assert canonical_class(-total) == canonical_class(
                     symbol([norm_element(u, base)], field=base))
 
     def test_quadratic_over_q(self):
@@ -153,31 +106,40 @@ class TestTransferExt:
 
 
 class TestRestrictionOfScalars:
-    @pytest.mark.parametrize("modulus", [[-2, 0, 0, 1], [-1, -1, 0, 1]],
-                             ids=["cube_root_2", "alpha3_alpha_1"])
+    @pytest.mark.parametrize("modulus", [[-2, 0, 0, 1], [-1, -1, 0, 1], [1, 0, 1],
+                                         [-2, 0, 1]],
+                             ids=["cube_root_2", "alpha3_alpha_1", "i", "sqrt_2"])
     def test_tuple_class_equals_transfer(self, rng, modulus):
         """[PAPER] The Goodwillie transfer is restriction of scalars, and it
         agrees with the Bass-Tate transfer (the paper's main theorem).
 
-        The 1x1 tuple (x, y) over a cubic L, viewed over Q, is the pair of
+        The 1x1 tuple (x, y) over L, viewed over Q, is the pair of
         multiplication matrices. Its reduction presents the simple factor
         through the minimal polynomial of its own operator, a generator other
         than the one of L, so the two sides meet only because the transfer
-        does not depend on the generator. Cubic fields have generator forms
-        of rank 2, which take the Bass-Tate recursion.
+        does not depend on the generator. A term with two non-constant
+        entries takes the reciprocity route. Over a quadratic L both sides
+        take it for {x, y}, so the direct sum with (r, y), r rational, is
+        checked against {r x, y} too: the tuple side takes {r, y} by the
+        projection formula, the transfer side takes {r x, y} by reciprocity.
         """
         L = extension(Qf, Polynomial.from_ints(Qf, modulus))
         pairs = other_generator = nonzero = 0
         while pairs < 8:
-            x, y = (L.element(tuple(Qf.element(rng.randint(-3, 3)) for _ in range(3)))
+            x, y = (L.element(tuple(Qf.element(rng.randint(-3, 3))
+                                    for _ in range(L.modulus.degree)))
                     for _ in range(2))
             if x.is_zero() or y.is_zero():
                 continue
             pairs += 1
-            pair = MatrixTuple(Qf, [multiplication_matrix(x, Qf),
-                                    multiplication_matrix(y, Qf)])
+            my = multiplication_matrix(y, Qf)
+            pair = MatrixTuple(Qf, [multiplication_matrix(x, Qf), my])
             expected = canonical_class(transfer_tower(symbol([x, y], field=L), Qf))
             assert class_of_tuple(pair) == expected
+            r = embed(Qf.element(rng.choice([2, 3, 5, -2])), L)
+            split = MatrixTuple(Qf, [multiplication_matrix(r, Qf), my]).direct_sum(pair)
+            assert class_of_tuple(split) == canonical_class(
+                transfer_tower(symbol([r * x, y], field=L), Qf))
             nonzero += expected.kind != ZERO
             other_generator += any(f.extension.modulus != L.modulus
                                    for f in composition_series(pair)
