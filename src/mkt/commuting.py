@@ -340,7 +340,8 @@ def _kernel_layers(field, ops: list[Matrix], pi: Polynomial, ker: list[tuple]) -
     On the kernel a acts as the class of x in field[x]/(pi). A linear pi
     makes that a scalar. Otherwise each kernel vector v outside the blocks
     so far starts a block v, av, ..., a^(d-1)v, which is one coordinate
-    over the extension; over an extension of Q that step is refused.
+    over the extension, until the blocks fill the kernel; over an extension
+    of Q that step is refused.
     """
     d = pi.degree
     if d == 1:
@@ -353,6 +354,8 @@ def _kernel_layers(field, ops: list[Matrix], pi: Polynomial, ker: list[tuple]) -
         span = SpanTracker(field, a.nrows)
         starts = []
         for v in ker:
+            if len(starts) * d == len(ker):
+                break
             if span.contains(v):
                 continue
             block = [v]

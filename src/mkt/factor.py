@@ -5,10 +5,18 @@ distinct-degree splitting, then randomized equal-degree splitting. The
 randomness is seeded from the polynomial's own coefficients, so results are
 deterministic run to run.
 
-Rationals: squarefree decomposition, then factorization of each primitive
-integer part modulo one good prime followed by subset recombination. The
-prime is chosen above twice a coefficient bound for true factors, so lifted
-candidates are exact and no Hensel stage is needed. Desk-scale degrees only.
+Rationals: one pipeline in Z[x] (Zassenhaus 1969; von zur Gathen and
+Gerhard, Modern Computer Algebra, ch. 6 and 15). Clearing denominators gives
+a primitive F. Its squarefree part S is F itself when F mod p is squarefree
+for the first prime p not dividing lc(F); otherwise S = F / gcd(F, F'), the
+gcd found modulo word-size primes, combined by CRT and confirmed by exact
+division. S is factored modulo the smallest prime that keeps it squarefree
+of its degree, and the factors are lifted to p^k above twice Mignotte's
+bound: roots by Newton's iteration, the others by quadratic Hensel steps.
+Subsets of the lifted factors are recombined, and a candidate is kept when
+it divides exactly in Z[x]. Repeated exact division by each factor gives its
+multiplicity in F. Every number tested for primality on the way is far
+below 3.3 * 10^24, where `is_prime` is proven exact.
 
 `factor` refuses proper extensions of Q and function fields with
 UnsupportedFactorization; only the private `irreducible_factors` splits over
@@ -105,7 +113,8 @@ def _pth_root_poly(f: Polynomial) -> Polynomial:
 
 
 def _squarefree(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Squarefree parts of a monic nonconstant f with their multiplicities.
+    """Squarefree parts of a monic nonconstant f with their multiplicities,
+    over a finite field or Q(alpha); Q has its modular `_squarefree_part`.
     The p-th roots are taken only in characteristic p, where a derivative
     can vanish and a cofactor can remain."""
     p = f.field.characteristic()
@@ -212,6 +221,11 @@ def _factor_finite_squarefree(f: Polynomial, rng: random.Random) -> list[Polynom
 
 # -- rationals ---------------------------------------------------------------
 
+# the first prime of the modular gcd: the Mersenne prime 2^61 - 1, so no
+# search is needed; further ones come from next_prime
+_GCD_PRIME = (1 << 61) - 1
+
+
 def _primitive(ints: list[int]) -> list[int]:
     g = 0
     for v in ints:
@@ -228,69 +242,219 @@ def _symmetric_lift(ints: list[int], p: int) -> list[int]:
     return [v - p if v > half else v for v in ints]
 
 
-def _good_prime(ints: list[int]) -> int:
-    n = len(ints) - 1
-    height = max(abs(v) for v in ints)
-    norm2 = math.isqrt(sum(v * v for v in ints)) + 1
-    bound = (2 ** n) * (norm2 + height) * max(1, abs(ints[-1]))
-    p = next_prime(max(2 * bound, 101))
+def _derivative(ints: list[int]) -> list[int]:
+    return [i * ints[i] for i in range(1, len(ints))]
+
+
+def _bound(ints: list[int]) -> int:
+    """Twice Mignotte's bound 2^n ||f||_2 for f in Z[x] of degree n. For
+    every factor h of f in Z[x] of degree m, f = g h, lc(f) h / lc(h) =
+    lc(g) h has ||.||_1 <= M(g) 2^m M(h) <= 2^m ||f||_2 (M the Mahler
+    measure), so its coefficients are their own symmetric residues modulo
+    any larger number."""
+    return (math.isqrt(sum(v * v for v in ints)) + 1) << len(ints)
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b when b divides a in Z[x], else None; a and b are nonzero."""
+    db = len(b) - 1
+    if len(a) <= db or (b[0] and a[0] % b[0]):
+        return None
+    lead = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[db + k], lead)
+        if rest:
+            return None
+        if c:
+            q[k] = c
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    return None if any(r[:db]) else q
+
+
+def _squarefree_mod(ints: list[int], p: int) -> bool:
+    """Whether f mod p keeps the degree of f and is squarefree; then f is
+    squarefree over Q too."""
+    if ints[-1] % p == 0:
+        return False
+    dp = zkernel.trim([v % p for v in _derivative(ints)])
+    return len(zkernel.zp_gcd([v % p for v in ints], dp, p)) == 1
+
+
+def _squarefree_part(ints: list[int]) -> list[int]:
+    """f / gcd(f, f') for a primitive f in Z[x] with lc(f) > 0.
+
+    The gcd g is found modulo primes p from 2^61 - 1 up: lc(f) times the
+    monic gcd modulo p, over the primes of least gcd degree so far, is
+    combined by CRT until the modulus passes `_bound(f)`, which also bounds
+    lc(f) g / lc(g). Its primitive part is g when it divides f and f'
+    exactly; otherwise each of those primes was unlucky, and the search goes
+    on below that degree.
+    """
+    d = _derivative(ints)
+    lead, bound = ints[-1], _bound(ints)
+    most = len(d)  # the gcd has at most this many coefficients
+    acc, modulus = None, 1
+    q = _GCD_PRIME
     while True:
-        if ints[-1] % p != 0:
-            fp = [v % p for v in ints]
-            dfp = [(i * ints[i]) % p for i in range(1, len(ints))]
-            if len(zkernel.zp_gcd(zkernel.trim(fp), zkernel.trim(dfp), p)) == 1:
-                return p
-        p = next_prime(p)
+        if lead % q:
+            g = zkernel.zp_gcd([v % q for v in ints], zkernel.trim([v % q for v in d]), q)
+            if len(g) == 1:
+                return ints
+            if len(g) <= most and (acc is None or len(g) <= len(acc)):
+                g = zkernel.zp_scale(g, lead % q, q)
+                if acc is None or len(g) < len(acc):
+                    acc, modulus = g, q
+                else:
+                    inv = pow(modulus, -1, q)
+                    acc = [a + modulus * ((b - a) * inv % q) for a, b in zip(acc, g)]
+                    modulus *= q
+                if modulus > bound:
+                    g = _primitive(_symmetric_lift(acc, modulus))
+                    quot = _exact_quotient(ints, g)
+                    if quot is not None and _exact_quotient(d, g) is not None:
+                        return quot
+                    acc, most = None, len(g) - 1
+        q = next_prime(q)
 
 
-def _divides_q(h_ints: list[int], g: Polynomial) -> bool:
-    Q = g.field
-    h = Polynomial(Q, [Fraction(v) for v in h_ints])
-    return (g % h).is_zero()
+def _evaluate(ints: list[int], a: int, m: int) -> int:
+    acc = 0
+    for c in reversed(ints):
+        acc = (acc * a + c) % m
+    return acc
 
 
-def _factor_q_squarefree(f: Polynomial) -> list[Polynomial]:
-    """Monic irreducible rational factors of a monic squarefree f over Q."""
-    Q = f.field
-    if f.degree == 1:
+def _lift_tree(f: list[int], factors: list[list[int]], p: int,
+               moduli: list[int]) -> list[list[int]]:
+    """The monic factors modulo moduli[-1] of a monic f that reduce to the
+    coprime monic `factors` of f modulo p, by quadratic Hensel steps down a
+    balanced factor tree (von zur Gathen and Gerhard, Algorithm 15.10)."""
+    if len(factors) == 1:
         return [f]
-    ints = _primitive(_cleared([c.rep for c in f.coeffs])[0])
-    p = _good_prime(ints)
-    Fp = prime_field(p)
-    fp = Polynomial.from_ints(Fp, ints).monic()
-    rng = random.Random(_stable_seed(fp))
-    modular = _factor_finite_squarefree(fp, rng)
-    modular.sort(key=Polynomial.coeff_key)
-    if len(modular) == 1:
-        return [f]
-    result_ints: list[list[int]] = []
-    pool = modular
-    g_ints = ints
+    half = len(factors) // 2
+    g, h = [1], [1]
+    for u in factors[:half]:
+        g = zkernel.zp_mul(g, u, p)
+    for u in factors[half:]:
+        h = zkernel.zp_mul(h, u, p)
+    mul, add, sub, div = zkernel.zp_mul, zkernel.zp_add, zkernel.zp_sub, zkernel.zp_divmod
+    # s g + t h = 1 modulo p, deg s < deg h and deg t < deg g
+    s = zkernel.zp_invmod(g, h, p)
+    t = div(sub([1], mul(s, g, p), p), h, p)[0]
+    for m in moduli[1:]:
+        # f = g h and s g + t h = 1 modulo the modulus before m, whose square
+        # m divides; only the monic h is divided by, so m may be composite
+        e = sub(f, mul(g, h, m), m)
+        quo, rem = div(mul(s, e, m), h, m)
+        g = add(g, add(mul(t, e, m), mul(quo, g, m), m), m)
+        h = add(h, rem, m)
+        if m != moduli[-1]:
+            b = sub(add(mul(s, g, m), mul(t, h, m), m), [1], m)
+            c, r = div(mul(s, b, m), h, m)
+            s = sub(s, r, m)
+            t = sub(t, add(mul(t, b, m), mul(c, g, m), m), m)
+    return _lift_tree(g, factors[:half], p, moduli) + _lift_tree(h, factors[half:], p, moduli)
+
+
+def _hensel_lift(ints: list[int], modular: list[list[int]], p: int, k: int) -> list[list[int]]:
+    """The monic factors modulo p^k of f in Z[x] that reduce to its monic
+    factors `modular` modulo p, f mod p squarefree of the degree of f. Each
+    linear factor's root lifts by Newton's iteration; the product of the
+    others is f over the lifted linear factors, and lifts to them by
+    quadratic Hensel steps."""
+    exponents = [k]
+    while exponents[-1] > 1:
+        exponents.append((exponents[-1] + 1) // 2)
+    # p, ..., p^k, each dividing the square of the one before
+    moduli = [p ** e for e in reversed(exponents)]
+    P = moduli[-1]
+    d = _derivative(ints)
+    roots = []
+    for u in modular:
+        if len(u) == 2:
+            a = -u[0] % p
+            for m in moduli[1:]:
+                a = (a - _evaluate(ints, a, m) * pow(_evaluate(d, a, m), -1, m)) % m
+            roots.append(a)
+    lifted = [[-a % P, 1] for a in roots]
+    others = [u for u in modular if len(u) > 2]
+    if others:
+        rest = zkernel.zp_scale([v % P for v in ints], pow(ints[-1], -1, P), P)
+        for a in roots:
+            rest = zkernel.zp_divmod(rest, [-a % P, 1], P)[0]
+        lifted += _lift_tree(rest, others, p, moduli)
+    return lifted
+
+
+def _recombine(ints: list[int], lifted: list[list[int]], P: int) -> list[list[int]]:
+    """The irreducible factors in Z[x] of a primitive squarefree f, from its
+    monic factors modulo P > `_bound(f)`: Zassenhaus's search over subsets of
+    the factors, smallest first, each candidate lc(g) times their product in
+    symmetric residues and kept when it divides g exactly."""
+    found = []
+    g, pool = ints, lifted
     s = 1
     while 2 * s <= len(pool):
-        hit = None
-        gq = Polynomial(Q, [Fraction(v) for v in g_ints]).monic()
         for combo in combinations(range(len(pool)), s):
-            cand = [g_ints[-1] % p]
+            cand = [g[-1] % P]
             for i in combo:
-                cand = zkernel.zp_mul(cand, _values(p, pool[i].coeffs), p)
-            lifted = _primitive(_symmetric_lift(cand, p))
-            if sum(len(pool[i].coeffs) - 1 for i in combo) != len(lifted) - 1:
-                continue
-            if _divides_q(lifted, gq):
-                hit = (combo, lifted)
+                cand = zkernel.zp_mul(cand, pool[i], P)
+            h = _primitive(_symmetric_lift(cand, P))
+            quot = _exact_quotient(g, h)
+            if quot is not None:
                 break
-        if hit is None:
+        else:
             s += 1
             continue
-        combo, lifted = hit
-        result_ints.append(lifted)
-        quot = gq // Polynomial(Q, [Fraction(v) for v in lifted])
-        g_ints = _primitive(_cleared([c.rep for c in quot.coeffs])[0])
-        pool = [pool[i] for i in range(len(pool)) if i not in combo]
-    if len(g_ints) > 1:
-        result_ints.append(g_ints)
-    out = [Polynomial(Q, [Fraction(v) for v in ints]).monic() for ints in result_ints]
+        found.append(h)
+        g = quot
+        pool = [u for i, u in enumerate(pool) if i not in combo]
+    found.append(g)
+    return found
+
+
+def _factor_z(ints: list[int], p: int) -> list[list[int]]:
+    """The irreducible factors in Z[x] of a primitive squarefree f of degree
+    >= 2 that stays squarefree of its degree modulo the prime p."""
+    Fp = prime_field(p)
+    fp = Polynomial.from_ints(Fp, ints).monic()
+    modular = _factor_finite_squarefree(fp, random.Random(_stable_seed(fp)))
+    if len(modular) == 1:
+        return [ints]
+    bound = _bound(ints)
+    P, k = p, 1
+    while P <= bound:
+        P, k = P * p, k + 1
+    return _recombine(ints, _hensel_lift(ints, [_values(p, u.coeffs) for u in modular], p, k), P)
+
+
+def _factor_q(f: Polynomial) -> list[tuple[Polynomial, int]]:
+    """The monic irreducible factors over Q of a monic f of degree >= 2,
+    with their multiplicities."""
+    ints = _primitive(_cleared([c.rep for c in f.coeffs])[0])
+    p = 2
+    while ints[-1] % p == 0:
+        p = next_prime(p)
+    if _squarefree_mod(ints, p):
+        part = ints
+    else:
+        part, p = _squarefree_part(ints), 2
+        while len(part) > 2 and not _squarefree_mod(part, p):
+            p = next_prime(p)
+    factors = [part] if len(part) == 2 else _factor_z(part, p)
+    squarefree = part is ints
+    out = []
+    for h in factors:
+        mult = 1
+        if not squarefree:
+            # h divides f; count how often
+            ints = _exact_quotient(ints, h)
+            while (quot := _exact_quotient(ints, h)) is not None:
+                ints, mult = quot, mult + 1
+        out.append((Polynomial(f.field, [Fraction(v) for v in h]).monic(), mult))
     return out
 
 
@@ -318,9 +482,7 @@ def factor(f: Polynomial) -> tuple[FieldElement, list[tuple[Polynomial, int]]]:
     if f.degree == 1:
         out.append((fm, 1))
     elif fld.kind == RATIONALS:
-        for part, mult in _squarefree(fm):
-            for g in _factor_q_squarefree(part):
-                out.append((g, mult))
+        out = _factor_q(fm)
     else:
         rng = random.Random(_stable_seed(fm))
         for part, mult in _squarefree(fm):

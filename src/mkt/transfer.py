@@ -50,7 +50,8 @@ def _term_transfer(v: Valuation, entries: tuple, c: int) -> MilnorExpression:
     places = {f for i in moving for f, _ in factor(gs[i])[1]}
     acc = zero_expression(k, len(gs))
     for f in sorted(places, key=Polynomial.coeff_key):
-        w = finite_place(ff, f)
+        # factor has proven f monic irreducible: no check from finite_place
+        w = Valuation(FINITE, ff, pi=f)
         t = tame_symbol(w, y)
         if t.is_zero():
             continue

@@ -1,5 +1,6 @@
 """Field and polynomial arithmetic against hand-checked and brute-force oracles."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mkt import numutil
 from mkt.errors import (DescriptorMismatch, DivisionByZero, UnsupportedFactorization,
                         ZeroPolynomial)
 from mkt.factor import factor, forget, irreducible_factors, is_irreducible
@@ -186,6 +188,133 @@ class TestFactor:
         L = extension(Q, Polynomial.from_ints(Q, [-2, 0, 1]))
         with pytest.raises(UnsupportedFactorization):
             factor(Polynomial.from_ints(L, [1, 1, 1]))
+
+
+def _int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _is_square(n):
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+# the product of the primes up to 97: i * PRIMORIAL_97 is 0 modulo each of them
+PRIMORIAL_97 = math.prod(p for p in range(2, 98) if all(p % d for d in range(2, p)))
+
+
+class TestFactorOverQ:
+    """[DERIVED] Planted factorizations over Q: products of polynomials that
+    are irreducible by a proof (linear; quadratics with a non-square
+    discriminant, which have no rational root; Eisenstein polynomials;
+    x^4 + 1 and x^4 - 10x^2 + 1, which split modulo every prime), raised to
+    multiplicities 1-3 and scaled by a rational. factor must return the
+    planted leading coefficient and the planted factors, made monic."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        forget()
+        yield
+        forget()
+
+    @staticmethod
+    def _irreducible(rng):
+        kind = rng.randrange(5)
+        if kind == 0:
+            a, b = rng.choice([1, -2, 3, 7]), rng.randint(-10 ** 9, 10 ** 9)
+            return [b, a]
+        if kind == 1:
+            while True:
+                a, b, c = rng.choice([1, 2, -3, 5]), rng.randint(-40, 40), rng.randint(-40, 40)
+                if c and not _is_square(b * b - 4 * a * c):
+                    return [c, b, a]
+        if kind == 2:
+            q, n = rng.choice([2, 3, 5, 7]), rng.randint(2, 5)
+            h = rng.choice([10, 10 ** 6])
+            lead = rng.choice([u for u in range(1, 12) if u % q])
+            const = q * (rng.randint(-h, h) * q + rng.randint(1, q - 1))
+            return [const] + [q * rng.randint(-h, h) for _ in range(n - 1)] + [lead]
+        return [1, 0, 0, 0, 1] if kind == 3 else [1, 0, -10, 0, 1]
+
+    @staticmethod
+    def _check(Q, planted, scale):
+        """factor(scale * prod h^m) against the planted (h, m) pairs, whose
+        h are distinct irreducibles in Z[x]."""
+        ints = [1]
+        for h, m in planted:
+            for _ in range(m):
+                ints = _int_mul(ints, h)
+        f = Polynomial(Q, [Fraction(v) * scale for v in ints])
+        expect = sorted(((Polynomial.from_ints(Q, h).monic(), m) for h, m in planted),
+                        key=lambda pair: pair[0].coeff_key())
+        forget()
+        assert factor(f) == (f.lc(), expect)
+
+    def test_seeded_products(self, Q, rng):
+        for _ in range(150):
+            planted = {}
+            while not planted or (len(planted) < 4 and rng.random() < 0.6):
+                h = self._irreducible(rng)
+                planted[Polynomial.from_ints(Q, h).monic()] = (h, rng.randint(1, 3))
+            scale = Fraction(rng.choice([-5, -1, 2, 3, 12]), rng.choice([1, 4, 7, 9]))
+            self._check(Q, list(planted.values()), scale)
+
+    def test_split_modulo_every_prime(self, Q):
+        quartics = ([1, 0, 0, 0, 1], [1, 0, -10, 0, 1])
+        self._check(Q, [(quartics[0], 1)], Fraction(1))
+        self._check(Q, [(quartics[1], 1)], Fraction(-2, 3))
+        self._check(Q, [(quartics[0], 2), ([-2, 0, 1], 1)], Fraction(1))
+        self._check(Q, [(quartics[0], 1), (quartics[1], 3), ([1, 0, 1], 2)], Fraction(5, 7))
+
+    def test_roots_that_collide_modulo_small_primes(self, Q, monkeypatch):
+        """The roots i * 97# are all 0 modulo every prime up to 97, so the
+        first prime that keeps their product squarefree is 101."""
+        moduli = []
+        prime_field = factor_module.prime_field
+        monkeypatch.setattr(factor_module, "prime_field",
+                            lambda p: moduli.append(p) or prime_field(p))
+        roots = [[-i * PRIMORIAL_97, 1] for i in (1, 2, 3)]
+        self._check(Q, [(r, 1) for r in roots], Fraction(3, 2))
+        assert set(moduli) == {101}
+        self._check(Q, [(roots[0], 3), (roots[1], 1), (roots[2], 2), ([-2, 0, 1], 1)],
+                    Fraction(-1))
+
+    def test_lift_reaches_the_bound(self, Q):
+        """(u x - 1)(w x + 1), u w = L = 30030 m: every prime up to 13
+        divides L, and both candidates L x - w and L x + u have a coefficient
+        near ||f||_2, so below the bound some lift wraps around for some m."""
+        for m in range(1, 25):
+            self._check(Q, [([-1, 210], 1), ([1, 143 * m], 1)], Fraction(1))
+
+    def test_primes_below_the_miller_rabin_bound(self, Q, monkeypatch):
+        """Every number tested for primality on the way stays below
+        3.3 * 10^24, where is_prime is proven exact, though the Mignotte
+        bound of f is above 10^30."""
+        tested = []
+        is_prime, next_prime = numutil.is_prime, factor_module.next_prime
+        monkeypatch.setattr(numutil, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        monkeypatch.setattr(fields_module, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        monkeypatch.setattr(factor_module, "next_prime",
+                            lambda n: tested.append(n) or next_prime(n))
+        big = [7, 10 ** 28, 1]
+        ints = _int_mul(_int_mul(big, big), [-2, 0, 0, 1])
+        assert 2 ** 7 * math.isqrt(sum(v * v for v in ints)) > 10 ** 30  # Mignotte
+        self._check(Q, [(big, 2), ([-2, 0, 0, 1], 1)], Fraction(1))
+        assert tested and max(tested) < 33 * 10 ** 23
+
+    def test_unlucky_gcd_prime(self, monkeypatch):
+        """f = x^2 (x - p) with p = 2^61 - 1, the first prime of the modular
+        gcd, which sees gcd(f, f') = x^2 there. With the true bound the next
+        prime replaces it; with a bound of 1 the wrong gcd is tried, fails
+        the exact division, and the search goes on below its degree."""
+        p = factor_module._GCD_PRIME
+        f = [0, 0, -p, 1]
+        assert factor_module._squarefree_part(f) == [0, -p, 1]
+        monkeypatch.setattr(factor_module, "_bound", lambda ints: 1)
+        assert factor_module._squarefree_part(f) == [0, -p, 1]
 
 
 def shifted_norm(f, s):
