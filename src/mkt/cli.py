@@ -99,15 +99,16 @@ def _parse_field(block) -> FieldDescriptor:
 # the README's rational format; Fraction alone would also take exponents
 # such as "1e200000" and expand them digit by digit
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_rational(v) -> Fraction:
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
-    if isinstance(v, str) and _RATIONAL.fullmatch(v):
+    m = _RATIONAL.fullmatch(v) if isinstance(v, str) else None
+    if m:
         try:
-            return Fraction(v)
+            return Fraction(int(m[1]), int(m[2] or 1))
         except (ValueError, ZeroDivisionError) as e:
             raise ParseError(f"not a rational: {v!r}") from e
     raise ParseError(f"not a rational: {v!r}")
@@ -361,6 +362,8 @@ def _cmd_jointdet(args) -> tuple[dict, int]:
     doc = _load_document(args.input)
     field = _parse_field(doc.get("field"))
     x = _parse_matrices(field, doc.get("matrices"))
+    if args.places is not None and args.spec != RATIONAL_HILBERT:
+        raise ParseError(f"--places applies to {RATIONAL_HILBERT} only, not {args.spec}")
     places = _parse_places(args.places) if args.places else ()
     d = make_determinant(field, x.weight, args.spec, places=places or None)
     value = d(x)

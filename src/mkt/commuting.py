@@ -224,13 +224,12 @@ def homotopy_mult(b: Matrix, c: Matrix, bystanders: Sequence[Matrix] = ()) -> Ma
     """
     if b.field != c.field or b.nrows != c.nrows:
         raise DescriptorMismatch("factors must match in field and size")
-    if b * c != c * b:
-        raise DegenerateInput("factors do not commute")
-    if b.det().is_zero() or c.det().is_zero():
-        raise DegenerateInput("singular factor")
+    MatrixTuple(b.field, [b, c, *bystanders])
+    # so the doubled bystanders commute with the family slot, built from B
+    # and C, for every t, and its determinant is the constant det(BC)
     mats = [_mult_family(b, c)]
     mats.extend(_doubled(a) for a in bystanders)
-    return MatrixTuple(function_field(b.field), mats)
+    return MatrixTuple._trusted(function_field(b.field), mats)
 
 
 def homotopy_swap(x: MatrixTuple, i: int, j: int) -> MatrixTuple:
@@ -254,18 +253,23 @@ def homotopy_shear(a: Matrix, b: Matrix, c: Matrix,
     """Family [[A, Ct], [0, B]]: block triangular at t=1, block diagonal at t=0.
 
     A is p x p, B is q x q, C is p x q. Bystanders are (top, bottom) pairs
-    joined block-diagonally; commutation of the assembled slots is verified.
+    joined block-diagonally; the assembled slots are verified at t = 1.
     """
     if a.field != b.field or a.field != c.field:
         raise DescriptorMismatch("blocks over different fields")
     p, q = a.nrows, b.nrows
     if c.nrows != p or c.ncols != q:
         raise ArityMismatch("off-diagonal block has the wrong shape")
-    kt = function_field(a.field)
+    # a bystander (T, U) commutes with the shear slot for every t exactly
+    # when it does at t = 1 (TC = CU), and det is det(A) det(B) for every t
+    k = a.field
+    at1 = MatrixTuple(k, [_blocks(a, c, Matrix.zeros(k, q, p), b),
+                          *(top.direct_sum(bottom) for top, bottom in bystanders)])
+    kt = function_field(k)
     mats = [_blocks(_lift(a, kt), _lift(c, kt) * kt.gen(),
                     Matrix.zeros(kt, q, p), _lift(b, kt))]
-    mats.extend(_lift(top.direct_sum(bottom), kt) for top, bottom in bystanders)
-    return MatrixTuple(kt, mats)
+    mats.extend(_lift(m, kt) for m in at1.matrices[1:])
+    return MatrixTuple._trusted(kt, mats)
 
 
 def homotopy_steinberg(a: FieldElement, b: FieldElement,

@@ -48,16 +48,13 @@ from mkt.fields import (
     FieldDescriptor,
     FieldElement,
     Polynomial,
-    _ext_element,
-    _kind,
-    _values,
-    _wrap,
     coordinates,
     embed_poly,
     poly_gcd,
+    poly_powmod,
     prime_field,
 )
-from mkt.linalg import Matrix, _cleared, companion_matrix, minpoly_matrix
+from mkt.linalg import Matrix, cleared, companion_matrix, minpoly_matrix
 from mkt.numutil import factor_int, next_prime
 from mkt.towers import multiplication_matrix
 
@@ -89,12 +86,6 @@ def _stable_seed(f: Polynomial) -> int:
         for v in coordinates(c, prime_base):
             acc = (acc * 0x100000001B3 + v.rep + 1) % (1 << 61)
     return acc
-
-
-def poly_powmod(a: Polynomial, e: int, f: Polynomial) -> Polynomial:
-    fld = f.field
-    k = _kind(fld)
-    return _wrap(fld, zkernel.zp_powmod(_values(k, a.coeffs), e, _values(k, f.coeffs), k), k)
 
 
 # -- finite fields -----------------------------------------------------------
@@ -200,8 +191,8 @@ def _log2_order(q: int) -> int:
 def _random_element(fld: FieldDescriptor, rng: random.Random) -> FieldElement:
     if fld.kind == PRIME:
         return fld.from_int(rng.randrange(fld.p))
-    return _ext_element(fld, tuple(_random_element(fld.base, rng)
-                                   for _ in range(fld.step_degree)))
+    return fld.element(tuple(_random_element(fld.base, rng)
+                             for _ in range(fld.step_degree)))
 
 
 def _factor_finite_squarefree(f: Polynomial, rng: random.Random) -> list[Polynomial]:
@@ -428,13 +419,14 @@ def _factor_z(ints: list[int], p: int) -> list[list[int]]:
     P, k = p, 1
     while P <= bound:
         P, k = P * p, k + 1
-    return _recombine(ints, _hensel_lift(ints, [_values(p, u.coeffs) for u in modular], p, k), P)
+    residues = [[c.rep for c in u.coeffs] for u in modular]
+    return _recombine(ints, _hensel_lift(ints, residues, p, k), P)
 
 
 def _factor_q(f: Polynomial) -> list[tuple[Polynomial, int]]:
     """The monic irreducible factors over Q of a monic f of degree >= 2,
     with their multiplicities."""
-    ints = _primitive(_cleared([c.rep for c in f.coeffs])[0])
+    ints = _primitive(cleared([c.rep for c in f.coeffs])[0])
     p = 2
     while ints[-1] % p == 0:
         p = next_prime(p)

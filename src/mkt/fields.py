@@ -50,7 +50,7 @@ from mkt.errors import (
     UnsupportedField,
     ZeroPolynomial,
 )
-from mkt.numutil import factor_int, is_prime
+from mkt.numutil import is_prime
 
 RATIONALS = "rationals"
 PRIME = "prime"
@@ -347,23 +347,26 @@ def _build_table(fld: FieldDescriptor) -> None:
     elems = list(all_elements(fld))
     for i, e in enumerate(elems):
         e.ix = i
-    primes = list(factor_int(m)) if m > 1 else []
-    # elems[:nb] is the base field, which holds a generator only when the
-    # step has degree 1. g^m = 1 makes g a unit, of order m by the prime
-    # test; over a reducible modulus no element passes both
-    g = next((e for e in elems[nb:] or elems[1:]
-              if (e ** m).is_one() and all(not (e ** (m // r)).is_one() for r in primes)),
-             None)
-    if g is None:
-        return
     exp = [0] * (2 * m)
     log = [0] * q
-    x = fld.one()
-    for k in range(m):
-        i = _index(x)
-        exp[k] = exp[k + m] = i
-        log[i] = k
-        x = x * g
+    # elems[:nb] is the base field, which holds a generator only when the
+    # step has degree 1. The generator is the first candidate whose powers
+    # first return to one after m steps, and its walk fills exp and log;
+    # over a reducible modulus no element's powers do
+    for g in elems[nb:] or elems[1:]:
+        x = elems[1]
+        for k in range(m):
+            i = _index(x)
+            if k and i == 1:
+                break
+            exp[k] = exp[k + m] = i
+            log[i] = k
+            x = x * g
+        else:
+            if _index(x) == 1:
+                break
+    else:
+        return
     base_one = base.one()
     plus_one = [_index(b + base_one) for b in base_elems]
     zech = [-1] * m
@@ -908,6 +911,13 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     fld = f.field
     k = _kind(fld)
     return _wrap(fld, zkernel.zp_gcd(_values(k, f.coeffs), _values(k, g.coeffs), k), k)
+
+
+def poly_powmod(a: Polynomial, e: int, f: Polynomial) -> Polynomial:
+    """a^e mod f."""
+    fld = f.field
+    k = _kind(fld)
+    return _wrap(fld, zkernel.zp_powmod(_values(k, a.coeffs), e, _values(k, f.coeffs), k), k)
 
 
 def poly_resultant(f: Polynomial, g: Polynomial) -> FieldElement:

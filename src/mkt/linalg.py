@@ -8,18 +8,21 @@ first nonzero entry. Determinant, inverse, rank, kernel, solving and
 the Krylov minimal polynomial are all read off a tracker. Over k(t) the
 same routine takes the determinant of a matrix with polynomial entries.
 
+Matrix-vector products (`apply`) have one kernel per field kind, and a
+matrix product applies the left factor to each column of the right one.
+
 Over Q the arithmetic runs on Python ints, fraction-free: a tracker keeps
 primitive integer rows (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 1968), and a matrix
-multiplies through its integer rows over one common denominator. Fractions
-are made only for the values handed back, which equal those of the
-element path because pivots, relations and coordinates are unique.
+applies itself through its integer rows over one common denominator.
+Fractions are made only for the values handed back, which equal those of
+the element path because pivots, relations and coordinates are unique.
 
 Over a finite field with a table (`fields._Table`, order <= 27, built
 with the field) the same holds on table indices: a tracker keeps rows of
-indices, a matrix multiplies and applies itself through index rows built on
-first use, and a + f * b is add[a][mul[f][b]]. Only the values handed back
-become elements. The element path stays for every other field.
+indices, a matrix applies itself through index rows built on first use,
+and a + f * b is add[a][mul[f][b]]. Only the values handed back become
+elements. The element path stays for every other field.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ def _coerce_entry(field: FieldDescriptor, e) -> FieldElement:
     raise DescriptorMismatch(f"cannot use {type(e).__name__} as a matrix entry")
 
 
-def _cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+def cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     """(ints, d) with xs[k] == ints[k] / d; d is the lcm of the denominators."""
     d = lcm(*[x.denominator for x in xs])
     return [x.numerator * (d // x.denominator) for x in xs], d
@@ -165,28 +168,9 @@ class Matrix:
                 raise DescriptorMismatch("matrices over different fields")
             if self.ncols != other.nrows:
                 raise ArityMismatch("inner dimensions disagree")
-            if self.field.kind == RATIONALS:
-                a, da = self._int_rows()
-                b, db = other._int_rows()
-                cols = list(zip(*b))
-                return Matrix._trusted(self.field, [
-                    _fractions(self.field, [sum(map(mul, r, c)) for c in cols], da * db)
-                    for r in a])
-            tab = self.field._table
-            if tab is not None:
-                return self._tabled_product(tab, other)
-            cols = [other.col(j) for j in range(other.ncols)]
-            zero = self.field.zero()
-            out = []
-            for r in self.rows:
-                line = []
-                for c in cols:
-                    acc = zero
-                    for a, b in zip(r, c):
-                        acc = acc + a * b
-                    line.append(acc)
-                out.append(line)
-            return Matrix._trusted(self.field, out)
+            # column j of the product is self applied to column j of other
+            cols = [self._apply(other.col(j)) for j in range(other.ncols)]
+            return Matrix._trusted(self.field, list(zip(*cols)) or [()] * self.nrows)
         e = _coerce_entry(self.field, other)
         return Matrix._trusted(self.field, [[a * e for a in r] for r in self.rows])
 
@@ -195,9 +179,13 @@ class Matrix:
         vs = [_coerce_entry(self.field, e) for e in v]
         if len(vs) != self.ncols:
             raise ArityMismatch("vector length mismatch")
+        return self._apply(vs)
+
+    def _apply(self, vs: Sequence[FieldElement]) -> tuple:
+        """self * vs, for entries of self's field and the right length."""
         if self.field.kind == RATIONALS:
             rows, d = self._int_rows()
-            u, e = _cleared([x.rep for x in vs])
+            u, e = cleared([x.rep for x in vs])
             return tuple(_fractions(self.field, [sum(map(mul, r, u)) for r in rows], d * e))
         tab = self.field._table
         if tab is not None:
@@ -219,24 +207,6 @@ class Matrix:
                 acc = acc + a * b
             out.append(acc)
         return tuple(out)
-
-    def _tabled_product(self, tab, other: "Matrix") -> "Matrix":
-        """self * other on index rows; the product keeps its index rows."""
-        add, mul, elems = tab.add, tab.mul, tab.elems
-        cols = list(zip(*other._index_rows()))
-        ixs = []
-        for r in self._index_rows():
-            muls = [mul[a] for a in r]
-            line = []
-            for c in cols:
-                acc = 0
-                for ma, b in zip(muls, c):
-                    acc = add[acc][ma[b]]
-                line.append(acc)
-            ixs.append(line)
-        out = Matrix._trusted(self.field, [[elems[i] for i in line] for line in ixs])
-        object.__setattr__(out, "_fast", ixs)
-        return out
 
     def map_entries(self, fn: Callable, field: FieldDescriptor | None = None) -> "Matrix":
         return Matrix(field or self.field, [[fn(a) for a in r] for r in self.rows])
@@ -472,7 +442,7 @@ class _RationalSpan(SpanTracker):
     def _reduce(self, v: Sequence[FieldElement]):
         """(w, lam, steps): w = lam * v + sum mu * row j over [j, mu] in steps,
         zero on every pivot, all ints."""
-        w, lam = _cleared([x.rep for x in v])
+        w, lam = cleared([x.rep for x in v])
         steps = []
         for j, (p, row) in enumerate(zip(self.pivots, self._rows)):
             c = w[p]

@@ -253,6 +253,15 @@ class TestJointdet:
         assert out["value"] == -1
         assert out["spec"] == "rational-hilbert(3, inf)"
 
+    @pytest.mark.parametrize("spec", [s for s in SPECS if s != "rational-hilbert"])
+    @pytest.mark.parametrize("places", ["inf", "inf,3", ""])
+    def test_places_need_rational_hilbert(self, capsys, tmp_path, spec, places):
+        path = write_doc(tmp_path, "d.json", {"field": {"kind": "Q"},
+                                              "matrices": [[["2"]], [["3"]]]})
+        code, out = run(capsys, ["jointdet", "--spec", spec, "--places", places, path])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+
     def test_rational_hilbert_does_not_factor_entries(self, tmp_path):
         # N = (10^18 + 3)(2 * 10^18 + 57) is a semiprime that Pollard rho
         # factors slowly; the local symbols need only N mod 8, 3 and 5. A
@@ -412,6 +421,28 @@ class TestErrorHandling:
         p.write_text('{"field": {"kind": "Q"}, "symbols": [{"entries": [%s]}]}'
                      % entry)
         code, out = run(capsys, ["canon", str(p)])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("entry,unit", [("-3/6", "-1/2"), ("+4", "4"), ("7/1", "7"),
+                                            ("0010/4", "5/2")])
+    def test_rational_strings(self, capsys, tmp_path, entry, unit):
+        path = write_doc(tmp_path, "d.json", {"field": {"kind": "Q"},
+                                              "symbols": [{"entries": [entry]}]})
+        code, out = run(capsys, ["canon", path])
+        assert code == 0
+        assert out["class"] == {"l": 1, "field": "Q", "unit": unit}
+
+    # a zero denominator, numerators and denominators past Python's digit
+    # limit, and strings outside the grammar [+-]?[0-9]+(/[0-9]+)?
+    @pytest.mark.parametrize("entry", ["1/0", "7" * 5000, "1/" + "7" * 5000, "2/-3",
+                                       "1/2/3", "1.5"],
+                             ids=["zero", "numerator", "denominator", "signed-den",
+                                  "two-bars", "decimal"])
+    def test_rational_string_refused(self, capsys, tmp_path, entry):
+        path = write_doc(tmp_path, "d.json", {"field": {"kind": "Q"},
+                                              "symbols": [{"entries": [entry]}]})
+        code, out = run(capsys, ["canon", path])
         assert code == 1
         assert out["error"]["type"] == "ParseError"
 

@@ -190,13 +190,35 @@ class TestHomotopyFamilies:
         assert class_of_tuple(at1) == class_of_tuple(at0)
 
     def test_trusted_families_pass_the_public_checks(self, rng):
-        # swap and steinberg skip the constructor's checks; their slots
+        # the families skip the constructor's checks over k(t); their slots
         # must pass them anyway
+        x = commuting_tuple(Qf, rng, 4, 3)
+        jordan = qmat([[5, 1], [0, 5]])
         families = [homotopy_swap(commuting_tuple(Qf, rng, 3, 2), 0, 2),
                     homotopy_steinberg(Qf.element(3), Qf.element(Fraction(2, 3)),
-                                       [Qf.element(-2)])]
+                                       [Qf.element(-2)]),
+                    homotopy_mult(x.matrices[0], x.matrices[1], x.matrices[2:]),
+                    homotopy_shear(qmat([[2, 1], [0, 2]]), qmat([[3, 1], [0, 3]]),
+                                   qmat([[1, 0], [0, 1]]),
+                                   bystanders=[(jordan, jordan),
+                                               (qmat([[2, 0], [0, 2]]), qmat([[2, 0], [0, 2]]))])]
         for h in families:
             assert MatrixTuple(h.field, h.matrices) == h
+
+    def test_shear_bystander_must_intertwine(self):
+        # (T, U) commutes with A and with B, but T C != C U
+        c = qmat([[1, 2], [3, 4]])
+        pair = (qmat([[5, 0], [0, 5]]), qmat([[5, 0], [0, 7]]))
+        with pytest.raises(DegenerateInput):
+            homotopy_shear(qmat([[2, 0], [0, 2]]), qmat([[3, 0], [0, 3]]), c,
+                           bystanders=[pair])
+
+    def test_mult_bystander_must_commute_with_both_factors(self):
+        # the swap commutes with B + C = 3I and BC = 2I, so with the family
+        # slot for every t, but not with B itself
+        b, c = qmat([[1, 0], [0, 2]]), qmat([[2, 0], [0, 1]])
+        with pytest.raises(DegenerateInput):
+            homotopy_mult(b, c, [qmat([[0, 1], [1, 0]])])
 
     def test_mult_requires_commuting(self):
         b = qmat([[1, 1], [0, 1]])

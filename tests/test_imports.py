@@ -1,4 +1,5 @@
-"""Every name a module of mkt imports is used in that module.
+"""Every name a module of mkt imports is used in that module, and no module
+imports a private name from another.
 
 `__init__.py` is exempt: its imports are the package's re-exports.
 """
@@ -36,3 +37,27 @@ def test_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The _-prefixed names that source imports from mkt modules, with their lines."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level or (node.module or "").split(".")[0] == "mkt":
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name.startswith("_")]
+    return found
+
+
+def test_flags_a_private_import():
+    source = ("from __future__ import annotations\nfrom mkt.fields import _kind, embed\n"
+              "from .linalg import _cleared\nfrom os import _exit\n"
+              "def f():\n    from mkt import _x\n")
+    assert private_imports(source) == ["_kind (line 2)", "_cleared (line 3)", "_x (line 6)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []

@@ -417,9 +417,56 @@ class TestTabledElimination:
             assert ab == twin_matrix(twin, a) * twin_matrix(twin, b)
             assert all(interned(field, r) for r in ab.rows)
             assert a.apply(v) == twin_matrix(twin, a).apply(twin_vector(twin, v))
-            # the product keeps its index rows, and they are its entries'
+            # index rows, built on first use, hold the entries' indices
             assert ab * Matrix.identity(field, m) == ab
             assert ab._index_rows() == [[x.ix for x in r] for r in ab.rows]
+
+
+def product_entry(field, rng):
+    """A random entry: rationals with large denominators over Q, quotients
+    of small polynomials over Q(t)."""
+    if field.kind == "rationals":
+        return field.element(frac_entry(rng))
+    if field.kind == "function":
+        k = field.base
+        num = Polynomial(k, [k.element(frac_entry(rng)) for _ in range(rng.randint(0, 3))])
+        den = Polynomial(k, [k.element(rng.randint(1, 3)), k.element(rng.randint(-2, 2))])
+        return field.element(num) / field.element(den)
+    return rand_entry(field, rng)
+
+
+def schoolbook(field, a, b, ncols):
+    """The n x ncols product of the entry lists a (n x k) and b (k x ncols)
+    by the triple loop."""
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), field.zero())
+             for j in range(ncols)] for i in range(len(a))]
+
+
+PRODUCT_FIELDS = {
+    "Q": rationals,
+    "F7": lambda: prime_field(7),
+    "F9": lambda: make_field(9),
+    "F16/F4": f16_over_f4,
+    "F81/F9": f81_over_f9,
+    "Q(t)": lambda: function_field(rationals()),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_FIELDS)
+def test_product_against_schoolbook(name):
+    """Matrix * Matrix against the triple loop, in every kernel: integer rows
+    over Q, residues, tabled indices, untabled steps and rational functions."""
+    field = PRODUCT_FIELDS[name]()
+    rng = random.Random(7)
+    # 0 x 0, n x 0 by 0 x 0, 1 x n by n x 1, n x 1 by 1 x n, rectangular
+    shapes = [(0, 0, 0), (3, 0, 0), (1, 4, 1), (4, 1, 4), (2, 3, 4), (4, 2, 3), (3, 3, 3)]
+    for n, k, m in shapes:
+        for _ in range(2):
+            a = [[product_entry(field, rng) for _ in range(k)] for _ in range(n)]
+            b = [[product_entry(field, rng) for _ in range(m)] for _ in range(k)]
+            got = Matrix(field, a) * Matrix(field, b)
+            assert (got.nrows, len(got.rows[0]) if got.rows else 0) == (n, m if n else 0)
+            assert [list(r) for r in got.rows] == schoolbook(field, a, b, m)
 
 
 class TestSolveInSpan:
