@@ -359,11 +359,11 @@ def _cmd_reduce(args) -> tuple[dict, int]:
 
 
 def _cmd_jointdet(args) -> tuple[dict, int]:
+    if args.places is not None and args.spec != RATIONAL_HILBERT:
+        raise ParseError(f"--places applies to {RATIONAL_HILBERT} only, not {args.spec}")
     doc = _load_document(args.input)
     field = _parse_field(doc.get("field"))
     x = _parse_matrices(field, doc.get("matrices"))
-    if args.places is not None and args.spec != RATIONAL_HILBERT:
-        raise ParseError(f"--places applies to {RATIONAL_HILBERT} only, not {args.spec}")
     places = _parse_places(args.places) if args.places else ()
     d = make_determinant(field, x.weight, args.spec, places=places or None)
     value = d(x)

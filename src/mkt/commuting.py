@@ -252,16 +252,21 @@ def homotopy_shear(a: Matrix, b: Matrix, c: Matrix,
                    bystanders: Sequence[tuple[Matrix, Matrix]] = ()) -> MatrixTuple:
     """Family [[A, Ct], [0, B]]: block triangular at t=1, block diagonal at t=0.
 
-    A is p x p, B is q x q, C is p x q. Bystanders are (top, bottom) pairs
-    joined block-diagonally; the assembled slots are verified at t = 1.
+    A is p x p, B is q x q, C is p x q. Bystanders are (top, bottom) pairs,
+    p x p and q x q, joined block-diagonally; the assembled slots are
+    verified at t = 1.
     """
     if a.field != b.field or a.field != c.field:
         raise DescriptorMismatch("blocks over different fields")
     p, q = a.nrows, b.nrows
     if c.nrows != p or c.ncols != q:
         raise ArityMismatch("off-diagonal block has the wrong shape")
-    # a bystander (T, U) commutes with the shear slot for every t exactly
-    # when it does at t = 1 (TC = CU), and det is det(A) det(B) for every t
+    for top, bottom in bystanders:
+        if (top.nrows, top.ncols, bottom.nrows, bottom.ncols) != (p, p, q, q):
+            raise ArityMismatch("bystander blocks must be p x p and q x q")
+    # with those shapes a bystander (T, U) commutes with the shear slot for
+    # every t exactly when it does at t = 1 (TC = CU), and det is
+    # det(A) det(B) for every t
     k = a.field
     at1 = MatrixTuple(k, [_blocks(a, c, Matrix.zeros(k, q, p), b),
                           *(top.direct_sum(bottom) for top, bottom in bystanders)])

@@ -63,8 +63,8 @@ FUNCTION = "function"
 # (Python 3.11, 2-core x86 host). The hot field is F_9; the F_81 residue
 # fields of degree-2 places over F_9 are made hundreds of times but used
 # lightly, and a cap of 81, with builds of 3-4.6 ms, cut the ff_reciprocity
-# benchmark by 28-31% in items/s. At F_{251^2} a 63,001-element table saved no time and raised
-# peak RSS from 21.8 to 38.7 MB.
+# benchmark by 28-31% in items/s. At F_{251^2} a 63,001-element table saved
+# no time and raised peak RSS from 21.8 to 38.7 MB.
 _TABLE_MAX = 27
 
 

@@ -262,6 +262,15 @@ class TestJointdet:
         assert code == 1
         assert out["error"]["type"] == "ParseError"
 
+    def test_places_refused_before_the_document_is_read(self, capsys, tmp_path):
+        # the tuple does not commute, so reading it first would report that
+        path = write_doc(tmp_path, "d.json", {"field": {"kind": "Q"}, "matrices": [
+            [["1", "1"], ["0", "1"]], [["1", "0"], ["1", "1"]]]})
+        code, out = run(capsys, ["jointdet", "--spec", "universal", "--places", "inf", path])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+        assert "--places" in out["error"]["message"]
+
     def test_rational_hilbert_does_not_factor_entries(self, tmp_path):
         # N = (10^18 + 3)(2 * 10^18 + 57) is a semiprime that Pollard rho
         # factors slowly; the local symbols need only N mod 8, 3 and 5. A

@@ -213,6 +213,17 @@ class TestHomotopyFamilies:
             homotopy_shear(qmat([[2, 0], [0, 2]]), qmat([[3, 0], [0, 3]]), c,
                            bystanders=[pair])
 
+    def test_shear_bystander_blocks_must_match_a_and_b(self):
+        # the pair's sum is S(1), so the t = 1 tuple commutes, but its 2 x 2
+        # top and 1 x 1 bottom do not split along A (1 x 1) and B (2 x 2),
+        # and over k(t) the slots do not commute
+        a, b, c = qmat([[2]]), qmat([[3, 0], [0, 5]]), qmat([[1, 0]])
+        pair = (qmat([[2, 1], [0, 3]]), qmat([[5]]))
+        with pytest.raises(ArityMismatch):
+            homotopy_shear(a, b, c, bystanders=[pair])
+        with pytest.raises(ArityMismatch):
+            homotopy_shear(a, b, c, bystanders=[(qmat([[2]]), qmat([[3, 0]]))])
+
     def test_mult_bystander_must_commute_with_both_factors(self):
         # the swap commutes with B + C = 3I and BC = 2I, so with the family
         # slot for every t, but not with B itself
