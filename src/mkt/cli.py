@@ -358,9 +358,14 @@ def _cmd_reduce(args) -> tuple[dict, int]:
             "terms": _terms_json(expr), "class": _class_json(cls)}, 0
 
 
-def _cmd_jointdet(args) -> tuple[dict, int]:
+def _refuse_places(args) -> None:
+    """Only rational-hilbert takes --places; refused before any input is read."""
     if args.places is not None and args.spec != RATIONAL_HILBERT:
         raise ParseError(f"--places applies to {RATIONAL_HILBERT} only, not {args.spec}")
+
+
+def _cmd_jointdet(args) -> tuple[dict, int]:
+    _refuse_places(args)
     doc = _load_document(args.input)
     field = _parse_field(doc.get("field"))
     x = _parse_matrices(field, doc.get("matrices"))
@@ -479,8 +484,10 @@ def _suite_hilbert(args) -> tuple[dict, int]:
 
 
 def _suite_axioms(args) -> tuple[dict, int]:
+    _refuse_places(args)
     field = _parse_field(_parse_json(args.field, "--field is not valid JSON"))
-    places = _parse_places(args.places) if args.places else None
+    text = "inf,3,5" if args.places is None else args.places
+    places = _parse_places(text) if text and args.spec == RATIONAL_HILBERT else None
     d = make_determinant(field, args.l, args.spec, places=places)
     rng = random.Random(args.seed)
     violations = check_axioms(d, trials=args.trials, rng=rng)
@@ -568,7 +575,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default='{"kind":"Q"}',
                    help="field block JSON (axioms suite)")
     p.add_argument("--spec", default=RATIONAL_HILBERT, choices=SPECS)
-    p.add_argument("--places", default="inf,3,5")
+    p.add_argument("--places", default=None,
+                   help="comma list of places for rational-hilbert (default inf,3,5)")
 
     return top
 

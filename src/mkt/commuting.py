@@ -323,27 +323,27 @@ class CompositionFactor:
     multiplicity: int
 
 
-def _coordinates(span: SpanTracker, v: tuple) -> list[FieldElement]:
-    c = span.coordinates(v)
+def _coordinates(span: SpanTracker, v):
+    c = span._coordinates(v)
     if c is None:
         raise RecursionInvariantViolated("subspace is not operator invariant")
     return c
 
 
-def _restrict(field, ops: Sequence[Matrix], vectors: Sequence[tuple]) -> list[Matrix]:
+def _restrict(field, ops: Sequence[Matrix], vectors: Sequence) -> list[Matrix]:
     """The matrices of ops on the invariant subspace the vectors span, in the
-    basis of the vectors that are independent of the ones before them."""
+    basis of the vectors that are independent of the ones before them. Here
+    and in _layers vectors are in the internal form of field (see linalg)."""
     if not ops:
         return []
-    span = SpanTracker(field, len(vectors[0]))
-    keep = [k for k, v in enumerate(vectors) if span.add(v)]
-    return [Matrix._trusted(field, zip(*[[c[k] for k in keep]
-                                         for c in (_coordinates(span, op.apply(vectors[j]))
-                                                   for j in keep)]))
+    span = SpanTracker(field, ops[0].nrows)
+    keep = [k for k, v in enumerate(vectors) if span._offer(v) is None]
+    return [Matrix._from_columns(field, [_coordinates(span, op._apply(vectors[j]))
+                                         for j in keep], keep)
             for op in ops]
 
 
-def _kernel_layers(field, ops: list[Matrix], pi: Polynomial, ker: list[tuple]) -> list[tuple]:
+def _kernel_layers(field, ops: list[Matrix], pi: Polynomial, ker: list) -> list[tuple]:
     """The simple factors of ker pi(a), a = ops[0], for pi irreducible.
 
     On the kernel a acts as the class of x in field[x]/(pi). A linear pi
@@ -365,12 +365,12 @@ def _kernel_layers(field, ops: list[Matrix], pi: Polynomial, ker: list[tuple]) -
         for v in ker:
             if len(starts) * d == len(ker):
                 break
-            if span.contains(v):
+            if span._contains(v):
                 continue
             block = [v]
             for _ in range(1, d):
-                block.append(a.apply(block[-1]))
-            if not all(span.add(u) for u in block):
+                block.append(a._apply(block[-1]))
+            if not all(span._offer(u) is None for u in block):
                 raise RecursionInvariantViolated("cyclic block collapsed")
             starts.append(v)
         e = len(starts)
@@ -382,9 +382,10 @@ def _kernel_layers(field, ops: list[Matrix], pi: Polynomial, ker: list[tuple]) -
         scalar = big.gen()
         rops = []
         for op in ops[1:]:
-            cols = [_coordinates(span, op.apply(v)) for v in starts]
-            rops.append(Matrix(big, [[big.element(tuple(c[i * d:(i + 1) * d])) for c in cols]
-                                     for i in range(e)]))
+            m = Matrix._from_columns(field, [_coordinates(span, op._apply(v)) for v in starts],
+                                     range(e * d))
+            rops.append(Matrix(big, [[big.element(tuple(r[j] for r in m.rows[i * d:(i + 1) * d]))
+                                      for j in range(e)] for i in range(e)]))
     return _scalar_layers(scalar, big, rops, e)
 
 
@@ -413,20 +414,19 @@ def _layers(field, ops: list[Matrix], dim: int) -> list[tuple]:
     if not ops:
         return [(field, (), dim)]
     a = ops[0]
-    c = a.rows[0][0]
-    if all(e == c if i == j else e.is_zero()
-           for i, r in enumerate(a.rows) for j, e in enumerate(r)):
+    c = a._scalar()
+    if c is not None:
         return _scalar_layers(c, field, ops[1:], dim)
     pis = irreducible_factors(minpoly_matrix(a))
     out = []
     for pi in pis[:-1]:
         p = poly_eval_matrix(pi, ops[0])
-        out += _kernel_layers(field, ops, pi, p.kernel_basis())
-        ops = _restrict(field, ops, [p.col(j) for j in range(p.ncols)])
+        out += _kernel_layers(field, ops, pi, p._kernel_basis())
+        ops = _restrict(field, ops, p._columns())
     n, last = ops[0].nrows, pis[-1]
     if last.degree == 1:
         return out + _scalar_layers(-last.coeffs[0], field, ops[1:], n)
-    return out + _kernel_layers(field, ops, last, Matrix.identity(field, n).rows)
+    return out + _kernel_layers(field, ops, last, Matrix.identity(field, n)._columns())
 
 
 def _tower_key(top: FieldDescriptor, base: FieldDescriptor):

@@ -14,9 +14,13 @@ matrix product applies the left factor to each column of the right one.
 Over Q the arithmetic runs on Python ints, fraction-free: a tracker keeps
 primitive integer rows (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 1968), and a matrix
-applies itself through its integer rows over one common denominator.
-Fractions are made only for the values handed back, which equal those of
-the element path because pivots, relations and coordinates are unique.
+applies itself through its integer rows over one common denominator. In
+`linalg` and across into `commuting` a vector over Q travels in its internal
+form, one pair (integer numerators, denominator); off Q that form is the
+elements. A matrix over Q built from integer rows makes its elements on
+first read of `rows`. Fractions are made only for the values handed back,
+which equal those of the element path because pivots, relations and
+coordinates are unique.
 
 Over a finite field with a table (`fields._Table`, order <= 27, built
 with the field) the same holds on table indices: a tracker keeps rows of
@@ -53,14 +57,22 @@ def cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
-def _fractions(field: FieldDescriptor, nums: Iterable[int], d: int) -> list[FieldElement]:
-    return [FieldElement(field, Fraction(n, d)) for n in nums]
+def _vector(field: FieldDescriptor, v: Sequence[FieldElement]):
+    """v in the internal form of field (see the module docstring)."""
+    return cleared([x.rep for x in v]) if field.kind == RATIONALS else v
+
+
+def _entries(field: FieldDescriptor, v) -> Sequence[FieldElement]:
+    """The elements of the vector v, given in the internal form of field."""
+    if field.kind != RATIONALS:
+        return v
+    return [FieldElement(field, Fraction(n, v[1])) for n in v[0]]
 
 
 class Matrix:
     """Immutable dense matrix with exact field entries."""
 
-    __slots__ = ("field", "rows", "_fast")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_fast")
 
     def __init__(self, field: FieldDescriptor, rows: Iterable[Iterable]):
         rs = tuple(tuple(_coerce_entry(field, e) for e in row) for row in rows)
@@ -79,12 +91,35 @@ class Matrix:
         out._fill(field, tuple(map(tuple, rows)))
         return out
 
-    def _fill(self, field: FieldDescriptor, rows: tuple) -> None:
+    @classmethod
+    def _from_ints(cls, field: FieldDescriptor, rows: list[list[int]], d: int) -> "Matrix":
+        """rows / d over Q, for integer rows of one length and d != 0, kept
+        over the least positive denominator."""
+        g = gcd(d, *[x for r in rows for x in r]) * (1 if d > 0 else -1)
+        if g != 1:
+            rows, d = [[x // g for x in r] for r in rows], d // g
+        out = object.__new__(cls)
+        out._fill(field, None, (rows, d))
+        return out
+
+    def _fill(self, field: FieldDescriptor, rows: tuple | None, fast=None) -> None:
+        lines = fast[0] if rows is None else rows
         object.__setattr__(self, "field", field)
+        object.__setattr__(self, "nrows", len(lines))
+        object.__setattr__(self, "ncols", len(lines[0]) if lines else 0)
+        # the rows on a fast path, built on first use unless given: (integer
+        # rows, denominator) over Q, table-index rows over a tabled field
+        object.__setattr__(self, "_fast", fast)
+        if rows is not None:
+            object.__setattr__(self, "rows", rows)
+
+    def __getattr__(self, name):
+        # only the rows of a matrix built by _from_ints are missing until read
+        if name != "rows":
+            raise AttributeError(name)
+        rows = tuple(tuple(_entries(self.field, (r, self._fast[1]))) for r in self._fast[0])
         object.__setattr__(self, "rows", rows)
-        # the rows on a fast path, built on first use: (integer rows,
-        # denominator) over Q, table-index rows over a tabled field
-        object.__setattr__(self, "_fast", None)
+        return rows
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -100,14 +135,6 @@ class Matrix:
         m = n if m is None else m
         zero = field.zero()
         return cls._trusted(field, [[zero] * m for _ in range(n)])
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
 
     @property
     def is_square(self) -> bool:
@@ -134,9 +161,39 @@ class Matrix:
                                                for r in self.rows])
         return self._fast
 
+    def _columns(self) -> list:
+        """The columns, in the internal form of the field."""
+        if self.field.kind == RATIONALS:
+            rows, d = self._int_rows()
+            return [(c, d) for c in zip(*rows)]
+        return list(zip(*self.rows))
+
+    @classmethod
+    def _from_columns(cls, field: FieldDescriptor, cols: list, keep: Iterable[int]) -> "Matrix":
+        """The matrix whose column j is cols[j], given in the internal form of
+        field, read at the positions keep."""
+        if field.kind == RATIONALS:
+            big = lcm(*[d for _, d in cols])
+            scaled = [(nums, big // d) for nums, d in cols]
+            return cls._from_ints(field, [[nums[k] * f for nums, f in scaled] for k in keep], big)
+        rows = list(zip(*cols))
+        return cls._trusted(field, [rows[k] for k in keep] if cols else [()] * len(keep))
+
+    def _scalar(self) -> FieldElement | None:
+        """c when self is c times the identity, for a square self of size >= 1."""
+        q = self.field.kind == RATIONALS
+        rows, d = self._int_rows() if q else (self.rows, 1)
+        c = rows[0][0]
+        if all(x == c if i == j else not x for i, r in enumerate(rows) for j, x in enumerate(r)):
+            return FieldElement(self.field, Fraction(c, d)) if q else c
+        return None
+
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.rows == other.rows)
+        if not (isinstance(other, Matrix) and self.field == other.field):
+            return False
+        # over Q both integer forms are over the least positive denominator
+        return (self._int_rows() == other._int_rows() if self.field.kind == RATIONALS
+                else self.rows == other.rows)
 
     def __hash__(self):
         return hash((self.field, self.rows))
@@ -169,8 +226,8 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise ArityMismatch("inner dimensions disagree")
             # column j of the product is self applied to column j of other
-            cols = [self._apply(other.col(j)) for j in range(other.ncols)]
-            return Matrix._trusted(self.field, list(zip(*cols)) or [()] * self.nrows)
+            return Matrix._from_columns(self.field, [self._apply(c) for c in other._columns()],
+                                        range(self.nrows))
         e = _coerce_entry(self.field, other)
         return Matrix._trusted(self.field, [[a * e for a in r] for r in self.rows])
 
@@ -179,14 +236,15 @@ class Matrix:
         vs = [_coerce_entry(self.field, e) for e in v]
         if len(vs) != self.ncols:
             raise ArityMismatch("vector length mismatch")
-        return self._apply(vs)
+        return tuple(_entries(self.field, self._apply(_vector(self.field, vs))))
 
-    def _apply(self, vs: Sequence[FieldElement]) -> tuple:
-        """self * vs, for entries of self's field and the right length."""
+    def _apply(self, vs):
+        """self * vs, for a vector of the right length in the internal form
+        of self's field; the product comes in that form too."""
         if self.field.kind == RATIONALS:
             rows, d = self._int_rows()
-            u, e = cleared([x.rep for x in vs])
-            return tuple(_fractions(self.field, [sum(map(mul, r, u)) for r in rows], d * e))
+            u, e = vs
+            return [sum(map(mul, r, u)) for r in rows], d * e
         tab = self.field._table
         if tab is not None:
             add, elems = tab.add, tab.elems
@@ -212,12 +270,12 @@ class Matrix:
         return Matrix(field or self.field, [[fn(a) for a in r] for r in self.rows])
 
     def det(self) -> FieldElement:
-        """Product of the pivots of the rows, times the sign of their columns."""
+        """Product of the pivots of the columns, times the sign of their rows."""
         if not self.is_square:
             raise ArityMismatch("determinant needs a square matrix")
-        span = SpanTracker(self.field, self.ncols)
-        for r in self.rows:
-            if not span.add(r):
+        span = SpanTracker(self.field, self.nrows)
+        for c in self._columns():
+            if span._offer(c) is not None:
                 return self.field.zero()
         det = self.field.one()
         for a in span.pivot_values:
@@ -225,21 +283,22 @@ class Matrix:
         return det if _permutation_sign(span.pivots) == 1 else -det
 
     def inverse(self) -> "Matrix":
-        """Row j of the inverse writes e_j in the rows of self."""
+        """Column j of the inverse writes e_j in the columns of self."""
         if not self.is_square:
             raise ArityMismatch("inverse needs a square matrix")
         n = self.nrows
         span = SpanTracker(self.field, n)
-        for r in self.rows:
-            if not span.add(r):
+        for c in self._columns():
+            if span._offer(c) is not None:
                 raise DegenerateInput("matrix is singular")
-        return Matrix._trusted(self.field, [span.coordinates(e)
-                                            for e in Matrix.identity(self.field, n).rows])
+        return Matrix._from_columns(self.field, [span._coordinates(e) for e in
+                                                 Matrix.identity(self.field, n)._columns()],
+                                    range(n))
 
     def rank(self) -> int:
-        span = SpanTracker(self.field, self.ncols)
-        for r in self.rows:
-            span.add(r)
+        span = SpanTracker(self.field, self.nrows)
+        for c in self._columns():
+            span._offer(c)
         return span.rank
 
     def kernel_basis(self) -> list[tuple]:
@@ -248,13 +307,19 @@ class Matrix:
         Each column that depends on the columns before it gives one vector:
         its relation to them, with coefficient 1 on itself.
         """
+        return [tuple(_entries(self.field, v)) for v in self._kernel_basis()]
+
+    def _kernel_basis(self) -> list:
+        """kernel_basis in the internal form of the field."""
         span = SpanTracker(self.field, self.nrows)
-        zero, one = self.field.zero(), self.field.one()
+        q = self.field.kind == RATIONALS
+        zero, one = (0, 1) if q else (self.field.zero(), self.field.one())
         basis = []
-        for j in range(self.ncols):
-            rel = span.offer(self.col(j))
+        for j, c in enumerate(self._columns()):
+            rel = span._offer(c)
             if rel is not None:
-                basis.append(tuple(rel) + (one,) + (zero,) * (self.ncols - j - 1))
+                tail = [zero] * (self.ncols - j - 1)
+                basis.append((rel[0] + [rel[1]] + tail, rel[1]) if q else (*rel, one, *tail))
         return basis
 
     def solve(self, b: Sequence) -> tuple | None:
@@ -392,6 +457,30 @@ class SpanTracker:
     def offer(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
         """Insert v. None when v enlarged the span; otherwise the relation
         (r_0, ..., r_{m-1}) with v + sum_k r_k * offered[k] = 0."""
+        rel = self._offer(_vector(self.field, v))
+        return None if rel is None else _entries(self.field, rel)
+
+    def add(self, v: Sequence[FieldElement]) -> bool:
+        """Insert v; returns True when it enlarged the span."""
+        return self._offer(_vector(self.field, v)) is None
+
+    def coordinates(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
+        """Coefficients writing v in the offered vectors, or None outside the span.
+
+        Offered vectors that added nothing get coefficient zero.
+        """
+        c = self._coordinates(_vector(self.field, v))
+        return None if c is None else _entries(self.field, c)
+
+    def contains(self, v: Sequence[FieldElement]) -> bool:
+        return self._contains(_vector(self.field, v))
+
+    # the same on vectors in the internal form of the field (see the module
+    # docstring); the relation and the coordinates come in that form too
+    def _contains(self, v) -> bool:
+        return not any(self._reduce(v)[0])
+
+    def _offer(self, v) -> list[FieldElement] | None:
         w, steps = self._reduce(v)
         index = self.offered
         self.offered += 1
@@ -407,42 +496,32 @@ class SpanTracker:
         self._origins.append((index, s, steps))
         return None
 
-    def add(self, v: Sequence[FieldElement]) -> bool:
-        """Insert v; returns True when it enlarged the span."""
-        return self.offer(v) is None
-
-    def coordinates(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
-        """Coefficients writing v in the offered vectors, or None outside the span.
-
-        Offered vectors that added nothing get coefficient zero.
-        """
+    def _coordinates(self, v) -> list[FieldElement] | None:
         w, steps = self._reduce(v)
         if not all(a.is_zero() for a in w):
             return None
         return [-c for c in self._combine(steps, self.offered)]
-
-    def contains(self, v: Sequence[FieldElement]) -> bool:
-        return not any(self._reduce(v)[0])
 
 
 class _RationalSpan(SpanTracker):
     """SpanTracker over Q on Python ints.
 
     Row i (in _rows) is a whole primitive integer vector with a positive
-    pivot entry. An offered vector has its denominators cleared once and is
-    reduced by cross-multiplication, w <- a * w - c * row j with a and c the
-    pivot entries of row j and w over their gcd, so w = lam * v + sum mu *
-    row j with integers lam and mu. That w is lam times the element path's
-    w, so the pivot values agree. Row i remembers (index, lam, steps, g)
-    with row i = (lam * offered[index] + sum mu * row j) / g, and its
-    coefficients in the offered vectors are one (numerators, denominator)
-    pair.
+    pivot entry. An offered vector comes as integer numerators over one
+    denominator and is reduced by cross-multiplication, w <- a * w - c *
+    row j with a and c the pivot entries of row j and w over their gcd, so
+    w = lam * v + sum mu * row j with integers lam and mu. That w is lam
+    times the element path's w, so the pivot values agree. Row i remembers
+    (index, lam, steps, g) with row i = (lam * offered[index] + sum mu *
+    row j) / g, and its coefficients in the offered vectors are one
+    (numerators, denominator) pair.
     """
 
-    def _reduce(self, v: Sequence[FieldElement]):
-        """(w, lam, steps): w = lam * v + sum mu * row j over [j, mu] in steps,
-        zero on every pivot, all ints."""
-        w, lam = cleared([x.rep for x in v])
+    def _reduce(self, v: tuple[Sequence[int], int]):
+        """(w, lam, steps) for the vector v = nums / d, given as (nums, d): w =
+        lam * v + sum mu * row j over [j, mu] in steps, zero on every pivot,
+        all ints."""
+        w, lam = v
         steps = []
         for j, (p, row) in enumerate(zip(self.pivots, self._rows)):
             c = w[p]
@@ -482,7 +561,7 @@ class _RationalSpan(SpanTracker):
                 comb[k] += f * c
         return comb, d
 
-    def offer(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
+    def _offer(self, v: tuple[Sequence[int], int]) -> tuple[list[int], int] | None:
         w, lam, steps = self._reduce(v)
         index = self.offered
         self.offered += 1
@@ -491,7 +570,7 @@ class _RationalSpan(SpanTracker):
                 break
         else:
             nums, d = self._combine(steps, index)
-            return _fractions(self.field, nums, d * lam)
+            return nums, d * lam
         g = gcd(*w) if a > 0 else -gcd(*w)
         self.pivots.append(p)
         self.pivot_values.append(FieldElement(self.field, Fraction(a, lam)))
@@ -499,12 +578,12 @@ class _RationalSpan(SpanTracker):
         self._origins.append((index, lam, steps, g))
         return None
 
-    def coordinates(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
+    def _coordinates(self, v: tuple[Sequence[int], int]) -> tuple[list[int], int] | None:
         w, lam, steps = self._reduce(v)
         if any(w):
             return None
         nums, d = self._combine(steps, self.offered)
-        return _fractions(self.field, nums, -d * lam)
+        return nums, -d * lam
 
 
 class _TabledSpan(SpanTracker):
@@ -544,7 +623,7 @@ class _TabledSpan(SpanTracker):
             comb[:len(row)] = [add[a][mf[c]] for a, c in zip(comb, row)]
         return comb
 
-    def offer(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
+    def _offer(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
         w, steps = self._reduce(v)
         index = self.offered
         self.offered += 1
@@ -562,7 +641,7 @@ class _TabledSpan(SpanTracker):
         self._origins.append((index, s, steps))
         return None
 
-    def coordinates(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
+    def _coordinates(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
         w, steps = self._reduce(v)
         if any(w):
             return None
@@ -570,19 +649,15 @@ class _TabledSpan(SpanTracker):
         return [tab.elems[tab.neg[c]] for c in self._combine(steps, self.offered)]
 
 
-def solve_in_span(field, basis: Sequence[Sequence[FieldElement]],
-                  target: Sequence[FieldElement]) -> list[FieldElement] | None:
-    """Coefficients writing target as a combination of basis vectors, or None."""
-    span = SpanTracker(field, len(target))
-    for v in basis:
-        span.add(v)
-    return span.coordinates(target)
-
-
 def _plus_scalar(m: Matrix, c: FieldElement) -> Matrix:
     """m + c * I, adding c on the diagonal only."""
     if c.is_zero():
         return m
+    if m.field.kind == RATIONALS:
+        (rows, d), a, b = m._int_rows(), c.rep.numerator, c.rep.denominator
+        return Matrix._from_ints(m.field, [[x * b + a * d if i == j else x * b
+                                            for j, x in enumerate(r)]
+                                           for i, r in enumerate(rows)], d * b)
     return Matrix._trusted(m.field, [r[:i] + (r[i] + c,) + r[i + 1:]
                                      for i, r in enumerate(m.rows)])
 
@@ -602,16 +677,16 @@ def poly_eval_matrix(f: Polynomial, a: Matrix) -> Matrix:
     return out
 
 
-def _cyclic_annihilator(a: Matrix, v: Sequence[FieldElement]) -> Polynomial:
-    # minimal monic g with g(a) v = 0: the first Krylov vector a^k v that
-    # depends on v, ..., a^(k-1) v; at most nrows + 1 of them are offered
+def _cyclic_annihilator(a: Matrix, v) -> Polynomial:
+    # minimal monic g with g(a) v = 0, v in the internal form of a's field:
+    # the first Krylov vector a^k v that depends on v, ..., a^(k-1) v; at
+    # most nrows + 1 of them are offered
     span = SpanTracker(a.field, a.nrows)
-    cur = tuple(v)
     while True:
-        rel = span.offer(cur)
+        rel = span._offer(v)
         if rel is not None:
-            return Polynomial(a.field, rel + [a.field.one()])
-        cur = a.apply(cur)
+            return Polynomial(a.field, _entries(a.field, rel) + [a.field.one()])
+        v = a._apply(v)
 
 
 def minpoly_matrix(a: Matrix) -> Polynomial:
@@ -622,10 +697,9 @@ def minpoly_matrix(a: Matrix) -> Polynomial:
     n = a.nrows
     if n == 0:
         return Polynomial.one(field)
-    zero, one = field.zero(), field.one()
     acc = None
-    for j in range(n):
-        g = _cyclic_annihilator(a, tuple(one if i == j else zero for i in range(n)))
+    for e in Matrix.identity(field, n)._columns():
+        g = _cyclic_annihilator(a, e)
         if acc is None:
             acc = g  # the first annihilator is the lcm so far
         elif not (acc % g).is_zero():

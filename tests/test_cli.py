@@ -343,6 +343,24 @@ class TestSuites:
         assert code == 0
         assert out["passed"] is True and out["violations"] == []
 
+    @pytest.mark.parametrize("spec", [s for s in SPECS if s != "rational-hilbert"])
+    @pytest.mark.parametrize("places", ["inf", "7,11", ""])
+    def test_axioms_places_need_rational_hilbert(self, capsys, spec, places):
+        # refused before --field is read: this block is not even JSON
+        code, out = run(capsys, ["check", "axioms", "--spec", spec, "--l", "1",
+                                 "--places", places, "--field", "{not json", "--trials", "1"])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+        assert "--places" in out["error"]["message"]
+
+    def test_axioms_default_places_are_inf_3_5(self, capsys):
+        argv = ["check", "axioms", "--spec", "rational-hilbert", "--trials", "4", "--seed", "6"]
+        assert cli.main(argv) == 0
+        default = capsys.readouterr().out
+        assert cli.main(argv + ["--places", "inf,3,5"]) == 0
+        assert capsys.readouterr().out == default
+        assert json.loads(default)["spec"] == "rational-hilbert(3, 5, inf)"
+
     def test_unknown_suite(self, capsys):
         code, out = run(capsys, ["check", "nonsense"])
         assert code == 1

@@ -12,7 +12,7 @@ from mkt.commuting import (MatrixTuple, class_of_tuple, composition_series,
                            homotopy_mult, homotopy_shear, homotopy_steinberg,
                            homotopy_swap, kronecker, reduce_tuple)
 from mkt.errors import (ArityMismatch, DegenerateInput, NotUnitDeterminant,
-                        UnsupportedField, UnsupportedTower)
+                        RecursionInvariantViolated, UnsupportedField, UnsupportedTower)
 from mkt.fields import (Polynomial, embed, extension, function_field, prime_field,
                         rationals)
 from mkt.jointdet import check_axioms, make_determinant
@@ -353,6 +353,18 @@ class TestCompositionSeries:
         x = MatrixTuple(Qf, [a, b])
         with pytest.raises(UnsupportedTower):
             composition_series(x)
+
+    @pytest.mark.parametrize("q", [0, 9])
+    def test_restriction_to_a_subspace_that_is_not_invariant(self, q):
+        """[[0, 1], [0, 0]] maps e_2 to e_1, outside span{e_2}."""
+        field = make_field(q)
+        e2 = Matrix.identity(field, 2)._columns()[1]
+        op = Matrix(field, [[0, 1], [0, 0]])
+        with pytest.raises(RecursionInvariantViolated, match="not operator invariant"):
+            commuting._restrict(field, [op], [e2])
+        # an invariant line restricts to the 1 x 1 matrix of the eigenvalue
+        assert commuting._restrict(field, [op], [Matrix.identity(field, 2)._columns()[0]]) == [
+            Matrix(field, [[0]])]
 
 
 def shift_block(field, a, c, size):

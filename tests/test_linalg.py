@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -11,7 +12,7 @@ from tests.conftest import (f16_over_f4, f81_over_f9, make_field, twin_element,
 from mkt.errors import DegenerateInput
 from mkt.fields import Polynomial, forget, function_field, prime_field, rationals
 from mkt.linalg import (Matrix, SpanTracker, companion_matrix, jordan_block,
-                        minpoly_matrix, poly_eval_matrix, solve_in_span)
+                        minpoly_matrix, poly_eval_matrix)
 from mkt.sampling import invertible_matrix
 
 
@@ -469,18 +470,25 @@ def test_product_against_schoolbook(name):
             assert [list(r) for r in got.rows] == schoolbook(field, a, b, m)
 
 
-class TestSolveInSpan:
+def tracker_of(field, basis):
+    span = SpanTracker(field, len(basis[0]))
+    for v in basis:
+        span.add(v)
+    return span
+
+
+class TestSpanCoordinates:
     def test_member(self, Q):
         b1 = (Q.element(1), Q.element(0), Q.element(1))
         b2 = (Q.element(0), Q.element(1), Q.element(1))
         target = (Q.element(2), Q.element(3), Q.element(5))
-        coeffs = solve_in_span(Q, [b1, b2], target)
+        coeffs = tracker_of(Q, [b1, b2]).coordinates(target)
         assert coeffs == [Q.element(2), Q.element(3)]
 
     def test_non_member(self, Q):
         b1 = (Q.element(1), Q.element(0), Q.element(0))
         target = (Q.element(0), Q.element(1), Q.element(0))
-        assert solve_in_span(Q, [b1], target) is None
+        assert tracker_of(Q, [b1]).coordinates(target) is None
 
 
 class TestFunctionFieldMatrix:
@@ -738,3 +746,104 @@ class TestRationalElimination:
             assert acc == [[0] * n for _ in range(n)]
             # ... and no monic polynomial of lower degree does, so no proper divisor
             assert coeffs == oracle_minpoly(rows)
+
+
+# ---------------------------------------------------------------------------
+# the integer forms over Q against the element API
+
+
+def twin_samples(seed):
+    """Seeded Fraction matrices: 0 x 0, 1 x 1, square and rectangular, each
+    also with a zero row and with a zero column."""
+    rng = random.Random(seed)
+    out = [[], [[frac_entry(rng)]], [[Fraction(0)]]]
+    for n, m in [(2, 2), (3, 3), (4, 4), (2, 5), (5, 2), (3, 4)]:
+        for _ in range(2):
+            rows = frac_rows(rng, n, m)
+            out.append(rows)
+            i, j = rng.randrange(n), rng.randrange(m)
+            out.append([[Fraction(0)] * m if k == i else r for k, r in enumerate(rows)])
+            out.append([[Fraction(0) if k == j else x for k, x in enumerate(r)] for r in rows])
+    return out
+
+
+def int_form(rng, xs):
+    """xs as (integer numerators, denominator) over a common denominator
+    times a random factor: negative, or sharing a factor with every entry."""
+    d = lcm(*[x.denominator for x in xs]) * rng.choice([1, -1, 6, -35, 10 ** 20])
+    return [int(x * d) for x in xs], d
+
+
+def values(pair):
+    nums, d = pair
+    return [Fraction(n, d) for n in nums]
+
+
+def from_int_rows(rng, rows):
+    """The matrix rows over Q built from integer rows over one denominator."""
+    nums, d = int_form(rng, [x for r in rows for x in r])
+    m = len(rows[0]) if rows else 0
+    return Matrix._from_ints(rationals(), [nums[i * m:(i + 1) * m] for i in range(len(rows))], d)
+
+
+class TestIntegerForms:
+    """Matrices built from integer rows and vectors given as (numerators,
+    denominator) pairs, against q_matrix and the public element API."""
+
+    def test_built_from_integer_rows(self):
+        rng = random.Random(31)
+        for rows in twin_samples(31):
+            a, b = from_int_rows(rng, rows), q_matrix(rows)
+            assert (a.nrows, a.ncols) == (b.nrows, b.ncols)
+            # equality before either has made its element rows
+            assert a == b and b == a
+            assert hash(a) == hash(b)
+            assert a.rows == b.rows and [fracs(r) for r in a.rows] == rows
+            assert a._int_rows() == b._int_rows()
+            if rows and any(any(r) for r in rows):
+                assert a != from_int_rows(rng, [[-x for x in r] for r in rows])
+
+    def test_pair_paths_match_the_element_api(self):
+        Q = rationals()
+        rng = random.Random(32)
+        for rows in twin_samples(32):
+            ncols = len(rows[0]) if rows else 0
+            m = from_int_rows(rng, rows)
+            v = [frac_entry(rng) for _ in range(ncols)]
+            assert values(m._apply(int_form(rng, v))) == fracs(m.apply(Q.element(x) for x in v))
+            pairs, elements = SpanTracker(Q, ncols), SpanTracker(Q, ncols)
+            for r in rows:
+                rel = pairs._offer(int_form(rng, r))
+                expected = elements.offer([Q.element(x) for x in r])
+                assert (rel is None) == (expected is None)
+                assert rel is None or values(rel) == fracs(expected)
+            assert pairs.pivot_values == elements.pivot_values
+            coeffs = [frac_entry(rng) for _ in rows]
+            inside = [sum((c * r[k] for c, r in zip(coeffs, rows)), Fraction(0))
+                      for k in range(ncols)]
+            for u in (inside, [frac_entry(rng) for _ in range(ncols)]):
+                got = pairs._coordinates(int_form(rng, u))
+                expected = elements.coordinates([Q.element(x) for x in u])
+                assert (got is None) == (expected is None)
+                assert got is None or values(got) == fracs(expected)
+                assert pairs._contains(int_form(rng, u)) == elements.contains(
+                    [Q.element(x) for x in u])
+
+    def test_kernel_minpoly_and_poly_eval_match_the_oracles(self):
+        Q = rationals()
+        rng = random.Random(33)
+        for rows in twin_samples(33):
+            ncols = len(rows[0]) if rows else 0
+            m = from_int_rows(rng, rows)
+            assert [fracs(v) for v in m.kernel_basis()] == oracle_kernel(rows, ncols)
+            assert [values(v) for v in m._kernel_basis()] == oracle_kernel(rows, ncols)
+            if len(rows) != ncols:
+                continue
+            assert fracs(minpoly_matrix(m).coeffs) == oracle_minpoly(rows)
+            coeffs = [frac_entry(rng) for _ in range(rng.randint(1, 4))] + [Fraction(1)]
+            expected = [[Fraction(0)] * ncols for _ in rows]
+            for c in reversed(coeffs):
+                expected = [[x + (c if i == j else 0) for j, x in enumerate(r)]
+                            for i, r in enumerate(mat_mul(expected, rows))]
+            got = poly_eval_matrix(Polynomial(Q, [Q.element(c) for c in coeffs]), m)
+            assert [fracs(r) for r in got.rows] == expected
