@@ -20,7 +20,7 @@ from fractions import Fraction
 from .canonical import (INTEGER, RATIONAL_PAIR, REAL_SIGN, UNIT, ZERO,
                         CanonicalClass, canonical_class)
 from .commuting import MatrixTuple, composition_series, series_expression
-from .errors import MktError, ParseError, RecursionInvariantViolated
+from .errors import BadModulus, MktError, ParseError, RecursionInvariantViolated
 from .factor import forget as forget_factorizations, is_irreducible
 from .fields import (EXTENSION, FUNCTION, PRIME, RATIONALS, FieldDescriptor,
                      Polynomial, RationalFunction, extension, function_field,
@@ -78,21 +78,24 @@ def _parse_field(block) -> FieldDescriptor:
         return rationals()
     if kind == "Fq":
         p = block.get("p")
-        if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+        if not isinstance(p, int) or isinstance(p, bool):
             raise ParseError('"p" must be a prime integer')
         deg = block.get("deg", 1)
         if not isinstance(deg, int) or isinstance(deg, bool) or deg < 1:
             raise ParseError('"deg" must be a positive integer')
-        base = prime_field(p)
-        if deg == 1:
-            return base
-        mod = block.get("modulus")
-        if not isinstance(mod, list) or len(mod) != deg + 1:
-            raise ParseError('"modulus" must list deg+1 coefficients, low to high')
-        poly = _parse_poly(base, mod)
-        if not poly.is_monic() or not is_irreducible(poly):
-            raise ParseError("modulus must be monic and irreducible")
-        return extension(base, poly, check=False)
+        try:
+            base = prime_field(p)
+            if deg == 1:
+                return base
+            mod = block.get("modulus")
+            if not isinstance(mod, list) or len(mod) != deg + 1:
+                raise ParseError('"modulus" must list deg+1 coefficients, low to high')
+            poly = _parse_poly(base, mod)
+            if poly.degree != deg:
+                raise ParseError(f'"modulus" must have degree {deg}')
+            return extension(base, poly)
+        except BadModulus as e:
+            raise ParseError(f"bad field: {e}") from e
     raise ParseError(f"unknown field kind {kind!r}")
 
 

@@ -8,7 +8,10 @@ extension steps, reduced num/den pairs for k(X)).
 
 Descriptors are canonical: `extension` and `function_field` hand out one
 object per field, so descriptor equality is almost always an identity test.
-`extension` gives a finite step of order q <= _TABLE_MAX its _Table at
+`extension` proves its modulus irreducible once, when it makes the
+descriptor, so no descriptor is ever made over a reducible modulus. A
+finite step of order q <= _TABLE_MAX is proven by the walk that builds its
+_Table, any other step by `factor.is_irreducible`. The table comes at
 birth: its q elements, interned, and full q x q addition and multiplication
 tables on their indices, built from Zech logarithms (Huber, IEEE Trans. IT
 1990). The table lives as long as the descriptor, and every element of a
@@ -271,29 +274,37 @@ def prime_field(p: int) -> FieldDescriptor:
     return got
 
 
-def extension(base: FieldDescriptor, modulus: "Polynomial", check: bool = True) -> FieldDescriptor:
-    """Simple extension base[x]/(modulus); modulus must be monic irreducible."""
+def extension(base: FieldDescriptor, modulus: "Polynomial") -> FieldDescriptor:
+    """Simple extension base[x]/(modulus), modulus monic irreducible.
+
+    The modulus is proven irreducible once, when its descriptor is made, and
+    BadModulus raised if it is not: a finite step of order <= _TABLE_MAX by
+    the power walk of _build_table, any other step by is_irreducible. A
+    cached descriptor is returned with no second proof.
+    """
     if modulus.field != base:
         raise DescriptorMismatch("modulus is not over the base field")
+    got = _EXTENSIONS.get(modulus)
+    if got is not None:
+        return got
     if modulus.degree < 1:
         raise BadModulus("modulus must have degree >= 1")
     if not modulus.is_monic():
         raise BadModulus("modulus must be monic")
     if base.kind == FUNCTION:
         raise UnsupportedField("extensions of function fields are not supported")
-    if check:
+    if modulus.field is not base:
+        modulus = Polynomial(base, modulus.coeffs)
+    got = FieldDescriptor(EXTENSION, base=base, modulus=modulus)
+    if base.is_finite() and got.order() <= _TABLE_MAX:
+        proven = _build_table(got)
+    else:
         from mkt.factor import is_irreducible
 
-        if not is_irreducible(modulus):
-            raise BadModulus(f"modulus {modulus} is reducible")
-    got = _EXTENSIONS.get(modulus)
-    if got is None:
-        if modulus.field is not base:
-            modulus = Polynomial(base, modulus.coeffs)
-        got = FieldDescriptor(EXTENSION, base=base, modulus=modulus)
-        if base.is_finite() and got.order() <= _TABLE_MAX:
-            _build_table(got)
-        _EXTENSIONS[modulus] = got
+        proven = is_irreducible(modulus)
+    if not proven:
+        raise BadModulus(f"modulus {modulus} is reducible")
+    _EXTENSIONS[modulus] = got
     return got
 
 
@@ -336,9 +347,14 @@ class _Table:
         self.inv = [0] + [exp[m - li] for li in log[1:]]
 
 
-def _build_table(fld: FieldDescriptor) -> None:
-    """Give fld its _Table, unless its modulus is reducible: then no element
-    generates the units, and fld stays on coefficients."""
+def _build_table(fld: FieldDescriptor) -> bool:
+    """Give fld its _Table and return True if its modulus is irreducible;
+    return False otherwise.
+
+    The walk is the proof: a ring of order q is a field exactly when some
+    element has multiplicative order q - 1 (Lidl and Niederreiter, Finite
+    Fields, ch. 2), and over a reducible modulus no element does.
+    """
     base = fld.base
     q = fld.order()
     m = q - 1
@@ -366,7 +382,7 @@ def _build_table(fld: FieldDescriptor) -> None:
             if _index(x) == 1:
                 break
     else:
-        return
+        return False
     base_one = base.one()
     plus_one = [_index(b + base_one) for b in base_elems]
     zech = [-1] * m
@@ -376,6 +392,7 @@ def _build_table(fld: FieldDescriptor) -> None:
         if j:
             zech[n] = log[j]
     fld._table = _Table(elems, exp, log, zech)
+    return True
 
 
 def _index(x: "FieldElement") -> int:

@@ -32,7 +32,7 @@ from .errors import (BadModulus, DegenerateInput, RecursionInvariantViolated,
                      UnsupportedCombination, ZeroInput)
 from .fields import PRIME, RATIONALS, FieldDescriptor, FieldElement
 from .linalg import Matrix
-from .numutil import is_prime
+from .numutil import is_prime, split_power
 from .sampling import commuting_tuple, invertible_matrix, random_unit
 from .valuations import PRIME_PLACE, REAL, Valuation
 
@@ -81,15 +81,9 @@ def legendre(a, p: int) -> int:
 
 def _split_at(q: Fraction, p: int) -> tuple[int, Fraction]:
     # q = p^v * u with u a p-unit
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
+    a, num = split_power(q.numerator, p)
+    b, den = split_power(q.denominator, p)
+    return a - b, Fraction(num, den)
 
 
 def _odd_residue_mod8(u: Fraction) -> int:

@@ -143,9 +143,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.rows[i]
 
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
-
     def _int_rows(self) -> tuple[list[list[int]], int]:
         """(rows, d) with self = rows / d, over Q."""
         if self._fast is None:
@@ -331,10 +328,10 @@ class Matrix:
         if len(bs) != self.nrows:
             raise ArityMismatch("rhs length mismatch")
         span = SpanTracker(self.field, self.nrows)
-        for j in range(self.ncols):
-            span.add(self.col(j))
-        x = span.coordinates(bs)
-        return None if x is None else tuple(x)
+        for c in self._columns():
+            span._offer(c)
+        x = span._coordinates(_vector(self.field, bs))
+        return None if x is None else tuple(_entries(self.field, x))
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; block (i,j) is self[i][j] * other."""

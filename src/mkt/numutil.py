@@ -1,4 +1,5 @@
-"""Integer primitives: primality, next prime, integer factorization.
+"""Integer primitives: primality, next prime, integer factorization, p-adic
+splitting.
 
 Deterministic Miller-Rabin is exact for anything below 3.3 * 10^24, which is
 far beyond every integer this package touches; Pollard rho handles composite
@@ -34,6 +35,15 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def split_power(m: int, p: int) -> tuple[int, int]:
+    """(n, m // p**n) for m != 0, p**n the highest power of p dividing m."""
+    n = 0
+    while m % p == 0:
+        m //= p
+        n += 1
+    return n, m
 
 
 def next_prime(n: int) -> int:

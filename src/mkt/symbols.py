@@ -3,20 +3,16 @@
 A weight-l symbol is a tuple of l nonzero field elements written {a_1,...,a_l};
 an expression is a finite Z-linear combination of symbols of one common
 weight. Expressions are purely syntactic: no relation is applied unless an
-operator (multilinear expansion, boundary, rewriting) does so explicitly.
+operator (boundary, rewriting) does so explicitly.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Mapping, Sequence
 
 from mkt.errors import (ArityMismatch, DegenerateDifferences, DegenerateInput,
                         DescriptorMismatch, ZeroEntry)
 from mkt.fields import FieldDescriptor, FieldElement
-from mkt.numutil import factor_int
-
-SplitFn = Callable[[FieldElement], "list[tuple[FieldElement, int]]"]
 
 
 def _check_entries(field: FieldDescriptor, entries: Sequence) -> tuple:
@@ -184,54 +180,6 @@ def symbol(entries: Sequence, field: FieldDescriptor | None = None) -> MilnorExp
 
 def zero_expression(field: FieldDescriptor, weight: int) -> MilnorExpression:
     return MilnorExpression(field, weight, {})
-
-
-def constant_expression(field: FieldDescriptor, n: int) -> MilnorExpression:
-    """Weight-zero expression, i.e. the integer n."""
-    return MilnorExpression(field, 0, {(): n})
-
-
-def rational_split(e: FieldElement) -> list[tuple[FieldElement, int]]:
-    """Factor a nonzero rational into -1 and prime powers."""
-    q = e.rep
-    field = e.field
-    out: list[tuple[FieldElement, int]] = []
-    if q < 0:
-        out.append((field.from_int(-1), 1))
-    exps: dict[int, int] = {}
-    for p, m in factor_int(abs(q.numerator)).items():
-        exps[p] = exps.get(p, 0) + m
-    for p, m in factor_int(q.denominator).items():
-        exps[p] = exps.get(p, 0) - m
-    for p in sorted(exps):
-        if exps[p]:
-            out.append((field.from_int(p), exps[p]))
-    return out
-
-
-def expand_multilinear(x: MilnorExpression, split: SplitFn) -> MilnorExpression:
-    """Rewrite every entry through a factorization and distribute.
-
-    With split(e) = [(b_1,e_1),...,(b_r,e_r)] meaning e = prod b_i^{e_i},
-    each symbol becomes the full multilinear expansion over its entries.
-    Entries that split to an empty list (value one) kill their terms. Over Q,
-    rational_split separates sign and prime powers.
-    """
-    field = x.field
-    acc: dict[tuple, int] = {}
-    for entries, c in x._terms.items():
-        lists = [split(e) for e in entries]
-        if any(not lst for lst in lists):
-            continue
-        for combo in itertools.product(*lists):
-            coeff = c
-            key = []
-            for base, exp in combo:
-                coeff *= exp
-                key.append(base)
-            k = tuple(key)
-            acc[k] = acc.get(k, 0) + coeff
-    return MilnorExpression(field, x.weight, acc)
 
 
 def cyclic_difference_identity(points: Sequence[FieldElement]

@@ -130,7 +130,7 @@ def present_as_simple(L: FieldDescriptor, base: FieldDescriptor) -> SimplePresen
             gamma, modulus = cand, m
             break
     assert gamma is not None  # finite fields always have a primitive element
-    simple = extension(base, modulus, check=False)
+    simple = extension(base, modulus)
     pows = []
     cur = L.one()
     for _ in range(d):

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from mkt.canonical import canonical_class
 from mkt.errors import (ArityMismatch, DescriptorMismatch, RecursionInvariantViolated,
-                        UnsupportedField, UnsupportedTower)
+                        UnsupportedField)
 from mkt.factor import factor
 from mkt.fields import (EXTENSION, FUNCTION, FieldDescriptor, Polynomial, embed,
                         function_field, is_ancestor, poly_of_element,
-                        poly_resultant, tower_steps)
+                        poly_resultant)
 from mkt.symbols import MilnorExpression, symbol, zero_expression
 from mkt.valuations import (FINITE, INFINITE, Valuation, finite_place,
                             infinite_place, support, tame_symbol)
@@ -104,14 +104,11 @@ def transfer_tower(x: MilnorExpression, base: FieldDescriptor) -> MilnorExpressi
     """Transfer from a tower top all the way down to base.
 
     Transfers are functorial, so this is the composite of the one-step
-    transfers down the tower. A step over an extension of Q would factor
-    over a number field, so towers of height >= 2 over Q are refused.
+    transfers down the tower.
     """
     L = x.field
     if not is_ancestor(base, L):
         raise DescriptorMismatch(f"{base} is not below {L}")
-    if not L.is_finite() and len(tower_steps(L, base)) > 1:
-        raise UnsupportedTower("height >= 2 towers over Q are out of scope")
     while x.field != base:
         x = transfer_ext(x.field, x)
     return x

@@ -24,7 +24,7 @@ from mkt.factor import factor, is_irreducible
 from mkt.fields import (FUNCTION, RATIONALS, FieldDescriptor, FieldElement,
                         Polynomial, RationalFunction, element_from_poly,
                         extension, prime_field, rationals)
-from mkt.numutil import factor_int, is_prime
+from mkt.numutil import factor_int, is_prime, split_power
 from mkt.symbols import MilnorExpression
 
 FINITE = "finite"
@@ -53,7 +53,7 @@ class Valuation:
         if cached is None:
             if self.kind == FINITE:
                 k = self.field.base
-                cached = k if self.pi.degree == 1 else extension(k, self.pi, check=False)
+                cached = k if self.pi.degree == 1 else extension(k, self.pi)
             elif self.kind == INFINITE:
                 cached = self.field.base
             elif self.kind == PRIME_PLACE:
@@ -133,15 +133,6 @@ def _split_poly(f: Polynomial, pi: Polynomial) -> tuple[int, Polynomial, Polynom
     return n, f, f
 
 
-def _split_int(m: int, p: int) -> tuple[int, int]:
-    """(n, m / p^n) for m != 0, p^n the highest power of p dividing m."""
-    n = 0
-    while m % p == 0:
-        m //= p
-        n += 1
-    return n, m
-
-
 def valuate(v: Valuation, x: FieldElement) -> int:
     """The (normalized, surjective onto Z) valuation of a nonzero element."""
     if v.kind == REAL:
@@ -155,7 +146,7 @@ def valuate(v: Valuation, x: FieldElement) -> int:
         rf = x.rep
         return rf.den.degree - rf.num.degree
     q = x.rep
-    return _split_int(q.numerator, v.p)[0] - _split_int(q.denominator, v.p)[0]
+    return split_power(q.numerator, v.p)[0] - split_power(q.denominator, v.p)[0]
 
 
 def unit_part(v: Valuation, x: FieldElement) -> tuple[int, FieldElement]:
@@ -179,8 +170,8 @@ def unit_part(v: Valuation, x: FieldElement) -> tuple[int, FieldElement]:
             u = RationalFunction(rf.num, rf.den * xpow)
         return n, v.field.element(u)
     q = x.rep
-    a, num = _split_int(q.numerator, v.p)
-    b, den = _split_int(q.denominator, v.p)
+    a, num = split_power(q.numerator, v.p)
+    b, den = split_power(q.denominator, v.p)
     return a - b, rationals().element(Fraction(num, den))
 
 
@@ -201,8 +192,8 @@ def _residue_split(v: Valuation, kv: FieldDescriptor, x: FieldElement
     if v.kind == INFINITE:
         # u = x * X^n with n = deg den - deg num; den is monic
         return rf.den.degree - rf.num.degree, rf.num.lc()
-    a, num = _split_int(rf.numerator, v.p)
-    b, den = _split_int(rf.denominator, v.p)
+    a, num = split_power(rf.numerator, v.p)
+    b, den = split_power(rf.denominator, v.p)
     return a - b, kv.from_int(num) / kv.from_int(den)
 
 

@@ -15,7 +15,7 @@ from mkt.canonical import canonical_class
 from mkt.errors import UnsupportedField
 from mkt.fields import function_field, prime_field, rationals
 from mkt.sampling import random_symbol
-from mkt.symbols import symbol
+from mkt.symbols import MilnorExpression, symbol
 from tests.conftest import make_field
 
 Qf = rationals()
@@ -50,8 +50,7 @@ class TestWeightOne:
         assert cls.unit == Qf.element(3)
 
     def test_weight_zero_integer(self):
-        from mkt.symbols import constant_expression
-        cls = canonical_class(constant_expression(Qf, 5))
+        cls = canonical_class(MilnorExpression(Qf, 0, {(): 5}))
         assert cls.n == 5
 
 

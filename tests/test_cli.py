@@ -562,6 +562,43 @@ class TestErrorHandling:
         assert code == 1
         assert out["error"]["type"] == "ParseError"
 
+    # the monic quadratics over F_3 other than X^2 + 1, X^2 + X + 2, X^2 + 2X + 2
+    @pytest.mark.parametrize("modulus", [[0, 0, 1], [0, 1, 1], [0, 2, 1], [1, 1, 1],
+                                         [1, 2, 1], [2, 0, 1]])
+    def test_every_reducible_f9_modulus(self, capsys, tmp_path, modulus):
+        path = write_doc(tmp_path, "d.json", {
+            "field": {"kind": "Fq", "p": 3, "deg": 2, "modulus": modulus},
+            "symbols": [{"coeff": 1, "entries": [[1, 1]]}],
+        })
+        code, out = run(capsys, ["canon", path])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+
+    # a zero listed as the leading coefficient leaves a linear modulus, which
+    # would make the field F_3, not F_9
+    @pytest.mark.parametrize("modulus", [[1, 1, 0], [2, 1, 0]])
+    @pytest.mark.parametrize("command", ["canon", "reduce"])
+    def test_modulus_below_deg(self, capsys, tmp_path, modulus, command):
+        path = write_doc(tmp_path, "d.json", {
+            "field": {"kind": "Fq", "p": 3, "deg": 2, "modulus": modulus},
+            "symbols": [{"coeff": 1, "entries": [[2]]}],
+            "matrices": [[[[2]]]],
+        })
+        code, out = run(capsys, [command, path])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+        assert "degree 2" in out["error"]["message"]
+
+    @pytest.mark.parametrize("p", [1, 4, 9, -3])
+    def test_non_prime_characteristic(self, capsys, tmp_path, p):
+        path = write_doc(tmp_path, "d.json", {
+            "field": {"kind": "Fq", "p": p},
+            "symbols": [{"coeff": 1, "entries": [1]}],
+        })
+        code, out = run(capsys, ["canon", path])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+
     @pytest.mark.parametrize("modulus", [["x", 0, 1], [1.5, 0, 1], [1.0, 0, 1],
                                          [True, 0, 1]])
     def test_malformed_modulus_coefficient(self, capsys, tmp_path, modulus):

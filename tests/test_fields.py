@@ -1,5 +1,6 @@
 """Field and polynomial arithmetic against hand-checked and brute-force oracles."""
 
+import itertools
 import math
 import random
 import sys
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkt import numutil
-from mkt.errors import (DescriptorMismatch, DivisionByZero, UnsupportedFactorization,
-                        ZeroPolynomial)
+from mkt.errors import (BadModulus, DescriptorMismatch, DivisionByZero,
+                        UnsupportedFactorization, ZeroPolynomial)
 from mkt.factor import factor, forget, irreducible_factors, is_irreducible
 from mkt.fields import (Polynomial, RationalFunction, all_elements, coordinates,
                         element_from_poly, embed, extension, from_coordinates,
@@ -546,21 +547,49 @@ class TestFieldTables:
         assert t.field == L and not t.is_zero()
         assert L._table is None and F9._table is not None
 
-    def test_reducible_step_gets_no_table(self):
-        """F_5[x]/(X^2 + X), built without the irreducibility check, has 25
-        elements but is no field: no element generates its units, so it gets
-        no table, and the class of X, a zero divisor, has no inverse."""
-        F5 = prime_field(5)
-        L = extension(F5, Polynomial.from_ints(F5, [0, 1, 1]), check=False)
-        assert L.order() == 25 and L._table is None
-        x, y = L.gen(), L.gen() + L.one()
-        z = L.one()
-        for _ in range(40):
-            z = z * y
-        assert z == y  # y^2 = y: (x + 1)^2 = x^2 + 2x + 1 = x + 1
-        assert x * (x + 1) == 0
-        with pytest.raises(DivisionByZero):
-            x.inverse()
+    @pytest.mark.parametrize("q, d", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2),
+                                      (4, 2)])
+    def test_small_steps_are_proven_by_the_walk(self, q, d):
+        """Every monic modulus of degree d over F_q makes a tabled step
+        exactly when it is irreducible, and raises BadModulus otherwise."""
+        k = make_field(q)
+        elems = list(all_elements(k))
+        for low in itertools.product(elems, repeat=d):
+            m = Polynomial(k, list(low) + [k.one()])
+            fields_module.forget()
+            if is_irreducible(m):
+                L = extension(k, m)
+                assert L.order() == q ** d and L._table is not None
+            else:
+                with pytest.raises(BadModulus):
+                    extension(k, m)
+                assert m not in fields_module._EXTENSIONS
+
+    def test_only_untabled_steps_call_is_irreducible(self, monkeypatch):
+        """A step of order <= 27 is proven by its table walk alone; an F_81
+        step calls is_irreducible once when it is made and not when it is
+        fetched again."""
+        m81 = f81_over_f9().modulus
+        fields_module.forget()
+        calls = []
+        real = factor_module.is_irreducible
+        monkeypatch.setattr(factor_module, "is_irreducible",
+                            lambda f: calls.append(f) or real(f))
+        for q in (4, 8, 9, 16, 25, 27, "16/4"):
+            tabled_field(q)
+        assert calls == []
+        L = extension(m81.field, m81)
+        assert calls == [m81] and L._table is None
+        assert extension(m81.field, m81) is L and calls == [m81]
+
+    def test_base_is_checked_before_the_cache(self):
+        """The cache is keyed on the modulus: a modulus over F_7 given with
+        F_5 as its base is refused although F_7[x]/(m) is cached."""
+        F5, F7 = prime_field(5), prime_field(7)
+        m = Polynomial.from_ints(F7, [1, 0, 1])
+        assert extension(F7, m).order() == 49
+        with pytest.raises(DescriptorMismatch):
+            extension(F5, m)
 
 
 def tagged_element_key(e):
