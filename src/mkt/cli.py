@@ -29,7 +29,7 @@ from .fields import forget as forget_fields
 from .jointdet import (RATIONAL_HILBERT, SPECS, UNIVERSAL, check_axioms,
                        hilbert, make_determinant)
 from .linalg import Matrix
-from .numutil import factor_int, is_prime
+from .numutil import factor_int, is_prime, prime_power
 from .sampling import monic_irreducible
 from .symbols import MilnorExpression, symbol
 from .transfer import reciprocity_check, transfer_ext
@@ -389,12 +389,10 @@ def _cmd_jointdet(args) -> tuple[dict, int]:
 
 
 def _field_from_q(q: int) -> FieldDescriptor:
-    if q < 2:
-        raise ParseError("q must be a prime power >= 2")
-    fac = factor_int(q)
-    if len(fac) != 1:
-        raise ParseError(f"{q} is not a prime power")
-    (p, d), = fac.items()
+    pd = prime_power(q) if q > 1 else None
+    if pd is None:
+        raise ParseError(f"q = {q} is not a prime power >= 2")
+    p, d = pd
     base = prime_field(p)
     if d == 1:
         return base

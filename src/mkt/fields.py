@@ -16,18 +16,18 @@ birth: its q elements, interned, and full q x q addition and multiplication
 tables on their indices, built from Zech logarithms (Huber, IEEE Trans. IT
 1990). The table lives as long as the descriptor, and every element of a
 tabled field is one of its table's elements, so +, -, *, inverse and == are
-list lookups and `linalg` runs elimination and matrix products on rows of
-indices (`table_indices`). Every other field computes on coefficients for
-its whole life. An index is a function of the value, so equal descriptors
+list lookups. Every other field computes on coefficients for its whole
+life. An index is a function of the value, so equal descriptors
 (one per command, since `forget()` empties the descriptor caches) share
 their indices.
 
 Polynomial +, -, *, divmod, gcd and resultant, and the product and inverse
 of an extension-step element, are each one call into `zkernel`, made in the
-coefficient field's kernel kind (`_kind`): integer residues over a prime
-field, table indices over a tabled field, the elements themselves over any
-other. `_values` hands the coefficients in and `_wrap` turns the result back
-into a Polynomial.
+coefficient field's kernel kind (`kernel_kind`): integer residues over a
+prime field, table indices over a tabled field, the elements themselves over
+any other. `kernel_values` hands the coefficients in, and `kernel_elements`
+(through `_wrap` for a Polynomial) turns the result back into elements.
+`linalg` keeps its vectors and matrix rows off Q in the same kernel form.
 
 Each element has one key, `FieldElement.key()`, and each polynomial one,
 `Polynomial.coeff_key()` = (degree, coefficient keys). Within one field a
@@ -87,7 +87,8 @@ class FieldDescriptor:
         self._hash = None
         # the modulus's coefficients in the base's kernel kind, for the
         # arithmetic of this step
-        self._mod_values = None if modulus is None else _values(_kind(base), modulus.coeffs)
+        self._mod_values = (None if modulus is None
+                            else kernel_values(kernel_kind(base), modulus.coeffs))
         self._order = None
         # set by extension() on small finite steps, kept for life
         self._table = None
@@ -407,17 +408,6 @@ def _index(x: "FieldElement") -> int:
     return x.ix
 
 
-def table_indices(fld: FieldDescriptor, xs: Iterable["FieldElement"]) -> list[int]:
-    """Positions of the elements xs of fld in all_elements(fld), which index
-    fld._table."""
-    out = []
-    for x in xs:
-        if x.field is not fld and x.field != fld:
-            raise DescriptorMismatch(f"element of {x.field} given to {fld}")
-        out.append(_index(x))
-    return out
-
-
 def _rep_index(fld: FieldDescriptor, rep: tuple) -> int:
     nb = fld.base.order()
     i = 0
@@ -570,10 +560,10 @@ class FieldElement:
             return FieldElement(fld, self.rep * b.rep % fld.p)
         if k == EXTENSION:
             base = fld.base
-            k = _kind(base)
+            k = kernel_kind(base)
             prod = zkernel.zp_mulmod(_rep_values(self, k), _rep_values(b, k),
                                      fld._mod_values, k)
-            return _ext_from_coeffs(fld, _elements(base, prod, k))
+            return _ext_from_coeffs(fld, kernel_elements(base, prod, k))
         return FieldElement(fld, self.rep.mul(b.rep))
 
     __rmul__ = __mul__
@@ -592,9 +582,9 @@ class FieldElement:
             return FieldElement(fld, pow(self.rep, fld.p - 2, fld.p))
         if k == EXTENSION:
             base = fld.base
-            k = _kind(base)
+            k = kernel_kind(base)
             inv = zkernel.zp_invmod(_rep_values(self, k), fld._mod_values, k)
-            return _ext_from_coeffs(fld, _elements(base, inv, k))
+            return _ext_from_coeffs(fld, kernel_elements(base, inv, k))
         return FieldElement(fld, self.rep.inverse())
 
     def __truediv__(self, other):
@@ -692,13 +682,13 @@ def _ext_from_coeffs(fld: FieldDescriptor, coeffs: list[FieldElement]) -> FieldE
     return _ext_element(fld, tuple(out[:d]))
 
 
-def _kind(field: FieldDescriptor):
+def kernel_kind(field: FieldDescriptor):
     """The zkernel coefficient kind of field: p over a prime field, the
     _Table over a tabled one, None over any other."""
     return field.p or field._table
 
 
-def _values(kind, coeffs) -> list:
+def kernel_values(kind, coeffs) -> list:
     """Kernel coefficients of kind: residue ints, table indices, or the
     elements themselves."""
     if kind is None:
@@ -708,7 +698,7 @@ def _values(kind, coeffs) -> list:
     return [c.ix for c in coeffs]
 
 
-def _elements(field: FieldDescriptor, values: list, kind) -> tuple:
+def kernel_elements(field: FieldDescriptor, values: list, kind) -> tuple:
     """The elements of field with kernel coefficients values of kind."""
     if kind is None:
         return tuple(values)
@@ -723,14 +713,14 @@ def _wrap(field: FieldDescriptor, values: list, kind) -> "Polynomial":
     of kind."""
     out = Polynomial.__new__(Polynomial)
     out.field = field
-    out.coeffs = _elements(field, values, kind)
+    out.coeffs = kernel_elements(field, values, kind)
     out._key = None
     return out
 
 
 def _rep_values(x: FieldElement, kind) -> list:
     """Kernel coefficients of an extension-step element over its base."""
-    return zkernel.trim(_values(kind, x.rep))
+    return zkernel.trim(kernel_values(kind, x.rep))
 
 
 class Polynomial:
@@ -798,8 +788,9 @@ class Polynomial:
         if b is None:
             return NotImplemented
         fld = self.field
-        k = _kind(fld)
-        return _wrap(fld, zkernel.zp_add(_values(k, self.coeffs), _values(k, b.coeffs), k), k)
+        k = kernel_kind(fld)
+        return _wrap(fld, zkernel.zp_add(kernel_values(k, self.coeffs),
+                                         kernel_values(k, b.coeffs), k), k)
 
     __radd__ = __add__
 
@@ -811,8 +802,9 @@ class Polynomial:
         if b is None:
             return NotImplemented
         fld = self.field
-        k = _kind(fld)
-        return _wrap(fld, zkernel.zp_sub(_values(k, self.coeffs), _values(k, b.coeffs), k), k)
+        k = kernel_kind(fld)
+        return _wrap(fld, zkernel.zp_sub(kernel_values(k, self.coeffs),
+                                         kernel_values(k, b.coeffs), k), k)
 
     def __rsub__(self, other):
         b = self._coerce(other)
@@ -828,8 +820,9 @@ class Polynomial:
         if b is None:
             return NotImplemented
         fld = self.field
-        k = _kind(fld)
-        return _wrap(fld, zkernel.zp_mul(_values(k, self.coeffs), _values(k, b.coeffs), k), k)
+        k = kernel_kind(fld)
+        return _wrap(fld, zkernel.zp_mul(kernel_values(k, self.coeffs),
+                                         kernel_values(k, b.coeffs), k), k)
 
     __rmul__ = __mul__
 
@@ -838,8 +831,8 @@ class Polynomial:
         if b is None:
             return NotImplemented
         fld = self.field
-        k = _kind(fld)
-        q, r = zkernel.zp_divmod(_values(k, self.coeffs), _values(k, b.coeffs), k)
+        k = kernel_kind(fld)
+        q, r = zkernel.zp_divmod(kernel_values(k, self.coeffs), kernel_values(k, b.coeffs), k)
         return _wrap(fld, q, k), _wrap(fld, r, k)
 
     def __mod__(self, other):
@@ -926,15 +919,16 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.field != g.field:
         raise DescriptorMismatch("gcd of polynomials over different fields")
     fld = f.field
-    k = _kind(fld)
-    return _wrap(fld, zkernel.zp_gcd(_values(k, f.coeffs), _values(k, g.coeffs), k), k)
+    k = kernel_kind(fld)
+    return _wrap(fld, zkernel.zp_gcd(kernel_values(k, f.coeffs), kernel_values(k, g.coeffs), k), k)
 
 
 def poly_powmod(a: Polynomial, e: int, f: Polynomial) -> Polynomial:
     """a^e mod f."""
     fld = f.field
-    k = _kind(fld)
-    return _wrap(fld, zkernel.zp_powmod(_values(k, a.coeffs), e, _values(k, f.coeffs), k), k)
+    k = kernel_kind(fld)
+    return _wrap(fld, zkernel.zp_powmod(kernel_values(k, a.coeffs), e,
+                                        kernel_values(k, f.coeffs), k), k)
 
 
 def poly_resultant(f: Polynomial, g: Polynomial) -> FieldElement:
@@ -946,9 +940,9 @@ def poly_resultant(f: Polynomial, g: Polynomial) -> FieldElement:
     fld = f.field
     if not f.coeffs or not g.coeffs:
         return fld.zero()
-    k = _kind(fld)
-    res = zkernel.zp_resultant(_values(k, f.coeffs), _values(k, g.coeffs), k)
-    return _elements(fld, [res], k)[0]
+    k = kernel_kind(fld)
+    res = zkernel.zp_resultant(kernel_values(k, f.coeffs), kernel_values(k, g.coeffs), k)
+    return kernel_elements(fld, [res], k)[0]
 
 
 class RationalFunction:

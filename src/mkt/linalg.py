@@ -11,34 +11,30 @@ same routine takes the determinant of a matrix with polynomial entries.
 Matrix-vector products (`apply`) have one kernel per field kind, and a
 matrix product applies the left factor to each column of the right one.
 
-Over Q the arithmetic runs on Python ints, fraction-free: a tracker keeps
-primitive integer rows (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 1968), and a matrix
-applies itself through its integer rows over one common denominator. In
-`linalg` and across into `commuting` a vector over Q travels in its internal
-form, one pair (integer numerators, denominator); off Q that form is the
-elements. A matrix over Q built from integer rows makes its elements on
-first read of `rows`. Fractions are made only for the values handed back,
-which equal those of the element path because pivots, relations and
-coordinates are unique.
-
-Over a finite field with a table (`fields._Table`, order <= 27, built
-with the field) the same holds on table indices: a tracker keeps rows of
-indices, a matrix applies itself through index rows built on first use,
-and a + f * b is add[a][mul[f][b]]. Only the values handed back become
-elements. The element path stays for every other field.
+In `linalg` and across into `commuting` a vector travels in the internal
+form of its field, and a matrix keeps its rows in that form; a matrix
+built from that form makes its elements on first read of `rows`. Only the
+values handed back become elements, and they equal those of element
+arithmetic because pivots, relations and coordinates are unique. Over Q
+the form is one pair (integer numerators, denominator), and the arithmetic
+is fraction-free on Python ints: a tracker keeps primitive integer rows
+(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 1968). Off Q it is the list of kernel values in
+the field's `fields.kernel_kind` (residues over F_p, table indices over a
+tabled field, elements elsewhere), and each step is a `zkernel` call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from mkt.errors import ArityMismatch, DegenerateInput, DescriptorMismatch
-from mkt.fields import (RATIONALS, FieldDescriptor, FieldElement, Polynomial, poly_gcd,
-                        table_indices)
+from mkt.fields import (RATIONALS, FieldDescriptor, FieldElement, Polynomial, kernel_elements,
+                        kernel_kind, kernel_values, poly_gcd)
+from mkt.zkernel import add_multiple, dots, inverse, negate, scaled
 
 
 def _coerce_entry(field: FieldDescriptor, e) -> FieldElement:
@@ -59,20 +55,22 @@ def cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
 
 def _vector(field: FieldDescriptor, v: Sequence[FieldElement]):
     """v in the internal form of field (see the module docstring)."""
-    return cleared([x.rep for x in v]) if field.kind == RATIONALS else v
+    if field.kind == RATIONALS:
+        return cleared([x.rep for x in v])
+    return kernel_values(kernel_kind(field), v)
 
 
-def _entries(field: FieldDescriptor, v) -> Sequence[FieldElement]:
+def _entries(field: FieldDescriptor, v) -> list[FieldElement]:
     """The elements of the vector v, given in the internal form of field."""
     if field.kind != RATIONALS:
-        return v
+        return list(kernel_elements(field, v, kernel_kind(field)))
     return [FieldElement(field, Fraction(n, v[1])) for n in v[0]]
 
 
 class Matrix:
     """Immutable dense matrix with exact field entries."""
 
-    __slots__ = ("field", "rows", "nrows", "ncols", "_fast")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_internal")
 
     def __init__(self, field: FieldDescriptor, rows: Iterable[Iterable]):
         rs = tuple(tuple(_coerce_entry(field, e) for e in row) for row in rows)
@@ -98,26 +96,35 @@ class Matrix:
         g = gcd(d, *[x for r in rows for x in r]) * (1 if d > 0 else -1)
         if g != 1:
             rows, d = [[x // g for x in r] for r in rows], d // g
+        return cls._from_form(field, (rows, d))
+
+    @classmethod
+    def _from_form(cls, field: FieldDescriptor, form) -> "Matrix":
+        """The matrix whose rows are form, in the internal form of field (see
+        _form); over Q, as _from_ints leaves it."""
         out = object.__new__(cls)
-        out._fill(field, None, (rows, d))
+        out._fill(field, None, form)
         return out
 
-    def _fill(self, field: FieldDescriptor, rows: tuple | None, fast=None) -> None:
-        lines = fast[0] if rows is None else rows
+    def _fill(self, field: FieldDescriptor, rows: tuple | None, form=None) -> None:
+        if rows is None:
+            lines = form[0] if field.kind == RATIONALS else form
+        else:
+            lines = rows
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nrows", len(lines))
         object.__setattr__(self, "ncols", len(lines[0]) if lines else 0)
-        # the rows on a fast path, built on first use unless given: (integer
-        # rows, denominator) over Q, table-index rows over a tabled field
-        object.__setattr__(self, "_fast", fast)
+        object.__setattr__(self, "_internal", form)  # _form, when given
         if rows is not None:
             object.__setattr__(self, "rows", rows)
 
     def __getattr__(self, name):
-        # only the rows of a matrix built by _from_ints are missing until read
+        # only the rows of a matrix built by _from_form are missing until read
         if name != "rows":
             raise AttributeError(name)
-        rows = tuple(tuple(_entries(self.field, (r, self._fast[1]))) for r in self._fast[0])
+        form = self._internal
+        vectors = [(r, form[1]) for r in form[0]] if self.field.kind == RATIONALS else form
+        rows = tuple(tuple(_entries(self.field, v)) for v in vectors)
         object.__setattr__(self, "rows", rows)
         return rows
 
@@ -143,27 +150,26 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.rows[i]
 
-    def _int_rows(self) -> tuple[list[list[int]], int]:
-        """(rows, d) with self = rows / d, over Q."""
-        if self._fast is None:
-            d = lcm(*[e.rep.denominator for r in self.rows for e in r])
-            ints = [[e.rep.numerator * (d // e.rep.denominator) for e in r] for r in self.rows]
-            object.__setattr__(self, "_fast", (ints, d))
-        return self._fast
-
-    def _index_rows(self) -> list[list[int]]:
-        """The rows as table indices, over a tabled field."""
-        if self._fast is None:
-            object.__setattr__(self, "_fast", [table_indices(self.field, r)
-                                               for r in self.rows])
-        return self._fast
+    def _form(self):
+        """The rows in the internal form, built on first use: (integer rows,
+        d) with self = rows / d over Q, lists of kernel values elsewhere."""
+        if self._internal is None:
+            if self.field.kind == RATIONALS:
+                d = lcm(*[e.rep.denominator for r in self.rows for e in r])
+                form = ([[e.rep.numerator * (d // e.rep.denominator) for e in r]
+                         for r in self.rows], d)
+            else:
+                k = kernel_kind(self.field)
+                form = [kernel_values(k, r) for r in self.rows]
+            object.__setattr__(self, "_internal", form)
+        return self._internal
 
     def _columns(self) -> list:
         """The columns, in the internal form of the field."""
         if self.field.kind == RATIONALS:
-            rows, d = self._int_rows()
+            rows, d = self._form()
             return [(c, d) for c in zip(*rows)]
-        return list(zip(*self.rows))
+        return list(zip(*self._form()))
 
     @classmethod
     def _from_columns(cls, field: FieldDescriptor, cols: list, keep: Iterable[int]) -> "Matrix":
@@ -171,26 +177,29 @@ class Matrix:
         field, read at the positions keep."""
         if field.kind == RATIONALS:
             big = lcm(*[d for _, d in cols])
-            scaled = [(nums, big // d) for nums, d in cols]
-            return cls._from_ints(field, [[nums[k] * f for nums, f in scaled] for k in keep], big)
+            lifted = [(nums, big // d) for nums, d in cols]
+            return cls._from_ints(field, [[nums[k] * f for nums, f in lifted] for k in keep], big)
         rows = list(zip(*cols))
-        return cls._trusted(field, [rows[k] for k in keep] if cols else [()] * len(keep))
+        return cls._from_form(field, [list(rows[k]) for k in keep] if cols else [[]] * len(keep))
 
     def _scalar(self) -> FieldElement | None:
         """c when self is c times the identity, for a square self of size >= 1."""
         q = self.field.kind == RATIONALS
-        rows, d = self._int_rows() if q else (self.rows, 1)
+        rows, d = self._form() if q else (self._form(), 1)
         c = rows[0][0]
         if all(x == c if i == j else not x for i, r in enumerate(rows) for j, x in enumerate(r)):
-            return FieldElement(self.field, Fraction(c, d)) if q else c
+            return _entries(self.field, ([c], d) if q else [c])[0]
         return None
 
     def __eq__(self, other) -> bool:
         if not (isinstance(other, Matrix) and self.field == other.field):
             return False
-        # over Q both integer forms are over the least positive denominator
-        return (self._int_rows() == other._int_rows() if self.field.kind == RATIONALS
-                else self.rows == other.rows)
+        # one descriptor gives a value one internal form (over Q both integer
+        # forms are over the least positive denominator); an equal descriptor
+        # may compute in another kind, so the entries decide there
+        if self.field is other.field or self.field.kind == RATIONALS:
+            return self._form() == other._form()
+        return self.rows == other.rows
 
     def __hash__(self):
         return hash((self.field, self.rows))
@@ -233,35 +242,18 @@ class Matrix:
         vs = [_coerce_entry(self.field, e) for e in v]
         if len(vs) != self.ncols:
             raise ArityMismatch("vector length mismatch")
+        if not vs:
+            return (self.field.zero(),) * self.nrows
         return tuple(_entries(self.field, self._apply(_vector(self.field, vs))))
 
     def _apply(self, vs):
-        """self * vs, for a vector of the right length in the internal form
-        of self's field; the product comes in that form too."""
+        """self * vs, for a nonempty vector of the right length in the
+        internal form of self's field; the product comes in that form too."""
         if self.field.kind == RATIONALS:
-            rows, d = self._int_rows()
+            rows, d = self._form()
             u, e = vs
             return [sum(map(mul, r, u)) for r in rows], d * e
-        tab = self.field._table
-        if tab is not None:
-            add, elems = tab.add, tab.elems
-            # multiplication is commutative: mul[u_k][a] is u_k * a
-            us = [tab.mul[i] for i in table_indices(self.field, vs)]
-            out = []
-            for r in self._index_rows():
-                acc = 0
-                for a, mu in zip(r, us):
-                    acc = add[acc][mu[a]]
-                out.append(elems[acc])
-            return tuple(out)
-        zero = self.field.zero()
-        out = []
-        for r in self.rows:
-            acc = zero
-            for a, b in zip(r, vs):
-                acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+        return dots(self._form(), vs, kernel_kind(self.field))
 
     def map_entries(self, fn: Callable, field: FieldDescriptor | None = None) -> "Matrix":
         return Matrix(field or self.field, [[fn(a) for a in r] for r in self.rows])
@@ -274,9 +266,7 @@ class Matrix:
         for c in self._columns():
             if span._offer(c) is not None:
                 return self.field.zero()
-        det = self.field.one()
-        for a in span.pivot_values:
-            det = det * a
+        det = prod(span.pivot_values, start=self.field.one())
         return det if _permutation_sign(span.pivots) == 1 else -det
 
     def inverse(self) -> "Matrix":
@@ -310,7 +300,7 @@ class Matrix:
         """kernel_basis in the internal form of the field."""
         span = SpanTracker(self.field, self.nrows)
         q = self.field.kind == RATIONALS
-        zero, one = (0, 1) if q else (self.field.zero(), self.field.one())
+        zero, one = (0, 1) if q else (span._zero, span._one)
         basis = []
         for j, c in enumerate(self._columns()):
             rel = span._offer(c)
@@ -395,24 +385,27 @@ class SpanTracker:
     relation of any offered vector that adds nothing. Those coefficients are
     built on first use, so det and rank never pay for them.
 
-    Off Q, rows are scaled so that their pivot entry is -1: clearing entry f
-    at a pivot is then an addition of f times the row. Over Q the tracker is
-    a _RationalSpan, which keeps primitive integer rows instead, and over a
-    field with a table it is a _TabledSpan, which keeps rows of indices.
+    Off Q, vectors, rows, multipliers and coefficients are kernel values of
+    the field's kind, and every step is a `zkernel` call on that kind. Rows
+    are scaled so that their pivot entry is -1: clearing entry f at a pivot
+    is then an addition of f times the row. Over Q the tracker is a
+    _RationalSpan, which keeps primitive integer rows instead.
     """
 
     def __new__(cls, field: FieldDescriptor, dim: int):
-        if field.kind == RATIONALS:
-            return object.__new__(_RationalSpan)
-        return object.__new__(cls if field._table is None else _TabledSpan)
+        return object.__new__(_RationalSpan if field.kind == RATIONALS else cls)
 
     def __init__(self, field: FieldDescriptor, dim: int):
         self.field = field
         self.dim = dim
         self.offered = 0
         self.pivots: list[int] = []
-        self.pivot_values: list[FieldElement] = []   # pivot entries before scaling
-        # the element path's forms; the subclasses keep their own in these lists
+        self._kind = kernel_kind(field)
+        self._pivot_values: list = []                # kernel values; elements over Q
+        if field.kind != RATIONALS:
+            self._zero, self._one, self._minus_one = kernel_values(
+                self._kind, (field.zero(), field.one(), field.minus_one()))
+        # the kernel forms; _RationalSpan keeps its own in these lists
         self._rows: list[list] = []                  # row entries after the pivot
         # row i = scale * (offered[index] + sum f * row j over its steps)
         self._origins: list[tuple] = []              # (index, scale, steps)
@@ -422,33 +415,38 @@ class SpanTracker:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, v: Sequence[FieldElement]):
+    @property
+    def pivot_values(self) -> list[FieldElement]:
+        """The pivot entries before scaling."""
+        return list(kernel_elements(self.field, self._pivot_values, self._kind))
+
+    def _reduce(self, v):
         """(w, steps) with w = v + sum f * row j over (j, f) in steps, zero on every pivot."""
         w = list(v)
-        zero = self.field.zero()
+        k, zero = self._kind, self._zero
         steps = []
         for j, (p, tail) in enumerate(zip(self.pivots, self._rows)):
             f = w[p]
-            if f.is_zero():
+            if not f:
                 continue
             w[p] = zero
-            w[p + 1:] = [a + f * b for a, b in zip(w[p + 1:], tail)]
+            w[p + 1:] = add_multiple(w[p + 1:], f, tail, k)
             steps.append((j, f))
         return w, steps
 
-    def _combine(self, steps, length: int) -> list[FieldElement]:
+    def _combine(self, steps, length: int) -> list:
         """sum f * row j over steps, as coefficients of the first length offered vectors."""
         # build the missing rows' coefficients in order: each refers only to earlier rows
         while len(self._combos) < len(self._origins):
             index, scale, row_steps = self._origins[len(self._combos)]
-            self._combos.append([c * scale for c in self._sum(row_steps, index)] + [scale])
+            self._combos.append(scaled(self._sum(row_steps, index), scale, self._kind) + [scale])
         return self._sum(steps, length)
 
-    def _sum(self, steps, length: int) -> list[FieldElement]:
-        comb = [self.field.zero()] * length
+    def _sum(self, steps, length: int) -> list:
+        comb = [self._zero] * length
         for j, f in steps:
-            for k, c in enumerate(self._combos[j]):
-                comb[k] = comb[k] + f * c
+            row = self._combos[j]
+            comb[:len(row)] = add_multiple(comb, f, row, self._kind)
         return comb
 
     def offer(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
@@ -477,27 +475,28 @@ class SpanTracker:
     def _contains(self, v) -> bool:
         return not any(self._reduce(v)[0])
 
-    def _offer(self, v) -> list[FieldElement] | None:
+    def _offer(self, v) -> list | None:
         w, steps = self._reduce(v)
         index = self.offered
         self.offered += 1
         for p, a in enumerate(w):
-            if not a.is_zero():
+            if a:
                 break
         else:
             return self._combine(steps, index)
-        s = -a.inverse()
+        k = self._kind
+        s = negate(inverse(a, k), k)
         self.pivots.append(p)
-        self.pivot_values.append(a)
-        self._rows.append([x * s for x in w[p + 1:]])
+        self._pivot_values.append(a)
+        self._rows.append(scaled(w[p + 1:], s, k))
         self._origins.append((index, s, steps))
         return None
 
-    def _coordinates(self, v) -> list[FieldElement] | None:
+    def _coordinates(self, v) -> list | None:
         w, steps = self._reduce(v)
-        if not all(a.is_zero() for a in w):
+        if any(w):
             return None
-        return [-c for c in self._combine(steps, self.offered)]
+        return scaled(self._combine(steps, self.offered), self._minus_one, self._kind)
 
 
 class _RationalSpan(SpanTracker):
@@ -570,7 +569,7 @@ class _RationalSpan(SpanTracker):
             return nums, d * lam
         g = gcd(*w) if a > 0 else -gcd(*w)
         self.pivots.append(p)
-        self.pivot_values.append(FieldElement(self.field, Fraction(a, lam)))
+        self._pivot_values.append(FieldElement(self.field, Fraction(a, lam)))
         self._rows.append([x // g for x in w])
         self._origins.append((index, lam, steps, g))
         return None
@@ -583,80 +582,19 @@ class _RationalSpan(SpanTracker):
         return nums, -d * lam
 
 
-class _TabledSpan(SpanTracker):
-    """SpanTracker over a tabled finite field, on table indices.
-
-    The element path's rows, steps and coefficients with every element
-    replaced by its index in the field's table.
-    """
-
-    def _reduce(self, v: Sequence[FieldElement]):
-        w = table_indices(self.field, v)
-        add, mul = self.field._table.add, self.field._table.mul
-        steps = []
-        for j, (p, tail) in enumerate(zip(self.pivots, self._rows)):
-            f = w[p]
-            if not f:
-                continue
-            w[p] = 0
-            mf = mul[f]
-            w[p + 1:] = [add[a][mf[b]] for a, b in zip(w[p + 1:], tail)]
-            steps.append((j, f))
-        return w, steps
-
-    def _combine(self, steps, length: int) -> list[int]:
-        while len(self._combos) < len(self._origins):
-            index, scale, row_steps = self._origins[len(self._combos)]
-            ms = self.field._table.mul[scale]
-            self._combos.append([ms[c] for c in self._sum(row_steps, index)] + [scale])
-        return self._sum(steps, length)
-
-    def _sum(self, steps, length: int) -> list[int]:
-        add, mul = self.field._table.add, self.field._table.mul
-        comb = [0] * length
-        for j, f in steps:
-            mf = mul[f]
-            row = self._combos[j]
-            comb[:len(row)] = [add[a][mf[c]] for a, c in zip(comb, row)]
-        return comb
-
-    def _offer(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
-        w, steps = self._reduce(v)
-        index = self.offered
-        self.offered += 1
-        tab = self.field._table
-        for p, a in enumerate(w):
-            if a:
-                break
-        else:
-            return [tab.elems[c] for c in self._combine(steps, index)]
-        s = tab.neg[tab.inv[a]]
-        ms = tab.mul[s]
-        self.pivots.append(p)
-        self.pivot_values.append(tab.elems[a])
-        self._rows.append([ms[x] for x in w[p + 1:]])
-        self._origins.append((index, s, steps))
-        return None
-
-    def _coordinates(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
-        w, steps = self._reduce(v)
-        if any(w):
-            return None
-        tab = self.field._table
-        return [tab.elems[tab.neg[c]] for c in self._combine(steps, self.offered)]
-
-
 def _plus_scalar(m: Matrix, c: FieldElement) -> Matrix:
     """m + c * I, adding c on the diagonal only."""
     if c.is_zero():
         return m
     if m.field.kind == RATIONALS:
-        (rows, d), a, b = m._int_rows(), c.rep.numerator, c.rep.denominator
+        (rows, d), a, b = m._form(), c.rep.numerator, c.rep.denominator
         return Matrix._from_ints(m.field, [[x * b + a * d if i == j else x * b
                                             for j, x in enumerate(r)]
                                            for i, r in enumerate(rows)], d * b)
-    return Matrix._trusted(m.field, [r[:i] + (r[i] + c,) + r[i + 1:]
-                                     for i, r in enumerate(m.rows)])
+    k = kernel_kind(m.field)
+    cv, one = kernel_values(k, (c, m.field.one()))
+    return Matrix._from_form(m.field, [r[:i] + add_multiple(r[i:i + 1], cv, [one], k) + r[i + 1:]
+                                       for i, r in enumerate(m._form())])
 
 
 def poly_eval_matrix(f: Polynomial, a: Matrix) -> Matrix:

@@ -1,22 +1,25 @@
 """Integer primitives: primality, next prime, integer factorization, p-adic
 splitting.
 
-Deterministic Miller-Rabin is exact for anything below 3.3 * 10^24, which is
-far beyond every integer this package touches; Pollard rho handles composite
-splitting at desk scale.
+Deterministic Miller-Rabin on the primes up to 41 is exact below 3.3 * 10^24
+(psi_13; Sorenson and Webster, Math. Comp. 2017), which is far beyond every
+integer this package touches; psi_12 = 318665857834031151167461 is a strong
+pseudoprime to the primes up to 37. Pollard rho handles composite splitting
+at desk scale.
 """
 
 from __future__ import annotations
 
 import math
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the Miller-Rabin bases, which are also the trial divisors
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -76,6 +79,19 @@ def _pollard_rho(n: int) -> int:
             d = math.gcd(abs(x - y), n)
         if d != n:
             return d
+
+
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, d) with q = p^d and p prime, or None, for q >= 2. Each d <= log2 q
+    is tried through the integer part r of the d-th root: no factoring."""
+    for d in range(1, q.bit_length()):
+        # Newton's method from above, starting at 2^ceil(bits / d) > r
+        r = 1 << -(-q.bit_length() // d)
+        while (s := ((d - 1) * r + q // r ** (d - 1)) // d) < r:
+            r = s
+        if r ** d == q and is_prime(r):
+            return r, d
+    return None
 
 
 def factor_int(n: int) -> dict[int, int]:

@@ -21,9 +21,15 @@ through this one code path.
 The public `zp_*` names are the kernel's boundary. The routines call each
 other only through their private names, so a tracer that rebinds `zp_*`
 counts the calls into the kernel, not its internal steps.
+
+`linalg` computes off Q through `inverse`, `negate`, `add_multiple`,
+`scaled` and `dots`, outside the `zp_` prefix: kernel counts stay counts of
+polynomial calls.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from mkt.errors import DivisionByZero
 
@@ -52,7 +58,7 @@ def _reduce(out: list, p) -> list:
     return trim(out)
 
 
-def _inv(c, p):
+def inverse(c, p):
     if p is None:
         return c.inverse()
     if p.__class__ is int:
@@ -69,7 +75,7 @@ def _times(x, y, p):
     return p.mul[x][y]
 
 
-def _negate(x, p):
+def negate(x, p):
     if p is None:
         return -x
     if p.__class__ is int:
@@ -106,10 +112,7 @@ def _sub(a, b, p):
 
 
 def _scale(a, c, p):
-    if _tabled(p):
-        row = p.mul[c]
-        return trim([row[x] for x in a])
-    return _reduce([x * c for x in a], p)
+    return trim(scaled(a, c, p))
 
 
 def _mul(a, b, p):
@@ -142,7 +145,7 @@ def _divmod(a, b, p):
         return [], list(a)
     if _tabled(p):
         return _divmod_indices(a, b, p)
-    inv_lead = _inv(b[db], p)
+    inv_lead = inverse(b[db], p)
     r = list(a)
     q = [None] * (da - db + 1)
     for k in range(da - db, -1, -1):
@@ -186,7 +189,7 @@ def _gcd(a, b, p):
         a, b = b, _rem(a, b, p)
     if not a:
         return []
-    return _scale(a, _inv(a[-1], p), p)
+    return _scale(a, inverse(a[-1], p), p)
 
 
 def _invmod(a, f, p):
@@ -203,7 +206,7 @@ def _invmod(a, f, p):
         s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
     if len(r0) != 1:
         raise DivisionByZero("element not invertible modulo f")
-    return _scale(s0, _inv(_times(r0[0], c, p), p), p)
+    return _scale(s0, inverse(_times(r0[0], c, p), p), p)
 
 
 def _mulmod(a, b, f, p):
@@ -240,13 +243,52 @@ def _resultant(a, b, p):
         if not r:
             return acc - acc  # the zero of a's kind
         if (len(a) - 1) * (len(b) - 1) & 1:
-            acc = _negate(acc, p)
+            acc = negate(acc, p)
         for _ in range(len(a) - len(r)):
             acc = _times(acc, b[-1], p)
         a, b = b, r
     for _ in range(len(a) - 1):
         acc = _times(acc, b[0], p)
     return acc
+
+
+def add_multiple(w: list, f, row, p) -> list:
+    """w + f * row, entry by entry, as long as the shorter of w and row."""
+    if p is None:
+        return [a + f * b for a, b in zip(w, row)]
+    if p.__class__ is int:
+        return [(a + f * b) % p for a, b in zip(w, row)]
+    add, mf = p.add, p.mul[f]
+    return [add[a][mf[b]] for a, b in zip(w, row)]
+
+
+def scaled(row, s, p) -> list:
+    """s * row, entry by entry (no trailing zeros are dropped)."""
+    if p is None:
+        return [s * b for b in row]
+    if p.__class__ is int:
+        return [s * b % p for b in row]
+    ms = p.mul[s]
+    return [ms[b] for b in row]
+
+
+def dots(rows, v, p) -> list:
+    """The dot product of each of rows with v; with p None, v is not empty."""
+    if p is None:
+        zero = v[0] - v[0]
+        return [sum(map(mul, r, v), zero) for r in rows]
+    if p.__class__ is int:
+        return [sum(map(mul, r, v)) % p for r in rows]
+    add = p.add
+    # multiplication is commutative: mul[v_k][a] is a * v_k
+    muls = [p.mul[x] for x in v]
+    out = []
+    for r in rows:
+        acc = 0
+        for a, mx in zip(r, muls):
+            acc = add[acc][mx[a]]
+        out.append(acc)
+    return out
 
 
 zp_add = _add

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -56,6 +57,17 @@ class TestCanon:
         code, out = run(capsys, ["canon", path])
         assert code == 0
         assert out["class"] == {"zero": True}
+
+    def test_composite_p_that_fools_twelve_bases(self, capsys, tmp_path):
+        # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to the
+        # twelve prime bases up to 37
+        path = write_doc(tmp_path, "d.json", {
+            "field": {"kind": "Fq", "p": 318665857834031151167461},
+            "symbols": [{"coeff": 1, "entries": ["2"]}],
+        })
+        code, out = run(capsys, ["canon", path])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
 
     def test_stdin_input(self, capsys, monkeypatch):
         doc = {"field": {"kind": "Q"},
@@ -400,6 +412,23 @@ class TestSuites:
             assert "--l" in out["error"]["message"]
         else:
             assert out["passed"] == 1 and out["failures"] == []
+
+    def test_reciprocity_q_is_no_prime_power(self, capsys):
+        # (10^18 + 3)(2 * 10^18 + 57): deciding it needs no factoring. A
+        # subprocess with a time bound first, so that a hang fails the test
+        q = "2000000000000000063000000000000000171"
+        argv = ["check", "reciprocity", "--q", q, "--trials", "1"]
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(mkt.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "mkt.cli", *argv],
+                              capture_output=True, text=True, timeout=10, env=env)
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
+        start = time.perf_counter()
+        code, out = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out["error"]["type"] == "ParseError"
+        assert "prime power" in out["error"]["message"]
 
     def test_zero_trials_pass_vacuously(self, capsys):
         code, out = run(capsys, ["check", "hilbert", "--trials", "0"])

@@ -318,6 +318,31 @@ class TestFactorOverQ:
         assert factor_module._squarefree_part(f) == [0, -p, 1]
 
 
+# Sorenson and Webster's psi_12 = 399165290221 * 798330580441, the least
+# strong pseudoprime to the twelve prime bases up to 37
+PSI_12 = 318665857834031151167461
+
+
+class TestPrimality:
+    def test_is_prime_against_trial_division(self):
+        for n in range(-2, 3000):
+            prime = n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+            assert numutil.is_prime(n) == prime
+
+    def test_strong_pseudoprime_to_twelve_bases(self):
+        assert PSI_12 == 399165290221 * 798330580441
+        assert not numutil.is_prime(PSI_12)
+        assert numutil.is_prime(399165290221) and numutil.is_prime(798330580441)
+
+    def test_prime_power_against_factor_int(self):
+        for q in range(1, 3000):
+            fac = numutil.factor_int(q)
+            assert numutil.prime_power(q) == (next(iter(fac.items())) if len(fac) == 1 else None)
+        p = 2 ** 61 - 1
+        assert [numutil.prime_power(p ** d) for d in (1, 2, 3)] == [(p, 1), (p, 2), (p, 3)]
+        assert numutil.prime_power(PSI_12) is None and numutil.prime_power(PSI_12 ** 2) is None
+
+
 def shifted_norm(f, s):
     """Norm over Q of f(x - s alpha), f over L = Q(alpha): the determinant
     over Q(x) of multiplication by it on L(x), by Horner on Q-blocks."""
@@ -672,7 +697,8 @@ class TestIsOneAndHash:
             elems += [K.element((1,)), K.element((1, 1)), K.element((0, 1)), K.gen()]
             # the same values again, now carrying their index in all_elements
             elems += [K.element(tuple(e.rep)) for e in elems]
-            fields_module.table_indices(K, elems[len(elems) // 2:])
+            for e in elems[len(elems) // 2:]:
+                fields_module._index(e)
             assert any(e.ix == 1 for e in elems) and any(e.ix not in (None, 1) for e in elems)
         if K.kind == "function":
             c = Polynomial(K.base, [K.base.from_int(2)])

@@ -1,5 +1,6 @@
-"""Every name a module of mkt imports is used in that module, and no module
-imports a private name from another.
+"""Every name a module of mkt imports is used in that module, no module
+imports a private name from another, and only `fields` and `zkernel` read a
+field's `_table`, so the table's layout stays behind those two.
 
 `__init__.py` is exempt: its imports are the package's re-exports.
 """
@@ -61,3 +62,25 @@ def test_flags_a_private_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
+
+
+# the modules that may read a field's `_table`: fields builds it, zkernel
+# computes with it; every other module goes through fields.kernel_kind
+TABLE_OWNERS = {"fields.py", "zkernel.py"}
+
+
+def table_reads(source: str) -> list[str]:
+    """The lines on which source reads an attribute named _table."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "_table"]
+
+
+def test_flags_a_table_read():
+    source = "tab = field._table\nadd = f.base._table.add\nfield.table = 1\n"
+    assert table_reads(source) == ["line 1", "line 2"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in TABLE_OWNERS],
+                         ids=lambda p: p.name)
+def test_no_table_reads(path):
+    assert table_reads(path.read_text()) == []

@@ -16,8 +16,8 @@ import pytest
 from mkt import zkernel
 from mkt.errors import DivisionByZero
 from mkt.factor import poly_powmod
-from mkt.fields import (Polynomial, extension, poly_gcd, poly_resultant,
-                        rationals, table_indices)
+from mkt.fields import (Polynomial, extension, kernel_values, poly_gcd, poly_resultant,
+                        rationals)
 from mkt.sampling import monic_irreducible, random_element, random_unit
 from tests.conftest import f16_over_f4, f81_over_f9, make_field, twin_element, untabled_twin
 
@@ -81,7 +81,7 @@ class Indices:
 
     def irreducible(self, rng):
         f = monic_irreducible(self.field, rng, 3, span=3)
-        return table_indices(self.field, f.coeffs)
+        return kernel_values(self.p, f.coeffs)
 
 
 # each builds its coefficient kind inside the test, after the caches are reset;
