@@ -347,10 +347,11 @@ def _kernel_layers(field, ops: list[Matrix], pi: Polynomial, ker: list) -> list[
     """The simple factors of ker pi(a), a = ops[0], for pi irreducible.
 
     On the kernel a acts as the class of x in field[x]/(pi). A linear pi
-    makes that a scalar. Otherwise each kernel vector v outside the blocks
+    makes that a scalar. Otherwise the kernel is a vector space over
+    field[x]/(pi); with other slots, each kernel vector v outside the blocks
     so far starts a block v, av, ..., a^(d-1)v, which is one coordinate
-    over the extension, until the blocks fill the kernel; over an extension
-    of Q that step is refused.
+    over the extension, until the blocks fill the kernel. A single slot
+    needs only the dimension. Over an extension of Q that step is refused.
     """
     d = pi.degree
     if d == 1:
@@ -359,21 +360,24 @@ def _kernel_layers(field, ops: list[Matrix], pi: Polynomial, ker: list) -> list[
     elif field.kind == EXTENSION and not field.is_finite():
         raise UnsupportedTower("splitting this tuple needs a second extension step over Q")
     else:
-        a = ops[0]
-        span = SpanTracker(field, a.nrows)
-        starts = []
-        for v in ker:
-            if len(starts) * d == len(ker):
-                break
-            if span._contains(v):
-                continue
-            block = [v]
-            for _ in range(1, d):
-                block.append(a._apply(block[-1]))
-            if not all(span._offer(u) is None for u in block):
-                raise RecursionInvariantViolated("cyclic block collapsed")
-            starts.append(v)
-        e = len(starts)
+        if len(ops) == 1:
+            e = len(ker) // d
+        else:
+            a = ops[0]
+            span = SpanTracker(field, a.nrows)
+            starts = []
+            for v in ker:
+                if len(starts) * d == len(ker):
+                    break
+                if span._contains(v):
+                    continue
+                block = [v]
+                for _ in range(1, d):
+                    block.append(a._apply(block[-1]))
+                if not all(span._offer(u) is None for u in block):
+                    raise RecursionInvariantViolated("cyclic block collapsed")
+                starts.append(v)
+            e = len(starts)
         if e * d != len(ker):
             raise RecursionInvariantViolated("kernel dimension not divisible by the step degree")
         # the span holds the blocks in order, so coordinates d at a time are

@@ -32,7 +32,7 @@ from .errors import (BadModulus, DegenerateInput, RecursionInvariantViolated,
                      UnsupportedCombination, ZeroInput)
 from .fields import PRIME, RATIONALS, FieldDescriptor, FieldElement
 from .linalg import Matrix
-from .numutil import is_prime, split_power
+from .numutil import is_prime, split_rational
 from .sampling import commuting_tuple, invertible_matrix, random_unit
 from .valuations import PRIME_PLACE, REAL, Valuation
 
@@ -79,18 +79,6 @@ def legendre(a, p: int) -> int:
     return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
 
 
-def _split_at(q: Fraction, p: int) -> tuple[int, Fraction]:
-    # q = p^v * u with u a p-unit
-    a, num = split_power(q.numerator, p)
-    b, den = split_power(q.denominator, p)
-    return a - b, Fraction(num, den)
-
-
-def _odd_residue_mod8(u: Fraction) -> int:
-    # for u with odd numerator and denominator; inverses mod 8 are themselves
-    return (u.numerator * u.denominator) % 8
-
-
 def _place_token(place):
     """Normalize a place argument to 'inf' or a prime int."""
     if isinstance(place, Valuation):
@@ -123,18 +111,20 @@ def hilbert(a, b, place) -> int:
     if tok == "inf":
         return -1 if (qa < 0 and qb < 0) else 1
     p = tok
-    alpha, u = _split_at(qa, p)
-    beta, v = _split_at(qb, p)
+    # qa = p^alpha * u and qb = p^beta * v with p-units u and v
+    alpha, un, ud = split_rational(qa, p)
+    beta, vn, vd = split_rational(qb, p)
     if p != 2:
         # legendre of the tame component (-1)^(alpha beta) u^beta v^(-alpha)
         sign = -1 if (alpha * beta) % 2 == 1 and p % 4 == 3 else 1
         out = sign
         if beta % 2 == 1:
-            out *= legendre(u, p)
+            out *= legendre(Fraction(un, ud), p)
         if alpha % 2 == 1:
-            out *= legendre(v, p)
+            out *= legendre(Fraction(vn, vd), p)
         return out
-    u8, v8 = _odd_residue_mod8(u), _odd_residue_mod8(v)
+    # odd numerators and denominators: inverses mod 8 are themselves
+    u8, v8 = un * ud % 8, vn * vd % 8
     eps_u, eps_v = (u8 - 1) // 2 % 2, (v8 - 1) // 2 % 2
     om_u, om_v = (u8 * u8 - 1) // 8 % 2, (v8 * v8 - 1) // 8 % 2
     e = eps_u * eps_v + alpha * om_v + beta * om_u

@@ -2,11 +2,12 @@
 
 Everything here works on small matrices (module decompositions, Krylov
 minimal polynomials), so the code favors clarity over asymptotics. There is
-one elimination routine, SpanTracker: an incremental echelon basis that
-can write each of its rows in the vectors offered to it, pivoting on the
-first nonzero entry. Determinant, inverse, rank, kernel, solving and
-the Krylov minimal polynomial are all read off a tracker. Over k(t) the
-same routine takes the determinant of a matrix with polynomial entries.
+one elimination routine, SpanTracker: an incremental echelon basis,
+pivoting on the first nonzero entry, whose rows carry their coefficients
+in the vectors offered to it (elimination on [A | I]). Determinant,
+inverse, rank, kernel, solving and the Krylov minimal polynomial are all
+read off a tracker. Over k(t) the same routine takes the determinant of
+a matrix with polynomial entries.
 
 Matrix-vector products (`apply`) have one kernel per field kind, and a
 matrix product applies the left factor to each column of the right one.
@@ -82,11 +83,12 @@ class Matrix:
         self._fill(field, rs)
 
     @classmethod
-    def _trusted(cls, field: FieldDescriptor, rows: Iterable[Iterable]) -> "Matrix":
+    def _trusted(cls, field: FieldDescriptor, rows: Iterable[Iterable], ncols: int = 0) -> "Matrix":
         """A matrix whose rows, of one length, hold elements of field made by
-        arithmetic on checked matrices; nothing is rechecked."""
+        arithmetic on checked matrices; nothing is rechecked. ncols is the
+        width of a matrix with no rows."""
         out = object.__new__(cls)
-        out._fill(field, tuple(map(tuple, rows)))
+        out._fill(field, tuple(map(tuple, rows)), ncols=ncols)
         return out
 
     @classmethod
@@ -106,14 +108,14 @@ class Matrix:
         out._fill(field, None, form)
         return out
 
-    def _fill(self, field: FieldDescriptor, rows: tuple | None, form=None) -> None:
+    def _fill(self, field: FieldDescriptor, rows: tuple | None, form=None, ncols: int = 0) -> None:
         if rows is None:
             lines = form[0] if field.kind == RATIONALS else form
         else:
             lines = rows
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nrows", len(lines))
-        object.__setattr__(self, "ncols", len(lines[0]) if lines else 0)
+        object.__setattr__(self, "ncols", len(lines[0]) if lines else ncols)
         object.__setattr__(self, "_internal", form)  # _form, when given
         if rows is not None:
             object.__setattr__(self, "rows", rows)
@@ -141,7 +143,7 @@ class Matrix:
     def zeros(cls, field, n: int, m: int | None = None) -> "Matrix":
         m = n if m is None else m
         zero = field.zero()
-        return cls._trusted(field, [[zero] * m for _ in range(n)])
+        return cls._trusted(field, [[zero] * m for _ in range(n)], m)
 
     @property
     def is_square(self) -> bool:
@@ -166,10 +168,10 @@ class Matrix:
 
     def _columns(self) -> list:
         """The columns, in the internal form of the field."""
-        if self.field.kind == RATIONALS:
-            rows, d = self._form()
-            return [(c, d) for c in zip(*rows)]
-        return list(zip(*self._form()))
+        q = self.field.kind == RATIONALS
+        rows, d = self._form() if q else (self._form(), 1)
+        cols = list(zip(*rows)) if rows else [()] * self.ncols
+        return [(c, d) for c in cols] if q else cols
 
     @classmethod
     def _from_columns(cls, field: FieldDescriptor, cols: list, keep: Iterable[int]) -> "Matrix":
@@ -180,7 +182,7 @@ class Matrix:
             lifted = [(nums, big // d) for nums, d in cols]
             return cls._from_ints(field, [[nums[k] * f for nums, f in lifted] for k in keep], big)
         rows = list(zip(*cols))
-        return cls._from_form(field, [list(rows[k]) for k in keep] if cols else [[]] * len(keep))
+        return cls._from_form(field, [list(rows[k]) for k in keep])
 
     def _scalar(self) -> FieldElement | None:
         """c when self is c times the identity, for a square self of size >= 1."""
@@ -192,7 +194,8 @@ class Matrix:
         return None
 
     def __eq__(self, other) -> bool:
-        if not (isinstance(other, Matrix) and self.field == other.field):
+        if not (isinstance(other, Matrix) and self.field == other.field
+                and self.nrows == other.nrows and self.ncols == other.ncols):
             return False
         # one descriptor gives a value one internal form (over Q both integer
         # forms are over the least positive denominator); an equal descriptor
@@ -207,15 +210,15 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._shape_check(other)
         return Matrix._trusted(self.field, [[a + b for a, b in zip(r1, r2)]
-                                            for r1, r2 in zip(self.rows, other.rows)])
+                                            for r1, r2 in zip(self.rows, other.rows)], self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._shape_check(other)
         return Matrix._trusted(self.field, [[a - b for a, b in zip(r1, r2)]
-                                            for r1, r2 in zip(self.rows, other.rows)])
+                                            for r1, r2 in zip(self.rows, other.rows)], self.ncols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._trusted(self.field, [[-a for a in r] for r in self.rows])
+        return Matrix._trusted(self.field, [[-a for a in r] for r in self.rows], self.ncols)
 
     def _shape_check(self, other: "Matrix"):
         if not isinstance(other, Matrix):
@@ -231,11 +234,13 @@ class Matrix:
                 raise DescriptorMismatch("matrices over different fields")
             if self.ncols != other.nrows:
                 raise ArityMismatch("inner dimensions disagree")
+            if not (self.nrows and self.ncols and other.ncols):
+                return Matrix.zeros(self.field, self.nrows, other.ncols)
             # column j of the product is self applied to column j of other
             return Matrix._from_columns(self.field, [self._apply(c) for c in other._columns()],
                                         range(self.nrows))
         e = _coerce_entry(self.field, other)
-        return Matrix._trusted(self.field, [[a * e for a in r] for r in self.rows])
+        return Matrix._trusted(self.field, [[a * e for a in r] for r in self.rows], self.ncols)
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix-vector product; v is a sequence of entries."""
@@ -335,7 +340,7 @@ class Matrix:
                     a = self.rows[i][j]
                     line.extend(a * b for b in other.rows[k])
                 out.append(line)
-        return Matrix._trusted(self.field, out)
+        return Matrix._trusted(self.field, out, self.ncols * other.ncols)
 
     def direct_sum(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -347,7 +352,7 @@ class Matrix:
             out.append(list(self.rows[i]) + [zero] * m2)
         for i in range(n2):
             out.append([zero] * m1 + list(other.rows[i]))
-        return Matrix._trusted(self.field, out)
+        return Matrix._trusted(self.field, out, m1 + m2)
 
     def conjugate(self, s: "Matrix") -> "Matrix":
         """s * self * s^-1."""
@@ -377,19 +382,26 @@ def _permutation_sign(perm: Sequence[int]) -> int:
 class SpanTracker:
     """Incremental echelon basis of the span of the vectors offered to it.
 
-    This is the package's one elimination routine. A vector is reduced
-    against the stored rows in the order they were stored; each stored row
-    is zero on the pivots of the rows stored before it, so one forward pass
-    clears every pivot. Every stored row also remembers how it was reduced,
-    which gives the coordinates of any vector in the span and the linear
-    relation of any offered vector that adds nothing. Those coefficients are
-    built on first use, so det and rank never pay for them.
+    This is the package's one elimination routine: Gaussian elimination on
+    the augmented matrix [A | I]. A vector is reduced against the stored
+    rows in the order they were stored; each stored row is zero on the
+    pivots of the rows stored before it, so one forward pass clears every
+    pivot. Every stored row carries a tail after its entries: its
+    coefficients in the vectors offered before it and in its own vector.
+    An offered vector is reduced with a tail that is 1 on itself, so the
+    pass that clears it also writes the cleared vector in the offered
+    vectors. That is the relation of an offered vector that adds nothing,
+    and reducing a vector with a zero tail gives minus its coordinates. An
+    offered vector that adds nothing never becomes a row, so its
+    coefficient in every tail is zero.
 
     Off Q, vectors, rows, multipliers and coefficients are kernel values of
-    the field's kind, and every step is a `zkernel` call on that kind. Rows
-    are scaled so that their pivot entry is -1: clearing entry f at a pivot
-    is then an addition of f times the row. Over Q the tracker is a
-    _RationalSpan, which keeps primitive integer rows instead.
+    the field's kind, and every step is a `zkernel` call on that kind. A row
+    keeps its entries after the pivot, then its tail, scaled so that its
+    pivot entry is -1: clearing entry f at a pivot is then an addition of f
+    times the row, one call for the entries and the tail, as a row's tail is
+    never longer than the vector's. Over Q the tracker is a _RationalSpan,
+    which keeps primitive integer rows instead.
     """
 
     def __new__(cls, field: FieldDescriptor, dim: int):
@@ -401,15 +413,13 @@ class SpanTracker:
         self.offered = 0
         self.pivots: list[int] = []
         self._kind = kernel_kind(field)
-        self._pivot_values: list = []                # kernel values; elements over Q
-        if field.kind != RATIONALS:
+        self._pivot_values: list = []                # kernel values; (a, b) for a / b over Q
+        self._rows: list[list] = []                  # the kernel forms; integer rows over Q
+        if field.kind == RATIONALS:
+            self._denominators: list[int] = []       # d_k of offered vector k
+        else:
             self._zero, self._one, self._minus_one = kernel_values(
                 self._kind, (field.zero(), field.one(), field.minus_one()))
-        # the kernel forms; _RationalSpan keeps its own in these lists
-        self._rows: list[list] = []                  # row entries after the pivot
-        # row i = scale * (offered[index] + sum f * row j over its steps)
-        self._origins: list[tuple] = []              # (index, scale, steps)
-        self._combos: list = []                      # row i = sum combo[k] * offered[k]
 
     @property
     def rank(self) -> int:
@@ -420,34 +430,16 @@ class SpanTracker:
         """The pivot entries before scaling."""
         return list(kernel_elements(self.field, self._pivot_values, self._kind))
 
-    def _reduce(self, v):
-        """(w, steps) with w = v + sum f * row j over (j, f) in steps, zero on every pivot."""
-        w = list(v)
+    def _reduce(self, w: list) -> list:
+        """w with every pivot cleared, in place; a tail after its first dim
+        entries is carried along."""
         k, zero = self._kind, self._zero
-        steps = []
-        for j, (p, tail) in enumerate(zip(self.pivots, self._rows)):
+        for p, row in zip(self.pivots, self._rows):
             f = w[p]
-            if not f:
-                continue
-            w[p] = zero
-            w[p + 1:] = add_multiple(w[p + 1:], f, tail, k)
-            steps.append((j, f))
-        return w, steps
-
-    def _combine(self, steps, length: int) -> list:
-        """sum f * row j over steps, as coefficients of the first length offered vectors."""
-        # build the missing rows' coefficients in order: each refers only to earlier rows
-        while len(self._combos) < len(self._origins):
-            index, scale, row_steps = self._origins[len(self._combos)]
-            self._combos.append(scaled(self._sum(row_steps, index), scale, self._kind) + [scale])
-        return self._sum(steps, length)
-
-    def _sum(self, steps, length: int) -> list:
-        comb = [self._zero] * length
-        for j, f in steps:
-            row = self._combos[j]
-            comb[:len(row)] = add_multiple(comb, f, row, self._kind)
-        return comb
+            if f:
+                w[p] = zero
+                w[p + 1:p + 1 + len(row)] = add_multiple(w[p + 1:], f, row, k)
+        return w
 
     def offer(self, v: Sequence[FieldElement]) -> list[FieldElement] | None:
         """Insert v. None when v enlarged the span; otherwise the relation
@@ -473,113 +465,99 @@ class SpanTracker:
     # the same on vectors in the internal form of the field (see the module
     # docstring); the relation and the coordinates come in that form too
     def _contains(self, v) -> bool:
-        return not any(self._reduce(v)[0])
+        return not any(self._reduce(list(v)))
 
     def _offer(self, v) -> list | None:
-        w, steps = self._reduce(v)
-        index = self.offered
+        index, dim = self.offered, self.dim
         self.offered += 1
-        for p, a in enumerate(w):
-            if a:
+        w = self._reduce([*v, *[self._zero] * index, self._one])
+        for p in range(dim):
+            if w[p]:
                 break
         else:
-            return self._combine(steps, index)
-        k = self._kind
-        s = negate(inverse(a, k), k)
+            return w[dim:dim + index]
+        k, a = self._kind, w[p]
         self.pivots.append(p)
         self._pivot_values.append(a)
-        self._rows.append(scaled(w[p + 1:], s, k))
-        self._origins.append((index, s, steps))
+        self._rows.append(scaled(w[p + 1:], negate(inverse(a, k), k), k))
         return None
 
     def _coordinates(self, v) -> list | None:
-        w, steps = self._reduce(v)
-        if any(w):
+        dim = self.dim
+        w = self._reduce([*v, *[self._zero] * self.offered])
+        if any(w[:dim]):
             return None
-        return scaled(self._combine(steps, self.offered), self._minus_one, self._kind)
+        return scaled(w[dim:], self._minus_one, self._kind)
 
 
 class _RationalSpan(SpanTracker):
     """SpanTracker over Q on Python ints.
 
-    Row i (in _rows) is a whole primitive integer vector with a positive
-    pivot entry. An offered vector comes as integer numerators over one
-    denominator and is reduced by cross-multiplication, w <- a * w - c *
-    row j with a and c the pivot entries of row j and w over their gcd, so
-    w = lam * v + sum mu * row j with integers lam and mu. That w is lam
-    times the element path's w, so the pivot values agree. Row i remembers
-    (index, lam, steps, g) with row i = (lam * offered[index] + sum mu *
-    row j) / g, and its coefficients in the offered vectors are one
-    (numerators, denominator) pair.
+    Offered vector k comes as integer numerators n_k over one denominator
+    d_k, and its tail coefficients are on n_k. Row i (in _rows) is a whole
+    primitive integer vector with a positive pivot entry, its tail included.
+    A vector is reduced by cross-multiplication, w <- a * w - c * row with a
+    and c the pivot entries of the row and of w over their gcd. The vector's
+    own coefficient sits in one trailing slot, so after the pass it holds
+    the multiple lam with w = lam * n + sum of rows, and the pivot entry a
+    of w is the element path's pivot times lam * d.
     """
 
-    def _reduce(self, v: tuple[Sequence[int], int]):
-        """(w, lam, steps) for the vector v = nums / d, given as (nums, d): w =
-        lam * v + sum mu * row j over [j, mu] in steps, zero on every pivot,
-        all ints."""
-        w, lam = v
-        steps = []
-        for j, (p, row) in enumerate(zip(self.pivots, self._rows)):
+    @property
+    def pivot_values(self) -> list[FieldElement]:
+        return [FieldElement(self.field, Fraction(a, b)) for a, b in self._pivot_values]
+
+    def _reduce(self, w: list[int]) -> list[int]:
+        for p, row in zip(self.pivots, self._rows):
             c = w[p]
             if not c:
                 continue
             a = row[p]
             g = gcd(a, c)
             a, c = a // g, c // g
+            n = len(row)
             if a == 1:
-                w = [x - c * y for x, y in zip(w, row)]
+                w[:n] = [x - c * y for x, y in zip(w, row)]
             else:
-                w = [a * x - c * y for x, y in zip(w, row)]
-                lam *= a
-                for step in steps:
-                    step[1] *= a
-            steps.append([j, -c])
-        return w, lam, steps
+                w = [a * x - c * y for x, y in zip(w, row)] + [a * x for x in w[n:]]
+        return w
 
-    def _combine(self, steps, length: int) -> tuple[list[int], int]:
-        """(nums, d): sum mu * row j over steps is sum_k nums[k] / d * offered[k], k < length."""
-        while len(self._combos) < len(self._origins):
-            index, lam, row_steps, g = self._origins[len(self._combos)]
-            nums, d = self._sum(row_steps, index)
-            nums.append(lam * d)
-            d *= g
-            common = gcd(d, *nums)
-            self._combos.append(([n // common for n in nums], d // common))
-        return self._sum(steps, length)
+    def _written(self, w: list[int], d: int) -> tuple[list[int], int]:
+        """(x, e) for the reduced w of a vector n / d that reduced to zero:
+        the vector plus sum_k x_k / e * offered[k] is zero."""
+        nums = [t * dk for t, dk in zip(w[self.dim:-1], self._denominators)]
+        e = w[-1] * d
+        g = gcd(e, *nums)
+        return [x // g for x in nums], e // g
 
-    def _sum(self, steps, length: int) -> tuple[list[int], int]:
-        d = lcm(*[self._combos[j][1] for j, _ in steps])
-        comb = [0] * length
-        for j, mu in steps:
-            nums, dj = self._combos[j]
-            f = mu * (d // dj)
-            for k, c in enumerate(nums):
-                comb[k] += f * c
-        return comb, d
+    def _contains(self, v: tuple[Sequence[int], int]) -> bool:
+        return not any(self._reduce(list(v[0])))
 
     def _offer(self, v: tuple[Sequence[int], int]) -> tuple[list[int], int] | None:
-        w, lam, steps = self._reduce(v)
-        index = self.offered
+        nums, d = v
+        index, dim = self.offered, self.dim
         self.offered += 1
-        for p, a in enumerate(w):
-            if a:
+        self._denominators.append(d)
+        w = self._reduce([*nums, *[0] * index, 1])
+        for p in range(dim):
+            if w[p]:
                 break
         else:
-            nums, d = self._combine(steps, index)
-            return nums, d * lam
+            return self._written(w, d)
+        a = w[p]
         g = gcd(*w) if a > 0 else -gcd(*w)
         self.pivots.append(p)
-        self._pivot_values.append(FieldElement(self.field, Fraction(a, lam)))
+        self._pivot_values.append((a, w[-1] * d))
         self._rows.append([x // g for x in w])
-        self._origins.append((index, lam, steps, g))
         return None
 
     def _coordinates(self, v: tuple[Sequence[int], int]) -> tuple[list[int], int] | None:
-        w, lam, steps = self._reduce(v)
-        if any(w):
+        nums, d = v
+        w = self._reduce([*nums, *[0] * self.offered, 1])
+        if any(w[:self.dim]):
             return None
-        nums, d = self._combine(steps, self.offered)
-        return nums, -d * lam
+        x, e = self._written(w, d)
+        return x, -e
 
 
 def _plus_scalar(m: Matrix, c: FieldElement) -> Matrix:

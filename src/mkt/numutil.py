@@ -11,6 +11,7 @@ at desk scale.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 # the Miller-Rabin bases, which are also the trial divisors
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -47,6 +48,14 @@ def split_power(m: int, p: int) -> tuple[int, int]:
         m //= p
         n += 1
     return n, m
+
+
+def split_rational(q: Fraction, p: int) -> tuple[int, int, int]:
+    """(n, a, b) for a nonzero Fraction q = p**n * a / b, with p dividing
+    neither a nor b and q's sign on a."""
+    n, a = split_power(q.numerator, p)
+    k, b = split_power(q.denominator, p)
+    return n - k, a, b
 
 
 def next_prime(n: int) -> int:

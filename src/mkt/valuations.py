@@ -24,7 +24,7 @@ from mkt.factor import factor, is_irreducible
 from mkt.fields import (FUNCTION, RATIONALS, FieldDescriptor, FieldElement,
                         Polynomial, RationalFunction, element_from_poly,
                         extension, prime_field, rationals)
-from mkt.numutil import factor_int, is_prime, split_power
+from mkt.numutil import factor_int, is_prime, split_rational
 from mkt.symbols import MilnorExpression
 
 FINITE = "finite"
@@ -145,8 +145,7 @@ def valuate(v: Valuation, x: FieldElement) -> int:
     if v.kind == INFINITE:
         rf = x.rep
         return rf.den.degree - rf.num.degree
-    q = x.rep
-    return split_power(q.numerator, v.p)[0] - split_power(q.denominator, v.p)[0]
+    return split_rational(x.rep, v.p)[0]
 
 
 def unit_part(v: Valuation, x: FieldElement) -> tuple[int, FieldElement]:
@@ -169,10 +168,8 @@ def unit_part(v: Valuation, x: FieldElement) -> tuple[int, FieldElement]:
         else:
             u = RationalFunction(rf.num, rf.den * xpow)
         return n, v.field.element(u)
-    q = x.rep
-    a, num = split_power(q.numerator, v.p)
-    b, den = split_power(q.denominator, v.p)
-    return a - b, rationals().element(Fraction(num, den))
+    n, num, den = split_rational(x.rep, v.p)
+    return n, rationals().element(Fraction(num, den))
 
 
 def _residue_split(v: Valuation, kv: FieldDescriptor, x: FieldElement
@@ -192,9 +189,8 @@ def _residue_split(v: Valuation, kv: FieldDescriptor, x: FieldElement
     if v.kind == INFINITE:
         # u = x * X^n with n = deg den - deg num; den is monic
         return rf.den.degree - rf.num.degree, rf.num.lc()
-    a, num = split_power(rf.numerator, v.p)
-    b, den = split_power(rf.denominator, v.p)
-    return a - b, kv.from_int(num) / kv.from_int(den)
+    n, num, den = split_rational(rf, v.p)
+    return n, kv.from_int(num) / kv.from_int(den)
 
 
 def tame_symbol(v: Valuation, x: MilnorExpression) -> MilnorExpression:

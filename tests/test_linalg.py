@@ -88,6 +88,22 @@ class TestMatrix:
         b = rand_matrix(Q, rng, 3)
         assert a.direct_sum(b).det() == a.det() * b.det()
 
+    @pytest.mark.parametrize("q", [0, 5])
+    def test_shapes_with_an_empty_dimension(self, q):
+        # every product with an empty dimension, the inner one among them
+        field = make_field(q)
+        for n, k, m in [(2, 0, 3), (0, 0, 3), (2, 0, 0), (0, 2, 3), (2, 2, 0)]:
+            got = Matrix.zeros(field, n, k) * Matrix.zeros(field, k, m)
+            assert (got.nrows, got.ncols) == (n, m)
+            assert got == Matrix.zeros(field, n, m)
+        # a matrix with no rows keeps its width
+        z, one = Matrix.zeros(field, 0, 3), field.one()
+        assert z != Matrix.zeros(field, 0, 2)
+        assert all(w.ncols == 3 for w in (z + z, z - z, -z, z * one))
+        assert z.direct_sum(Matrix.zeros(field, 0, 2)).ncols == 5
+        assert z.kron(Matrix.identity(field, 2)).ncols == 6
+        assert z.rank() == 0 and len(z.kernel_basis()) == 3
+
 
 # Mersenne prime whose residues are far beyond a machine word once multiplied
 M61 = 2 ** 61 - 1
@@ -114,6 +130,9 @@ def rand_entry(field, rng):
         p = field.characteristic()
         return field.element(tuple(field.base.from_int(rng.randrange(p))
                                    for _ in range(field.step_degree)))
+    if field.kind == "function":
+        # a + b t with b != 0, as in homotopy families: never a constant
+        return field.from_int(rng.randint(-4, 4)) + field.from_int(rng.randint(1, 4)) * field.gen()
     return field.from_int(rng.randint(-4, 4))
 
 
@@ -230,33 +249,38 @@ class TestElimination:
             assert a.solve(b) is None
 
     def test_span_tracker_reconstructs(self, q, rng):
-        field = elimination_field(q)
-        zero = field.zero()
+        # Q(t) rides along with Q: homotopy families take their k(t)
+        # determinants through this tracker
+        fields = [elimination_field(q)] + ([function_field(rationals())] if q == 0 else [])
+        for field in fields:
+            zero = field.zero()
 
-        def combo(coeffs, vecs, dim):
-            acc = [zero] * dim
-            for c, v in zip(coeffs, vecs):
-                acc = [x + c * y for x, y in zip(acc, v)]
-            return acc
+            def combo(coeffs, vecs, dim):
+                acc = [zero] * dim
+                for c, v in zip(coeffs, vecs):
+                    acc = [x + c * y for x, y in zip(acc, v)]
+                return acc
 
-        for m in sample_matrices(field, rng):
-            span = SpanTracker(field, m.ncols)
-            offered = []
-            for r in m.rows:
-                rel = span.offer(r)
-                if rel is not None:
-                    # r + sum rel[k] * offered[k] = 0
-                    assert len(rel) == len(offered)
-                    assert all(x.is_zero() for x in
-                               combo(rel + [field.one()], offered + [r], m.ncols))
-                offered.append(r)
-            assert span.rank == m.rank()
-            for r in offered:
-                c = span.coordinates(r)
-                assert c is not None and combo(c, offered, m.ncols) == list(r)
-            target = combo([rand_entry(field, rng) for _ in offered], offered, m.ncols)
-            assert combo(span.coordinates(target), offered, m.ncols) == target
-            assert span.contains(target)
+            for m in sample_matrices(field, rng):
+                span = SpanTracker(field, m.ncols)
+                offered, dependent = [], []
+                for i, r in enumerate(m.rows):
+                    rel = span.offer(r)
+                    if rel is not None:
+                        # r + sum rel[k] * offered[k] = 0
+                        assert len(rel) == len(offered)
+                        assert all(x.is_zero() for x in
+                                   combo(rel + [field.one()], offered + [r], m.ncols))
+                        dependent.append(i)
+                    offered.append(r)
+                assert span.rank == m.rank()
+                target = combo([rand_entry(field, rng) for _ in offered], offered, m.ncols)
+                for r in offered + [target]:
+                    c = span.coordinates(r)
+                    assert c is not None and combo(c, offered, m.ncols) == list(r)
+                    # an offered vector that added nothing has no coefficient
+                    assert all(c[i].is_zero() for i in dependent)
+                assert span.contains(target)
 
 
 class TestMinpoly:
