@@ -464,7 +464,8 @@ def factor(f: Polynomial) -> tuple[FieldElement, list[tuple[Polynomial, int]]]:
     if fld.kind == FUNCTION or (fld.kind == EXTENSION and not fld.is_finite()):
         raise UnsupportedFactorization(f"factorization over {fld} is not supported")
     known = _FACTORED.get(f)
-    if known is not None:
+    # an equal descriptor (an untabled twin, a forgotten extension) is not fld
+    if known is not None and known[0].field is fld:
         return known[0], list(known[1])
     unit = f.lc()
     if f.degree == 0:

@@ -424,6 +424,29 @@ class TestFactorMemo:
                 forget()
                 assert is_irreducible(g)
 
+    def test_hits_only_over_the_same_descriptor(self):
+        """An untabled twin of F_9 equals F_9, so equal polynomials over the
+        two share a memo key; each still gets its factors over itself."""
+        F9 = make_field(9)
+        twin = untabled_twin(F9)
+
+        def product(L):
+            g = Polynomial(L, [L.gen(), L.one(), L.one()])
+            h = Polynomial(L, [L.one(), L.gen(), L.zero(), L.one()])
+            return g * h * h
+
+        for first, second in ((twin, F9), (F9, twin)):
+            forget()
+            factor(product(first))
+            factor(Polynomial(first, [first.gen()]))
+            f = product(second)
+            unit, parts = factor(f)
+            assert unit.field is second and len(parts) == 2
+            for g, _m in parts:
+                assert g.field is second
+                assert divmod(f, g)[1].is_zero()
+            assert factor(Polynomial(second, [second.gen()]))[0].field is second
+
     def test_mutating_result_leaves_memo_intact(self):
         F3 = prime_field(3)
         f = Polynomial.from_ints(F3, [2, 0, 0, 1])  # X^3 - 1 = (X - 1)^3
