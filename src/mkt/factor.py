@@ -22,13 +22,19 @@ below 3.3 * 10^24, where `is_prime` is proven exact.
 UnsupportedFactorization; only the private `irreducible_factors` splits over
 a height-one extension Q(alpha), by Trager's norm method.
 
-Results are memoized, keyed on the immutable Polynomial: the transfer
-recursion factors the same entries and reopens places at the same factors
-many times over. Every factor that `factor` returns is recorded as
-irreducible, so a later `is_irreducible` on it is one lookup. Each dict is
-emptied when it reaches _MEMO_CAP entries, and `forget()` empties both; the
-CLI calls it before every command, so no command's report or cost depends on
-an earlier one in the same process.
+`is_irreducible` is `factor` read off: f is irreducible when it is one
+factor of multiplicity one. Every place and residue field the transfer
+recursion opens is a factor that `factor` has already returned.
+
+Results are memoized in one dict, keyed on the immutable Polynomial: the
+transfer recursion factors the same entries and reopens places at the same
+factors many times over. Each factor of degree >= 2 that `factor` returns is
+recorded as its own factorization, so a later `factor` or `is_irreducible`
+on it is one lookup. Keys compare descriptors by equality, so an entry
+counts only when it lies over f's own descriptor. The dict is emptied when
+it reaches _MEMO_CAP entries, and by `forget()`; the CLI calls it before
+every command, so no command's report or cost depends on an earlier one in
+the same process.
 """
 
 from __future__ import annotations
@@ -55,27 +61,24 @@ from mkt.fields import (
     prime_field,
 )
 from mkt.linalg import Matrix, cleared, companion_matrix, minpoly_matrix
-from mkt.numutil import factor_int, next_prime
+from mkt.numutil import next_prime
 from mkt.towers import multiplication_matrix
 
-# entries per memo dict; one CLI command's working set fits well below it
+# entries in the memo; one CLI command's working set fits well below it
 _MEMO_CAP = 4096
-# f -> (unit, ((g, m), ...)) of factor(f)
+# f -> (unit, ((g, m), ...)) of factor(f); seeded with its factors of degree >= 2
 _FACTORED: dict[Polynomial, tuple[FieldElement, tuple[tuple[Polynomial, int], ...]]] = {}
-# f -> is_irreducible(f), for degree >= 2; seeded with the factors above
-_IRREDUCIBLE: dict[Polynomial, bool] = {}
 
 
 def forget() -> None:
     """Empty the memo of `factor` and `is_irreducible`."""
     _FACTORED.clear()
-    _IRREDUCIBLE.clear()
 
 
-def _remember(memo: dict, key, value) -> None:
-    if len(memo) >= _MEMO_CAP:
-        memo.clear()
-    memo[key] = value
+def _remember(f: Polynomial, factored) -> None:
+    if len(_FACTORED) >= _MEMO_CAP:
+        _FACTORED.clear()
+    _FACTORED[f] = factored
 
 
 def _stable_seed(f: Polynomial) -> int:
@@ -482,10 +485,10 @@ def factor(f: Polynomial) -> tuple[FieldElement, list[tuple[Polynomial, int]]]:
             for g in _factor_finite_squarefree(part, rng):
                 out.append((g, mult))
     out.sort(key=lambda pair: pair[0].coeff_key())
-    _remember(_FACTORED, f, (unit, tuple(out)))
+    _remember(f, (unit, tuple(out)))
     for g, _m in out:
         if g.degree >= 2:
-            _remember(_IRREDUCIBLE, g, True)
+            _remember(g, (g.lc(), ((g, 1),)))
     return unit, out
 
 
@@ -533,7 +536,7 @@ def _shift(f: Polynomial, c: FieldElement) -> Polynomial:
 
 
 def is_irreducible(f: Polynomial) -> bool:
-    """Irreducibility over finite fields (powmod criterion) or Q (factor)."""
+    """Irreducibility over finite fields and Q: f is one factor of `factor`."""
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial is not irreducible")
     if f.degree == 0:
@@ -543,26 +546,5 @@ def is_irreducible(f: Polynomial) -> bool:
     fld = f.field
     if not fld.is_finite() and fld.kind != RATIONALS:
         raise UnsupportedFactorization(f"irreducibility over {fld} is not supported")
-    known = _IRREDUCIBLE.get(f)
-    if known is None:
-        known = _irreducible_uncached(f)
-        _remember(_IRREDUCIBLE, f, known)
-    return known
-
-
-def _irreducible_uncached(f: Polynomial) -> bool:
-    fld = f.field
-    if fld.kind == RATIONALS:
-        _, factors = factor(f)
-        return len(factors) == 1 and factors[0][1] == 1
-    q = fld.order()
-    n = f.degree
-    x = Polynomial.x(fld)
-    h = poly_powmod(x, q ** n, f)
-    if not (h - x).is_zero():
-        return False
-    for t in factor_int(n):
-        h = poly_powmod(x, q ** (n // t), f)
-        if poly_gcd(h - x, f).degree != 0:
-            return False
-    return True
+    _, parts = factor(f)
+    return len(parts) == 1 and parts[0][1] == 1

@@ -261,7 +261,9 @@ class Matrix:
         return dots(self._form(), vs, kernel_kind(self.field))
 
     def map_entries(self, fn: Callable, field: FieldDescriptor | None = None) -> "Matrix":
-        return Matrix(field or self.field, [[fn(a) for a in r] for r in self.rows])
+        fld = field or self.field
+        return Matrix._trusted(fld, [[_coerce_entry(fld, fn(a)) for a in r] for r in self.rows],
+                               self.ncols)
 
     def det(self) -> FieldElement:
         """Product of the pivots of the columns, times the sign of their rows."""

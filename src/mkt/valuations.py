@@ -135,17 +135,7 @@ def _split_poly(f: Polynomial, pi: Polynomial) -> tuple[int, Polynomial, Polynom
 
 def valuate(v: Valuation, x: FieldElement) -> int:
     """The (normalized, surjective onto Z) valuation of a nonzero element."""
-    if v.kind == REAL:
-        raise UnsupportedField("the real place is not discrete")
-    _check_value(v, x)
-    if v.kind == FINITE:
-        rf = x.rep
-        # num and den are coprime, so pi divides at most one of them
-        return _split_poly(rf.num, v.pi)[0] - _split_poly(rf.den, v.pi)[0]
-    if v.kind == INFINITE:
-        rf = x.rep
-        return rf.den.degree - rf.num.degree
-    return split_rational(x.rep, v.p)[0]
+    return unit_part(v, x)[0]
 
 
 def unit_part(v: Valuation, x: FieldElement) -> tuple[int, FieldElement]:

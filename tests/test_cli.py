@@ -155,7 +155,6 @@ class TestReciprocity:
 
         def spy(args):
             cache_sizes.append((len(factor_module._FACTORED),
-                                len(factor_module._IRREDUCIBLE),
                                 len(fields_module._EXTENSIONS),
                                 len(fields_module._FUNCTION_FIELDS)))
             return command(args)
@@ -168,7 +167,7 @@ class TestReciprocity:
             assert fields_module._EXTENSIONS and fields_module._FUNCTION_FIELDS
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["total"]["zero"] is True
-        assert cache_sizes == [(0, 0, 0, 0)] * 2
+        assert cache_sizes == [(0, 0, 0)] * 2
         # each command built its own F_9 and table; only the last one's lives on
         alive = [f for f in tabled_f9s() if id(f) not in before]
         assert len(alive) == 1

@@ -403,10 +403,40 @@ class TestFactorMemo:
         b = poly(rng.randint(0, 3))
         return poly(rng.randint(0, 3)) * b * b
 
+    @staticmethod
+    def _irreducible_by_search(g):
+        """Irreducibility of g, deg g <= 3, by a search that shares nothing
+        with factor: over a finite field, trial division by every monic
+        polynomial of degree <= deg g / 2; over Q, the rational-root test."""
+        field, n = g.field, g.degree
+        if field.kind != "rationals":
+            elems = list(all_elements(field))
+            for d in range(1, n // 2 + 1):
+                for low in itertools.product(elems, repeat=d):
+                    if divmod(g, Polynomial(field, [*low, field.one()]))[1].is_zero():
+                        return False
+            return True
+        assert n <= 3  # then g is reducible iff it has a rational root
+        if n == 1:
+            return True
+        d = math.lcm(*[c.rep.denominator for c in g.coeffs])
+        ints = [int(c.rep * d) for c in g.coeffs]
+
+        def divisors(m):
+            m = abs(m)
+            small = [k for k in range(1, math.isqrt(m) + 1) if m % k == 0]
+            return {x for k in small for x in (k, m // k)}
+
+        if ints[0] == 0:
+            return False
+        return not any(sum(c * (s * a) ** i * b ** (n - i) for i, c in enumerate(ints)) == 0
+                       for a in divisors(ints[0]) for b in divisors(ints[-1]) for s in (1, -1))
+
     @pytest.mark.parametrize("q", [2, 3, 4, 9, 0])
     def test_returned_factors_irreducible_from_cold(self, rng, q):
-        """factor seeds exactly its factors of degree >= 2, and each of them
-        passes is_irreducible computed afresh; warm answers equal cold ones."""
+        """factor records f and, as its own factorization, each factor of
+        degree >= 2; every factor passes an independent irreducibility
+        search; warm answers equal cold ones."""
         field = make_field(q)
         for _ in range(12):
             f = self._random_poly(field, rng)
@@ -414,15 +444,16 @@ class TestFactorMemo:
                 continue
             forget()
             unit, parts = factor(f)
-            seeded = dict(factor_module._IRREDUCIBLE)
-            assert seeded == {g: True for g, _m in parts if g.degree >= 2}
+            memo = {g: (g.lc(), ((g, 1),)) for g, _m in parts if g.degree >= 2}
+            if f.degree:  # a constant is its own unit, and is not recorded
+                memo[f] = (unit, tuple(parts))
+            assert factor_module._FACTORED == memo
             assert factor(f) == (unit, parts)
             warm = is_irreducible(f)
             forget()
             assert is_irreducible(f) == warm
             for g, _m in parts:
-                forget()
-                assert is_irreducible(g)
+                assert self._irreducible_by_search(g)
 
     def test_hits_only_over_the_same_descriptor(self):
         """An untabled twin of F_9 equals F_9, so equal polynomials over the
@@ -460,14 +491,16 @@ class TestFactorMemo:
         cap = 16
         monkeypatch.setattr(factor_module, "_MEMO_CAP", cap)
         F5 = prime_field(5)
+        peak = 0
         for a in range(5):
             for b in range(5):
                 for c in (1, 2):
                     f = Polynomial.from_ints(F5, [a, b, c])
                     factor(f)
+                    peak = max(peak, len(factor_module._FACTORED))
                     is_irreducible(Polynomial.from_ints(F5, [a, b, 1, c]))
-                    assert len(factor_module._FACTORED) <= cap
-                    assert len(factor_module._IRREDUCIBLE) <= cap
+                    peak = max(peak, len(factor_module._FACTORED))
+        assert peak == cap
 
     def test_zero_and_unsupported_raise_every_time(self, Q):
         L = extension(Q, Polynomial.from_ints(Q, [-2, 0, 1]))
@@ -478,7 +511,7 @@ class TestFactorMemo:
                 factor(Polynomial.zero(Q))
             with pytest.raises(UnsupportedFactorization):
                 is_irreducible(g)
-        assert not factor_module._FACTORED and not factor_module._IRREDUCIBLE
+        assert not factor_module._FACTORED
 
 
 def tabled_field(q):
