@@ -61,7 +61,9 @@ def _odd_tame(x: MilnorExpression) -> dict[int, int]:
 
 
 class CanonicalClass:
-    """Value object for a decided symbol class; supports group addition."""
+    """A decided symbol class: the product of its invariants n, unit, eps and
+    tame, each at its identity (0, None, +1, {}) where its kind does not use
+    it, so the group law is componentwise; the kind names the group."""
 
     __slots__ = ("kind", "field", "weight", "n", "unit", "eps", "tame")
 
@@ -78,15 +80,9 @@ class CanonicalClass:
         raise AttributeError("CanonicalClass is immutable")
 
     def is_zero(self) -> bool:
-        if self.kind == INTEGER:
-            return self.n == 0
-        if self.kind == UNIT:
-            return self.unit.is_one()
-        if self.kind == ZERO:
-            return True
-        if self.kind == RATIONAL_PAIR:
-            return self.eps == 1 and not self.tame
-        return self.eps == 1
+        """Every component is at its identity; unused ones always are."""
+        return (self.n == 0 and (self.unit is None or self.unit.is_one())
+                and self.eps == 1 and not self.tame)
 
     def _compat(self, other: "CanonicalClass"):
         if not isinstance(other, CanonicalClass):
@@ -96,40 +92,20 @@ class CanonicalClass:
             raise DescriptorMismatch("classes from different groups")
 
     def __add__(self, other: "CanonicalClass") -> "CanonicalClass":
+        """The componentwise law: n adds, units, signs and residues multiply."""
         self._compat(other)
-        if self.kind == INTEGER:
-            return CanonicalClass(INTEGER, self.field, self.weight, n=self.n + other.n)
-        if self.kind == UNIT:
-            return CanonicalClass(UNIT, self.field, self.weight,
-                                  unit=self.unit * other.unit)
-        if self.kind == ZERO:
-            return self
-        if self.kind == RATIONAL_PAIR:
-            tame = dict(self.tame)
-            for p, r in other.tame.items():
-                r2 = (tame.get(p, 1) * r) % p
-                if r2 == 1:
-                    tame.pop(p, None)
-                else:
-                    tame[p] = r2
-            return CanonicalClass(RATIONAL_PAIR, self.field, self.weight,
-                                  eps=self.eps * other.eps, tame=tame)
-        return CanonicalClass(self.kind, self.field, self.weight,
-                              eps=self.eps * other.eps)
+        unit = None if self.unit is None else self.unit * other.unit
+        tame = {p: self.tame.get(p, 1) * other.tame.get(p, 1) % p
+                for p in self.tame.keys() | other.tame.keys()}
+        return CanonicalClass(self.kind, self.field, self.weight, n=self.n + other.n,
+                              unit=unit, eps=self.eps * other.eps,
+                              tame={p: r for p, r in tame.items() if r != 1})
 
     def __neg__(self) -> "CanonicalClass":
-        if self.kind == INTEGER:
-            return CanonicalClass(INTEGER, self.field, self.weight, n=-self.n)
-        if self.kind == UNIT:
-            return CanonicalClass(UNIT, self.field, self.weight,
-                                  unit=self.unit.inverse())
-        if self.kind == ZERO:
-            return self
-        if self.kind == RATIONAL_PAIR:
-            tame = {p: pow(r, -1, p) for p, r in self.tame.items()}
-            return CanonicalClass(RATIONAL_PAIR, self.field, self.weight,
-                                  eps=self.eps, tame=tame)
-        return self  # sign kinds are their own inverses
+        unit = None if self.unit is None else self.unit.inverse()
+        tame = {p: pow(r, -1, p) for p, r in self.tame.items()}
+        return CanonicalClass(self.kind, self.field, self.weight, n=-self.n,
+                              unit=unit, eps=self.eps, tame=tame)
 
     def __sub__(self, other: "CanonicalClass") -> "CanonicalClass":
         return self + (-other)

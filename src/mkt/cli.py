@@ -99,6 +99,14 @@ def _parse_field(block) -> FieldDescriptor:
     raise ParseError(f"unknown field kind {kind!r}")
 
 
+def _wants_real(args, doc: dict) -> bool:
+    """--real, or the document's "real", which must be true or false if present."""
+    real = doc.get("real", False)
+    if not isinstance(real, bool):
+        raise ParseError('"real" must be true or false')
+    return args.real or real
+
+
 # the README's rational format; Fraction alone would also take exponents
 # such as "1e200000" and expand them digit by digit
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -235,28 +243,22 @@ def _terms_json(x: MilnorExpression) -> list:
 
 
 def _class_json(cls: CanonicalClass) -> dict:
+    """A class from its components: the ones its kind uses, then whether it is zero."""
     if cls.kind == ZERO:
         return {"zero": True}
-    out = {"l": cls.weight}
-    if cls.field is not None:
-        out["field"] = _field_name(cls.field)
+    out = {"l": cls.weight, "field": _field_name(cls.field)}
     if cls.kind == INTEGER:
         out["n"] = cls.n
     elif cls.kind == UNIT:
         out["unit"] = _element_json(cls.unit)
-        if cls.unit.is_one():
-            out["zero"] = True
-    elif cls.kind == RATIONAL_PAIR:
-        out["eps_inf"] = cls.eps
-        out["tame"] = {str(p): str(r) for p, r in sorted(cls.tame.items())}
-        if cls.is_zero():
-            out["zero"] = True
     else:
         out["eps_inf"] = cls.eps
-        if cls.kind == REAL_SIGN:
-            out["real"] = True
-        if cls.is_zero():
-            out["zero"] = True
+    if cls.kind == RATIONAL_PAIR:
+        out["tame"] = {str(p): str(r) for p, r in sorted(cls.tame.items())}
+    if cls.kind == REAL_SIGN:
+        out["real"] = True
+    if cls.kind != INTEGER and cls.is_zero():
+        out["zero"] = True
     return out
 
 
@@ -287,7 +289,7 @@ def _cmd_canon(args) -> tuple[dict, int]:
     doc = _load_document(args.input)
     field = _parse_field(doc.get("field"))
     x = _parse_symbols(field, doc.get("symbols"))
-    cls = canonical_class(x, real=bool(args.real or doc.get("real")))
+    cls = canonical_class(x, real=_wants_real(args, doc))
     return {"command": "canon", "field": _field_name(field),
             "class": _class_json(cls)}, 0
 
@@ -355,7 +357,7 @@ def _cmd_reduce(args) -> tuple[dict, int]:
             "multiplicity": f.multiplicity,
         })
     expr = series_expression(field, x.weight, series)
-    cls = canonical_class(expr, real=bool(args.real or doc.get("real")))
+    cls = canonical_class(expr, real=_wants_real(args, doc))
     return {"command": "reduce", "field": _field_name(field),
             "weight": x.weight, "size": x.size, "factors": factors,
             "terms": _terms_json(expr), "class": _class_json(cls)}, 0

@@ -115,13 +115,27 @@ class TestOtherFields:
             canonical_class(x)
 
 
+# (q, weight, real) reaching every kind: INTEGER, UNIT over Q and F_9, ZERO,
+# RATIONAL_PAIR, RATIONAL_SIGN and REAL_SIGN
+GROUP_LAW_CASES = [(0, 0, False), (0, 1, False), (9, 1, False), (9, 2, False),
+                   (0, 2, False), (0, 3, False), (0, 2, True)]
+
+
 def test_additive_on_random_pairs(rng):
-    """class(x + y) = class(x) + class(y), 200 pairs spread over Q weights 1..3."""
-    for i in range(200):
-        w = 1 + i % 3
-        x = random_symbol(Qf, rng, w, terms=rng.randint(1, 2))
-        y = random_symbol(Qf, rng, w, terms=rng.randint(1, 2))
-        assert canonical_class(x + y) == canonical_class(x) + canonical_class(y)
+    """The group law on every kind, 40 seeded pairs each: class(x + y) =
+    class(x) + class(y), class(-x) = -class(x), c - c = 0, equal classes hash
+    equal."""
+    for q, w, real in GROUP_LAW_CASES:
+        F = make_field(q)
+        for _ in range(40):
+            x = random_symbol(F, rng, w, terms=rng.randint(1, 2))
+            y = random_symbol(F, rng, w, terms=rng.randint(1, 2))
+            cx, cy = canonical_class(x, real), canonical_class(y, real)
+            total = canonical_class(x + y, real)
+            assert total == cx + cy
+            assert hash(total) == hash(cx + cy)
+            assert canonical_class(-x, real) == -cx
+            assert (cx - cx).is_zero()
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,6 +28,14 @@ def write_doc(tmp_path, name, doc):
     return str(p)
 
 
+# weight-two documents over Q whose real sign is -1
+REAL_DOCS = {
+    "canon": {"field": {"kind": "Q"}, "symbols": [{"entries": ["-2", "-3"]}]},
+    "reduce": {"field": {"kind": "Q"},
+               "matrices": [[["-2", "0"], ["0", "1"]], [["-3", "0"], ["0", "1"]]]},
+}
+
+
 class TestCanon:
     def test_rational_pair(self, capsys, tmp_path):
         # [DERIVED] residues of {3, 5} at its two odd places
@@ -68,6 +76,25 @@ class TestCanon:
         code, out = run(capsys, ["canon", path])
         assert code == 1
         assert out["error"]["type"] == "ParseError"
+
+    # "real" is true, false or absent; a truthy string or number is no flag
+    @pytest.mark.parametrize("value", ["no", "false", 1, None],
+                             ids=["no", "false-string", "one", "null"])
+    @pytest.mark.parametrize("command", ["canon", "reduce"])
+    def test_real_must_be_a_boolean(self, capsys, tmp_path, command, value):
+        path = write_doc(tmp_path, "d.json", {**REAL_DOCS[command], "real": value})
+        code, out = run(capsys, [command, path])
+        assert code == 1
+        assert out["error"] == {"type": "ParseError",
+                                "message": '"real" must be true or false'}
+
+    # either the flag or the document turns the real class on
+    @pytest.mark.parametrize("command", ["canon", "reduce"])
+    def test_real_flag_beats_document_false(self, capsys, tmp_path, command):
+        path = write_doc(tmp_path, "d.json", {**REAL_DOCS[command], "real": False})
+        code, out = run(capsys, [command, "--real", path])
+        assert code == 0
+        assert out["class"] == {"l": 2, "field": "Q", "eps_inf": -1, "real": True}
 
     def test_stdin_input(self, capsys, monkeypatch):
         doc = {"field": {"kind": "Q"},
@@ -116,6 +143,18 @@ class TestTame:
         assert out["place"] == "inf"
         assert out["terms"] == [{"coeff": -1, "entries": ["-1"]}]
         assert out["class"] == {"l": 1, "field": "Q", "unit": "-1"}
+
+    def test_place_with_quadratic_residue_field(self, capsys, tmp_path):
+        # [DERIVED] Milnor's boundary d_pi{pi, u} = -{u mod pi}, over Q(i)
+        path = write_doc(tmp_path, "d.json", {
+            "field": {"kind": "Q"}, "place": {"pi": [1, 0, 1]},
+            "symbols": [{"entries": [[1, 0, 1], [0, 2]]}],
+        })
+        code, out = run(capsys, ["tame", path])
+        assert code == 0
+        assert out["terms"] == [{"coeff": -1, "entries": [["0", "2"]]}]
+        assert out["class"] == {"l": 1, "field": "Q[x]/(X^2 + 1)",
+                                "unit": ["0", "-1/2"]}
 
 
 class TestReciprocity:

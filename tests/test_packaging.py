@@ -1,5 +1,6 @@
 """The package builds from `pyproject.toml` alone: an sdist made from a copy of
-`pyproject.toml`, `README.md` and `src/` holds every module of `src/mkt`.
+`pyproject.toml`, `README.md` and `src/` holds every module of `src/mkt`, and
+the setuptools that builds it meets the floor `[build-system] requires` declares.
 
 The build runs in a temporary directory, because setuptools writes
 `src/mkt.egg-info` beside the sources it packs.
@@ -10,6 +11,11 @@ import shutil
 import subprocess
 import sys
 import tarfile
+
+import pytest
+import setuptools
+from packaging.requirements import Requirement
+from packaging.version import Version
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -37,3 +43,12 @@ def test_sdist_holds_every_module(tmp_path):
                if p.suffix == ".py" and p.parent.parts[-2:] == ("src", "mkt")}
     assert modules == {p.name for p in (ROOT / "src" / "mkt").glob("*.py")}
     assert footprint() == before
+
+
+def test_installed_setuptools_meets_the_declared_floor():
+    """`build_meta` ignores `requires`, so the floor is checked here."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        requires = tomllib.load(fh)["build-system"]["requires"]
+    (floor,) = [r for r in map(Requirement, requires) if r.name == "setuptools"]
+    assert Version(setuptools.__version__) in floor.specifier
