@@ -34,7 +34,7 @@ from .sampling import monic_irreducible
 from .symbols import MilnorExpression, symbol
 from .transfer import reciprocity_check, transfer_ext
 from .valuations import (INFINITE, PRIME_PLACE, REAL, finite_place,
-                         infinite_place, rational_prime, tame_symbol)
+                         infinite_place, rational_prime, support, tame_symbol)
 
 __all__ = ["main"]
 
@@ -139,20 +139,19 @@ def _parse_element(field: FieldDescriptor, v):
             if isinstance(v, list):
                 return field.element(tuple(_parse_element(field.base, c) for c in v))
             raise ParseError(f"not an extension element: {v!r}")
-        if field.kind == FUNCTION:
-            base = field.base
-            if isinstance(v, dict):
-                num = _parse_poly(base, v.get("num"))
-                den = _parse_poly(base, v.get("den", [1]))
-                return field.element(RationalFunction(num, den))
-            if isinstance(v, list):
-                return field.element(_parse_poly(base, v))
-            return field.element(Polynomial.constant(_parse_element(base, v)))
+        # a function field k(X)
+        base = field.base
+        if isinstance(v, dict):
+            num = _parse_poly(base, v.get("num"))
+            den = _parse_poly(base, v.get("den", [1]))
+            return field.element(RationalFunction(num, den))
+        if isinstance(v, list):
+            return field.element(_parse_poly(base, v))
+        return field.element(Polynomial.constant(_parse_element(base, v)))
     except MktError:
         raise
     except (ValueError, TypeError) as e:
         raise ParseError(f"bad element {v!r}: {e}") from e
-    raise ParseError(f"no element parser for {field}")
 
 
 def _parse_poly(base: FieldDescriptor, coeffs) -> Polynomial:
@@ -202,8 +201,7 @@ def _parse_place_token(tok):
 
 
 def _parse_places(arg: str) -> list:
-    if not arg:
-        raise ParseError("empty place list")
+    """The places of a nonempty comma list."""
     return [_parse_place_token(t.strip()) for t in arg.split(",")]
 
 
@@ -217,8 +215,7 @@ def _field_name(field: FieldDescriptor) -> str:
     if field.kind == PRIME:
         return f"F{field.p}"
     if field.kind == EXTENSION and field.is_finite():
-        deg = tower_degree(field, prime_field(field.characteristic()))
-        return f"F{field.characteristic()}^{deg}"
+        return f"F{field.characteristic()}^{field.absolute_degree()}"
     if field.kind == FUNCTION:
         return _field_name(field.base) + "(X)"
     return str(field)
@@ -464,17 +461,14 @@ def _suite_reciprocity(args) -> tuple[dict, int]:
 
 
 def _suite_hilbert(args) -> tuple[dict, int]:
+    Q = rationals()
     rng = random.Random(args.seed)
     bound = args.bound
     failures = []
     for i in range(args.trials):
         a = Fraction(rng.randint(-bound, bound) or 1, rng.randint(1, bound))
         b = Fraction(rng.randint(-bound, bound) or 1, rng.randint(1, bound))
-        ps = set()
-        for x in (a, b):
-            ps.update(factor_int(abs(x.numerator)))
-            ps.update(factor_int(x.denominator))
-        ps.add(2)
+        ps = {v.p for v in support(symbol([Q.element(a), Q.element(b)], field=Q))} | {2}
         prod = hilbert(a, b, "inf")
         for p in sorted(ps):
             prod *= hilbert(a, b, p)

@@ -84,7 +84,7 @@ def _remember(f: Polynomial, factored) -> None:
 def _stable_seed(f: Polynomial) -> int:
     """Deterministic seed derived from coefficients (hash() is randomized)."""
     acc = 0x9E3779B97F4A7C15
-    prime_base = prime_field(f.field.characteristic())
+    prime_base = f.field.tower[0]
     for c in f.coeffs:
         for v in coordinates(c, prime_base):
             acc = (acc * 0x100000001B3 + v.rep + 1) % (1 << 61)

@@ -8,6 +8,9 @@ extension steps, reduced num/den pairs for k(X)).
 
 Descriptors are canonical: `extension` and `function_field` hand out one
 object per field, so descriptor equality is almost always an identity test.
+Each descriptor keeps its tower, the tuple of descriptors from Q or F_p up
+to itself, and its characteristic, finiteness, degree and steps over a
+subfield are read off that tuple.
 `extension` proves its modulus irreducible once, when it makes the
 descriptor, so no descriptor is ever made over a reducible modulus. A
 finite step of order q <= _TABLE_MAX is proven by the walk that builds its
@@ -74,8 +77,8 @@ _TABLE_MAX = 27
 class FieldDescriptor:
     """Identity of a field. Structural equality; do not mutate."""
 
-    __slots__ = ("kind", "p", "base", "modulus", "_hash", "_mod_values", "_order",
-                 "_table")
+    __slots__ = ("kind", "p", "base", "modulus", "tower", "_hash", "_mod_values",
+                 "_order", "_table")
 
     def __init__(self, kind: str, p: int | None = None,
                  base: "FieldDescriptor | None" = None,
@@ -84,6 +87,8 @@ class FieldDescriptor:
         self.p = p
         self.base = base
         self.modulus = modulus
+        # the descriptors from Q or F_p up to this one, bottom first
+        self.tower = (self,) if base is None else base.tower + (self,)
         self._hash = None
         # the modulus's coefficients in the base's kernel kind, for the
         # arithmetic of this step
@@ -103,26 +108,16 @@ class FieldDescriptor:
         return 1
 
     def characteristic(self) -> int:
-        if self.kind == RATIONALS:
-            return 0
-        if self.kind == PRIME:
-            return self.p
-        return self.base.characteristic()
+        return self.tower[0].p or 0
 
     def is_finite(self) -> bool:
-        if self.kind == PRIME:
-            return True
-        if self.kind == EXTENSION:
-            return self.base.is_finite()
-        return False
+        return self.kind != FUNCTION and self.tower[0].kind == PRIME
 
     def absolute_degree(self) -> int:
         """Total degree over the prime field (finite) or over Q."""
-        if self.kind == EXTENSION:
-            return self.modulus.degree * self.base.absolute_degree()
         if self.kind == FUNCTION:
             raise UnsupportedField("function fields have no finite degree")
-        return 1
+        return tower_degree(self, self.tower[0])
 
     def order(self) -> int:
         if self._order is None:
@@ -656,13 +651,9 @@ class FieldElement:
             return str(self.rep)
         if k == FUNCTION:
             return repr(self.rep)
+        # the generator's name counts the extension steps below this one
         names = "abcdefg"
-        depth = 0
-        f = self.field.base
-        while f.kind == EXTENSION:
-            depth += 1
-            f = f.base
-        name = names[depth % len(names)]
+        name = names[(len(self.field.tower) - 2) % len(names)]
         parts = []
         for i, c in enumerate(self.rep):
             if c.is_zero():
@@ -866,18 +857,12 @@ class Polynomial:
                           [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
 
     def evaluate(self, point: FieldElement) -> FieldElement:
-        """Horner evaluation; `point` may live in an extension of this field."""
-        target = point.field
-        if target == self.field:
-            acc = self.field.zero()
-            for c in reversed(self.coeffs):
-                acc = acc * point + c
-            return acc
-        if not is_ancestor(self.field, target):
-            raise DescriptorMismatch("evaluation point not in an extension of the coefficients")
-        acc = target.zero()
+        """Horner evaluation at a point of the coefficient field."""
+        if point.field != self.field:
+            raise DescriptorMismatch("evaluation point not in the coefficient field")
+        acc = self.field.zero()
         for c in reversed(self.coeffs):
-            acc = acc * point + embed(c, target)
+            acc = acc * point + c
         return acc
 
     def coeff_key(self):
@@ -997,13 +982,7 @@ class RationalFunction:
 
 def is_ancestor(k: FieldDescriptor, L: FieldDescriptor) -> bool:
     """True when k appears in L's tower (k == L included)."""
-    while True:
-        if k == L:
-            return True
-        if L.kind in (EXTENSION, FUNCTION):
-            L = L.base
-        else:
-            return False
+    return k in L.tower
 
 
 def embed(x: FieldElement, L: FieldDescriptor) -> FieldElement:
@@ -1027,23 +1006,18 @@ def embed_poly(f: Polynomial, L: FieldDescriptor) -> Polynomial:
 
 def tower_degree(L: FieldDescriptor, base: FieldDescriptor) -> int:
     d = 1
-    while L != base:
-        if L.kind != EXTENSION:
-            raise DescriptorMismatch(f"{base} is not below {L}")
-        d *= L.step_degree
-        L = L.base
+    for step in tower_steps(L, base):
+        d *= step.modulus.degree
     return d
 
 
-def tower_steps(L: FieldDescriptor, base: FieldDescriptor) -> list[FieldDescriptor]:
-    """Descriptors from base (exclusive) up to L (inclusive), bottom first."""
-    steps = []
-    while L != base:
-        if L.kind != EXTENSION:
-            raise DescriptorMismatch(f"{base} is not below {L}")
-        steps.append(L)
-        L = L.base
-    steps.reverse()
+def tower_steps(L: FieldDescriptor, base: FieldDescriptor) -> tuple[FieldDescriptor, ...]:
+    """Extension steps from base (exclusive) up to L (inclusive), bottom first."""
+    n = len(base.tower)
+    steps = L.tower[n:]
+    if (len(L.tower) < n or L.tower[n - 1] != base
+            or any(step.kind != EXTENSION for step in steps)):
+        raise DescriptorMismatch(f"{base} is not below {L}")
     return steps
 
 

@@ -60,13 +60,8 @@ def norm_element(x: FieldElement, base: FieldDescriptor) -> FieldElement:
     """
     if x.is_zero():
         raise ZeroElement("norm of zero is not a unit")
-    L = x.field
-    if L == base:
-        return x
-    if not is_ancestor(base, L):
-        raise DescriptorMismatch(f"{base} is not below {L}")
-    while x.field != base:
-        x = poly_resultant(x.field.modulus, poly_of_element(x))
+    for step in reversed(tower_steps(x.field, base)):
+        x = poly_resultant(step.modulus, poly_of_element(x))
     return x
 
 

@@ -21,10 +21,10 @@ from mkt.errors import (ArityMismatch, DescriptorMismatch, RecursionInvariantVio
 from mkt.factor import factor
 from mkt.fields import (EXTENSION, FUNCTION, FieldDescriptor, Polynomial, embed,
                         function_field, is_ancestor, poly_of_element,
-                        poly_resultant)
+                        poly_resultant, tower_steps)
 from mkt.symbols import MilnorExpression, symbol, zero_expression
-from mkt.valuations import (FINITE, INFINITE, Valuation, finite_place,
-                            infinite_place, support, tame_symbol)
+from mkt.valuations import (FINITE, INFINITE, Valuation, infinite_place, support,
+                            tame_symbol)
 
 
 def _term_transfer(v: Valuation, entries: tuple, c: int) -> MilnorExpression:
@@ -76,10 +76,7 @@ def transfer(v: Valuation, x: MilnorExpression) -> MilnorExpression:
         raise DescriptorMismatch("expression not over the residue field")
     if v.pi.degree == 1:
         return x
-    k = v.field.base
-    if x.weight == 0:
-        return MilnorExpression(k, 0, {(): x.coefficient([]) * v.pi.degree})
-    out = zero_expression(k, x.weight)
+    out = zero_expression(v.field.base, x.weight)
     for entries, c in x.items():
         if not any(e.is_one() for e in entries):
             out = out + _term_transfer(v, entries, c)
@@ -96,8 +93,8 @@ def transfer_ext(E: FieldDescriptor, x: MilnorExpression) -> MilnorExpression:
         # degree-one step: the norm is evaluation at the root of the modulus
         root = -E.modulus.coeffs[0]
         return x.map_entries(lambda e: poly_of_element(e).evaluate(root), E.base)
-    ff = function_field(E.base)
-    return transfer(finite_place(ff, E.modulus), x)
+    # extension() has proven the modulus irreducible: no check from finite_place
+    return transfer(Valuation(FINITE, function_field(E.base), pi=E.modulus), x)
 
 
 def transfer_tower(x: MilnorExpression, base: FieldDescriptor) -> MilnorExpression:
@@ -106,11 +103,8 @@ def transfer_tower(x: MilnorExpression, base: FieldDescriptor) -> MilnorExpressi
     Transfers are functorial, so this is the composite of the one-step
     transfers down the tower.
     """
-    L = x.field
-    if not is_ancestor(base, L):
-        raise DescriptorMismatch(f"{base} is not below {L}")
-    while x.field != base:
-        x = transfer_ext(x.field, x)
+    for E in reversed(tower_steps(x.field, base)):
+        x = transfer_ext(E, x)
     return x
 
 

@@ -258,7 +258,9 @@ def support(x: MilnorExpression) -> list[Valuation]:
                     if poly.degree >= 1:
                         for g, _m in factor(poly)[1]:
                             pis.add(g)
-        places = [finite_place(field, pi) for pi in sorted(pis, key=Polynomial.coeff_key)]
+        # factor has proven each pi monic irreducible: no check from finite_place
+        places = [Valuation(FINITE, field, pi=pi)
+                  for pi in sorted(pis, key=Polynomial.coeff_key)]
         places.append(infinite_place(field))
         return places
     if field.kind == RATIONALS:
@@ -268,5 +270,6 @@ def support(x: MilnorExpression) -> list[Valuation]:
                 q = e.rep
                 primes.update(factor_int(abs(q.numerator)))
                 primes.update(factor_int(q.denominator))
-        return [rational_prime(p) for p in sorted(primes)]
+        # factor_int's primes pass is_prime: no check from rational_prime
+        return [Valuation(PRIME_PLACE, field, p=p) for p in sorted(primes)]
     raise UnsupportedField(f"no place structure over {field}")

@@ -492,6 +492,48 @@ class TestSuites:
         capsys.readouterr()
 
 
+Q_BLOCK = {"kind": "Q"}
+F9_BLOCK = {"kind": "Fq", "p": 3, "deg": 2, "modulus": [1, 0, 1]}
+ONE_TERM = [{"entries": ["2"]}]
+
+
+class TestMalformedDocuments:
+    """Each way a document can be malformed ends in a typed error, exit 1."""
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("canon", [], "top-level JSON value must be an object"),
+        ("canon", {"field": 3, "symbols": ONE_TERM}, 'must be an object with a "kind"'),
+        ("canon", {"field": {"kind": "Fq", "p": 3, "deg": 2, "modulus": [1, 1]},
+                   "symbols": ONE_TERM}, '"modulus" must list deg+1 coefficients'),
+        ("canon", {"field": {"kind": "R"}, "symbols": ONE_TERM}, "unknown field kind 'R'"),
+        ("canon", {"field": F9_BLOCK, "symbols": [{"entries": [[1, 2, 3]]}]},
+         "longer than step degree 2"),
+        ("tame", {"field": Q_BLOCK, "place": {"pi": 5}, "symbols": ONE_TERM},
+         "polynomial must be a coefficient list"),
+        ("canon", {"field": Q_BLOCK, "symbols": []}, '"symbols" must be a nonempty list'),
+        ("canon", {"field": Q_BLOCK, "symbols": [{"coeff": 1}]},
+         'each term needs an "entries" list'),
+        ("canon", {"field": Q_BLOCK, "symbols": [{"coeff": "2", "entries": ["2"]}]},
+         '"coeff" must be an integer'),
+        ("canon", {"field": Q_BLOCK, "symbols": [{"entries": []}]},
+         '"entries" must be a nonempty list'),
+        ("reduce", {"field": Q_BLOCK, "matrices": []}, '"matrices" must be a nonempty list'),
+        ("reduce", {"field": Q_BLOCK, "matrices": [[1, 2]]},
+         "each matrix must be a row-major array of arrays"),
+        ("tame", {"field": Q_BLOCK, "symbols": ONE_TERM}, 'tame needs a "place"'),
+        ("tame", {"field": {"kind": "Fq", "p": 5}, "place": 3, "symbols": ONE_TERM},
+         "prime places need the rational field block"),
+    ], ids=["top_level_list", "field_not_object", "modulus_length", "unknown_kind",
+            "extension_element_too_long", "pi_not_list", "no_terms", "term_without_entries",
+            "coeff_string", "no_entries", "no_matrices", "matrix_not_rows",
+            "tame_without_place", "prime_place_over_fp"])
+    def test_parse_error(self, capsys, tmp_path, command, doc, message):
+        code, out = run(capsys, [command, write_doc(tmp_path, "d.json", doc)])
+        assert code == 1
+        assert out["error"]["type"] == "ParseError"
+        assert message in out["error"]["message"]
+
+
 class TestErrorHandling:
     def test_malformed_json(self, capsys, tmp_path):
         p = tmp_path / "bad.json"

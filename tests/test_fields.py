@@ -16,8 +16,8 @@ from mkt.errors import (BadModulus, DescriptorMismatch, DivisionByZero,
 from mkt.factor import factor, forget, irreducible_factors, is_irreducible
 from mkt.fields import (Polynomial, RationalFunction, all_elements, coordinates,
                         element_from_poly, embed, extension, from_coordinates,
-                        function_field, poly_gcd, poly_resultant, prime_field, rationals,
-                        tower_degree)
+                        function_field, is_ancestor, poly_gcd, poly_resultant, prime_field,
+                        rationals, tower_degree, tower_steps)
 from mkt.linalg import Matrix, companion_matrix, minpoly_matrix
 from mkt.sampling import monic_irreducible, random_element
 from mkt.symbols import symbol
@@ -61,6 +61,16 @@ class TestFieldArith:
     def test_descriptor_mismatch(self, Q):
         with pytest.raises(DescriptorMismatch):
             Q.element(1) + prime_field(5).from_int(1)
+
+    def test_evaluate_needs_a_point_of_the_coefficient_field(self):
+        """A point of an equal descriptor is evaluated; a point of an
+        extension is refused, not embedded."""
+        F9 = make_field(9)
+        f = Polynomial.from_ints(F9, [1, 0, 1])  # X^2 + 1
+        a = F9.gen() + F9.one()
+        assert f.evaluate(twin_element(untabled_twin(F9), a)) == f.evaluate(a) == a * a + 1
+        with pytest.raises(DescriptorMismatch):
+            Polynomial.from_ints(F9.base, [1, 0, 1]).evaluate(F9.gen())
 
 
 class TestPolyGcd:
@@ -701,6 +711,43 @@ def small_element(K, rng):
     den = Polynomial(k, [random_element(k, rng, span=2) for _ in range(rng.randrange(3))]
                      + [k.one()])
     return K.element(RationalFunction(num, den))
+
+
+class TestTowers:
+    """Every tower question is read off FieldDescriptor.tower."""
+
+    def test_tower_lists_the_descriptors_bottom_first(self, Q):
+        F81 = f81_over_f9()
+        F9, F3 = F81.base, F81.base.base
+        assert all(x is y for x, y in zip(F81.tower, (F3, F9, F81)))
+        assert len(F81.tower) == 3 and Q.tower == (Q,)
+        ff = function_field(F9)
+        assert ff.tower[:2] == (F3, F9) and ff.tower[2] is ff
+        assert (F81.characteristic(), F81.is_finite(), F81.absolute_degree()) == (3, True, 4)
+        assert (ff.characteristic(), ff.is_finite()) == (3, False)
+        assert (function_field(Q).characteristic(), Q.is_finite()) == (0, False)
+
+    def test_untabled_twin_answers_like_its_original(self):
+        F81 = f81_over_f9()
+        twin = untabled_twin(F81)
+        F9, F3 = F81.base, F81.base.base
+        assert twin is not F81 and twin.tower == F81.tower
+        assert is_ancestor(F9, twin) and is_ancestor(twin, F81)
+        assert tower_steps(twin, F3) == (twin.base, twin)
+        assert tower_degree(twin, F3) == twin.absolute_degree() == 4
+
+    def test_steps_need_a_base_below(self, Q):
+        F81 = f81_over_f9()
+        F9 = F81.base
+        ff = function_field(F9)
+        assert tower_steps(ff, ff) == () and tower_degree(F9, F9) == 1
+        assert not is_ancestor(F81, F9) and not is_ancestor(Q, F9)
+        # a taller base, a base from another tower, and a k(X) step over k
+        for top, base in ((F9, F81), (F9, prime_field(5)), (F9, Q), (ff, F9)):
+            with pytest.raises(DescriptorMismatch, match="is not below"):
+                tower_steps(top, base)
+            with pytest.raises(DescriptorMismatch, match="is not below"):
+                tower_degree(top, base)
 
 
 class TestKeys:

@@ -6,11 +6,11 @@ import pytest
 
 from mkt.canonical import ZERO, canonical_class
 from mkt.commuting import MatrixTuple, class_of_tuple, composition_series
-from mkt.errors import UnsupportedFactorization
+from mkt.errors import DescriptorMismatch, UnsupportedFactorization
 from mkt.fields import (Polynomial, embed, extension, function_field,
                         poly_of_element, prime_field, rationals, tower_degree)
 from mkt.sampling import monic_irreducible, random_symbol, random_unit
-from mkt.symbols import symbol, zero_expression
+from mkt.symbols import MilnorExpression, symbol, zero_expression
 from mkt.towers import multiplication_matrix, norm_element
 from mkt.transfer import (base_change, reciprocity_check, transfer, transfer_ext,
                           transfer_tower)
@@ -186,12 +186,35 @@ class TestTowers:
             y = transfer_tower(random_symbol(top, rng, 2), base)
             assert y.field == base and canonical_class(y).is_zero()
 
+    def test_function_field_top_is_not_above_its_base(self):
+        F9 = make_field(9)
+        ff = function_field(F9)
+        with pytest.raises(DescriptorMismatch, match="is not below"):
+            transfer_tower(symbol([ff.gen()], field=ff), F9)
+
     def test_deep_q_tower_rejected(self):
         """A second step over Q cannot be built: proving Y^2 - sqrt 2
         irreducible over Q(sqrt 2) would factor over a number field."""
         L = extension(Qf, Polynomial.from_ints(Qf, [-2, 0, 1]))
         with pytest.raises(UnsupportedFactorization):
             extension(L, Polynomial(L, [-L.gen(), L.zero(), L.one()]))
+
+
+class TestWeightZero:
+    """c{} over the residue field of v transfers to c deg(v) {} over k."""
+
+    @pytest.mark.parametrize("q, d", [(9, 2), (9, 3), (0, 2)],
+                             ids=["F9_deg2", "F9_deg3", "Q_X2_plus_1"])
+    def test_degree_times_coefficient(self, q, d, rng):
+        base = make_field(q)
+        pi = (Polynomial.from_ints(Qf, [1, 0, 1]) if q == 0
+              else monic_irreducible(base, rng, d))
+        v = finite_place(function_field(base), pi)
+        kv = v.residue_field()
+        for c in (1, -3, 5):
+            x = MilnorExpression(kv, 0, {(): c})
+            assert transfer(v, x) == MilnorExpression(base, 0, {(): c * d})
+        assert transfer(v, zero_expression(kv, 0)) == zero_expression(base, 0)
 
 
 class TestBaseChange:
