@@ -16,15 +16,18 @@ import random
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 
 from .canonical import (INTEGER, RATIONAL_PAIR, REAL_SIGN, UNIT, ZERO,
                         CanonicalClass, canonical_class)
 from .commuting import MatrixTuple, composition_series, series_expression
-from .errors import BadModulus, MktError, ParseError, RecursionInvariantViolated
+from .errors import (ArityMismatch, BadModulus, MktError, ParseError,
+                     RecursionInvariantViolated)
 from .factor import forget as forget_factorizations, is_irreducible
 from .fields import (EXTENSION, FUNCTION, PRIME, RATIONALS, FieldDescriptor,
                      Polynomial, RationalFunction, extension, function_field,
-                     prime_field, rationals, tower_degree)
+                     kernel_kind, kernel_values, prime_field, rationals, table_index,
+                     tower_degree)
 from .fields import forget as forget_fields
 from .jointdet import (RATIONAL_HILBERT, SPECS, UNIVERSAL, check_axioms,
                        hilbert, make_determinant)
@@ -185,9 +188,66 @@ def _parse_matrices(field: FieldDescriptor, mats) -> MatrixTuple:
     for m in mats:
         if not isinstance(m, list) or not all(isinstance(r, list) for r in m):
             raise ParseError("each matrix must be a row-major array of arrays")
-        parsed.append(Matrix(field, [[_parse_element(field, e) for e in row]
-                                     for row in m]))
-    return MatrixTuple(field, parsed)
+        parsed.append(_parse_matrix(field, m))
+    # a singular slot is refused by the composition series every command runs
+    return MatrixTuple._commuting(field, parsed)
+
+
+def _parse_matrix(field: FieldDescriptor, m: list) -> Matrix:
+    """One matrix read straight into the internal form of field (see linalg):
+    integer rows over one denominator over Q, residues over F_p and table
+    indices over a tabled step (the CLI's steps are over F_p); elements over
+    any other field. Entries are read in row-major order, and a ragged
+    matrix is refused after its entries."""
+    if field.kind == RATIONALS:
+        rows = [[_rational_pair(field, e) for e in row] for row in m]
+    elif field.kind == PRIME:
+        rows = [[_residue(field, e) for e in row] for row in m]
+    elif kernel_kind(field) is not None:
+        rows = [[_table_index(field, e) for e in row] for row in m]
+    else:
+        return Matrix(field, [[_parse_element(field, e) for e in row] for row in m])
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ArityMismatch("ragged rows")
+    if field.kind != RATIONALS:
+        return Matrix._from_form(field, rows)
+    d = lcm(*[b for r in rows for _, b in r])
+    return Matrix._from_ints(field, [[a * (d // b) for a, b in r] for r in rows], d)
+
+
+# The three readings below take the common entries directly and hand every
+# other one to _parse_element, so that an entry is accepted, and an error
+# worded, exactly as on the element path.
+
+
+def _rational_pair(field: FieldDescriptor, v) -> tuple[int, int]:
+    """A rational entry as (numerator, denominator > 0), not reduced."""
+    if type(v) is int:
+        return v, 1
+    m = _RATIONAL.fullmatch(v) if type(v) is str else None
+    if m:
+        try:
+            n, d = int(m[1]), int(m[2] or 1)
+        except ValueError:  # past Python's digit limit
+            d = 0
+        if d:
+            return n, d
+    x = _parse_element(field, v).rep
+    return x.numerator, x.denominator
+
+
+def _residue(field: FieldDescriptor, v) -> int:
+    """A prime-field entry as its residue in [0, p)."""
+    if type(v) is int:
+        return v % field.p
+    return _parse_element(field, v).rep
+
+
+def _table_index(field: FieldDescriptor, v) -> int:
+    """An entry of a tabled step over F_p as its table index."""
+    if type(v) is list and len(v) <= field.step_degree:
+        return table_index(field, [_residue(field.base, c) for c in v])
+    return kernel_values(kernel_kind(field), [_parse_element(field, v)])[0]
 
 
 def _parse_place_token(tok):

@@ -65,6 +65,21 @@ def _check_family_slot(m: Matrix) -> None:
         raise NotUnitDeterminant(f"determinant {d} is not a nonzero constant")
 
 
+def _square_slots(field: FieldDescriptor, matrices: Sequence) -> tuple:
+    mats = tuple(matrices)
+    if not mats:
+        raise DegenerateInput("a tuple needs at least one slot")
+    n = mats[0].nrows
+    for m in mats:
+        if not isinstance(m, Matrix):
+            raise DegenerateInput("tuple slots must be matrices")
+        if m.field != field:
+            raise DescriptorMismatch("slot over the wrong field")
+        if not m.is_square or m.nrows != n:
+            raise ArityMismatch("slots must be square of one common size")
+    return mats
+
+
 class MatrixTuple:
     """l pairwise commuting invertible n x n matrices over one field.
 
@@ -75,17 +90,7 @@ class MatrixTuple:
     __slots__ = ("field", "size", "weight", "matrices")
 
     def __init__(self, field: FieldDescriptor, matrices: Sequence[Matrix]):
-        mats = tuple(matrices)
-        if not mats:
-            raise DegenerateInput("a tuple needs at least one slot")
-        n = mats[0].nrows
-        for m in mats:
-            if not isinstance(m, Matrix):
-                raise DegenerateInput("tuple slots must be matrices")
-            if m.field != field:
-                raise DescriptorMismatch("slot over the wrong field")
-            if not m.is_square or m.nrows != n:
-                raise ArityMismatch("slots must be square of one common size")
+        mats = _square_slots(field, matrices)
         for m in mats:
             if field.kind == FUNCTION:
                 _check_family_slot(m)
@@ -93,6 +98,15 @@ class MatrixTuple:
                 raise DegenerateInput("singular slot")
         _check_commuting(mats)
         self._fill(field, mats)
+
+    @classmethod
+    def _commuting(cls, field: FieldDescriptor, matrices: Sequence[Matrix]) -> "MatrixTuple":
+        """A tuple over Q or a finite field checked for shape and commutation
+        only. A singular slot is refused by composition_series, which every
+        use of the tuple runs: the slot acts as 0 on some factor there."""
+        mats = _square_slots(field, matrices)
+        _check_commuting(mats)
+        return cls._trusted(field, mats)
 
     @classmethod
     def _trusted(cls, field: FieldDescriptor, matrices: Sequence[Matrix]) -> "MatrixTuple":
@@ -395,7 +409,11 @@ def _kernel_layers(field, ops: list[Matrix], pi: Polynomial, ker: list) -> list[
 
 def _scalar_layers(c: FieldElement, field, rest: list[Matrix], dim: int) -> list[tuple]:
     """The factors of field^dim when a slot acts on it as the scalar c: those
-    of the remaining slots, each with c in front."""
+    of the remaining slots, each with c in front. Every scalar of every
+    factor passes here, and a slot is singular exactly when it acts as 0 on
+    some factor, so c = 0 refuses the tuple."""
+    if c.is_zero():
+        raise DegenerateInput("singular slot")
     return [(top, (embed(c, top),) + scal, mult) for top, scal, mult in _layers(field, rest, dim)]
 
 

@@ -65,7 +65,7 @@ FUNCTION = "function"
 
 
 # extension() builds a _Table for a finite step of at most this many elements.
-# A build takes 0.17 ms for F_9, 0.6 ms for F_27 and 2.7 ms for F_81
+# A build takes 0.09 ms for F_9, 0.26 ms for F_27 and 1.4 ms for F_81
 # (Python 3.11, 2-core x86 host). The hot field is F_9; the F_81 residue
 # fields of degree-2 places over F_9 are made hundreds of times but used
 # lightly, and a cap of 81, with builds of 3-4.6 ms, cut the ff_reciprocity
@@ -361,21 +361,29 @@ def _build_table(fld: FieldDescriptor) -> bool:
         e.ix = i
     exp = [0] * (2 * m)
     log = [0] * q
-    # elems[:nb] is the base field, which holds a generator only when the
-    # step has degree 1. The generator is the first candidate whose powers
-    # first return to one after m steps, and its walk fills exp and log;
-    # over a reducible modulus no element's powers do
-    for g in elems[nb:] or elems[1:]:
-        x = elems[1]
+    # the walk multiplies coefficient lists in the base's kernel kind, and
+    # a list's index is its table_index, so candidate j has the base-nb
+    # digits of j as coefficients. Indices below nb are the base field,
+    # which holds a generator only when the step has degree 1. The generator
+    # is the first candidate whose powers first return to one after m steps,
+    # and its walk fills exp and log; over a reducible modulus no element's
+    # powers do
+    kind, mod = kernel_kind(base), fld._mod_values
+    for j in range(nb if q > nb else 1, q):
+        g = []
+        while j:
+            j, r = divmod(j, nb)
+            g.append(r)
+        x = [1]
         for k in range(m):
-            i = _index(x)
+            i = table_index(fld, x)
             if k and i == 1:
                 break
             exp[k] = exp[k + m] = i
             log[i] = k
-            x = x * g
+            x = zkernel.zp_mulmod(x, g, mod, kind)
         else:
-            if _index(x) == 1:
+            if table_index(fld, x) == 1:
                 break
     else:
         return False
@@ -391,6 +399,18 @@ def _build_table(fld: FieldDescriptor) -> bool:
     return True
 
 
+def table_index(fld: FieldDescriptor, values: list) -> int:
+    """The index in fld's table (the position in all_elements(fld)) of the
+    element whose coefficients over fld.base are values, lowest first, given
+    as kernel values of the base (residues in [0, p) over F_p); fewer than
+    the step degree leave the rest zero. It is Horner's rule in base order."""
+    nb = fld.base.order()
+    i = 0
+    for v in reversed(values):
+        i = i * nb + v
+    return i
+
+
 def _index(x: "FieldElement") -> int:
     """Position of x in all_elements(x.field); x lies in a finite field.
 
@@ -404,11 +424,7 @@ def _index(x: "FieldElement") -> int:
 
 
 def _rep_index(fld: FieldDescriptor, rep: tuple) -> int:
-    nb = fld.base.order()
-    i = 0
-    for c in reversed(rep):
-        i = i * nb + _index(c)
-    return i
+    return table_index(fld, [_index(c) for c in rep])
 
 
 def _ext_element(fld: FieldDescriptor, rep: tuple) -> "FieldElement":

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import mkt
 from mkt import cli, errors
 from mkt.errors import RecursionInvariantViolated
 from mkt.jointdet import SPECS
+from mkt.linalg import Matrix
 
 
 def run(capsys, argv):
@@ -362,6 +364,87 @@ class TestJointdet:
         assert out["error"]["type"] == "UnsupportedCombination"
 
 
+F5_BLOCK = {"kind": "Fq", "p": 5}
+F9_BLOCK = {"kind": "Fq", "p": 3, "deg": 2, "modulus": [1, 0, 1]}
+
+# commuting tuples with a slot that is singular: the first, a later one, and
+# one that vanishes only on an F_81 block (the first slot is the companion
+# matrix of X^2 - (1 + i), irreducible over F_9, beside the scalar 2)
+SINGULAR = {
+    "first_q": ({"kind": "Q"}, [[["1", "1"], ["1", "1"]], [[2, 0], [0, 2]]]),
+    "later_q": ({"kind": "Q"}, [[[2, 1], [0, 2]], [[3, 0], [0, 3]], [[0, 1], [0, 0]]]),
+    "first_f5": (F5_BLOCK, [[[1, 2], [2, 4]], [[1, 0], [0, 1]]]),
+    "later_f5": (F5_BLOCK, [[[2, 1], [0, 2]], [[5, 0], [0, 5]]]),
+    "first_f9": (F9_BLOCK, [[[[1], [1]], [[1], [1]]], [[[1], []], [[], [1]]]]),
+    "later_f9": (F9_BLOCK, [[[[0, 1], []], [[], [2]]], [[[1], []], [[], [0]]]]),
+    "f81_block_f9": (F9_BLOCK, [[[[], [1, 1], []], [[1], [], []], [[], [], [2]]],
+                                [[[], [], []], [[], [], []], [[], [], [1]]]]),
+}
+
+
+def applicable_commands(block):
+    """reduce, and jointdet under every spec that applies to weight >= 2."""
+    if block["kind"] == "Q":
+        specs = [["universal"], ["real-sign"], ["rational-hilbert", "--places", "inf,2"]]
+    else:
+        specs = [["universal"], ["finite-field-trivial"]]
+    return [["reduce"]] + [["jointdet", "--spec", *s] for s in specs]
+
+
+class TestSingularSlots:
+    """The CLI reads a tuple without a determinant per slot; the composition
+    series refuses a slot that acts as 0 on some factor."""
+
+    @pytest.mark.parametrize("case, argv", [(c, a) for c, (b, _) in SINGULAR.items()
+                                            for a in applicable_commands(b)])
+    def test_refused(self, capsys, tmp_path, case, argv):
+        block, mats = SINGULAR[case]
+        path = write_doc(tmp_path, "d.json", {"field": block, "matrices": mats})
+        code, out = run(capsys, argv + [path])
+        assert code == 1
+        assert out["error"] == {"type": "DegenerateInput", "message": "singular slot"}
+
+    def test_singular_and_non_commuting_reports_commutation(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "d.json", {"field": {"kind": "Q"}, "matrices": [
+            [[1, 1], [1, 1]], [[1, 0], [1, 1]]]})
+        code, out = run(capsys, ["reduce", path])
+        assert code == 1
+        assert out["error"] == {"type": "DegenerateInput",
+                                "message": "slots 0 and 1 do not commute"}
+
+
+class TestEntriesIntoForms:
+    """Matrices read straight into the kernel's form equal the matrices built
+    from parsed elements, in their entries and in their internal form."""
+
+    @staticmethod
+    def entry(block, rng):
+        if block["kind"] == "Q":
+            return rng.choice([
+                rng.randint(-20, 20), "+4", "0/3", 10 ** 30, -10 ** 30, str(rng.randint(-9, 9)),
+                f"{rng.randint(-30, 30)}/{rng.randint(1, 12)}", f"+{rng.randint(0, 30)}/6"])
+        if block.get("deg", 1) == 1:
+            return rng.choice([rng.randint(-30, 30), 10 ** 30 + rng.randint(0, 4),
+                               "+7", "-3", str(rng.randint(0, 99))])
+        return [rng.choice([rng.randint(-10, 10), "+4", "-1"])
+                for _ in range(rng.randint(0, block["deg"]))]
+
+    @pytest.mark.parametrize("block", [
+        {"kind": "Q"}, F5_BLOCK, F9_BLOCK,
+        {"kind": "Fq", "p": 3, "deg": 4, "modulus": [2, 1, 0, 0, 1]}],
+        ids=["Q", "F5", "F9", "F81"])
+    def test_form_built_equals_element_built(self, block):
+        rng = random.Random(28)
+        field = cli._parse_field(block)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            m = [[self.entry(block, rng) for _ in range(n)] for _ in range(n)]
+            got = cli._parse_matrices(field, [m]).matrices[0]
+            want = Matrix(field, [[cli._parse_element(field, e) for e in row] for row in m])
+            assert got._form() == want._form()
+            assert got.rows == want.rows
+
+
 class TestSuites:
     def test_reciprocity_suite_passes(self, capsys):
         code, out = run(capsys, ["check", "reciprocity", "--q", "5",
@@ -493,7 +576,6 @@ class TestSuites:
 
 
 Q_BLOCK = {"kind": "Q"}
-F9_BLOCK = {"kind": "Fq", "p": 3, "deg": 2, "modulus": [1, 0, 1]}
 ONE_TERM = [{"entries": ["2"]}]
 
 
@@ -532,6 +614,42 @@ class TestMalformedDocuments:
         assert code == 1
         assert out["error"]["type"] == "ParseError"
         assert message in out["error"]["message"]
+
+    # a bad matrix entry after a good one and before another bad one ("?"):
+    # the first offending entry in row-major order is reported
+    @pytest.mark.parametrize("block, good, entry, message", [
+        (Q_BLOCK, 1, "1.5", "not a rational: '1.5'"),
+        (Q_BLOCK, 1, "1e3", "not a rational: '1e3'"),
+        (Q_BLOCK, 1, True, "not a rational: True"),
+        (Q_BLOCK, 1, None, "not a rational: None"),
+        (Q_BLOCK, 1, " 1", "not a rational: ' 1'"),
+        (Q_BLOCK, 1, [1], "not a rational: [1]"),
+        (F5_BLOCK, 1, "1/2", "not a prime-field element: '1/2'"),
+        (F5_BLOCK, 1, [1], "not a prime-field element: [1]"),
+        (F5_BLOCK, 1, True, "not a prime-field element: True"),
+        (F9_BLOCK, [1], 5, "not an extension element: 5"),
+        (F9_BLOCK, [1], [1, 2, 3],
+         "bad element [1, 2, 3]: coefficient sequence longer than step degree 2"),
+        (F9_BLOCK, [1], ["1", "x"], "not a prime-field element: 'x'"),
+        (F9_BLOCK, [1], [True, 0], "not a prime-field element: True"),
+        (F9_BLOCK, [1], [[1]], "not a prime-field element: [1]"),
+    ])
+    def test_matrix_entry(self, capsys, tmp_path, block, good, entry, message):
+        doc = {"field": block, "matrices": [[[good, entry], ["?", good]]]}
+        code, out = run(capsys, ["reduce", write_doc(tmp_path, "d.json", doc)])
+        assert code == 1
+        assert out["error"] == {"type": "ParseError", "message": message}
+
+    # a ragged matrix is refused after its own entries, before the next matrix
+    @pytest.mark.parametrize("mats, error", [
+        ([[[1, 2], [3]], [["?"]]], {"type": "ArityMismatch", "message": "ragged rows"}),
+        ([[[1, 2], ["?"]]], {"type": "ParseError", "message": "not a rational: '?'"}),
+    ], ids=["ragged", "entry_before_ragged"])
+    def test_ragged_matrix(self, capsys, tmp_path, mats, error):
+        doc = {"field": Q_BLOCK, "matrices": mats}
+        code, out = run(capsys, ["reduce", write_doc(tmp_path, "d.json", doc)])
+        assert code == 1
+        assert out["error"] == error
 
 
 class TestErrorHandling:

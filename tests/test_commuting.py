@@ -52,6 +52,16 @@ class TestConstruction:
         with pytest.raises(DegenerateInput):
             MatrixTuple(Qf, [qmat([[1, 1], [1, 1]])])
 
+    def test_singular_later_slot_refused_up_front_or_by_the_series(self):
+        """The public constructor takes a determinant per slot; a tuple
+        checked for commutation only is refused by its composition series,
+        where the nilpotent slot acts as 0."""
+        slots = [qmat([[2, 1], [0, 2]]), qmat([[0, 1], [0, 0]])]
+        with pytest.raises(DegenerateInput, match="singular slot"):
+            MatrixTuple(Qf, slots)
+        with pytest.raises(DegenerateInput, match="singular slot"):
+            composition_series(MatrixTuple._commuting(Qf, slots))
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(ArityMismatch):
             MatrixTuple(Qf, [qmat([[2]]), qmat([[1, 0], [0, 1]])])

@@ -530,6 +530,30 @@ def tabled_field(q):
     return f16_over_f4() if q == "16/4" else make_field(q)
 
 
+def walked_table(L):
+    """(exp, log, add, mul) of the tabled step L, from element arithmetic on
+    its untabled twin: an index is a position in all_elements, and the
+    generator is the first element outside the base (any nonzero one on a
+    degree-1 step) whose powers first return to one after q - 1 steps."""
+    twin = untabled_twin(L)
+    elems = list(all_elements(twin))
+    pos = {e.key(): i for i, e in enumerate(elems)}
+    m = len(elems) - 1
+    for g in elems[L.base.order():] if L.step_degree > 1 else elems[1:]:
+        powers = [twin.one()]
+        while len(powers) <= m and not (powers[-1] * g).is_one():
+            powers.append(powers[-1] * g)
+        if len(powers) == m:
+            break
+    exp = [pos[x.key()] for x in powers] * 2
+    log = [0] * len(elems)
+    for k, i in enumerate(exp[:m]):
+        log[i] = k
+    add = [[pos[(a + b).key()] for b in elems] for a in elems]
+    mul = [[pos[(a * b).key()] for b in elems] for a in elems]
+    return exp, log, add, mul
+
+
 class TestFieldTables:
     @pytest.fixture(autouse=True)
     def cold(self):
@@ -655,6 +679,23 @@ class TestFieldTables:
                 with pytest.raises(BadModulus):
                     extension(k, m)
                 assert m not in fields_module._EXTENSIONS
+
+    @pytest.mark.parametrize("p, d", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                                      (5, 1), (5, 2)])
+    def test_table_equals_a_walk_of_element_powers(self, p, d):
+        """For every monic modulus of order p^d <= 27, extension() gives the
+        exp, log, add and mul of walked_table, or BadModulus when the
+        modulus is reducible."""
+        k = prime_field(p)
+        for low in itertools.product(range(p), repeat=d):
+            m = Polynomial.from_ints(k, list(low) + [1])
+            fields_module.forget()
+            if not is_irreducible(m):
+                with pytest.raises(BadModulus):
+                    extension(k, m)
+                continue
+            tab = extension(k, m)._table
+            assert (tab.exp, tab.log, tab.add, tab.mul) == walked_table(extension(k, m))
 
     def test_only_untabled_steps_call_is_irreducible(self, monkeypatch):
         """A step of order <= 27 is proven by its table walk alone; an F_81
