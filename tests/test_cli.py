@@ -404,13 +404,28 @@ class TestSingularSlots:
         assert code == 1
         assert out["error"] == {"type": "DegenerateInput", "message": "singular slot"}
 
-    def test_singular_and_non_commuting_reports_commutation(self, capsys, tmp_path):
-        path = write_doc(tmp_path, "d.json", {"field": {"kind": "Q"}, "matrices": [
-            [[1, 1], [1, 1]], [[1, 0], [1, 1]]]})
-        code, out = run(capsys, ["reduce", path])
+    # the series refuses a singular slot when it reaches its zero scalar, so a
+    # refusal met before that is reported instead: a pair of slots that do
+    # not commute, a spec or place that does not apply, a second extension
+    # step over Q (the first slot is two blocks of X^2 + 1, the second acts
+    # on Q(i)^2 as a root of X^2 - 3)
+    @pytest.mark.parametrize("argv, block, mats, error", [
+        (["reduce"], {"kind": "Q"}, [[[1, 1], [1, 1]], [[1, 0], [1, 1]]],
+         ("DegenerateInput", "slots 0 and 1 do not commute")),
+        (["jointdet", "--spec", "real-sign"], F5_BLOCK, [[[0]], [[1]]],
+         ("UnsupportedCombination", "the sign determinant needs Q")),
+        (["jointdet", "--spec", "rational-hilbert", "--places", "4"], {"kind": "Q"},
+         [[[0]], [[1]]], ("ParseError", "not a place: 4")),
+        (["reduce"], {"kind": "Q"},
+         [[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+          [[0, 0, 3, 0], [0, 0, 0, 3], [1, 0, 0, 0], [0, 1, 0, 0]], [[0] * 4] * 4],
+         ("UnsupportedTower", "splitting this tuple needs a second extension step over Q")),
+    ], ids=["non_commuting", "spec", "places", "second_step"])
+    def test_earlier_refusal_is_reported(self, capsys, tmp_path, argv, block, mats, error):
+        path = write_doc(tmp_path, "d.json", {"field": block, "matrices": mats})
+        code, out = run(capsys, argv + [path])
         assert code == 1
-        assert out["error"] == {"type": "DegenerateInput",
-                                "message": "slots 0 and 1 do not commute"}
+        assert out["error"] == dict(zip(("type", "message"), error))
 
 
 class TestEntriesIntoForms:
