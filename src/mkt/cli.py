@@ -1,7 +1,9 @@
 """Command line front end.
 
 Commands read a JSON document (path or '-' for stdin), run one library
-operation, and print a JSON report. Randomized suites are driven by a seed
+operation, and print a JSON report. Every value of a document (symbol and
+matrix entries, their coefficients, moduli, uniformizers) is read once, by
+`_read`, into the form the library computes in. Randomized suites are driven by a seed
 and produce byte-identical reports for identical invocations. Exit codes:
 0 success, 1 malformed input or an unsupported request, 2 a violated
 mathematical invariant (which signals a library bug, not user error).
@@ -26,7 +28,7 @@ from .errors import (ArityMismatch, BadModulus, MktError, ParseError,
 from .factor import forget as forget_factorizations, is_irreducible
 from .fields import (EXTENSION, FUNCTION, PRIME, RATIONALS, FieldDescriptor,
                      Polynomial, RationalFunction, extension, function_field,
-                     kernel_kind, kernel_values, prime_field, rationals, table_index,
+                     kernel_elements, kernel_kind, prime_field, rationals, table_index,
                      tower_degree)
 from .fields import forget as forget_fields
 from .jointdet import (RATIONAL_HILBERT, SPECS, UNIVERSAL, check_axioms,
@@ -116,45 +118,62 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_rational(v) -> Fraction:
-    if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
-    m = _RATIONAL.fullmatch(v) if isinstance(v, str) else None
-    if m:
-        try:
-            return Fraction(int(m[1]), int(m[2] or 1))
-        except (ValueError, ZeroDivisionError) as e:
-            raise ParseError(f"not a rational: {v!r}") from e
-    raise ParseError(f"not a rational: {v!r}")
-
-
-def _parse_element(field: FieldDescriptor, v):
+def _read(field: FieldDescriptor, v):
+    """The document value v in the internal form of field (see linalg):
+    (numerator, denominator > 0) over Q, the residue in [0, p) over F_p, the
+    table index over a tabled step, the element over any other field. Every
+    entry, coefficient, modulus and uniformizer of a document is read here,
+    in order, so the first offending value is the one reported."""
     try:
         if field.kind == RATIONALS:
-            return field.element(_parse_rational(v))
+            if type(v) is int:
+                return v, 1
+            m = _RATIONAL.fullmatch(v) if type(v) is str else None
+            if m:
+                try:
+                    n, d = int(m[1]), int(m[2] or 1)
+                except ValueError:  # past Python's digit limit
+                    d = 0
+                if d:
+                    return n, d
+            raise ParseError(f"not a rational: {v!r}")
         if field.kind == PRIME:
-            if isinstance(v, str) and _INTEGER.fullmatch(v):
+            if type(v) is str and _INTEGER.fullmatch(v):
                 v = int(v)
-            if not isinstance(v, int) or isinstance(v, bool):
+            if type(v) is not int:
                 raise ParseError(f"not a prime-field element: {v!r}")
-            return field.from_int(v)
-        if field.kind == EXTENSION:
-            if isinstance(v, list):
-                return field.element(tuple(_parse_element(field.base, c) for c in v))
-            raise ParseError(f"not an extension element: {v!r}")
-        # a function field k(X)
+            return v % field.p
         base = field.base
-        if isinstance(v, dict):
+        if field.kind == EXTENSION:
+            if type(v) is not list:
+                raise ParseError(f"not an extension element: {v!r}")
+            # the CLI's steps are over F_p, where an integer is its residue
+            p, d = base.p, field.step_degree
+            cs = [c % p if type(c) is int else _read(base, c) for c in v]
+            if len(cs) > d:
+                raise ParseError(f"bad element {v!r}: coefficient sequence longer "
+                                 f"than step degree {d}")
+            if kernel_kind(field) is not None:
+                return table_index(field, cs)
+            return field.element(kernel_elements(base, cs, kernel_kind(base)))
+        # a function field k(X)
+        if type(v) is dict:
             num = _parse_poly(base, v.get("num"))
             den = _parse_poly(base, v.get("den", [1]))
             return field.element(RationalFunction(num, den))
-        if isinstance(v, list):
+        if type(v) is list:
             return field.element(_parse_poly(base, v))
         return field.element(Polynomial.constant(_parse_element(base, v)))
-    except MktError:
-        raise
     except (ValueError, TypeError) as e:
         raise ParseError(f"bad element {v!r}: {e}") from e
+
+
+def _parse_element(field: FieldDescriptor, v):
+    """The element of field that the document value v names."""
+    x = _read(field, v)
+    if field.kind == RATIONALS:
+        return field.element(Fraction(*x))
+    return kernel_elements(field, [x], kernel_kind(field))[0]
 
 
 def _parse_poly(base: FieldDescriptor, coeffs) -> Polynomial:
@@ -194,60 +213,16 @@ def _parse_matrices(field: FieldDescriptor, mats) -> MatrixTuple:
 
 
 def _parse_matrix(field: FieldDescriptor, m: list) -> Matrix:
-    """One matrix read straight into the internal form of field (see linalg):
-    integer rows over one denominator over Q, residues over F_p and table
-    indices over a tabled step (the CLI's steps are over F_p); elements over
-    any other field. Entries are read in row-major order, and a ragged
-    matrix is refused after its entries."""
-    if field.kind == RATIONALS:
-        rows = [[_rational_pair(field, e) for e in row] for row in m]
-    elif field.kind == PRIME:
-        rows = [[_residue(field, e) for e in row] for row in m]
-    elif kernel_kind(field) is not None:
-        rows = [[_table_index(field, e) for e in row] for row in m]
-    else:
-        return Matrix(field, [[_parse_element(field, e) for e in row] for row in m])
+    """One matrix, its entries read in row-major order by _read; a ragged
+    matrix is refused after its entries. Over Q the rows are brought over
+    one denominator."""
+    rows = [[_read(field, e) for e in row] for row in m]
     if any(len(r) != len(rows[0]) for r in rows):
         raise ArityMismatch("ragged rows")
     if field.kind != RATIONALS:
         return Matrix._from_form(field, rows)
     d = lcm(*[b for r in rows for _, b in r])
     return Matrix._from_ints(field, [[a * (d // b) for a, b in r] for r in rows], d)
-
-
-# The three readings below take the common entries directly and hand every
-# other one to _parse_element, so that an entry is accepted, and an error
-# worded, exactly as on the element path.
-
-
-def _rational_pair(field: FieldDescriptor, v) -> tuple[int, int]:
-    """A rational entry as (numerator, denominator > 0), not reduced."""
-    if type(v) is int:
-        return v, 1
-    m = _RATIONAL.fullmatch(v) if type(v) is str else None
-    if m:
-        try:
-            n, d = int(m[1]), int(m[2] or 1)
-        except ValueError:  # past Python's digit limit
-            d = 0
-        if d:
-            return n, d
-    x = _parse_element(field, v).rep
-    return x.numerator, x.denominator
-
-
-def _residue(field: FieldDescriptor, v) -> int:
-    """A prime-field entry as its residue in [0, p)."""
-    if type(v) is int:
-        return v % field.p
-    return _parse_element(field, v).rep
-
-
-def _table_index(field: FieldDescriptor, v) -> int:
-    """An entry of a tabled step over F_p as its table index."""
-    if type(v) is list and len(v) <= field.step_degree:
-        return table_index(field, [_residue(field.base, c) for c in v])
-    return kernel_values(kernel_kind(field), [_parse_element(field, v)])[0]
 
 
 def _parse_place_token(tok):

@@ -193,6 +193,13 @@ def tame_symbol(v: Valuation, x: MilnorExpression) -> MilnorExpression:
     symbols are 2-torsion, so the in-place replacement is exact), the
     surviving pi is moved to the last slot with the usual sign, and the
     boundary then strips it, leaving the residues of the unit parts.
+
+    A term with an entry equal to one vanishes, so only the subsets S whose
+    other entries all differ from one are visited: S holds every pi-position
+    of residue one, no entry of valuation zero has residue one, and when
+    -1 = 1, S has one element. The rest of S ranges over the free
+    pi-positions, those of residue other than one, in the order of the
+    subsets' bit masks.
     """
     if x.weight < 1:
         raise ArityMismatch("the boundary map needs weight >= 1")
@@ -205,39 +212,34 @@ def tame_symbol(v: Valuation, x: MilnorExpression) -> MilnorExpression:
     acc: dict[tuple, int] = {}
     for entries, coeff in x.items():
         m = len(entries)
-        vals = []
-        residues = []
-        for e in entries:
+        vals, residues, forced, free = [], [], [], []
+        for i, e in enumerate(entries):
             n, res = _residue_split(v, kv, e)
+            if n:
+                (forced if res.is_one() else free).append(i)
+            elif res.is_one():
+                break  # this entry is one in every term of the expansion
             vals.append(n)
             residues.append(res)
-        positions = [i for i in range(m) if vals[i] != 0]
-        if not positions:
-            continue
-        npos = len(positions)
-        for mask in range(1, 1 << npos):
-            subset = [positions[b] for b in range(npos) if mask >> b & 1]
-            mult = coeff
-            for i in subset:
-                mult *= vals[i]
-            j0 = subset[0]
-            chosen = set(subset)
-            res_entries = []
-            dead = False
-            for i in range(m):
-                if i == j0:
-                    continue
-                val = minus1 if i in chosen else residues[i]
-                if val.is_one():
-                    dead = True
-                    break
-                res_entries.append(val)
-            if dead:
-                continue
-            if (m - 1 - j0) % 2:
-                mult = -mult
-            key = tuple(res_entries)
-            acc[key] = acc.get(key, 0) + mult
+        else:
+            if not minus1.is_one():
+                subsets = (forced + [free[b] for b in range(len(free)) if mask >> b & 1]
+                           for mask in range(0 if forced else 1, 1 << len(free)))
+            elif forced:  # -1 = 1 kills every subset of two or more
+                subsets = [forced] if len(forced) == 1 else []
+            else:
+                subsets = [[i] for i in free]
+            for subset in subsets:
+                chosen = set(subset)
+                j0 = min(chosen)
+                mult = coeff
+                for i in subset:
+                    mult *= vals[i]
+                if (m - 1 - j0) % 2:
+                    mult = -mult
+                key = tuple([minus1 if i in chosen else residues[i]
+                             for i in range(m) if i != j0])
+                acc[key] = acc.get(key, 0) + mult
     return MilnorExpression._trusted(kv, x.weight - 1, acc)
 
 

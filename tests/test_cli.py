@@ -10,6 +10,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mkt
 from mkt import cli, errors
@@ -460,6 +462,43 @@ class TestEntriesIntoForms:
             assert got.rows == want.rows
 
 
+# JSON values, biased towards entries that read: integers, the README's
+# rational strings and short coefficient lists of them
+_NUMBERS = st.integers(-40, 40) | st.from_regex(r"[+-]?[0-9]{1,3}(/[0-9]{1,2})?", fullmatch=True)
+_ODDITIES = (st.integers() | st.none() | st.booleans() | st.floats(allow_nan=False)
+             | st.text(max_size=4))
+_JSON_VALUES = _NUMBERS | st.lists(_NUMBERS, max_size=5) | st.recursive(
+    _NUMBERS | _ODDITIES,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=8)
+
+
+def _outcome(read):
+    try:
+        return read(), None
+    except errors.MktError as e:
+        return None, (type(e).__name__, str(e))
+
+
+class TestOneReader:
+    @pytest.mark.parametrize("block", [
+        {"kind": "Q"}, F5_BLOCK, F9_BLOCK,
+        {"kind": "Fq", "p": 3, "deg": 4, "modulus": [2, 1, 0, 0, 1]}],
+        ids=["Q", "F5", "F9", "F81"])
+    @settings(max_examples=150, deadline=None)
+    @given(v=_JSON_VALUES)
+    def test_element_and_entry_agree(self, block, v):
+        """A value read as an element and as the entry of a 1x1 matrix is
+        refused by both with one error, or accepted by both as one element."""
+        field = cli._parse_field(block)
+        element, element_error = _outcome(lambda: cli._parse_element(field, v))
+        tup, entry_error = _outcome(lambda: cli._parse_matrices(field, [[[v]]]))
+        assert element_error == entry_error
+        if element_error is None:
+            assert tup.matrices[0].rows == ((element,),)
+
+
 class TestSuites:
     def test_reciprocity_suite_passes(self, capsys):
         code, out = run(capsys, ["check", "reciprocity", "--q", "5",
@@ -649,9 +688,14 @@ class TestMalformedDocuments:
         (F9_BLOCK, [1], [True, 0], "not a prime-field element: True"),
         (F9_BLOCK, [1], [[1]], "not a prime-field element: [1]"),
     ])
-    def test_matrix_entry(self, capsys, tmp_path, block, good, entry, message):
-        doc = {"field": block, "matrices": [[[good, entry], ["?", good]]]}
-        code, out = run(capsys, ["reduce", write_doc(tmp_path, "d.json", doc)])
+    # the same entries, in the same order, as a symbol: one reader, one error
+    @pytest.mark.parametrize("command", ["reduce", "canon"])
+    def test_matrix_entry(self, capsys, tmp_path, block, good, entry, message, command):
+        if command == "reduce":
+            doc = {"field": block, "matrices": [[[good, entry], ["?", good]]]}
+        else:
+            doc = {"field": block, "symbols": [{"entries": [good, entry, "?", good]}]}
+        code, out = run(capsys, [command, write_doc(tmp_path, "d.json", doc)])
         assert code == 1
         assert out["error"] == {"type": "ParseError", "message": message}
 

@@ -1,6 +1,7 @@
 """Places of k(X) and Q, the tame symbol algorithm, and reciprocity sums."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -13,7 +14,7 @@ from mkt.fields import (Polynomial, RationalFunction, element_from_poly,
 from mkt.sampling import monic_irreducible, random_unit
 from mkt.symbols import MilnorExpression, symbol
 from mkt.transfer import reciprocity_check
-from mkt.valuations import (finite_place, infinite_place, rational_prime,
+from mkt.valuations import (_residue_split, finite_place, infinite_place, rational_prime,
                             support, tame_symbol, unit_part, valuate)
 
 Qf = rationals()
@@ -289,6 +290,89 @@ class TestResidueOracle:
             seen.update(valuate(v, e) for entries in terms for e in entries)
             assert tame_symbol(v, x) == reference_tame(v, x)
         assert min(seen) < 0 and max(seen) > 1  # poles and double zeros occurred
+
+
+def every_subset_tame(v, x):
+    """The boundary map by enumerating every nonempty subset of the entries
+    of nonzero valuation and dropping a subset's term when some other entry
+    is one: the enumeration tame_symbol ran before it visited only the free
+    entries."""
+    kv = v.residue_field()
+    minus1 = kv.minus_one()
+    acc = {}
+    for entries, coeff in x.items():
+        m = len(entries)
+        vals, residues = zip(*[_residue_split(v, kv, e) for e in entries])
+        positions = [i for i in range(m) if vals[i] != 0]
+        npos = len(positions)
+        for mask in range(1, 1 << npos):
+            subset = [positions[b] for b in range(npos) if mask >> b & 1]
+            mult = coeff
+            for i in subset:
+                mult *= vals[i]
+            j0 = subset[0]
+            chosen = set(subset)
+            res_entries = []
+            dead = False
+            for i in range(m):
+                if i == j0:
+                    continue
+                val = minus1 if i in chosen else residues[i]
+                if val.is_one():
+                    dead = True
+                    break
+                res_entries.append(val)
+            if dead:
+                continue
+            if (m - 1 - j0) % 2:
+                mult = -mult
+            key = tuple(res_entries)
+            acc[key] = acc.get(key, 0) + mult
+    return MilnorExpression._trusted(kv, x.weight - 1, acc)
+
+
+class TestBoundaryEnumeration:
+    @pytest.mark.parametrize("p", [2, 3, 31])
+    def test_free_entries_match_every_subset(self, p):
+        """Symbols of weight 1 to 5 over F_p(X), their entries products of a
+        few shared polynomials times constants, so that many entries have a
+        nonzero valuation and their residues are one or not: at every place
+        of the support, tame_symbol equals the full enumeration."""
+        k = prime_field(p)
+        ff = function_field(k)
+        rng = random.Random(p)
+        pool = [poly(k, [rng.randrange(p), 1]) for _ in range(3)]
+        pool.append(monic_irreducible(k, rng, 2))
+        pool.append(Polynomial.x(k))
+
+        def entry():
+            num = Polynomial.constant(random_unit(k, rng))
+            for _ in range(rng.randint(0, 2)):
+                num = num * rng.choice(pool)
+            den = rng.choice(pool) if rng.random() < 0.3 else Polynomial.one(k)
+            return ff.element(RationalFunction(num, den))
+
+        compared = 0
+        for trial in range(40):
+            weight = 1 + trial % 5
+            terms = {tuple(entry() for _ in range(weight)): rng.choice((1, -1, 2))
+                     for _ in range(rng.randint(1, 2))}
+            x = MilnorExpression(ff, weight, terms)
+            for v in support(x):
+                assert tame_symbol(v, x) == every_subset_tame(v, x)
+                compared += 1
+        assert compared >= 100
+
+    def test_twenty_entries_of_residue_one(self):
+        """{X+1, ..., X+20} over F_31 at infinity: every entry has valuation
+        -1 and residue 1, so one subset of the 2^20 - 1 gives a term."""
+        k = prime_field(31)
+        ff = function_field(k)
+        x = symbol([ff.element(poly(k, [c, 1])) for c in range(1, 21)], field=ff)
+        start = time.process_time()
+        t = tame_symbol(infinite_place(ff), x)
+        assert time.process_time() - start < 0.5
+        assert len(t.items()) == 1
 
 
 class TestSupport:
