@@ -632,6 +632,25 @@ class TestSuites:
 Q_BLOCK = {"kind": "Q"}
 ONE_TERM = [{"entries": ["2"]}]
 
+# entries each field block refuses; good is an accepted entry of the same block
+BAD_ENTRIES = [
+    (Q_BLOCK, 1, "1.5", "not a rational: '1.5'"),
+    (Q_BLOCK, 1, "1e3", "not a rational: '1e3'"),
+    (Q_BLOCK, 1, True, "not a rational: True"),
+    (Q_BLOCK, 1, None, "not a rational: None"),
+    (Q_BLOCK, 1, " 1", "not a rational: ' 1'"),
+    (Q_BLOCK, 1, [1], "not a rational: [1]"),
+    (F5_BLOCK, 1, "1/2", "not a prime-field element: '1/2'"),
+    (F5_BLOCK, 1, [1], "not a prime-field element: [1]"),
+    (F5_BLOCK, 1, True, "not a prime-field element: True"),
+    (F9_BLOCK, [1], 5, "not an extension element: 5"),
+    (F9_BLOCK, [1], [1, 2, 3],
+     "bad element [1, 2, 3]: coefficient sequence longer than step degree 2"),
+    (F9_BLOCK, [1], ["1", "x"], "not a prime-field element: 'x'"),
+    (F9_BLOCK, [1], [True, 0], "not a prime-field element: True"),
+    (F9_BLOCK, [1], [[1]], "not a prime-field element: [1]"),
+]
+
 
 class TestMalformedDocuments:
     """Each way a document can be malformed ends in a typed error, exit 1."""
@@ -671,31 +690,18 @@ class TestMalformedDocuments:
 
     # a bad matrix entry after a good one and before another bad one ("?"):
     # the first offending entry in row-major order is reported
-    @pytest.mark.parametrize("block, good, entry, message", [
-        (Q_BLOCK, 1, "1.5", "not a rational: '1.5'"),
-        (Q_BLOCK, 1, "1e3", "not a rational: '1e3'"),
-        (Q_BLOCK, 1, True, "not a rational: True"),
-        (Q_BLOCK, 1, None, "not a rational: None"),
-        (Q_BLOCK, 1, " 1", "not a rational: ' 1'"),
-        (Q_BLOCK, 1, [1], "not a rational: [1]"),
-        (F5_BLOCK, 1, "1/2", "not a prime-field element: '1/2'"),
-        (F5_BLOCK, 1, [1], "not a prime-field element: [1]"),
-        (F5_BLOCK, 1, True, "not a prime-field element: True"),
-        (F9_BLOCK, [1], 5, "not an extension element: 5"),
-        (F9_BLOCK, [1], [1, 2, 3],
-         "bad element [1, 2, 3]: coefficient sequence longer than step degree 2"),
-        (F9_BLOCK, [1], ["1", "x"], "not a prime-field element: 'x'"),
-        (F9_BLOCK, [1], [True, 0], "not a prime-field element: True"),
-        (F9_BLOCK, [1], [[1]], "not a prime-field element: [1]"),
-    ])
+    @pytest.mark.parametrize("block, good, entry, message", BAD_ENTRIES)
+    def test_matrix_entry(self, capsys, tmp_path, block, good, entry, message):
+        doc = {"field": block, "matrices": [[[good, entry], ["?", good]]]}
+        code, out = run(capsys, ["reduce", write_doc(tmp_path, "d.json", doc)])
+        assert code == 1
+        assert out["error"] == {"type": "ParseError", "message": message}
+
     # the same entries, in the same order, as a symbol: one reader, one error
-    @pytest.mark.parametrize("command", ["reduce", "canon"])
-    def test_matrix_entry(self, capsys, tmp_path, block, good, entry, message, command):
-        if command == "reduce":
-            doc = {"field": block, "matrices": [[[good, entry], ["?", good]]]}
-        else:
-            doc = {"field": block, "symbols": [{"entries": [good, entry, "?", good]}]}
-        code, out = run(capsys, [command, write_doc(tmp_path, "d.json", doc)])
+    @pytest.mark.parametrize("block, good, entry, message", BAD_ENTRIES)
+    def test_symbol_entry(self, capsys, tmp_path, block, good, entry, message):
+        doc = {"field": block, "symbols": [{"entries": [good, entry, "?", good]}]}
+        code, out = run(capsys, ["canon", write_doc(tmp_path, "d.json", doc)])
         assert code == 1
         assert out["error"] == {"type": "ParseError", "message": message}
 
