@@ -38,8 +38,8 @@ from .numutil import factor_int, is_prime, prime_power
 from .sampling import monic_irreducible
 from .symbols import MilnorExpression, symbol
 from .transfer import reciprocity_check, transfer_ext
-from .valuations import (INFINITE, PRIME_PLACE, REAL, finite_place,
-                         infinite_place, rational_prime, support, tame_symbol)
+from .valuations import (INFINITE, PRIME_PLACE, finite_place, infinite_place,
+                         rational_prime, support, tame_symbol)
 
 __all__ = ["main"]
 
@@ -159,7 +159,7 @@ def _read(field: FieldDescriptor, v):
         # a function field k(X)
         if type(v) is dict:
             num = _parse_poly(base, v.get("num"))
-            den = _parse_poly(base, v.get("den", [1]))
+            den = _parse_poly(base, v["den"]) if "den" in v else Polynomial.one(base)
             return field.element(RationalFunction(num, den))
         if type(v) is list:
             return field.element(_parse_poly(base, v))
@@ -257,16 +257,14 @@ def _field_name(field: FieldDescriptor) -> str:
 
 
 def _element_json(e):
+    """An element of Q, F_p or an extension step over them, the only fields
+    a report renders elements of."""
     f = e.field
     if f.kind == RATIONALS:
         return str(e.rep)
     if f.kind == PRIME:
         return e.rep
-    if f.kind == EXTENSION:
-        return [_element_json(c) for c in e.rep]
-    num = [_element_json(c) for c in e.rep.num.coeffs]
-    den = [_element_json(c) for c in e.rep.den.coeffs]
-    return {"num": num, "den": den}
+    return [_element_json(c) for c in e.rep]
 
 
 def _terms_json(x: MilnorExpression) -> list:
@@ -299,8 +297,6 @@ def _place_json(v) -> dict:
         return {"place": "inf"}
     if v.kind == PRIME_PLACE:
         return {"place": v.p}
-    if v.kind == REAL:
-        return {"place": "real"}
     return {"place": {"pi": [_element_json(c) for c in v.pi.coeffs]}}
 
 

@@ -22,7 +22,11 @@ tabled field is one of its table's elements, so +, -, *, inverse and == are
 list lookups. Every other field computes on coefficients for its whole
 life. An index is a function of the value, so equal descriptors
 (one per command, since `forget()` empties the descriptor caches) share
-their indices.
+their indices. One constructor, `_ext_from_coeffs`, makes every element of
+an extension step from its base coefficients (all_elements aside): the
+interned table element over a tabled step, with a coefficient of an equal,
+untabled descriptor read into the base first, and a zero-padded coefficient
+tuple over any other step.
 
 Polynomial +, -, *, divmod, gcd and resultant, and the product and inverse
 of an extension-step element, are each one call into `zkernel`, made in the
@@ -150,11 +154,9 @@ class FieldDescriptor:
             if self._table is not None:
                 # n sits in the constant coefficient all the way down
                 return self._table.elems[n % self.characteristic()]
-            d = self.step_degree
-            rep = (self.base.from_int(n),) + tuple(self.base.zero() for _ in range(d - 1))
-        else:
-            k = self.base
-            rep = RationalFunction(Polynomial(k, [k.from_int(n)]), Polynomial.one(k))
+            return _ext_from_coeffs(self, [self.base.from_int(n)])
+        k = self.base
+        rep = RationalFunction(Polynomial(k, [k.from_int(n)]), Polynomial.one(k))
         return FieldElement(self, rep)
 
     def element(self, value) -> "FieldElement":
@@ -168,7 +170,7 @@ class FieldDescriptor:
                 if value.field != self:
                     raise DescriptorMismatch(f"element of {value.field} given to {self}")
                 if self._table is not None:  # an equal descriptor's element
-                    return self._table.elems[_index(value)]
+                    return self.element(value.rep)
             return value
         if isinstance(value, int):
             return self.from_int(value)
@@ -178,9 +180,7 @@ class FieldDescriptor:
             d = self.step_degree
             if len(value) > d:
                 raise ValueError(f"coefficient sequence longer than step degree {d}")
-            coeffs = [self.base.element(c) for c in value]
-            coeffs += [self.base.zero()] * (d - len(coeffs))
-            return _ext_element(self, tuple(coeffs))
+            return _ext_from_coeffs(self, [self.base.element(c) for c in value])
         if self.kind == FUNCTION:
             if isinstance(value, RationalFunction):
                 if value.num.field != self.base:
@@ -195,13 +195,10 @@ class FieldDescriptor:
     def gen(self) -> "FieldElement":
         """The class of x in k[x]/(m), or X in k(X)."""
         if self.kind == EXTENSION:
-            d = self.step_degree
-            coeffs = [self.base.zero()] * d
-            if d == 1:
+            if self.step_degree == 1:
                 # x = root of a linear modulus is a base constant
-                return _ext_element(self, (-self.modulus.coeffs[0],))
-            coeffs[1] = self.base.one()
-            return _ext_element(self, tuple(coeffs))
+                return _ext_from_coeffs(self, [-self.modulus.coeffs[0]])
+            return _ext_from_coeffs(self, [self.base.zero(), self.base.one()])
         if self.kind == FUNCTION:
             return FieldElement(self, RationalFunction(Polynomial.x(self.base),
                                                        Polynomial.one(self.base)))
@@ -388,7 +385,7 @@ def _build_table(fld: FieldDescriptor) -> bool:
     else:
         return False
     base_one = base.one()
-    plus_one = [_index(b + base_one) for b in base_elems]
+    plus_one = kernel_values(kind, [b + base_one for b in base_elems])
     zech = [-1] * m
     for n in range(m):
         i = exp[n]
@@ -411,30 +408,6 @@ def table_index(fld: FieldDescriptor, values: list) -> int:
     return i
 
 
-def _index(x: "FieldElement") -> int:
-    """Position of x in all_elements(x.field); x lies in a finite field.
-
-    The position is a function of the value, so it is kept in x.ix."""
-    if x.ix is not None:
-        return x.ix
-    if x.field.kind == PRIME:
-        return x.rep
-    x.ix = _rep_index(x.field, x.rep)
-    return x.ix
-
-
-def _rep_index(fld: FieldDescriptor, rep: tuple) -> int:
-    return table_index(fld, [_index(c) for c in rep])
-
-
-def _ext_element(fld: FieldDescriptor, rep: tuple) -> "FieldElement":
-    """The element of fld with coefficient tuple rep; interned when fld has
-    a table."""
-    if fld._table is not None:
-        return fld._table.elems[_rep_index(fld, rep)]
-    return FieldElement(fld, rep)
-
-
 class FieldElement:
     """An element of the field named by `field`. Immutable."""
 
@@ -444,8 +417,7 @@ class FieldElement:
         self.field = field
         self.rep = rep
         self._key = None  # key(), built on first use
-        # position in all_elements(field): set on every table element, and
-        # by _index on elements of untabled finite fields
+        # position in all_elements(field), set on table elements only
         self.ix = None
 
     def is_zero(self) -> bool:
@@ -513,7 +485,7 @@ class FieldElement:
         if k == PRIME:
             return FieldElement(fld, (self.rep + b.rep) % fld.p)
         if k == EXTENSION:
-            return FieldElement(fld, tuple(x + y for x, y in zip(self.rep, b.rep)))
+            return _ext_from_coeffs(fld, [x + y for x, y in zip(self.rep, b.rep)])
         return FieldElement(fld, self.rep.add(b.rep))
 
     __radd__ = __add__
@@ -529,7 +501,7 @@ class FieldElement:
         if k == PRIME:
             return FieldElement(fld, (-self.rep) % fld.p)
         if k == EXTENSION:
-            return FieldElement(fld, tuple(-x for x in self.rep))
+            return _ext_from_coeffs(fld, [-x for x in self.rep])
         return FieldElement(fld, self.rep.neg())
 
     def __sub__(self, other):
@@ -683,10 +655,18 @@ class FieldElement:
         return " + ".join(parts) if parts else "0"
 
 
-def _ext_from_coeffs(fld: FieldDescriptor, coeffs: list[FieldElement]) -> FieldElement:
-    d = fld.step_degree
-    out = list(coeffs) + [fld.base.zero()] * (d - len(coeffs))
-    return _ext_element(fld, tuple(out[:d]))
+def _ext_from_coeffs(fld: FieldDescriptor, coeffs: list) -> FieldElement:
+    """The element of the extension step fld whose coefficients over fld.base
+    are coeffs, lowest first; fewer than the step degree leave the rest zero.
+    Over a tabled step it is the interned table element, and a coefficient
+    of an equal, untabled descriptor is read into the base first."""
+    base = fld.base
+    tab = fld._table
+    if tab is not None:
+        values = kernel_values(kernel_kind(base), [base.element(c) for c in coeffs])
+        return tab.elems[table_index(fld, values)]
+    rep = tuple(coeffs)
+    return FieldElement(fld, rep + (base.zero(),) * (fld.step_degree - len(rep)))
 
 
 def kernel_kind(field: FieldDescriptor):

@@ -42,7 +42,7 @@ def _coerce_entry(field: FieldDescriptor, e) -> FieldElement:
     if isinstance(e, FieldElement):
         if e.field != field:
             raise DescriptorMismatch(f"entry over {e.field}, matrix over {field}")
-        return e
+        return field.element(e)  # an equal descriptor's element joins field's form
     if isinstance(e, int):
         return field.from_int(e)
     raise DescriptorMismatch(f"cannot use {type(e).__name__} as a matrix entry")

@@ -160,6 +160,16 @@ class TestTame:
         assert out["class"] == {"l": 1, "field": "Q[x]/(X^2 + 1)",
                                 "unit": ["0", "-1/2"]}
 
+    def test_valuation_class(self, capsys, tmp_path):
+        # [DERIVED] a weight-1 class at 3 is its valuation: 2 v_3(9) + v_3(5) = 4
+        path = write_doc(tmp_path, "d.json", {
+            "field": {"kind": "Q"}, "place": 3,
+            "symbols": [{"coeff": 2, "entries": ["9"]}, {"coeff": 1, "entries": ["5"]}],
+        })
+        code, out = run(capsys, ["tame", path])
+        assert code == 0
+        assert out["class"] == {"field": "F3", "l": 0, "n": 4}
+
 
 class TestReciprocity:
     def test_rational_function_pair(self, capsys, tmp_path):
@@ -215,6 +225,29 @@ class TestReciprocity:
         alive = [f for f in tabled_f9s() if id(f) not in before]
         assert len(alive) == 1
         assert any(alive[0] is f for f in fields_module._EXTENSIONS.values())
+
+
+# per field block: the polynomial 1 and two numerators, low to high
+OMITTED_DEN_FIELDS = {
+    "F5": ({"kind": "Fq", "p": 5}, [1], [[1, 1], [2, 0, 1]]),
+    "F9": ({"kind": "Fq", "p": 3, "deg": 2, "modulus": [1, 0, 1]}, [[1]],
+           [[[1, 1], [0, 1]], [[2], [1]]]),
+    "Q": ({"kind": "Q"}, ["1"], [["1", "1"], ["2", "0", "1"]]),
+}
+
+
+class TestOmittedDen:
+    @pytest.mark.parametrize("command", ["tame", "reciprocity"])
+    @pytest.mark.parametrize("name", list(OMITTED_DEN_FIELDS))
+    def test_omitted_den_is_one(self, capsys, tmp_path, name, command):
+        """A rational function written without "den" reads as num / 1."""
+        block, one, nums = OMITTED_DEN_FIELDS[name]
+        reports = []
+        for entries in ([{"num": n} for n in nums], [{"num": n, "den": one} for n in nums]):
+            doc = {"field": block, "place": "inf", "symbols": [{"entries": entries}]}
+            reports.append(run(capsys, [command, write_doc(tmp_path, "d.json", doc)]))
+        assert reports[1][0] == 0
+        assert reports[0] == reports[1]
 
 
 class TestTransfer:

@@ -1,6 +1,7 @@
 """Every name a module of mkt imports is used in that module, no module
-imports a private name from another, and only `fields` and `zkernel` read a
-field's `_table`, so the table's layout stays behind those two.
+imports a private name from another, only `fields` and `zkernel` read a
+field's `_table`, so the table's layout stays behind those two, and only
+`fields` reads an element's table index `ix`.
 
 `__init__.py` is exempt: its imports are the package's re-exports.
 """
@@ -69,18 +70,30 @@ def test_no_private_imports(path):
 TABLE_OWNERS = {"fields.py", "zkernel.py"}
 
 
-def table_reads(source: str) -> list[str]:
-    """The lines on which source reads an attribute named _table."""
+def attribute_reads(source: str, name: str) -> list[str]:
+    """The lines on which source reads an attribute called name."""
     return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and node.attr == "_table"]
+            if isinstance(node, ast.Attribute) and node.attr == name]
 
 
 def test_flags_a_table_read():
     source = "tab = field._table\nadd = f.base._table.add\nfield.table = 1\n"
-    assert table_reads(source) == ["line 1", "line 2"]
+    assert attribute_reads(source, "_table") == ["line 1", "line 2"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name not in TABLE_OWNERS],
                          ids=lambda p: p.name)
 def test_no_table_reads(path):
-    assert table_reads(path.read_text()) == []
+    assert attribute_reads(path.read_text(), "_table") == []
+
+
+def test_flags_an_index_read():
+    source = "i = x.ix\nrow = tab.add[a.ix][b.ix]\nix = 1\n"
+    assert attribute_reads(source, "ix") == ["line 1", "line 2", "line 2"]
+
+
+# an element's ix is its position in its field's table, which only fields knows
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fields.py"],
+                         ids=lambda p: p.name)
+def test_no_index_reads(path):
+    assert attribute_reads(path.read_text(), "ix") == []

@@ -458,6 +458,29 @@ class TestTabledElimination:
             assert ab * Matrix.identity(field, m) == ab
 
 
+@pytest.mark.parametrize("q", [9, 27, "16/4"])
+def test_entries_of_an_equal_untabled_descriptor(q, rng):
+    """A matrix over a tabled field reads an entry of an equal, untabled
+    descriptor into its table, so det and apply see its value."""
+    field = elimination_field(q)
+    twin = untabled_twin(field)
+    a = field.gen()
+    t = field.one() + a
+    tt = twin_element(twin, t)
+    m = Matrix(field, [[tt, 1], [0, tt]])
+    assert all(interned(field, r) for r in m.rows)
+    assert m.det() == t * t
+    if q == 9:  # (1 + a)^2 = 1 + 2a + a^2 = 2a, since a^2 = -1
+        assert m.det() == 2 * a
+    assert m.apply([tt, 1]) == (t * t + 1, t)
+    for n in (2, 3, 4):
+        same = rand_rect(field, rng, n, n)
+        mixed = Matrix(field, [twin_vector(twin, r) for r in same.rows])
+        assert mixed == same and mixed.det() == det_cofactor(same)
+        v = [rand_entry(field, rng) for _ in range(n)]
+        assert mixed.apply(twin_vector(twin, v)) == same.apply(v)
+
+
 def product_entry(field, rng):
     """A random entry: rationals with large denominators over Q, quotients
     of small polynomials over Q(t)."""
