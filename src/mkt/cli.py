@@ -30,11 +30,10 @@ from .fields import (EXTENSION, FUNCTION, PRIME, RATIONALS, FieldDescriptor,
                      Polynomial, RationalFunction, extension, function_field,
                      kernel_elements, kernel_kind, prime_field, rationals, table_index,
                      tower_degree)
-from .fields import forget as forget_fields
 from .jointdet import (RATIONAL_HILBERT, SPECS, UNIVERSAL, check_axioms,
                        hilbert, make_determinant)
 from .linalg import Matrix
-from .numutil import factor_int, is_prime, prime_power
+from .numutil import PROVEN_PRIME_BOUND, factor_int, is_prime, prime_power
 from .sampling import monic_irreducible
 from .symbols import MilnorExpression, symbol
 from .transfer import reciprocity_check, transfer_ext
@@ -75,6 +74,14 @@ def _load_document(path: str) -> dict:
     return doc
 
 
+def _proven_prime(p: int, what: str) -> int:
+    """p, a prime the input names, if is_prime is exact at p."""
+    if p >= PROVEN_PRIME_BOUND:
+        raise ParseError(f"{what} {p} is not below {PROVEN_PRIME_BOUND}, "
+                         "so its primality is not proven")
+    return p
+
+
 def _parse_field(block) -> FieldDescriptor:
     if not isinstance(block, dict) or "kind" not in block:
         raise ParseError('field block must be an object with a "kind"')
@@ -89,7 +96,7 @@ def _parse_field(block) -> FieldDescriptor:
         if not isinstance(deg, int) or isinstance(deg, bool) or deg < 1:
             raise ParseError('"deg" must be a positive integer')
         try:
-            base = prime_field(p)
+            base = prime_field(_proven_prime(p, '"p"'))
             if deg == 1:
                 return base
             mod = block.get("modulus")
@@ -231,7 +238,7 @@ def _parse_place_token(tok):
     if isinstance(tok, str) and _INTEGER.fullmatch(tok):
         tok = int(tok)
     if isinstance(tok, int) and is_prime(tok):
-        return tok
+        return _proven_prime(tok, "place")
     raise ParseError(f"not a place: {tok!r}")
 
 
@@ -423,7 +430,7 @@ def _field_from_q(q: int) -> FieldDescriptor:
     if pd is None:
         raise ParseError(f"q = {q} is not a prime power >= 2")
     p, d = pd
-    base = prime_field(p)
+    base = prime_field(_proven_prime(p, "characteristic"))
     if d == 1:
         return base
     return extension(base, _default_modulus(base, d))
@@ -612,7 +619,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     forget_factorizations()
-    forget_fields()
     try:
         report, code = globals()[f"_cmd_{args.command}"](args)
     except MktError as e:

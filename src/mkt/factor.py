@@ -30,11 +30,11 @@ Results are memoized in one dict, keyed on the immutable Polynomial: the
 transfer recursion factors the same entries and reopens places at the same
 factors many times over. Each factor of degree >= 2 that `factor` returns is
 recorded as its own factorization, so a later `factor` or `is_irreducible`
-on it is one lookup. Keys compare descriptors by equality, so an entry
-counts only when it lies over f's own descriptor. The dict is emptied when
-it reaches _MEMO_CAP entries, and by `forget()`; the CLI calls it before
-every command, so no command's report or cost depends on an earlier one in
-the same process.
+on it is one lookup. A key holds its field's descriptor, the one live
+object of that field, so an entry answers only over that field. The dict is
+emptied when it reaches _MEMO_CAP entries, and by `forget()`; the CLI calls
+it before every command, so no command's report depends on an earlier one
+in the same process.
 """
 
 from __future__ import annotations
@@ -467,8 +467,7 @@ def factor(f: Polynomial) -> tuple[FieldElement, list[tuple[Polynomial, int]]]:
     if fld.kind == FUNCTION or (fld.kind == EXTENSION and not fld.is_finite()):
         raise UnsupportedFactorization(f"factorization over {fld} is not supported")
     known = _FACTORED.get(f)
-    # an equal descriptor (an untabled twin, a forgotten extension) is not fld
-    if known is not None and known[0].field is fld:
+    if known is not None:
         return known[0], list(known[1])
     unit = f.lc()
     if f.degree == 0:

@@ -6,11 +6,16 @@ are immutable and hashable; arithmetic never leaves exact representations
 (Fraction for Q, residues for F_p, fixed-length coefficient tuples for
 extension steps, reduced num/den pairs for k(X)).
 
-Descriptors are canonical: `extension` and `function_field` hand out one
-object per field, so descriptor equality is almost always an identity test.
-Each descriptor keeps its tower, the tuple of descriptors from Q or F_p up
-to itself, and its characteristic, finiteness, degree and steps over a
-subfield are read off that tuple.
+Descriptors are hash-consed (Filliatre and Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): `rationals`, `prime_field`, `extension`
+and `function_field` are the only makers, and each hands out the one live
+object of its field, so descriptor equality is identity and the default
+hash serves. Extensions and function fields are interned weakly: a
+descriptor that nothing uses leaves its cache when the garbage collector
+takes it (its tower refers to itself, so that waits for a collection), and
+a later call makes it afresh. Each descriptor keeps its tower, the tuple of
+descriptors from Q or F_p up to itself, and its characteristic, finiteness,
+degree and steps over a subfield are read off that tuple.
 `extension` proves its modulus irreducible once, when it makes the
 descriptor, so no descriptor is ever made over a reducible modulus. A
 finite step of order q <= _TABLE_MAX is proven by the walk that builds its
@@ -20,13 +25,10 @@ tables on their indices, built from Zech logarithms (Huber, IEEE Trans. IT
 1990). The table lives as long as the descriptor, and every element of a
 tabled field is one of its table's elements, so +, -, *, inverse and == are
 list lookups. Every other field computes on coefficients for its whole
-life. An index is a function of the value, so equal descriptors
-(one per command, since `forget()` empties the descriptor caches) share
-their indices. One constructor, `_ext_from_coeffs`, makes every element of
-an extension step from its base coefficients (all_elements aside): the
-interned table element over a tabled step, with a coefficient of an equal,
-untabled descriptor read into the base first, and a zero-padded coefficient
-tuple over any other step.
+life. One constructor, `_ext_from_coeffs`, makes every element of an
+extension step from its base elements (all_elements aside): the interned
+table element over a tabled step, and a zero-padded coefficient tuple over
+any other step.
 
 Polynomial +, -, *, divmod, gcd and resultant, and the product and inverse
 of an extension-step element, are each one call into `zkernel`, made in the
@@ -49,6 +51,7 @@ last. The zero polynomial has degree -1.
 from __future__ import annotations
 
 from fractions import Fraction
+import weakref
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -78,22 +81,30 @@ FUNCTION = "function"
 _TABLE_MAX = 27
 
 
+# the makers' pass to FieldDescriptor.__init__
+_MAKER = object()
+
+
 class FieldDescriptor:
-    """Identity of a field. Structural equality; do not mutate."""
+    """Identity of a field: the one live object for it, so == is `is`. Only
+    rationals, prime_field, extension and function_field make one; do not
+    mutate."""
 
-    __slots__ = ("kind", "p", "base", "modulus", "tower", "_hash", "_mod_values",
-                 "_order", "_table")
+    __slots__ = ("kind", "p", "base", "modulus", "tower", "_mod_values",
+                 "_order", "_table", "__weakref__")
 
-    def __init__(self, kind: str, p: int | None = None,
+    def __init__(self, maker, kind: str, p: int | None = None,
                  base: "FieldDescriptor | None" = None,
                  modulus: "Polynomial | None" = None):
+        if maker is not _MAKER:
+            raise TypeError("field descriptors come from rationals(), prime_field(), "
+                            "extension() and function_field()")
         self.kind = kind
         self.p = p
         self.base = base
         self.modulus = modulus
         # the descriptors from Q or F_p up to this one, bottom first
         self.tower = (self,) if base is None else base.tower + (self,)
-        self._hash = None
         # the modulus's coefficients in the base's kernel kind, for the
         # arithmetic of this step
         self._mod_values = (None if modulus is None
@@ -167,10 +178,7 @@ class FieldDescriptor:
         """
         if isinstance(value, FieldElement):
             if value.field is not self:
-                if value.field != self:
-                    raise DescriptorMismatch(f"element of {value.field} given to {self}")
-                if self._table is not None:  # an equal descriptor's element
-                    return self.element(value.rep)
+                raise DescriptorMismatch(f"element of {value.field} given to {self}")
             return value
         if isinstance(value, int):
             return self.from_int(value)
@@ -204,30 +212,15 @@ class FieldDescriptor:
                                                        Polynomial.one(self.base)))
         raise UnsupportedField("gen() needs an extension or function field")
 
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FieldDescriptor):
-            return NotImplemented
-        if self.kind != other.kind or self.p != other.p:
-            return False
-        if self.kind in (RATIONALS, PRIME):
-            return True
+    def __reduce__(self):
+        # copy, deepcopy and pickle remake a descriptor through its maker too
+        if self.kind == RATIONALS:
+            return rationals, ()
+        if self.kind == PRIME:
+            return prime_field, (self.p,)
         if self.kind == FUNCTION:
-            return self.base == other.base
-        return self.base == other.base and self.modulus.coeff_key() == other.modulus.coeff_key()
-
-    def __hash__(self):
-        if self._hash is None:
-            if self.kind in (RATIONALS, PRIME):
-                self._hash = hash((self.kind, self.p))
-            elif self.kind == FUNCTION:
-                self._hash = hash((self.kind, self.base))
-            else:
-                self._hash = hash((self.kind, self.base, self.modulus.coeff_key()))
-        return self._hash
+            return function_field, (self.base,)
+        return extension, (self.base, self.modulus)
 
     def __repr__(self):
         if self.kind == RATIONALS:
@@ -239,18 +232,14 @@ class FieldDescriptor:
         return f"{self.base!r}[x]/({self.modulus})"
 
 
-_RATIONALS = FieldDescriptor(RATIONALS)
+_RATIONALS = FieldDescriptor(_MAKER, RATIONALS)
 _PRIME_CACHE: dict[int, FieldDescriptor] = {}
-# modulus -> base[x]/(modulus); base -> base(X); both emptied by forget()
-_EXTENSIONS: dict["Polynomial", FieldDescriptor] = {}
-_FUNCTION_FIELDS: dict[FieldDescriptor, FieldDescriptor] = {}
-
-
-def forget() -> None:
-    """Drop the cached extension and function-field descriptors, so that the
-    next computation starts cold; a table goes with its descriptor."""
-    _EXTENSIONS.clear()
-    _FUNCTION_FIELDS.clear()
+# modulus -> base[x]/(modulus) and base -> base(X), for as long as the
+# descriptor lives; a table goes with its descriptor
+_EXTENSIONS: weakref.WeakValueDictionary[Polynomial, FieldDescriptor] = \
+    weakref.WeakValueDictionary()
+_FUNCTION_FIELDS: weakref.WeakValueDictionary[FieldDescriptor, FieldDescriptor] = \
+    weakref.WeakValueDictionary()
 
 
 def rationals() -> FieldDescriptor:
@@ -262,7 +251,7 @@ def prime_field(p: int) -> FieldDescriptor:
     if got is None:
         if not is_prime(p):
             raise BadModulus(f"{p} is not prime")
-        got = FieldDescriptor(PRIME, p=p)
+        got = FieldDescriptor(_MAKER, PRIME, p=p)
         _PRIME_CACHE[p] = got
     return got
 
@@ -275,7 +264,7 @@ def extension(base: FieldDescriptor, modulus: "Polynomial") -> FieldDescriptor:
     the power walk of _build_table, any other step by is_irreducible. A
     cached descriptor is returned with no second proof.
     """
-    if modulus.field != base:
+    if modulus.field is not base:
         raise DescriptorMismatch("modulus is not over the base field")
     got = _EXTENSIONS.get(modulus)
     if got is not None:
@@ -286,9 +275,7 @@ def extension(base: FieldDescriptor, modulus: "Polynomial") -> FieldDescriptor:
         raise BadModulus("modulus must be monic")
     if base.kind == FUNCTION:
         raise UnsupportedField("extensions of function fields are not supported")
-    if modulus.field is not base:
-        modulus = Polynomial(base, modulus.coeffs)
-    got = FieldDescriptor(EXTENSION, base=base, modulus=modulus)
+    got = FieldDescriptor(_MAKER, EXTENSION, base=base, modulus=modulus)
     if base.is_finite() and got.order() <= _TABLE_MAX:
         proven = _build_table(got)
     else:
@@ -306,7 +293,7 @@ def function_field(base: FieldDescriptor) -> FieldDescriptor:
         raise UnsupportedField("iterated function fields are not supported")
     got = _FUNCTION_FIELDS.get(base)
     if got is None:
-        got = _FUNCTION_FIELDS[base] = FieldDescriptor(FUNCTION, base=base)
+        got = _FUNCTION_FIELDS[base] = FieldDescriptor(_MAKER, FUNCTION, base=base)
     return got
 
 
@@ -622,8 +609,7 @@ class FieldElement:
             other = self.field.from_int(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.key() == other.key() and (self.field is other.field
-                                              or self.field == other.field)
+        return self.field is other.field and self.key() == other.key()
 
     def __hash__(self):
         k = self._key
@@ -656,15 +642,13 @@ class FieldElement:
 
 
 def _ext_from_coeffs(fld: FieldDescriptor, coeffs: list) -> FieldElement:
-    """The element of the extension step fld whose coefficients over fld.base
-    are coeffs, lowest first; fewer than the step degree leave the rest zero.
-    Over a tabled step it is the interned table element, and a coefficient
-    of an equal, untabled descriptor is read into the base first."""
+    """The element of the extension step fld whose coefficients are coeffs,
+    elements of fld.base, lowest first; fewer than the step degree leave the
+    rest zero. Over a tabled step it is the interned table element."""
     base = fld.base
     tab = fld._table
     if tab is not None:
-        values = kernel_values(kernel_kind(base), [base.element(c) for c in coeffs])
-        return tab.elems[table_index(fld, values)]
+        return tab.elems[table_index(fld, kernel_values(kernel_kind(base), coeffs))]
     rep = tuple(coeffs)
     return FieldElement(fld, rep + (base.zero(),) * (fld.step_degree - len(rep)))
 
@@ -872,8 +856,7 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeff_key() == other.coeff_key() and (self.field is other.field
-                                                          or self.field == other.field)
+        return self.field is other.field and self.coeff_key() == other.coeff_key()
 
     def __hash__(self):
         k = self._key

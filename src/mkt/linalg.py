@@ -40,9 +40,9 @@ from mkt.zkernel import add_multiple, dots, inverse, negate, scaled
 
 def _coerce_entry(field: FieldDescriptor, e) -> FieldElement:
     if isinstance(e, FieldElement):
-        if e.field != field:
+        if e.field is not field:
             raise DescriptorMismatch(f"entry over {e.field}, matrix over {field}")
-        return field.element(e)  # an equal descriptor's element joins field's form
+        return e
     if isinstance(e, int):
         return field.from_int(e)
     raise DescriptorMismatch(f"cannot use {type(e).__name__} as a matrix entry")
@@ -194,15 +194,11 @@ class Matrix:
         return None
 
     def __eq__(self, other) -> bool:
-        if not (isinstance(other, Matrix) and self.field == other.field
-                and self.nrows == other.nrows and self.ncols == other.ncols):
-            return False
-        # one descriptor gives a value one internal form (over Q both integer
-        # forms are over the least positive denominator); an equal descriptor
-        # may compute in another kind, so the entries decide there
-        if self.field is other.field or self.field.kind == RATIONALS:
-            return self._form() == other._form()
-        return self.rows == other.rows
+        # a field gives a value one internal form (over Q both integer forms
+        # are over the least positive denominator)
+        return (isinstance(other, Matrix) and self.field is other.field
+                and self.nrows == other.nrows and self.ncols == other.ncols
+                and self._form() == other._form())
 
     def __hash__(self):
         return hash((self.field, self.rows))

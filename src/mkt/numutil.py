@@ -1,11 +1,12 @@
 """Integer primitives: primality, next prime, integer factorization, p-adic
 splitting.
 
-Deterministic Miller-Rabin on the primes up to 41 is exact below 3.3 * 10^24
-(psi_13; Sorenson and Webster, Math. Comp. 2017), which is far beyond every
-integer this package touches; psi_12 = 318665857834031151167461 is a strong
-pseudoprime to the primes up to 37. Pollard rho handles composite splitting
-at desk scale.
+Deterministic Miller-Rabin on the primes up to 41 is exact below
+PROVEN_PRIME_BOUND = psi_13 (Sorenson and Webster, Math. Comp. 2017), the
+least strong pseudoprime to all of them; psi_12 = 318665857834031151167461
+is a strong pseudoprime to the primes up to 37. The CLI refuses every prime
+it reads at or above the bound. Pollard rho handles composite splitting at
+desk scale.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from fractions import Fraction
 
 # the Miller-Rabin bases, which are also the trial divisors
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13: is_prime is exact below it, and only probable from it on
+PROVEN_PRIME_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:

@@ -1,6 +1,5 @@
 """End-to-end runs of the mkt command line through main(argv)."""
 
-import gc
 import io
 import json
 import os
@@ -18,6 +17,7 @@ from mkt import cli, errors
 from mkt.errors import RecursionInvariantViolated
 from mkt.jointdet import SPECS
 from mkt.linalg import Matrix
+from mkt.numutil import PROVEN_PRIME_BOUND, is_prime
 
 
 def run(capsys, argv):
@@ -188,28 +188,12 @@ class TestReciprocity:
     def test_repeat_in_one_process_is_identical_and_starts_cold(
             self, capsys, tmp_path, monkeypatch):
         factor_module = sys.modules["mkt.factor"]
-        fields_module = sys.modules["mkt.fields"]
-        path = write_doc(tmp_path, "d.json", {
-            "field": {"kind": "Fq", "p": 3, "deg": 2, "modulus": [1, 0, 1]},
-            "symbols": [{"coeff": 1, "entries": [[[1, 1], [0, 1], [1]],
-                                                  [[2], [1, 1], [0], [1]]]}],
-        })
-
-        def tabled_f9s():
-            gc.collect()
-            return [o for o in gc.get_objects()
-                    if isinstance(o, fields_module.FieldDescriptor)
-                    and o._table is not None and o.order() == 9]
-
-        # descriptors held by other tests are not this test's concern
-        before = {id(f) for f in tabled_f9s()}
-        cache_sizes = []
+        path = write_doc(tmp_path, "d.json", F9_RECIPROCITY_DOC)
+        memo_sizes = []
         command = cli._cmd_reciprocity
 
         def spy(args):
-            cache_sizes.append((len(factor_module._FACTORED),
-                                len(fields_module._EXTENSIONS),
-                                len(fields_module._FUNCTION_FIELDS)))
+            memo_sizes.append(len(factor_module._FACTORED))
             return command(args)
         monkeypatch.setattr(cli, "_cmd_reciprocity", spy)
         outs = []
@@ -217,14 +201,82 @@ class TestReciprocity:
             assert cli.main(["reciprocity", path]) == 0
             outs.append(capsys.readouterr().out)
             assert factor_module._FACTORED
-            assert fields_module._EXTENSIONS and fields_module._FUNCTION_FIELDS
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["total"]["zero"] is True
-        assert cache_sizes == [(0, 0, 0)] * 2
-        # each command built its own F_9 and table; only the last one's lives on
-        alive = [f for f in tabled_f9s() if id(f) not in before]
-        assert len(alive) == 1
-        assert any(alive[0] is f for f in fields_module._EXTENSIONS.values())
+        assert memo_sizes == [0, 0]
+
+    def test_descriptors_held_across_main_are_the_ones_it_uses(
+            self, capsys, tmp_path, monkeypatch):
+        """A descriptor held across main() is the one the command reads its
+        field block into, and each maker hands it out again afterwards."""
+        fields_module = sys.modules["mkt.fields"]
+        F3 = fields_module.prime_field(3)
+
+        def made():
+            F9 = fields_module.extension(F3, fields_module.Polynomial.from_ints(F3, [1, 0, 1]))
+            return (fields_module.rationals(), fields_module.prime_field(3), F9,
+                    fields_module.function_field(F9))
+
+        held = made()
+        parsed = []
+        parse = cli._parse_field
+        monkeypatch.setattr(cli, "_parse_field", lambda block: parsed.append(parse(block))
+                            or parsed[-1])
+        assert cli.main(["reciprocity", write_doc(tmp_path, "d.json", F9_RECIPROCITY_DOC)]) == 0
+        capsys.readouterr()
+        assert len(parsed) == 1 and parsed[0] is held[2]
+        assert all(a is b for a, b in zip(made(), held))
+
+
+F9_RECIPROCITY_DOC = {
+    "field": {"kind": "Fq", "p": 3, "deg": 2, "modulus": [1, 0, 1]},
+    "symbols": [{"coeff": 1, "entries": [[[1, 1], [0, 1], [1]], [[2], [1, 1], [0], [1]]]}],
+}
+
+
+class TestUnprovenPrimes:
+    """is_prime is proven only below numutil.PROVEN_PRIME_BOUND (psi_13), so
+    the CLI refuses every prime it reads at or above it: a field block's
+    "p", a place in a document or in --places, and the prime of --q. psi_13
+    itself passes is_prime, although it is composite. The largest prime
+    below the bound is accepted on each route."""
+
+    BELOW = 3317044064679887385961813
+
+    def routes(self, p):
+        """(argv, stdin document or None) per route that reads the prime p."""
+        return [
+            (["canon", "-"], {"field": {"kind": "Fq", "p": p},
+                              "symbols": [{"coeff": 1, "entries": [2, 3]}]}),
+            (["tame", "-"], {"field": {"kind": "Q"}, "place": p,
+                             "symbols": [{"coeff": 1, "entries": [str(p), "3"]}]}),
+            (["tame", "-"], {"field": {"kind": "Q"}, "place": str(p),
+                             "symbols": [{"coeff": 1, "entries": ["2", "3"]}]}),
+            (["jointdet", "-", "--spec", "rational-hilbert", "--places", f"inf,3,{p}"],
+             {"field": {"kind": "Q"}, "matrices": [[["2"]], [["3"]]]}),
+            (["check", "reciprocity", "--q", str(p), "--trials", "1", "--deg-max", "1"], None),
+        ]
+
+    def run_route(self, capsys, monkeypatch, argv, doc):
+        if doc is not None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        return run(capsys, argv)
+
+    @pytest.mark.parametrize("p", [PROVEN_PRIME_BOUND, 10 ** 30 + 57])
+    def test_refused_at_and_above_the_bound(self, capsys, monkeypatch, p):
+        assert is_prime(p)
+        for argv, doc in self.routes(p):
+            code, out = self.run_route(capsys, monkeypatch, argv, doc)
+            assert code == 1 and out["error"]["type"] == "ParseError", argv
+            assert f"{p} is not below {PROVEN_PRIME_BOUND}" in out["error"]["message"]
+
+    def test_the_largest_prime_below_the_bound_is_accepted(self, capsys, monkeypatch):
+        p = self.BELOW
+        assert all(not is_prime(n)
+                   for n in range(p + 1, PROVEN_PRIME_BOUND))
+        for argv, doc in self.routes(p):
+            code, out = self.run_route(capsys, monkeypatch, argv, doc)
+            assert code == 0 and "error" not in out, argv
 
 
 # per field block: the polynomial 1 and two numerators, low to high

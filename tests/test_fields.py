@@ -1,9 +1,13 @@
 """Field and polynomial arithmetic against hand-checked and brute-force oracles."""
 
+import copy
+import gc
 import itertools
 import math
+import pickle
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -24,8 +28,8 @@ from mkt.symbols import symbol
 from mkt.towers import (minimal_polynomial, multiplication_matrix, norm_element,
                         present_as_simple)
 from mkt.valuations import finite_place, tame_symbol
-from tests.conftest import (NORM_PAIRS, all_units, f16_over_f4, f81_over_f9, make_field,
-                            twin_element, untabled_twin)
+from tests.conftest import (NORM_PAIRS, TwinField, all_units, f16_over_f4, f81_over_f9,
+                            gauss_jordan, make_field)
 
 # the modules themselves; the package attribute mkt.factor is the function
 factor_module = sys.modules["mkt.factor"]
@@ -63,14 +67,18 @@ class TestFieldArith:
             Q.element(1) + prime_field(5).from_int(1)
 
     def test_evaluate_needs_a_point_of_the_coefficient_field(self):
-        """A point of an equal descriptor is evaluated; a point of an
-        extension is refused, not embedded."""
+        """f(a) is a^2 + 1 in the untabled twin's arithmetic; a point of an
+        extension, or of another F_9, is refused, not embedded."""
         F9 = make_field(9)
+        twin = TwinField.like(F9)
         f = Polynomial.from_ints(F9, [1, 0, 1])  # X^2 + 1
-        a = F9.gen() + F9.one()
-        assert f.evaluate(twin_element(untabled_twin(F9), a)) == f.evaluate(a) == a * a + 1
+        for a in all_elements(F9):
+            x = twin.read(a)
+            assert twin.read(f.evaluate(a)) == twin.add(twin.mul(x, x), twin.one)
         with pytest.raises(DescriptorMismatch):
             Polynomial.from_ints(F9.base, [1, 0, 1]).evaluate(F9.gen())
+        with pytest.raises(DescriptorMismatch):
+            f.evaluate(other_f9().gen())
 
 
 class TestPolyGcd:
@@ -466,26 +474,32 @@ class TestFactorMemo:
                 assert self._irreducible_by_search(g)
 
     def test_hits_only_over_the_same_descriptor(self):
-        """An untabled twin of F_9 equals F_9, so equal polynomials over the
-        two share a memo key; each still gets its factors over itself."""
+        """F_9 over X^2 + X + 2 has elements with the keys of F_9 over
+        X^2 + 1, so polynomials with the same coefficients over the two
+        hash alike; each still gets its factors over itself."""
         F9 = make_field(9)
-        twin = untabled_twin(F9)
+        a = F9.gen()
+        g = Polynomial(F9, [a, F9.one(), F9.one()])
+        h = Polynomial(F9, [F9.one(), a, F9.zero(), F9.one()])
+        coeffs = [tuple(x.rep for x in c.rep) for c in (g * h * h).coeffs]
 
-        def product(L):
-            g = Polynomial(L, [L.gen(), L.one(), L.one()])
-            h = Polynomial(L, [L.one(), L.gen(), L.zero(), L.one()])
-            return g * h * h
+        def poly(L):
+            return Polynomial(L, [L.element(c) for c in coeffs])
 
-        for first, second in ((twin, F9), (F9, twin)):
+        for first, second in ((other_f9(), F9), (F9, other_f9())):
             forget()
-            factor(product(first))
+            factor(poly(first))
             factor(Polynomial(first, [first.gen()]))
-            f = product(second)
+            f = poly(second)
+            assert hash(f) == hash(poly(first)) and f != poly(first)
             unit, parts = factor(f)
-            assert unit.field is second and len(parts) == 2
-            for g, _m in parts:
-                assert g.field is second
-                assert divmod(f, g)[1].is_zero()
+            assert unit.field is second
+            product = Polynomial.constant(unit)
+            for p, m in parts:
+                assert p.field is second
+                product = product * p ** m
+            assert product == f
+            assert second is not F9 or parts == [(g.monic(), 1), (h, 2)]
             assert factor(Polynomial(second, [second.gen()]))[0].field is second
 
     def test_mutating_result_leaves_memo_intact(self):
@@ -530,76 +544,76 @@ def tabled_field(q):
     return f16_over_f4() if q == "16/4" else make_field(q)
 
 
+def other_f9():
+    """F_9 over X^2 + X + 2: another field than make_field(9)'s F_9 over
+    X^2 + 1, whose elements have the same keys."""
+    F3 = prime_field(3)
+    return extension(F3, Polynomial.from_ints(F3, [2, 1, 1]))
+
+
 def walked_table(L):
-    """(exp, log, add, mul) of the tabled step L, from element arithmetic on
-    its untabled twin: an index is a position in all_elements, and the
+    """(exp, log, add, mul) of the tabled step L, from the arithmetic of its
+    untabled twin: an index is a position in all_elements, and the
     generator is the first element outside the base (any nonzero one on a
     degree-1 step) whose powers first return to one after q - 1 steps."""
-    twin = untabled_twin(L)
-    elems = list(all_elements(twin))
-    pos = {e.key(): i for i, e in enumerate(elems)}
+    twin = TwinField.like(L)
+    elems = twin.values()
     m = len(elems) - 1
     for g in elems[L.base.order():] if L.step_degree > 1 else elems[1:]:
-        powers = [twin.one()]
-        while len(powers) <= m and not (powers[-1] * g).is_one():
-            powers.append(powers[-1] * g)
+        powers = [twin.one]
+        while len(powers) <= m and twin.mul(powers[-1], g) != twin.one:
+            powers.append(twin.mul(powers[-1], g))
         if len(powers) == m:
             break
-    exp = [pos[x.key()] for x in powers] * 2
+    exp = [twin.index(x) for x in powers] * 2
     log = [0] * len(elems)
     for k, i in enumerate(exp[:m]):
         log[i] = k
-    add = [[pos[(a + b).key()] for b in elems] for a in elems]
-    mul = [[pos[(a * b).key()] for b in elems] for a in elems]
+    add = [[twin.index(twin.add(a, b)) for b in elems] for a in elems]
+    mul = [[twin.index(twin.mul(a, b)) for b in elems] for a in elems]
     return exp, log, add, mul
 
 
 class TestFieldTables:
-    @pytest.fixture(autouse=True)
-    def cold(self):
-        fields_module.forget()
-        yield
-        fields_module.forget()
-
     @pytest.mark.parametrize("q", [4, 8, 16, 9, 25, 27, "16/4"])
     def test_table_matches_coefficient_path(self, q):
-        """Every pair of elements gives the same +, -, *, inverse, ==,
-        is_zero and hash through the table as through the coefficients."""
+        """Every pair of elements gives through the table the +, -, *,
+        inverse, == and is_zero of the untabled twin's arithmetic on
+        coefficients, and each result is the interned element at the twin's
+        index of its value."""
         L = tabled_field(q)
         fast = L._table.elems
-        twin = untabled_twin(L)
-        slow = list(all_elements(twin))
-        assert twin == L and twin is not L and hash(twin) == hash(L)
+        twin = TwinField.like(L)
+        slow = twin.values()
         assert len(fast) == len(slow) == L.order()
         for i, (a, s) in enumerate(zip(fast, slow)):
-            assert a.ix == i and a.key() == s.key() and hash(a) == hash(s)
-            assert a.is_zero() == s.is_zero() == (i == 0)
-            assert (-a).key() == (-s).key()
+            assert a.ix == i == twin.index(s) and twin.read(a) == s
+            assert a.is_zero() == (i == 0) and hash(a) == hash(a.key())
+            assert -a is fast[twin.index(twin.neg(s))]
             if i:
-                assert a.inverse().key() == s.inverse().key()
+                assert a.inverse() is fast[twin.index(twin.inv(s))]
             for j, (b, t) in enumerate(zip(fast, slow)):
-                for got, want in ((a + b, s + t), (a - b, s - t), (a * b, s * t)):
-                    assert got is fast[got.ix] and got.key() == want.key()
-                assert (a == b) == (i == j) == (s == t) == (a == t)
-        assert twin._table is None
+                for got, want in ((a + b, twin.add(s, t)), (a - b, twin.sub(s, t)),
+                                  (a * b, twin.mul(s, t))):
+                    assert got is fast[twin.index(want)]
+                assert (a == b) == (i == j)
 
     @pytest.mark.parametrize("q", [8, 9, "16/4"])
     def test_constants_and_powers_are_interned(self, q):
         L = tabled_field(q)
         fast = L._table.elems
-        twin = untabled_twin(L)
+        twin = TwinField.like(L)
         n_elems = L.order()
         assert L.zero() is fast[0] and L.one() is fast[1]
         for n in range(-n_elems, n_elems):
-            got = L.from_int(n)
-            assert got is fast[got.ix] and got.key() == twin.from_int(n).key()
-        for a, s in zip(fast, all_elements(twin)):
+            assert L.from_int(n) is fast[twin.index(twin.from_int(n))]
+        for a, s in zip(fast, twin.values()):
             for e in (-3, -1, 0, 1, 2, 5, n_elems - 1, n_elems):
                 if e < 0 and a.is_zero():
                     with pytest.raises(DivisionByZero):
                         a ** e
                     continue
-                assert (a ** e).key() == (s ** e).key()
+                assert a ** e is fast[twin.index(twin.pow(s, e))]
 
     @pytest.mark.parametrize("q", [4, 9, 27, "16/4"])
     def test_every_element_of_a_tabled_field_is_interned(self, q):
@@ -624,46 +638,34 @@ class TestFieldTables:
         for z in made:
             assert z.field is L and z is elems[z.ix]
 
-    @pytest.mark.parametrize("q", [4, 9, 27, "16/4"])
-    def test_elements_of_an_untabled_twin_join_the_table(self, q):
-        """An element t of an equal, untabled descriptor given to a tabled
-        step, by coercion, arithmetic or as a matrix entry, becomes the table
-        element that the same route gives on the step's own element, and
-        compares equal to it."""
-        L = tabled_field(q)
-        elems = L._table.elems
-        twin = untabled_twin(L)
-        b = L.gen()
-        for a in elems:
-            t = twin_element(twin, a)
-            assert t.field is twin and t.ix is None
-            assert L.element(t) is a
-            assert b + t is b + a and b * t is b * a
-            row = Matrix(L, [[t, b]]).rows[0]
-            assert row[0] is a and row[1] is b
-            assert t == a and a == t and (t == b) == (a is b)
-
-    def test_embedding_from_an_untabled_twin_is_interned(self):
-        """embed(t, L) for t over the untabled twin of F_4 and L = F_16/F_4
-        reads t into F_4's table before it indexes L's."""
-        L = f16_over_f4()
-        F4 = L.base
-        twin = untabled_twin(F4)
-        for c in all_elements(F4):
-            t = twin_element(twin, c)
-            got = embed(t, L)
-            assert got is embed(c, L) and got is L._table.elems[got.ix]
-            assert coordinates(got, F4) == [c, F4.zero()]
-
     def test_descriptors_are_canonical(self):
-        F3 = prime_field(3)
-        F9 = extension(F3, Polynomial.from_ints(F3, [1, 0, 1]))
-        assert extension(F3, Polynomial.from_ints(F3, [1, 0, 1])) is F9
-        assert function_field(F9) is function_field(F9)
-        fields_module.forget()
-        again = extension(F3, Polynomial.from_ints(F3, [1, 0, 1]))
-        assert again is not F9 and again == F9 and hash(again) == hash(F9)
-        assert function_field(again) == function_field(F9)
+        """Each maker hands out the one live descriptor of its field, the
+        bare constructor refuses, and a copy or a pickled descriptor comes
+        back through its maker. A descriptor that nothing uses leaves
+        its cache when the collector takes it (a tower refers to its own
+        descriptor), and the next call makes its field afresh."""
+        Q, F3 = rationals(), prime_field(3)
+        assert rationals() is Q and prime_field(3) is F3
+        m = Polynomial.from_ints(F3, [2, 2, 0, 1])  # X^3 + 2X + 2
+        L = extension(F3, m)
+        assert extension(F3, Polynomial.from_ints(F3, [2, 2, 0, 1])) is L
+        assert function_field(L) is function_field(L) and function_field(Q) is function_field(Q)
+        for kind in ("prime", "extension", "function"):
+            with pytest.raises(TypeError, match="come from"):
+                fields_module.FieldDescriptor(object(), kind, p=3, base=F3, modulus=m)
+        assert all(copy.copy(K) is K and copy.deepcopy(K) is K
+                   and pickle.loads(pickle.dumps(K)) is K for K in (Q, F3, L, function_field(L)))
+        assert copy.deepcopy(L.gen()).field is L
+        ff = function_field(L)
+        gone = weakref.ref(L)
+        del L, ff
+        forget()
+        # the first collection takes L(X), whose cache entry holds L as its key
+        gc.collect()
+        gc.collect()
+        assert gone() is None and m not in fields_module._EXTENSIONS
+        again = extension(F3, m)
+        assert again._table is not None and extension(F3, m) is again
 
     def test_fields_above_the_cap_build_no_table(self):
         """F_27 is the largest order that gets a table; F_81 over F_9 and
@@ -702,7 +704,6 @@ class TestFieldTables:
         elems = list(all_elements(k))
         for low in itertools.product(elems, repeat=d):
             m = Polynomial(k, list(low) + [k.one()])
-            fields_module.forget()
             if is_irreducible(m):
                 L = extension(k, m)
                 assert L.order() == q ** d and L._table is not None
@@ -720,7 +721,6 @@ class TestFieldTables:
         k = prime_field(p)
         for low in itertools.product(range(p), repeat=d):
             m = Polynomial.from_ints(k, list(low) + [1])
-            fields_module.forget()
             if not is_irreducible(m):
                 with pytest.raises(BadModulus):
                     extension(k, m)
@@ -732,16 +732,21 @@ class TestFieldTables:
         """A step of order <= 27 is proven by its table walk alone; an F_81
         step calls is_irreducible once when it is made and not when it is
         fetched again."""
-        m81 = f81_over_f9().modulus
-        fields_module.forget()
-        calls = []
-        real = factor_module.is_irreducible
+        F9 = make_field(9)
+        a = F9.gen()
+        m81 = Polynomial(F9, [a + 1, a, F9.one()])  # X^2 + aX + a + 1
+        forget()
+        gc.collect()
+        assert m81 not in fields_module._EXTENSIONS
+        calls, walks = [], []
+        real, walk = factor_module.is_irreducible, fields_module._build_table
         monkeypatch.setattr(factor_module, "is_irreducible",
                             lambda f: calls.append(f) or real(f))
-        for q in (4, 8, 9, 16, 25, 27, "16/4"):
+        monkeypatch.setattr(fields_module, "_build_table", lambda L: walks.append(L) or walk(L))
+        for q in (4, 8, 16, 25, 27, "16/4"):
             tabled_field(q)
-        assert calls == []
-        L = extension(m81.field, m81)
+        assert calls == [] and walks
+        L = extension(F9, m81)
         assert calls == [m81] and L._table is None
         assert extension(m81.field, m81) is L and calls == [m81]
 
@@ -799,15 +804,6 @@ class TestTowers:
         assert (ff.characteristic(), ff.is_finite()) == (3, False)
         assert (function_field(Q).characteristic(), Q.is_finite()) == (0, False)
 
-    def test_untabled_twin_answers_like_its_original(self):
-        F81 = f81_over_f9()
-        twin = untabled_twin(F81)
-        F9, F3 = F81.base, F81.base.base
-        assert twin is not F81 and twin.tower == F81.tower
-        assert is_ancestor(F9, twin) and is_ancestor(twin, F81)
-        assert tower_steps(twin, F3) == (twin.base, twin)
-        assert tower_degree(twin, F3) == twin.absolute_degree() == 4
-
     def test_steps_need_a_base_below(self, Q):
         F81 = f81_over_f9()
         F9 = F81.base
@@ -826,8 +822,7 @@ class TestKeys:
     @pytest.mark.parametrize("name", list(KEY_FIELDS))
     def test_keys_order_and_identify_within_a_field(self, name):
         """key() and coeff_key() order the elements and polynomials of one
-        field as the kind-tagged keys did, and equal values over twin
-        descriptors have equal keys and hashes."""
+        field as the kind-tagged keys did, and equal values hash alike."""
         K = KEY_FIELDS[name]()
         rng = random.Random(5)
         elems = [small_element(K, rng) for _ in range(30)]
@@ -840,19 +835,12 @@ class TestKeys:
                 for b in xs:
                     assert (key(a) < key(b)) == (tagged(a) < tagged(b))
                     assert (key(a) == key(b)) == (tagged(a) == tagged(b)) == (a == b)
+                    assert a != b or hash(a) == hash(b)
             assert sorted(xs, key=key) == sorted(xs, key=tagged)
-        twin = untabled_twin(K)
-        assert twin == K and (twin is not K) == (K.kind == "extension")
-        for a in elems:
-            t = twin_element(twin, a)
-            assert t.field is twin and t == a and t.key() == a.key() and hash(t) == hash(a)
-        for f in polys:
-            g = Polynomial(twin, [twin_element(twin, c) for c in f.coeffs])
-            assert g == f and g.coeff_key() == f.coeff_key() and hash(g) == hash(f)
 
 
 ONE_FIELDS = {"Q": rationals, "F_5": lambda: prime_field(5), "F_9": lambda: make_field(9),
-              "F_81/F_9": f81_over_f9, "F_81/F_9 twin": lambda: untabled_twin(f81_over_f9()),
+              "F_81/F_9": f81_over_f9,
               "F_3(X)": lambda: function_field(prime_field(3)),
               "Q(X)": lambda: function_field(rationals())}
 
@@ -987,24 +975,29 @@ class TestNorm:
             assert norm_element(x, Q) == multiplication_matrix(x, Q).det()
 
 
-def sylvester_det(f, g):
-    """det of the Sylvester matrix of f and g: deg g rows of f's
-    coefficients, then deg f rows of g's, highest degree first."""
+def sylvester_rows(f, g):
+    """The Sylvester matrix of f and g: deg g rows of f's coefficients, then
+    deg f rows of g's, highest degree first."""
     n, m = f.degree, g.degree
     zero = f.field.zero()
     rows = [[zero] * i + list(reversed(f.coeffs)) + [zero] * (m - 1 - i) for i in range(m)]
     rows += [[zero] * i + list(reversed(g.coeffs)) + [zero] * (n - 1 - i) for i in range(n)]
-    return Matrix(f.field, rows).det()
+    return rows
+
+
+def sylvester_det(f, g):
+    return Matrix(f.field, sylvester_rows(f, g)).det()
 
 
 class TestResultant:
     """Euclid's resultant against the Sylvester determinant, on residues
-    (F_7), table indices (F_9), elements (its untabled twin) and Q."""
+    (F_7), table indices (F_9), elements (F_81 over F_9) and Q; "9-twin"
+    takes the determinant over F_9 in its untabled twin's arithmetic."""
 
-    @pytest.mark.parametrize("q", [7, 9, "9-twin", 0])
+    @pytest.mark.parametrize("q", [7, 9, "9-twin", 81, 0])
     def test_sylvester_determinant(self, rng, q):
-        fields_module.forget()
-        k = untabled_twin(make_field(9)) if q == "9-twin" else make_field(q)
+        k = f81_over_f9() if q == 81 else make_field(9 if q == "9-twin" else q)
+        twin = TwinField.like(k) if q == "9-twin" else None
         for _ in range(30):
             f, g = (Polynomial(k, [random_element(k, rng, span=3)
                                    for _ in range(rng.randint(1, 5))] + [k.one()])
@@ -1012,8 +1005,12 @@ class TestResultant:
             f = f * random_element(k, rng, span=3) if rng.random() < 0.3 else f
             if f.is_zero():
                 continue
-            assert poly_resultant(f, g) == sylvester_det(f, g)
-        fields_module.forget()
+            if twin is None:
+                assert poly_resultant(f, g) == sylvester_det(f, g)
+                continue
+            rows = [[twin(twin.read(x)) for x in r] for r in sylvester_rows(f, g)]
+            det = gauss_jordan(rows, len(rows), twin(twin.one))[2]
+            assert twin.read(poly_resultant(f, g)) == det.v
 
     def test_common_factor_and_constant(self):
         F9 = make_field(9)

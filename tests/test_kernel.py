@@ -1,15 +1,15 @@
 """The polynomial kernel on its three coefficient kinds.
 
 Residue ints with their prime p, lists of field elements with p None (Q,
-F_9 with and without a table, F_81 over F_9, F_16), and lists of table
-indices with the field's table (F_9, F_27, F_16 over F_4) go through the
-same routines. The checks are algebraic identities, so no second
+F_9, F_81 over F_9, F_16, and the elements of F_9's untabled twin), and
+lists of table indices with the field's table (F_9, F_27, F_16 over F_4) go
+through the same routines. The checks are algebraic identities, so no second
 implementation is needed as an oracle; the Polynomial tests at the end
-compare the index path with the element path of an untabled twin.
+compare the index path with the kernel on the untabled twin's elements, in
+test-local arithmetic (conftest.TwinField).
 """
 
 import random
-import sys
 
 import pytest
 
@@ -19,9 +19,7 @@ from mkt.factor import poly_powmod
 from mkt.fields import (Polynomial, extension, kernel_values, poly_gcd, poly_resultant,
                         rationals)
 from mkt.sampling import monic_irreducible, random_element, random_unit
-from tests.conftest import f16_over_f4, f81_over_f9, make_field, twin_element, untabled_twin
-
-fields_module = sys.modules["mkt.fields"]
+from tests.conftest import TwinField, f16_over_f4, f81_over_f9, make_field
 
 PRIMES = (2, 3, 7, 2 ** 31 - 1, 2 ** 61 - 1)
 
@@ -66,6 +64,25 @@ class Elements:
         return list(monic_irreducible(self.field, rng, 3, span=3).coeffs)
 
 
+class TwinCoefficients:
+    """Coefficients are elements of F_9's untabled twin, in test-local
+    arithmetic; the kernel gets p = None."""
+
+    p = None
+
+    def __init__(self):
+        self.f9 = make_field(9)
+        self.twin = TwinField.like(self.f9)
+        self.zero, self.one = self.twin(self.twin.zero), self.twin(self.twin.one)
+
+    def coeff(self, rng):
+        return self.twin(rng.choice(self.twin.values()))
+
+    def irreducible(self, rng):
+        f = monic_irreducible(self.f9, rng, 3, span=3)
+        return [self.twin(self.twin.read(c)) for c in f.coeffs]
+
+
 class Indices:
     """Coefficients are indices into the table of a tabled field; the kernel
     gets the table."""
@@ -84,12 +101,12 @@ class Indices:
         return kernel_values(self.p, f.coeffs)
 
 
-# each builds its coefficient kind inside the test, after the caches are reset;
-# the residue kinds are named by their prime
+# each builds its coefficient kind inside the test; the residue kinds are
+# named by their prime
 KINDS = {str(p): (lambda p=p: Residues(p)) for p in PRIMES}
 KINDS.update({
     "Q": lambda: Elements(rationals()),
-    "F_9-coefficients": lambda: Elements(untabled_twin(make_field(9))),
+    "F_9-coefficients": TwinCoefficients,
     "F_9-table": lambda: Elements(make_field(9)),
     "F_81/F_9": lambda: Elements(f81_over_f9()),
     "F_16": lambda: Elements(make_field(16)),
@@ -99,15 +116,9 @@ KINDS.update({
 })
 
 
-def make_kind(name):
-    fields_module.forget()
-    return KINDS[name]()
-
-
 @pytest.fixture(params=list(KINDS))
 def kind(request):
-    yield make_kind(request.param)
-    fields_module.forget()
+    return KINDS[request.param]()
 
 
 def rand_poly(kind, rng, max_deg=6):
@@ -136,7 +147,7 @@ def test_divmod_reconstructs(kind):
 
 def test_gcd_is_monic_and_divides():
     for name in KINDS:
-        kind = make_kind(name)
+        kind = KINDS[name]()
         rng, p = random.Random(5), kind.p
         for _ in range(20):
             # a planted common factor c, so that most gcds are not 1
@@ -151,7 +162,6 @@ def test_gcd_is_monic_and_divides():
             assert zkernel.zp_rem(a, g, p) == [] and zkernel.zp_rem(b, g, p) == [], name
             if a and b:
                 assert zkernel.zp_rem(g, zkernel.zp_gcd(c, c, p), p) == [], name
-    fields_module.forget()
 
 
 def test_modular_inverse_and_power(kind):
@@ -188,12 +198,11 @@ def test_inverse_of_a_zero_divisor_raises():
     """X divides the reducible modulus X^2 + X, so it has no inverse: the
     kernel raises DivisionByZero, a ZeroDivisionError, for every kind."""
     for name in KINDS:
-        kind = make_kind(name)
+        kind = KINDS[name]()
         zero, one = kind.zero, kind.one
         for a in ([zero, one], []):
             with pytest.raises(DivisionByZero):
                 zkernel.zp_invmod(a, [zero, one, one], kind.p)
-    fields_module.forget()
 
 
 @pytest.mark.parametrize("base", ["F_5", "F_9"])
@@ -201,58 +210,50 @@ def test_zero_divisor_in_a_reducible_step_raises_the_typed_error(base):
     """X is a zero divisor modulo X^2 + X, which no field descriptor can
     have as its modulus. Its inverse in the kernel raises DivisionByZero on
     residues mod 5 and on F_9 table indices alike."""
-    fields_module.forget()
     p = 5 if base == "F_5" else make_field(9)._table
     with pytest.raises(DivisionByZero) as err:
         zkernel.zp_invmod([0, 1], [0, 1, 1], p)
     assert isinstance(err.value, ZeroDivisionError)
-    fields_module.forget()
-
-
-def _same_coeffs(got, want):
-    """got over a tabled field and want over its untabled twin hold the same
-    coefficients, and got's are the interned table elements."""
-    assert got.coeffs == want.coeffs
-    assert all(c.ix is not None for c in got.coeffs)
 
 
 def test_polynomial_operations_on_indices_match_the_untabled_twin():
-    """Every Polynomial operation over a tabled F_9 runs on table indices;
-    over its untabled twin the same operation runs on elements. Both give
-    the same coefficients, and so do the product and inverse of a degree-3
-    step over each of them. Elements of the twin given to F_9 join its
-    table."""
-    fields_module.forget()
+    """Every Polynomial operation over the tabled F_9 runs on table indices.
+    The kernel on the elements of F_9's untabled twin gives the same
+    coefficients, and the twin's own arithmetic gives the same product and
+    inverse in a degree-3 step over F_9."""
     F9 = make_field(9)
-    twin = untabled_twin(F9)
+    twin = TwinField.like(F9)
     rng = random.Random(13)
 
-    def pair(deg):
-        coeffs = [random_element(F9, rng) for _ in range(deg)] + [random_unit(F9, rng)]
-        return (Polynomial(F9, coeffs),
-                Polynomial(twin, [twin_element(twin, c) for c in coeffs]))
+    def poly(deg):
+        return Polynomial(F9, [random_element(F9, rng) for _ in range(deg)]
+                          + [random_unit(F9, rng)])
+
+    def coeffs(f):
+        """f's coefficients in the twin; each is F_9's interned table element."""
+        assert all(c is F9._table.elems[c.ix] for c in f.coeffs)
+        return [twin(twin.read(c)) for c in f.coeffs]
 
     for _ in range(20):
-        (f, ft), (g, gt), (m, mt) = pair(rng.randint(0, 7)), pair(rng.randint(0, 4)), pair(3)
-        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
-                   lambda a, b: a // b, lambda a, b: a % b, poly_gcd,
-                   lambda a, b: a * b.lc(), lambda a, b: poly_powmod(a, 11, b)):
-            _same_coeffs(op(f, g), op(ft, gt))
-        _same_coeffs(-f, -ft)
-        _same_coeffs(f ** 3, ft ** 3)
-        _same_coeffs(f.monic(), ft.monic())
-        _same_coeffs(f.derivative(), ft.derivative())
-        assert poly_resultant(m, g) == poly_resultant(mt, gt)
-    # extension() takes a modulus given over the twin across to F_9 itself;
-    # an equal modulus would fetch L again, so the step over the twin is
-    # built bare
-    L = extension(F9, monic_irreducible(twin, rng, 3))
-    Lt = untabled_twin(L)
-    assert L.modulus.field is F9 and Lt.base._table is None
+        f, g, m = poly(rng.randint(0, 7)), poly(rng.randint(0, 4)), poly(3)
+        a, b = coeffs(f), coeffs(g)
+        quo, rem = zkernel.zp_divmod(a, b, None)
+        cube = zkernel.zp_mul(zkernel.zp_mul(a, a, None), a, None)
+        monic = zkernel.zp_scale(a, a[-1].inverse(), None)
+        slope = zkernel.trim([c * i for i, c in enumerate(a)][1:])
+        for got, want in ((f + g, zkernel.zp_add(a, b, None)), (f - g, zkernel.zp_sub(a, b, None)),
+                          (f * g, zkernel.zp_mul(a, b, None)), (f // g, quo), (f % g, rem),
+                          (poly_gcd(f, g), zkernel.zp_gcd(a, b, None)),
+                          (f * g.lc(), zkernel.zp_scale(a, b[-1], None)),
+                          (poly_powmod(f, 11, g), zkernel.zp_powmod(a, 11, b, None)),
+                          (-f, [-c for c in a]), (f ** 3, cube), (f.monic(), monic),
+                          (f.derivative(), slope)):
+            assert coeffs(got) == want
+        assert twin.read(poly_resultant(m, g)) == zkernel.zp_resultant(coeffs(m), b, None).v
+    L = extension(F9, monic_irreducible(F9, rng, 3))
+    step = TwinField.like(L)
     for _ in range(20):
         x, y = random_unit(L, rng), random_unit(L, rng)
-        xt, yt = (Lt.element(tuple(twin_element(twin, c) for c in e.rep)) for e in (x, y))
-        assert (x * y).rep == (xt * yt).rep
-        assert x.inverse().rep == xt.inverse().rep
-    assert twin._table is None and L._table is None
-    fields_module.forget()
+        assert step.read(x * y) == step.mul(step.read(x), step.read(y))
+        assert step.read(x.inverse()) == step.inv(step.read(x))
+    assert L._table is None

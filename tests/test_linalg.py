@@ -7,10 +7,9 @@ from math import lcm
 
 import pytest
 
-from tests.conftest import (f16_over_f4, f81_over_f9, make_field, twin_element,
-                            untabled_twin)
+from tests.conftest import TwinField, f16_over_f4, f81_over_f9, gauss_jordan, make_field
 from mkt.errors import DegenerateInput
-from mkt.fields import Polynomial, forget, function_field, prime_field, rationals
+from mkt.fields import Polynomial, function_field, prime_field, rationals
 from mkt.linalg import (Matrix, SpanTracker, companion_matrix, jordan_block,
                         minpoly_matrix, poly_eval_matrix)
 from mkt.sampling import invertible_matrix
@@ -395,90 +394,109 @@ def power_relation(a):
         power, k = power * a, k + 1
 
 
-def twin_vector(twin, v):
-    return [twin_element(twin, x) for x in v]
-
-
-def twin_matrix(twin, m):
-    return Matrix(twin, [twin_vector(twin, r) for r in m.rows])
+def twin_values(twin, xs):
+    """The elements xs of an mkt field as elements of its untabled twin."""
+    return None if xs is None else [twin(twin.read(x)) for x in xs]
 
 
 def interned(field, xs):
-    elems = field._table.elems
-    return all(x is elems[x.ix] for x in xs)
+    tab = field._table
+    return tab is None or all(x is tab.elems[x.ix] for x in xs)
 
 
-@pytest.mark.parametrize("q", [4, 9, "16/4"])
+class TwinSpan:
+    """SpanTracker's answers in an untabled twin's arithmetic. A vector
+    less the one combination of the stored rows that is zero on their
+    pivots is unique, and so are its first nonzero entry (pivot and pivot
+    value) and its coefficients in the offered vectors."""
+
+    def __init__(self, twin, dim):
+        self.zero, self.one = twin(twin.zero), twin(twin.one)
+        self.dim, self.offered = dim, 0
+        self.rows, self.pivots, self.pivot_values = [], [], []
+
+    def _reduce(self, v, tail):
+        """(entries, coefficients) of v with the pivots cleared, starting
+        from the coefficients tail."""
+        w = list(v) + tail
+        for p, row in zip(self.pivots, self.rows):
+            if w[p]:
+                f = w[p] / row[p]
+                w = [x - f * y for x, y in zip(w, row + [self.zero] * (len(w) - len(row)))]
+        return w[:self.dim], w[self.dim:]
+
+    def offer(self, v):
+        n = self.offered
+        self.offered += 1
+        w, tail = self._reduce(v, [self.zero] * n + [self.one])
+        p = next((i for i, x in enumerate(w) if x), None)
+        if p is None:
+            return tail[:n]
+        self.pivots.append(p)
+        self.pivot_values.append(w[p])
+        self.rows.append(w + tail)
+        return None
+
+    def coordinates(self, v):
+        w, tail = self._reduce(v, [self.zero] * self.offered)
+        return None if any(w) else [-c for c in tail]
+
+
+@pytest.mark.parametrize("q", [4, 9, "16/4", 81])
 class TestTabledElimination:
-    """Elimination and products on table indices against the element path,
-    run on an equal descriptor that never builds a table."""
-
-    @pytest.fixture(autouse=True)
-    def cold(self):
-        forget()
-        yield
-        forget()
+    """Elimination and products on table indices, and on elements over the
+    untabled F_81, against the arithmetic of the field's untabled twin
+    (conftest.TwinField), which shares no code with mkt.fields."""
 
     def test_tracker_matches_untabled_twin(self, q, rng):
         field = elimination_field(q)
-        twin = untabled_twin(field)
+        twin = TwinField.like(field)
+        one = twin(twin.one)
         for m in sample_matrices(field, rng):
-            t = twin_matrix(twin, m)
-            fast, slow = SpanTracker(field, m.ncols), SpanTracker(twin, m.ncols)
-            for r, s in zip(m.rows, t.rows):
+            rows = [twin_values(twin, r) for r in m.rows]
+            fast, slow = SpanTracker(field, m.ncols), TwinSpan(twin, m.ncols)
+            for r, t in zip(m.rows, rows):
                 rel = fast.offer(r)
-                assert rel == slow.offer(s)
+                assert twin_values(twin, rel) == slow.offer(t)
                 assert rel is None or interned(field, rel)
-            assert fast.pivots == slow.pivots and fast.pivot_values == slow.pivot_values
+            assert fast.pivots == slow.pivots
+            assert twin_values(twin, fast.pivot_values) == slow.pivot_values
             assert interned(field, fast.pivot_values)
             vectors = list(m.rows) + [[rand_entry(field, rng) for _ in range(m.ncols)]]
             vectors.append(m.rows[0] if m.nrows < 2 else
                            [a + rand_entry(field, rng) * b for a, b in zip(*m.rows[:2])])
             for v in vectors:
                 c = fast.coordinates(v)
-                assert c == slow.coordinates(twin_vector(twin, v))
+                assert twin_values(twin, c) == slow.coordinates(twin_values(twin, v))
                 assert c is None or interned(field, c)
-                assert fast.contains(v) == slow.contains(twin_vector(twin, v)) == (c is not None)
-            assert m.rank() == t.rank() and m.kernel_basis() == t.kernel_basis()
+                assert fast.contains(v) == (c is not None)
+            assert m.rank() == len(gauss_jordan(rows, m.ncols, one)[1])
+            assert ([twin_values(twin, k) for k in m.kernel_basis()]
+                    == oracle_kernel(rows, m.ncols, one))
             if m.is_square:
-                assert m.det() == t.det()
-                if not m.det().is_zero():
-                    assert m.inverse() == t.inverse()
+                n = m.nrows
+                unit = [[one if i == j else one - one for j in range(n)] for i in range(n)]
+                red, _, det = gauss_jordan([r + e for r, e in zip(rows, unit)], n, one)
+                assert twin.read(m.det()) == det.v
+                if det:
+                    assert [twin_values(twin, r) for r in m.inverse().rows] == [r[n:] for r in red]
 
     def test_products_and_apply_match_untabled_twin(self, q, rng):
         field = elimination_field(q)
-        twin = untabled_twin(field)
+        twin = TwinField.like(field)
+        zero = twin(twin.zero)
         for n, k, m in [(1, 1, 1), (2, 3, 2), (3, 3, 3), (4, 2, 5)]:
             a, b = rand_rect(field, rng, n, k), rand_rect(field, rng, k, m)
             v = [rand_entry(field, rng) for _ in range(k)]
+            ta = [twin_values(twin, r) for r in a.rows]
             ab = a * b
-            assert ab == twin_matrix(twin, a) * twin_matrix(twin, b)
+            assert ([twin_values(twin, r) for r in ab.rows]
+                    == mat_mul(ta, [twin_values(twin, r) for r in b.rows], zero))
             assert all(interned(field, r) for r in ab.rows)
-            assert a.apply(v) == twin_matrix(twin, a).apply(twin_vector(twin, v))
+            assert (twin_values(twin, a.apply(v))
+                    == [x for r in mat_mul(ta, [[x] for x in twin_values(twin, v)], zero)
+                        for x in r])
             assert ab * Matrix.identity(field, m) == ab
-
-
-@pytest.mark.parametrize("q", [9, 27, "16/4"])
-def test_entries_of_an_equal_untabled_descriptor(q, rng):
-    """A matrix over a tabled field reads an entry of an equal, untabled
-    descriptor into its table, so det and apply see its value."""
-    field = elimination_field(q)
-    twin = untabled_twin(field)
-    a = field.gen()
-    t = field.one() + a
-    tt = twin_element(twin, t)
-    m = Matrix(field, [[tt, 1], [0, tt]])
-    assert all(interned(field, r) for r in m.rows)
-    assert m.det() == t * t
-    if q == 9:  # (1 + a)^2 = 1 + 2a + a^2 = 2a, since a^2 = -1
-        assert m.det() == 2 * a
-    assert m.apply([tt, 1]) == (t * t + 1, t)
-    for n in (2, 3, 4):
-        same = rand_rect(field, rng, n, n)
-        mixed = Matrix(field, [twin_vector(twin, r) for r in same.rows])
-        assert mixed == same and mixed.det() == det_cofactor(same)
-        v = [rand_entry(field, rng) for _ in range(n)]
-        assert mixed.apply(twin_vector(twin, v)) == same.apply(v)
 
 
 def product_entry(field, rng):
@@ -617,45 +635,21 @@ def q_samples(seed):
     return [frac_rows(rng, n, m) for n, m in shapes for _ in range(3)]
 
 
-def mat_mul(a, b):
+def mat_mul(a, b, zero=Fraction(0)):
     cols = list(zip(*b)) if b else []
-    return [[sum((x * y for x, y in zip(r, c)), Fraction(0)) for c in cols] for r in a]
+    return [[sum((x * y for x, y in zip(r, c)), zero) for c in cols] for r in a]
 
 
-def gauss_jordan(rows, ncols):
-    """(reduced rows, pivot columns, det): plain Fraction Gauss-Jordan with
-    row swaps; det is the signed product of the pivots (square input only)."""
-    a = [list(r) for r in rows]
-    pivots, det, top = [], Fraction(1), 0
-    for j in range(ncols):
-        i = next((i for i in range(top, len(a)) if a[i][j]), None)
-        if i is None:
-            continue
-        if i != top:
-            a[i], a[top] = a[top], a[i]
-            det = -det
-        det *= a[top][j]
-        piv = a[top][j]
-        a[top] = [x / piv for x in a[top]]
-        for k in range(len(a)):
-            if k != top and a[k][j]:
-                f = a[k][j]
-                a[k] = [x - f * y for x, y in zip(a[k], a[top])]
-        pivots.append(j)
-        top += 1
-    return a, pivots, det if top == len(a) else Fraction(0)
-
-
-def oracle_kernel(rows, ncols):
+def oracle_kernel(rows, ncols, one=Fraction(1)):
     """Per dependent column j: -(its coordinates on the earlier pivot
     columns), 1 at j, and zeros everywhere else."""
-    red, pivots, _ = gauss_jordan(rows, ncols)
+    red, pivots, _ = gauss_jordan(rows, ncols, one)
     out = []
     for j in range(ncols):
         if j in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
+        v = [one - one] * ncols
+        v[j] = one
         for i, p in enumerate(pivots):
             if p < j:
                 v[p] = -red[i][j]
