@@ -16,19 +16,19 @@ takes it (its tower refers to itself, so that waits for a collection), and
 a later call makes it afresh. Each descriptor keeps its tower, the tuple of
 descriptors from Q or F_p up to itself, and its characteristic, finiteness,
 degree and steps over a subfield are read off that tuple.
-`extension` proves its modulus irreducible once, when it makes the
-descriptor, so no descriptor is ever made over a reducible modulus. A
-finite step of order q <= _TABLE_MAX is proven by the walk that builds its
-_Table, any other step by `factor.is_irreducible`. The table comes at
-birth: its q elements, interned, and full q x q addition and multiplication
-tables on their indices, built from Zech logarithms (Huber, IEEE Trans. IT
-1990). The table lives as long as the descriptor, and every element of a
-tabled field is one of its table's elements, so +, -, *, inverse and == are
-list lookups. Every other field computes on coefficients for its whole
-life. One constructor, `_ext_from_coeffs`, makes every element of an
-extension step from its base elements (all_elements aside): the interned
-table element over a tabled step, and a zero-padded coefficient tuple over
-any other step.
+`extension` proves its modulus irreducible once, by
+`factor.is_irreducible`, when it makes the descriptor, so no descriptor is
+ever made over a reducible modulus. A finite step of order q <= _TABLE_MAX
+then gets its _Table at birth: its q elements, interned, and full q x q
+addition and multiplication tables on their indices, each entry one
+`zkernel` sum or reduced product of two elements' coefficients. The table
+lives as long as the descriptor, and every element of a tabled field is one
+of its table's elements, so +, -, *, inverse and == are list lookups (and a
+power is square-and-multiply on them). Every other field computes on
+coefficients for its whole life. One constructor, `_ext_from_coeffs`, makes
+every element of an extension step from its base elements (all_elements
+aside): the interned table element over a tabled step, and a zero-padded
+coefficient tuple over any other step.
 
 Polynomial +, -, *, divmod, gcd and resultant, and the product and inverse
 of an extension-step element, are each one call into `zkernel`, made in the
@@ -72,12 +72,14 @@ FUNCTION = "function"
 
 
 # extension() builds a _Table for a finite step of at most this many elements.
-# A build takes 0.09 ms for F_9, 0.26 ms for F_27 and 1.4 ms for F_81
-# (Python 3.11, 2-core x86 host). The hot field is F_9; the F_81 residue
-# fields of degree-2 places over F_9 are made hundreds of times but used
-# lightly, and a cap of 81, with builds of 3-4.6 ms, cut the ff_reciprocity
-# benchmark by 28-31% in items/s. At F_{251^2} a 63,001-element table saved
-# no time and raised peak RSS from 21.8 to 38.7 MB.
+# A build, q^2 kernel sums and as many reduced products, takes 0.32 ms for
+# F_9 and 3.6 ms for F_27, after a proof of 0.08 ms (best of 30, Python
+# 3.11, 2-core x86 host). A descriptor lives while it is used, so a
+# benchmark run makes one build: F_9, at warm-up. The F_81 residue fields of
+# degree-2 places over F_9 are used lightly; when each was made hundreds of
+# times, a cap of 81 cut the ff_reciprocity benchmark by 28-31% in items/s.
+# At F_{251^2} a 63,001-element table saved no time and raised peak RSS from
+# 21.8 to 38.7 MB.
 _TABLE_MAX = 27
 
 
@@ -259,10 +261,10 @@ def prime_field(p: int) -> FieldDescriptor:
 def extension(base: FieldDescriptor, modulus: "Polynomial") -> FieldDescriptor:
     """Simple extension base[x]/(modulus), modulus monic irreducible.
 
-    The modulus is proven irreducible once, when its descriptor is made, and
-    BadModulus raised if it is not: a finite step of order <= _TABLE_MAX by
-    the power walk of _build_table, any other step by is_irreducible. A
-    cached descriptor is returned with no second proof.
+    The modulus is proven irreducible once, by is_irreducible, when its
+    descriptor is made, and BadModulus raised if it is not; a cached
+    descriptor is returned with no second proof. A finite step of order
+    <= _TABLE_MAX then gets its _Table.
     """
     if modulus.field is not base:
         raise DescriptorMismatch("modulus is not over the base field")
@@ -275,15 +277,13 @@ def extension(base: FieldDescriptor, modulus: "Polynomial") -> FieldDescriptor:
         raise BadModulus("modulus must be monic")
     if base.kind == FUNCTION:
         raise UnsupportedField("extensions of function fields are not supported")
+    from mkt.factor import is_irreducible
+
+    if not is_irreducible(modulus):
+        raise BadModulus(f"modulus {modulus} is reducible")
     got = FieldDescriptor(_MAKER, EXTENSION, base=base, modulus=modulus)
     if base.is_finite() and got.order() <= _TABLE_MAX:
-        proven = _build_table(got)
-    else:
-        from mkt.factor import is_irreducible
-
-        proven = is_irreducible(modulus)
-    if not proven:
-        raise BadModulus(f"modulus {modulus} is reducible")
+        got._table = _Table(got)
     _EXTENSIONS[modulus] = got
     return got
 
@@ -302,85 +302,26 @@ class _Table:
 
     elems[i] is the i-th element of all_elements(field) and carries ix == i,
     so elems[0] is zero and elems[1] is one. add[i][j] and mul[i][j] are the
-    indices of elems[i] + elems[j] and elems[i] * elems[j]; neg[i] and inv[i]
-    those of -elems[i] and 1 / elems[i] (inv[0] is 0). With g a fixed
-    primitive element and m = q - 1: for i != 0, log[i] is the k in [0, m)
-    with g^k = elems[i], and exp[k] is the index of g^k, stored for k in
-    [0, 2m) so that a sum of two logs needs no reduction.
+    indices of elems[i] + elems[j] and elems[i] * elems[j], computed once by
+    zkernel on their coefficients; neg[i] and inv[i] are those of -elems[i]
+    and 1 / elems[i] (inv[0] is 0), read off the rows as the index of 0 and 1.
     """
 
-    __slots__ = ("elems", "add", "mul", "neg", "inv", "exp", "log", "m")
+    __slots__ = ("elems", "add", "mul", "neg", "inv")
 
-    def __init__(self, elems, exp, log, zech):
-        q = len(elems)
-        m = q - 1
-        self.elems, self.exp, self.log, self.m = elems, exp, log, m
-        self.mul = [[0] * q] + [[0] + [exp[li + lj] for lj in log[1:]] for li in log[1:]]
-        # elems[i] + elems[j] = g^li (1 + g^(lj - li)); zech[n] is log(1 + g^n),
-        # or -1 where 1 + g^n = 0
-        self.add = [list(range(q))]
-        for i in range(1, q):
-            li = log[i]
-            sums = [exp[li + z] if z >= 0 else 0 for z in zech]
-            self.add.append([i] + [sums[lj - li] for lj in log[1:]])
+    def __init__(self, fld: FieldDescriptor):
+        elems = list(all_elements(fld))
+        kind, mod = kernel_kind(fld.base), fld._mod_values
+        vals = [_rep_values(e, kind) for e in elems]
+        for i, e in enumerate(elems):
+            e.ix = i
+        self.elems = elems
+        self.add = [[table_index(fld, zkernel.zp_add(a, b, kind)) for b in vals]
+                    for a in vals]
+        self.mul = [[table_index(fld, zkernel.zp_mulmod(a, b, mod, kind)) for b in vals]
+                    for a in vals]
         self.neg = [row.index(0) for row in self.add]
-        self.inv = [0] + [exp[m - li] for li in log[1:]]
-
-
-def _build_table(fld: FieldDescriptor) -> bool:
-    """Give fld its _Table and return True if its modulus is irreducible;
-    return False otherwise.
-
-    The walk is the proof: a ring of order q is a field exactly when some
-    element has multiplicative order q - 1 (Lidl and Niederreiter, Finite
-    Fields, ch. 2), and over a reducible modulus no element does.
-    """
-    base = fld.base
-    q = fld.order()
-    m = q - 1
-    base_elems = list(all_elements(base))
-    nb = len(base_elems)
-    elems = list(all_elements(fld))
-    for i, e in enumerate(elems):
-        e.ix = i
-    exp = [0] * (2 * m)
-    log = [0] * q
-    # the walk multiplies coefficient lists in the base's kernel kind, and
-    # a list's index is its table_index, so candidate j has the base-nb
-    # digits of j as coefficients. Indices below nb are the base field,
-    # which holds a generator only when the step has degree 1. The generator
-    # is the first candidate whose powers first return to one after m steps,
-    # and its walk fills exp and log; over a reducible modulus no element's
-    # powers do
-    kind, mod = kernel_kind(base), fld._mod_values
-    for j in range(nb if q > nb else 1, q):
-        g = []
-        while j:
-            j, r = divmod(j, nb)
-            g.append(r)
-        x = [1]
-        for k in range(m):
-            i = table_index(fld, x)
-            if k and i == 1:
-                break
-            exp[k] = exp[k + m] = i
-            log[i] = k
-            x = zkernel.zp_mulmod(x, g, mod, kind)
-        else:
-            if table_index(fld, x) == 1:
-                break
-    else:
-        return False
-    base_one = base.one()
-    plus_one = kernel_values(kind, [b + base_one for b in base_elems])
-    zech = [-1] * m
-    for n in range(m):
-        i = exp[n]
-        j = i - i % nb + plus_one[i % nb]
-        if j:
-            zech[n] = log[j]
-    fld._table = _Table(elems, exp, log, zech)
-    return True
+        self.inv = [0] + [row.index(1) for row in self.mul[1:]]
 
 
 def table_index(fld: FieldDescriptor, values: list) -> int:
@@ -441,13 +382,13 @@ class FieldElement:
 
     # -- arithmetic --------------------------------------------------------
     #
-    # A field with a _Table works on indices: two elements of that very
-    # descriptor take one lookup, anything else is coerced into the table
-    # first. Every other field works on its representations.
+    # Each binary operator coerces an operand that is not an element of this
+    # very descriptor first. A field with a _Table then works on indices, one
+    # lookup per operation; every other field works on its representations.
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            return other if other.field is self.field else self.field.element(other)
+            return self.field.element(other)
         if isinstance(other, int):
             return self.field.from_int(other)
         if isinstance(other, Fraction) and self.field.kind == RATIONALS:
@@ -456,24 +397,21 @@ class FieldElement:
 
     def __add__(self, other):
         fld = self.field
+        if other.__class__ is not FieldElement or other.field is not fld:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         tab = fld._table
         if tab is not None:
-            if other.__class__ is not FieldElement or other.field is not fld:
-                other = self._coerce(other)
-                if other is None:
-                    return NotImplemented
             return tab.elems[tab.add[self.ix][other.ix]]
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
         k = fld.kind
         if k == RATIONALS:
-            return FieldElement(fld, self.rep + b.rep)
+            return FieldElement(fld, self.rep + other.rep)
         if k == PRIME:
-            return FieldElement(fld, (self.rep + b.rep) % fld.p)
+            return FieldElement(fld, (self.rep + other.rep) % fld.p)
         if k == EXTENSION:
-            return _ext_from_coeffs(fld, [x + y for x, y in zip(self.rep, b.rep)])
-        return FieldElement(fld, self.rep.add(b.rep))
+            return _ext_from_coeffs(fld, [x + y for x, y in zip(self.rep, other.rep)])
+        return FieldElement(fld, self.rep.add(other.rep))
 
     __radd__ = __add__
 
@@ -493,17 +431,14 @@ class FieldElement:
 
     def __sub__(self, other):
         fld = self.field
+        if other.__class__ is not FieldElement or other.field is not fld:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         tab = fld._table
         if tab is not None:
-            if other.__class__ is not FieldElement or other.field is not fld:
-                other = self._coerce(other)
-                if other is None:
-                    return NotImplemented
             return tab.elems[tab.add[self.ix][tab.neg[other.ix]]]
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return self + (-b)
+        return self + (-other)
 
     def __rsub__(self, other):
         b = self._coerce(other)
@@ -513,28 +448,25 @@ class FieldElement:
 
     def __mul__(self, other):
         fld = self.field
+        if other.__class__ is not FieldElement or other.field is not fld:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         tab = fld._table
         if tab is not None:
-            if other.__class__ is not FieldElement or other.field is not fld:
-                other = self._coerce(other)
-                if other is None:
-                    return NotImplemented
             return tab.elems[tab.mul[self.ix][other.ix]]
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
         k = fld.kind
         if k == RATIONALS:
-            return FieldElement(fld, self.rep * b.rep)
+            return FieldElement(fld, self.rep * other.rep)
         if k == PRIME:
-            return FieldElement(fld, self.rep * b.rep % fld.p)
+            return FieldElement(fld, self.rep * other.rep % fld.p)
         if k == EXTENSION:
             base = fld.base
             k = kernel_kind(base)
-            prod = zkernel.zp_mulmod(_rep_values(self, k), _rep_values(b, k),
+            prod = zkernel.zp_mulmod(_rep_values(self, k), _rep_values(other, k),
                                      fld._mod_values, k)
             return _ext_from_coeffs(fld, kernel_elements(base, prod, k))
-        return FieldElement(fld, self.rep.mul(b.rep))
+        return FieldElement(fld, self.rep.mul(other.rep))
 
     __rmul__ = __mul__
 
@@ -570,9 +502,6 @@ class FieldElement:
         return b * self.inverse()
 
     def __pow__(self, e: int):
-        tab = self.field._table
-        if tab is not None and not self.is_zero():
-            return tab.elems[tab.exp[tab.log[self.ix] * e % tab.m]]
         if e < 0:
             return self.inverse() ** (-e)
         result = self.field.one()

@@ -5,7 +5,8 @@ Deterministic Miller-Rabin on the primes up to 41 is exact below
 PROVEN_PRIME_BOUND = psi_13 (Sorenson and Webster, Math. Comp. 2017), the
 least strong pseudoprime to all of them; psi_12 = 318665857834031151167461
 is a strong pseudoprime to the primes up to 37. The CLI refuses every prime
-it reads at or above the bound. Pollard rho handles composite splitting at
+it reads at or above the bound, and `valuations.support` every such prime
+factor of an entry over Q. Pollard rho handles composite splitting at
 desk scale.
 """
 

@@ -13,7 +13,7 @@ from .errors import DegenerateInput
 from .factor import is_irreducible
 from .fields import (EXTENSION, PRIME, RATIONALS, FieldDescriptor, FieldElement,
                      Polynomial)
-from .linalg import Matrix, companion_matrix
+from .linalg import Matrix, companion_matrix, jordan_block
 from .commuting import MatrixTuple
 from .symbols import MilnorExpression, symbol, zero_expression
 
@@ -72,12 +72,6 @@ def invertible_matrix(field: FieldDescriptor, rng: random.Random, n: int,
             return m
 
 
-def _nilpotent_shift(field, n: int) -> Matrix:
-    rows = [[field.one() if j == i + 1 else field.zero() for j in range(n)]
-            for i in range(n)]
-    return Matrix(field, rows)
-
-
 def commuting_tuple(field: FieldDescriptor, rng: random.Random, weight: int,
                     size: int, span: int = 5) -> MatrixTuple:
     """A random weight-l commuting invertible tuple of the given size.
@@ -109,7 +103,7 @@ def commuting_tuple(field: FieldDescriptor, rng: random.Random, weight: int,
                         break
         else:
             b = rng.randint(1, min(3, remaining))
-            n_shift = _nilpotent_shift(field, b)
+            n_shift = jordan_block(field, 0, b)
             ident = Matrix.identity(field, b)
             slots = [ident * random_unit(field, rng, span) +
                      n_shift * random_element(field, rng, span)

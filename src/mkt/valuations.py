@@ -24,7 +24,7 @@ from mkt.factor import factor, is_irreducible
 from mkt.fields import (FUNCTION, RATIONALS, FieldDescriptor, FieldElement,
                         Polynomial, RationalFunction, element_from_poly,
                         extension, prime_field, rationals)
-from mkt.numutil import factor_int, is_prime, split_rational
+from mkt.numutil import PROVEN_PRIME_BOUND, factor_int, is_prime, split_rational
 from mkt.symbols import MilnorExpression
 
 FINITE = "finite"
@@ -248,7 +248,9 @@ def support(x: MilnorExpression) -> list[Valuation]:
 
     Over k(X) the infinite place is always included (it is the one place
     with no uniformizer among the entries' irreducible factors). Over Q the
-    list is every prime dividing some entry, 2 included.
+    list is every prime dividing some entry, 2 included; BadModulus is
+    raised for one at or above PROVEN_PRIME_BOUND, where is_prime, and so
+    factor_int, is only probable.
     """
     field = x.field
     if field.kind == FUNCTION:
@@ -272,6 +274,11 @@ def support(x: MilnorExpression) -> list[Valuation]:
                 q = e.rep
                 primes.update(factor_int(abs(q.numerator)))
                 primes.update(factor_int(q.denominator))
-        # factor_int's primes pass is_prime: no check from rational_prime
-        return [Valuation(PRIME_PLACE, field, p=p) for p in sorted(primes)]
+        primes = sorted(primes)
+        if primes and primes[-1] >= PROVEN_PRIME_BOUND:
+            raise BadModulus(f"support prime {primes[-1]} is not below "
+                             f"{PROVEN_PRIME_BOUND}, so its primality is not proven")
+        # below the bound factor_int's primes pass is_prime: no check from
+        # rational_prime
+        return [Valuation(PRIME_PLACE, field, p=p) for p in primes]
     raise UnsupportedField(f"no place structure over {field}")

@@ -3,9 +3,13 @@
 import copy
 import gc
 import itertools
+import json
 import math
+import os
+import pathlib
 import pickle
 import random
+import subprocess
 import sys
 import weakref
 from fractions import Fraction
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mkt
 from mkt import numutil
 from mkt.errors import (BadModulus, DescriptorMismatch, DivisionByZero,
                         UnsupportedFactorization, ZeroPolynomial)
@@ -552,26 +557,37 @@ def other_f9():
 
 
 def walked_table(L):
-    """(exp, log, add, mul) of the tabled step L, from the arithmetic of its
-    untabled twin: an index is a position in all_elements, and the
-    generator is the first element outside the base (any nonzero one on a
-    degree-1 step) whose powers first return to one after q - 1 steps."""
+    """(add, mul, neg, inv) of the tabled step L, from the arithmetic of its
+    untabled twin: an index is a position in all_elements, and inv[0] is 0."""
     twin = TwinField.like(L)
     elems = twin.values()
-    m = len(elems) - 1
-    for g in elems[L.base.order():] if L.step_degree > 1 else elems[1:]:
-        powers = [twin.one]
-        while len(powers) <= m and twin.mul(powers[-1], g) != twin.one:
-            powers.append(twin.mul(powers[-1], g))
-        if len(powers) == m:
-            break
-    exp = [twin.index(x) for x in powers] * 2
-    log = [0] * len(elems)
-    for k, i in enumerate(exp[:m]):
-        log[i] = k
     add = [[twin.index(twin.add(a, b)) for b in elems] for a in elems]
     mul = [[twin.index(twin.mul(a, b)) for b in elems] for a in elems]
-    return exp, log, add, mul
+    neg = [twin.index(twin.neg(a)) for a in elems]
+    inv = [0] + [twin.index(twin.inv(a)) for a in elems[1:]]
+    return add, mul, neg, inv
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+# makes F_4, F_8, F_16, F_25, F_27, F_16/F_4 and F_81/F_9 (with F_9 under
+# it) with is_irreducible counted, then fetches every step again; prints
+# [[order, tabled, modulus] per step], the moduli is_irreducible saw, and
+# its call count after the fetches
+COUNTED_PROOFS = """
+import json, sys
+import mkt.factor
+from mkt.fields import extension
+from tests.conftest import f16_over_f4, f81_over_f9, make_field
+factor_module = sys.modules["mkt.factor"]
+real, calls = factor_module.is_irreducible, []
+factor_module.is_irreducible = lambda f: calls.append(repr(f)) or real(f)
+made = [make_field(q) for q in (4, 8, 16, 25, 27)] + [f16_over_f4(), f81_over_f9()]
+steps = list(dict.fromkeys(K for L in made for K in L.tower[1:]))
+seen = list(calls)
+assert all(extension(K.base, K.modulus) is K for K in steps)
+print(json.dumps([[[K.order(), K._table is not None, repr(K.modulus)] for K in steps],
+                  seen, len(calls)]))
+"""
 
 
 class TestFieldTables:
@@ -716,7 +732,7 @@ class TestFieldTables:
                                       (5, 1), (5, 2)])
     def test_table_equals_a_walk_of_element_powers(self, p, d):
         """For every monic modulus of order p^d <= 27, extension() gives the
-        exp, log, add and mul of walked_table, or BadModulus when the
+        add, mul, neg and inv of walked_table, or BadModulus when the
         modulus is reducible."""
         k = prime_field(p)
         for low in itertools.product(range(p), repeat=d):
@@ -726,29 +742,22 @@ class TestFieldTables:
                     extension(k, m)
                 continue
             tab = extension(k, m)._table
-            assert (tab.exp, tab.log, tab.add, tab.mul) == walked_table(extension(k, m))
+            assert (tab.add, tab.mul, tab.neg, tab.inv) == walked_table(extension(k, m))
 
-    def test_only_untabled_steps_call_is_irreducible(self, monkeypatch):
-        """A step of order <= 27 is proven by its table walk alone; an F_81
-        step calls is_irreducible once when it is made and not when it is
-        fetched again."""
-        F9 = make_field(9)
-        a = F9.gen()
-        m81 = Polynomial(F9, [a + 1, a, F9.one()])  # X^2 + aX + a + 1
-        forget()
-        gc.collect()
-        assert m81 not in fields_module._EXTENSIONS
-        calls, walks = [], []
-        real, walk = factor_module.is_irreducible, fields_module._build_table
-        monkeypatch.setattr(factor_module, "is_irreducible",
-                            lambda f: calls.append(f) or real(f))
-        monkeypatch.setattr(fields_module, "_build_table", lambda L: walks.append(L) or walk(L))
-        for q in (4, 8, 16, 25, 27, "16/4"):
-            tabled_field(q)
-        assert calls == [] and walks
-        L = extension(F9, m81)
-        assert calls == [m81] and L._table is None
-        assert extension(m81.field, m81) is L and calls == [m81]
+    def test_every_new_step_calls_is_irreducible_once(self):
+        """is_irreducible is the one proof: in a fresh interpreter every step,
+        tabled or not, calls it once with its modulus when it is made, and
+        not again when it is fetched."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(mkt.__file__)), str(REPO)]))
+        run = subprocess.run([sys.executable, "-c", COUNTED_PROOFS], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        steps, calls, calls_after_fetch = json.loads(run.stdout)
+        assert [(q, tabled) for q, tabled, _ in steps] == [
+            (4, True), (8, True), (16, True), (25, True), (27, True), (16, True), (9, True),
+            (81, False)]
+        assert calls == [m for _, _, m in steps] and calls_after_fetch == len(steps)
 
     def test_base_is_checked_before_the_cache(self):
         """The cache is keyed on the modulus: a modulus over F_7 given with

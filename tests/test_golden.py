@@ -9,7 +9,10 @@ non-commuting tuples, and malformed matrix entries.
 malformed entries, coefficients, moduli, uniformizers and primes. Each case
 has its exit code and exact stdout; `tools/capture_golden.py` records them.
 The `q_trager` tuple reaches Trager's factoring over Q(i), and
-`reciprocity_f2_trace` the characteristic-2 trace split.
+`reciprocity_f2_trace` the characteristic-2 trace split. The
+`unproven_support_q` cases have an entry whose prime factor lies above
+`numutil.PROVEN_PRIME_BOUND`, refused wherever its place is needed; the
+`proven_support_q` cases one just below it.
 """
 
 import importlib.util
@@ -43,7 +46,7 @@ def test_corpus_covers_every_field_and_outcome():
     fields = {json.dumps(c["doc"]["field"], sort_keys=True) for c in CASES}
     assert len(fields) == 5
     errors = {json.loads(c["stdout"]).get("error", {}).get("type") for c in CASES}
-    assert errors == {None, "ParseError", "ArityMismatch", "DegenerateInput"}
+    assert errors == {None, "ParseError", "ArityMismatch", "DegenerateInput", "BadModulus"}
 
 
 @pytest.mark.parametrize("case", SYMBOL_CASES, ids=[c["id"] for c in SYMBOL_CASES])
@@ -61,7 +64,8 @@ def test_symbol_corpus_covers_every_command_field_and_outcome():
         for t in c["doc"]["symbols"] for e in t["entries"])]
     assert {c["argv"][0] for c in fraction_entries} == {"tame", "reciprocity"}
     errors = {json.loads(c["stdout"]).get("error", {}).get("type") for c in SYMBOL_CASES}
-    assert errors == {None, "ParseError", "ZeroEntry", "DivisionByZero", "DegenerateInput"}
+    assert errors == {None, "ParseError", "ZeroEntry", "DivisionByZero", "DegenerateInput",
+                      "BadModulus"}
 
 
 # runs every case of the corpora named on its command line, last case first,
