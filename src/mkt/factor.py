@@ -7,16 +7,16 @@ deterministic run to run.
 
 Rationals: one pipeline in Z[x] (Zassenhaus 1969; von zur Gathen and
 Gerhard, Modern Computer Algebra, ch. 6 and 15). Clearing denominators gives
-a primitive F. Its squarefree part S is F itself when F mod p is squarefree
-for the first prime p not dividing lc(F); otherwise S = F / gcd(F, F'), the
-gcd found modulo word-size primes, combined by CRT and confirmed by exact
-division. S is factored modulo the smallest prime that keeps it squarefree
-of its degree, and the factors are lifted to p^k above twice Mignotte's
-bound: roots by Newton's iteration, the others by quadratic Hensel steps.
-Subsets of the lifted factors are recombined, and a candidate is kept when
-it divides exactly in Z[x]. Repeated exact division by each factor gives its
-multiplicity in F. Every number tested for primality on the way is far
-below 3.3 * 10^24, where `is_prime` is proven exact.
+a primitive F. Its squarefree part S = F / gcd(F, F') has the gcd found
+modulo primes from 2^61 - 1 up, combined by CRT and confirmed by exact
+division; S is F itself as soon as one of them gives gcd 1. S is factored
+modulo the smallest prime that keeps it squarefree of its degree, and the
+factors are lifted to p^k above twice Mignotte's bound: roots by Newton's
+iteration, the others by quadratic Hensel steps. Subsets of the lifted
+factors are recombined, and a candidate is kept when it divides exactly in
+Z[x]. Repeated exact division by each factor gives its multiplicity in F.
+Every number tested for primality on the way is far below 3.3 * 10^24,
+where `is_prime` is proven exact.
 
 `factor` refuses proper extensions of Q and function fields with
 UnsupportedFactorization; only the private `irreducible_factors` splits over
@@ -101,8 +101,7 @@ def _pth_root_poly(f: Polynomial) -> Polynomial:
     root_exp = q // p
     out = []
     for i in range(0, f.degree + 1, p):
-        c = f.coeffs[i] if i <= f.degree else fld.zero()
-        out.append(c ** root_exp)
+        out.append(f.coeffs[i] ** root_exp)
     return Polynomial(fld, out)
 
 
@@ -430,15 +429,9 @@ def _factor_q(f: Polynomial) -> list[tuple[Polynomial, int]]:
     """The monic irreducible factors over Q of a monic f of degree >= 2,
     with their multiplicities."""
     ints = _primitive(cleared([c.rep for c in f.coeffs])[0])
-    p = 2
-    while ints[-1] % p == 0:
+    part, p = _squarefree_part(ints), 2
+    while len(part) > 2 and not _squarefree_mod(part, p):
         p = next_prime(p)
-    if _squarefree_mod(ints, p):
-        part = ints
-    else:
-        part, p = _squarefree_part(ints), 2
-        while len(part) > 2 and not _squarefree_mod(part, p):
-            p = next_prime(p)
     factors = [part] if len(part) == 2 else _factor_z(part, p)
     squarefree = part is ints
     out = []
@@ -535,15 +528,13 @@ def _shift(f: Polynomial, c: FieldElement) -> Polynomial:
 
 
 def is_irreducible(f: Polynomial) -> bool:
-    """Irreducibility over finite fields and Q: f is one factor of `factor`."""
+    """Irreducibility: f is one factor of `factor`, which refuses the fields
+    it does not support. A linear f is irreducible over any field."""
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial is not irreducible")
     if f.degree == 0:
         return False
     if f.degree == 1:
         return True
-    fld = f.field
-    if not fld.is_finite() and fld.kind != RATIONALS:
-        raise UnsupportedFactorization(f"irreducibility over {fld} is not supported")
     _, parts = factor(f)
     return len(parts) == 1 and parts[0][1] == 1

@@ -10,25 +10,25 @@ Descriptors are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): `rationals`, `prime_field`, `extension`
 and `function_field` are the only makers, and each hands out the one live
 object of its field, so descriptor equality is identity and the default
-hash serves. Extensions and function fields are interned weakly: a
-descriptor that nothing uses leaves its cache when the garbage collector
-takes it (its tower refers to itself, so that waits for a collection), and
-a later call makes it afresh. Each descriptor keeps its tower, the tuple of
-descriptors from Q or F_p up to itself, and its characteristic, finiteness,
-degree and steps over a subfield are read off that tuple.
+hash serves. Extensions and function fields are interned weakly, and no
+descriptor refers to itself (it keeps the tower below it), so one is freed,
+and leaves its cache, at its last use; a later call makes it afresh.
+`tower`, the descriptors from Q or F_p up to a descriptor, answers its
+characteristic, finiteness, degree and steps over a subfield.
 `extension` proves its modulus irreducible once, by
 `factor.is_irreducible`, when it makes the descriptor, so no descriptor is
 ever made over a reducible modulus. A finite step of order q <= _TABLE_MAX
 then gets its _Table at birth: its q elements, interned, and full q x q
 addition and multiplication tables on their indices, each entry one
-`zkernel` sum or reduced product of two elements' coefficients. The table
-lives as long as the descriptor, and every element of a tabled field is one
-of its table's elements, so +, -, *, inverse and == are list lookups (and a
-power is square-and-multiply on them). Every other field computes on
-coefficients for its whole life. One constructor, `_ext_from_coeffs`, makes
-every element of an extension step from its base elements (all_elements
-aside): the interned table element over a tabled step, and a zero-padded
-coefficient tuple over any other step.
+`zkernel` sum or reduced product of two elements' coefficients. Its
+elements refer back to it, so a tabled step is held for the process (at most
+33 steps of degree >= 2 have order <= 27; linear ones only when asked for).
+Every element of a tabled field is one of its table's elements, so +, -, *,
+inverse and == are list lookups (and a power is square-and-multiply on
+them). Every other field computes on coefficients for its whole life. One
+constructor, `_ext_from_coeffs`, makes every element of an extension step
+from its base elements (all_elements aside): the interned table element
+over a tabled step, and a zero-padded coefficient tuple over any other step.
 
 Polynomial +, -, *, divmod, gcd and resultant, and the product and inverse
 of an extension-step element, are each one call into `zkernel`, made in the
@@ -74,12 +74,12 @@ FUNCTION = "function"
 # extension() builds a _Table for a finite step of at most this many elements.
 # A build, q^2 kernel sums and as many reduced products, takes 0.32 ms for
 # F_9 and 3.6 ms for F_27, after a proof of 0.08 ms (best of 30, Python
-# 3.11, 2-core x86 host). A descriptor lives while it is used, so a
-# benchmark run makes one build: F_9, at warm-up. The F_81 residue fields of
-# degree-2 places over F_9 are used lightly; when each was made hundreds of
-# times, a cap of 81 cut the ff_reciprocity benchmark by 28-31% in items/s.
-# At F_{251^2} a 63,001-element table saved no time and raised peak RSS from
-# 21.8 to 38.7 MB.
+# 3.11, 2-core x86 host). A tabled step lives for the process, so a process
+# builds each table once; a benchmark run builds one, F_9's, at warm-up. The
+# F_81 residue fields of degree-2 places over F_9 are used lightly; when each
+# was made hundreds of times, a cap of 81 cut the ff_reciprocity benchmark by
+# 28-31% in items/s. At F_{251^2} a 63,001-element table saved no time and
+# raised peak RSS from 21.8 to 38.7 MB.
 _TABLE_MAX = 27
 
 
@@ -92,7 +92,7 @@ class FieldDescriptor:
     rationals, prime_field, extension and function_field make one; do not
     mutate."""
 
-    __slots__ = ("kind", "p", "base", "modulus", "tower", "_mod_values",
+    __slots__ = ("kind", "p", "base", "modulus", "_below", "_prime", "_mod_values",
                  "_order", "_table", "__weakref__")
 
     def __init__(self, maker, kind: str, p: int | None = None,
@@ -105,8 +105,9 @@ class FieldDescriptor:
         self.p = p
         self.base = base
         self.modulus = modulus
-        # the descriptors from Q or F_p up to this one, bottom first
-        self.tower = (self,) if base is None else base.tower + (self,)
+        # the tower below and its bottom's p: no descriptor refers to itself
+        self._below = () if base is None else base.tower
+        self._prime = p if base is None else base._prime
         # the modulus's coefficients in the base's kernel kind, for the
         # arithmetic of this step
         self._mod_values = (None if modulus is None
@@ -124,11 +125,16 @@ class FieldDescriptor:
             return self.modulus.degree
         return 1
 
+    @property
+    def tower(self) -> tuple["FieldDescriptor", ...]:
+        """The descriptors from Q or F_p up to this one, bottom first."""
+        return self._below + (self,)
+
     def characteristic(self) -> int:
-        return self.tower[0].p or 0
+        return self._prime or 0
 
     def is_finite(self) -> bool:
-        return self.kind != FUNCTION and self.tower[0].kind == PRIME
+        return self.kind != FUNCTION and self._prime is not None
 
     def absolute_degree(self) -> int:
         """Total degree over the prime field (finite) or over Q."""
@@ -237,11 +243,13 @@ class FieldDescriptor:
 _RATIONALS = FieldDescriptor(_MAKER, RATIONALS)
 _PRIME_CACHE: dict[int, FieldDescriptor] = {}
 # modulus -> base[x]/(modulus) and base -> base(X), for as long as the
-# descriptor lives; a table goes with its descriptor
+# descriptor lives
 _EXTENSIONS: weakref.WeakValueDictionary[Polynomial, FieldDescriptor] = \
     weakref.WeakValueDictionary()
 _FUNCTION_FIELDS: weakref.WeakValueDictionary[FieldDescriptor, FieldDescriptor] = \
     weakref.WeakValueDictionary()
+# every tabled step, held for the process: its elements refer back to it
+_TABLED: list[FieldDescriptor] = []
 
 
 def rationals() -> FieldDescriptor:
@@ -261,10 +269,10 @@ def prime_field(p: int) -> FieldDescriptor:
 def extension(base: FieldDescriptor, modulus: "Polynomial") -> FieldDescriptor:
     """Simple extension base[x]/(modulus), modulus monic irreducible.
 
-    The modulus is proven irreducible once, by is_irreducible, when its
-    descriptor is made, and BadModulus raised if it is not; a cached
-    descriptor is returned with no second proof. A finite step of order
-    <= _TABLE_MAX then gets its _Table.
+    The modulus is proven irreducible, by is_irreducible, when its descriptor
+    is made, and BadModulus raised if it is not; a live descriptor is returned
+    with no second proof. A finite step of order <= _TABLE_MAX then gets its
+    _Table and is held for the process; any other is freed at its last use.
     """
     if modulus.field is not base:
         raise DescriptorMismatch("modulus is not over the base field")
@@ -284,6 +292,7 @@ def extension(base: FieldDescriptor, modulus: "Polynomial") -> FieldDescriptor:
     got = FieldDescriptor(_MAKER, EXTENSION, base=base, modulus=modulus)
     if base.is_finite() and got.order() <= _TABLE_MAX:
         got._table = _Table(got)
+        _TABLED.append(got)
     _EXTENSIONS[modulus] = got
     return got
 
@@ -921,9 +930,9 @@ def tower_degree(L: FieldDescriptor, base: FieldDescriptor) -> int:
 
 def tower_steps(L: FieldDescriptor, base: FieldDescriptor) -> tuple[FieldDescriptor, ...]:
     """Extension steps from base (exclusive) up to L (inclusive), bottom first."""
-    n = len(base.tower)
-    steps = L.tower[n:]
-    if (len(L.tower) < n or L.tower[n - 1] != base
+    tower, n = L.tower, len(base.tower)
+    steps = tower[n:]
+    if (len(tower) < n or tower[n - 1] != base
             or any(step.kind != EXTENSION for step in steps)):
         raise DescriptorMismatch(f"{base} is not below {L}")
     return steps

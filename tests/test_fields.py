@@ -1,7 +1,9 @@
 """Field and polynomial arithmetic against hand-checked and brute-force oracles."""
 
+import contextlib
 import copy
 import gc
+import importlib.util
 import itertools
 import json
 import math
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mkt
-from mkt import numutil
+from mkt import cli, numutil
 from mkt.errors import (BadModulus, DescriptorMismatch, DivisionByZero,
                         UnsupportedFactorization, ZeroPolynomial)
 from mkt.factor import factor, forget, irreducible_factors, is_irreducible
@@ -540,6 +542,7 @@ class TestFactorMemo:
                 factor(Polynomial.zero(Q))
             with pytest.raises(UnsupportedFactorization):
                 is_irreducible(g)
+        assert is_irreducible(Polynomial(L, [L.gen(), L.one()]))
         assert not factor_module._FACTORED
 
 
@@ -573,6 +576,18 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 # it) with is_irreducible counted, then fetches every step again; prints
 # [[order, tabled, modulus] per step], the moduli is_irreducible saw, and
 # its call count after the fetches
+@contextlib.contextmanager
+def collector_off():
+    """The cyclic garbage collector off for the block, then as it was."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 COUNTED_PROOFS = """
 import json, sys
 import mkt.factor
@@ -657,14 +672,16 @@ class TestFieldTables:
     def test_descriptors_are_canonical(self):
         """Each maker hands out the one live descriptor of its field, the
         bare constructor refuses, and a copy or a pickled descriptor comes
-        back through its maker. A descriptor that nothing uses leaves
-        its cache when the collector takes it (a tower refers to its own
-        descriptor), and the next call makes its field afresh."""
+        back through its maker. No descriptor refers to itself, so with the
+        collector off an untabled step and its function field leave their
+        caches at their last `del`, and the next call makes the step afresh.
+        A tabled step is held for the process, table and all."""
         Q, F3 = rationals(), prime_field(3)
         assert rationals() is Q and prime_field(3) is F3
-        m = Polynomial.from_ints(F3, [2, 2, 0, 1])  # X^3 + 2X + 2
+        m = Polynomial.from_ints(F3, [2, 1, 0, 0, 1])  # X^4 + X + 2: F_81, no table
         L = extension(F3, m)
-        assert extension(F3, Polynomial.from_ints(F3, [2, 2, 0, 1])) is L
+        assert L._table is None
+        assert extension(F3, Polynomial.from_ints(F3, [2, 1, 0, 0, 1])) is L
         assert function_field(L) is function_field(L) and function_field(Q) is function_field(Q)
         for kind in ("prime", "extension", "function"):
             with pytest.raises(TypeError, match="come from"):
@@ -673,15 +690,19 @@ class TestFieldTables:
                    and pickle.loads(pickle.dumps(K)) is K for K in (Q, F3, L, function_field(L)))
         assert copy.deepcopy(L.gen()).field is L
         ff = function_field(L)
-        gone = weakref.ref(L)
-        del L, ff
-        forget()
-        # the first collection takes L(X), whose cache entry holds L as its key
-        gc.collect()
-        gc.collect()
-        assert gone() is None and m not in fields_module._EXTENSIONS
+        gone, gone_ff = weakref.ref(L), weakref.ref(ff)
+        with collector_off():
+            del L, ff
+            assert gone() is None and gone_ff() is None
+            assert m not in fields_module._EXTENSIONS
         again = extension(F3, m)
-        assert again._table is not None and extension(F3, m) is again
+        assert again._table is None and extension(F3, m) is again
+        tabled = Polynomial.from_ints(F3, [2, 2, 0, 1])  # X^3 + 2X + 2: F_27
+        T = extension(F3, tabled)
+        table, kept = T._table, weakref.ref(T)
+        del T
+        gc.collect()
+        assert kept() is extension(F3, tabled) and kept()._table is table
 
     def test_fields_above_the_cap_build_no_table(self):
         """F_27 is the largest order that gets a table; F_81 over F_9 and
@@ -758,6 +779,31 @@ class TestFieldTables:
             (4, True), (8, True), (16, True), (25, True), (27, True), (16, True), (9, True),
             (81, False)]
         assert calls == [m for _, _, m in steps] and calls_after_fetch == len(steps)
+
+    def test_proofs_do_not_depend_on_the_collector(self, monkeypatch):
+        """`mkt reciprocity` on the ff_reciprocity warm-up document makes as
+        many proofs with the collector off as after a collection: a residue
+        field an earlier run made is freed at its last use either way."""
+        spec = importlib.util.spec_from_file_location("perfbench_probe",
+                                                      REPO / "perfbench" / "probe.py")
+        probe = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(probe)
+        text = json.dumps(probe.WARMUP["ff_reciprocity"])
+        real, calls = factor_module.is_irreducible, []
+        monkeypatch.setattr(factor_module, "is_irreducible",
+                            lambda f: calls.append(f) or real(f))
+
+        def proofs():
+            calls.clear()
+            code, out = probe.run_command(cli, ["reciprocity", "-"], text)
+            assert code == 0, out
+            return len(calls)
+
+        proofs()
+        with collector_off():
+            uncollected = proofs()
+        gc.collect()
+        assert uncollected == proofs()
 
     def test_base_is_checked_before_the_cache(self):
         """The cache is keyed on the modulus: a modulus over F_7 given with
