@@ -37,7 +37,7 @@ from .factor import irreducible_factors
 from .fields import (EXTENSION, FUNCTION, FieldDescriptor, FieldElement,
                      Polynomial, embed, extension, function_field, tower_steps)
 from .linalg import Matrix, SpanTracker, minpoly_matrix, poly_eval_matrix
-from .symbols import MilnorExpression, symbol, zero_expression
+from .symbols import MilnorExpression, combination, symbol
 from .transfer import transfer_tower
 
 __all__ = [
@@ -479,11 +479,9 @@ def composition_series(x: MatrixTuple) -> list[CompositionFactor]:
 def series_expression(field: FieldDescriptor, weight: int,
                       series: Sequence[CompositionFactor]) -> MilnorExpression:
     """The scalars of each composition factor as a symbol, transferred to field."""
-    total = zero_expression(field, weight)
-    for f in series:
-        piece = transfer_tower(symbol(list(f.scalars), field=f.extension), field)
-        total = total + f.multiplicity * piece
-    return total
+    return combination(field, weight,
+                       [(transfer_tower(symbol(list(f.scalars), field=f.extension), field),
+                         f.multiplicity) for f in series])
 
 
 def reduce_tuple(x: MatrixTuple) -> MilnorExpression:

@@ -1,9 +1,15 @@
 """Polynomial factorization and irreducibility.
 
-Finite fields (prime fields and their towers): squarefree decomposition,
-distinct-degree splitting, then randomized equal-degree splitting. The
-randomness is seeded from the polynomial's own coefficients, so results are
-deterministic run to run.
+Finite fields (prime fields and their towers): squarefree decomposition
+with p-th roots, distinct-degree splitting, then randomized equal-degree
+splitting (Cantor and Zassenhaus, Math. Comp. 1981), with the trace map in
+characteristic 2. The whole pipeline runs on `zkernel` coefficient lists in
+the field's `kernel_kind` (residues mod p, table indices, or the elements of
+an untabled step such as F_81), through the public `zp_*` routines; only the
+factors it returns become Polynomials. The mod-p step of the rational
+pipeline runs on the same lists, and so does the squarefree split over
+Q(alpha). The randomness is seeded from the polynomial's own coefficients, so
+results are deterministic run to run.
 
 Rationals: one pipeline in Z[x] (Zassenhaus 1969; von zur Gathen and
 Gerhard, Modern Computer Algebra, ch. 6 and 15). Clearing denominators gives
@@ -56,8 +62,10 @@ from mkt.fields import (
     Polynomial,
     coordinates,
     embed_poly,
+    kernel_elements,
+    kernel_kind,
+    kernel_values,
     poly_gcd,
-    poly_powmod,
     prime_field,
 )
 from mkt.linalg import Matrix, cleared, companion_matrix, minpoly_matrix
@@ -81,107 +89,111 @@ def _remember(f: Polynomial, factored) -> None:
     _FACTORED[f] = factored
 
 
-def _stable_seed(f: Polynomial) -> int:
-    """Deterministic seed derived from coefficients (hash() is randomized)."""
+def _stable_seed(f: list, fld: FieldDescriptor) -> int:
+    """Deterministic seed derived from the kernel values f of a polynomial
+    over the finite field fld (hash() is randomized). Each coefficient
+    counts as its position in all_elements(fld): its residue or table index,
+    or its prime-field coordinates read as base-p digits, lowest first."""
+    if kernel_kind(fld) is None:
+        p, bottom = fld.characteristic(), fld.tower[0]
+        f = [sum(v.rep * p ** i for i, v in enumerate(coordinates(c, bottom))) for c in f]
     acc = 0x9E3779B97F4A7C15
-    prime_base = f.field.tower[0]
-    for c in f.coeffs:
-        for v in coordinates(c, prime_base):
-            acc = (acc * 0x100000001B3 + v.rep + 1) % (1 << 61)
+    for v in f:
+        acc = (acc * 0x100000001B3 + v + 1) % (1 << 61)
     return acc
 
 
+def _poly(fld: FieldDescriptor, values: list) -> Polynomial:
+    """The polynomial over fld with kernel values `values`."""
+    return Polynomial(fld, kernel_elements(fld, values, kernel_kind(fld)))
+
+
 # -- finite fields -----------------------------------------------------------
+#
+# Every routine below takes polynomials as zkernel coefficient lists of
+# kernel_kind(fld), monic unless said otherwise, and returns them so.
 
-def _pth_root_poly(f: Polynomial) -> Polynomial:
-    """Inverse Frobenius: g with g^p = f; f must have only X^(pi) terms."""
-    fld = f.field
-    p = fld.characteristic()
-    q = fld.order()
-    root_exp = q // p
-    out = []
-    for i in range(0, f.degree + 1, p):
-        out.append(f.coeffs[i] ** root_exp)
-    return Polynomial(fld, out)
+def _pth_root(f: list, fld: FieldDescriptor) -> list:
+    """Inverse Frobenius: g with g^p = f; f must have only X^(pi) terms.
+    Each coefficient's p-th root is its (q/p)-th power."""
+    p, kind = fld.characteristic(), kernel_kind(fld)
+    root_exp = fld.order() // p
+    return [zkernel.power(c, root_exp, kind) for c in f[::p]]
 
 
-def _squarefree(f: Polynomial) -> list[tuple[Polynomial, int]]:
+def _squarefree(f: list, fld: FieldDescriptor) -> list[tuple[list, int]]:
     """Squarefree parts of a monic nonconstant f with their multiplicities,
     over a finite field or Q(alpha); Q has its modular `_squarefree_part`.
     The p-th roots are taken only in characteristic p, where a derivative
     can vanish and a cofactor can remain."""
-    p = f.field.characteristic()
-    result: list[tuple[Polynomial, int]] = []
-    d = f.derivative()
-    if d.is_zero():
-        for g, m in _squarefree(_pth_root_poly(f)):
-            result.append((g, m * p))
-        return result
-    c = poly_gcd(f, d)
-    w = f // c
+    p, kind = fld.characteristic(), kernel_kind(fld)
+    gcd, div = zkernel.zp_gcd, zkernel.zp_divmod
+    d = zkernel.zp_derivative(f, kind)
+    if not d:
+        return [(g, m * p) for g, m in _squarefree(_pth_root(f, fld), fld)]
+    result: list[tuple[list, int]] = []
+    c = gcd(f, d, kind)
+    w = div(f, c, kind)[0]
     m = 1
-    while w.degree > 0:
-        y = poly_gcd(w, c)
-        z = w // y
-        if z.degree > 0:
+    while len(w) > 1:
+        y = gcd(w, c, kind)
+        z = div(w, y, kind)[0]
+        if len(z) > 1:
             result.append((z, m))
         w = y
-        c = c // y
+        c = div(c, y, kind)[0]
         m += 1
-    if c.degree > 0:
-        for g, mm in _squarefree(_pth_root_poly(c)):
-            result.append((g, mm * p))
+    if len(c) > 1:
+        result += [(g, mm * p) for g, mm in _squarefree(_pth_root(c, fld), fld)]
     return result
 
 
-def _distinct_degree(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Split monic squarefree f into products of same-degree irreducibles."""
-    fld = f.field
-    q = fld.order()
+def _distinct_degree(f: list, fld: FieldDescriptor) -> list[tuple[list, int]]:
+    """Split a squarefree f into products of same-degree irreducibles."""
+    kind, q = kernel_kind(fld), fld.order()
+    x = kernel_values(kind, [fld.zero(), fld.one()])
     out = []
-    h = Polynomial.x(fld) % f
-    x = Polynomial.x(fld)
+    h = zkernel.zp_rem(x, f, kind)
     d = 0
-    while f.degree > 2 * (d + 1) - 1 and f.degree > 0:
+    while len(f) - 1 > 2 * d + 1:
         d += 1
-        h = poly_powmod(h, q, f)
-        g = poly_gcd(h - x, f)
-        if g.degree > 0:
+        h = zkernel.zp_powmod(h, q, f, kind)
+        g = zkernel.zp_gcd(zkernel.zp_sub(h, x, kind), f, kind)
+        if len(g) > 1:
             out.append((g, d))
-            f = f // g
-            h = h % f
-    if f.degree > 0:
-        out.append((f, f.degree))
+            f = zkernel.zp_divmod(f, g, kind)[0]
+            h = zkernel.zp_rem(h, f, kind)
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
     return out
 
 
-def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> Polynomial:
+def _equal_degree_split(f: list, d: int, fld: FieldDescriptor,
+                        rng: random.Random) -> list:
     """One nontrivial monic factor of f, where f is a product of >= 2
     irreducibles all of degree d."""
-    fld = f.field
-    q = fld.order()
-    n = f.degree
+    kind, q = kernel_kind(fld), fld.order()
+    n = len(f) - 1
+    one = kernel_values(kind, [fld.one()])
     while True:
-        a = Polynomial(fld, [_random_element(fld, rng) for _ in range(n)])
-        if a.degree < 1:
+        a = zkernel.trim(_random_values(fld, n, rng))
+        if len(a) < 2:
             continue
-        g = poly_gcd(a, f)
-        if 0 < g.degree < n:
-            return g.monic()
+        g = zkernel.zp_gcd(a, f, kind)
+        if 1 < len(g) <= n:
+            return g
         if q % 2 == 1:
-            t = poly_powmod(a, (q ** d - 1) // 2, f) - Polynomial.one(fld)
+            t = zkernel.zp_sub(zkernel.zp_powmod(a, (q ** d - 1) // 2, f, kind), one, kind)
         else:
             # char 2: additive trace map
-            e = d * _log2_order(q)
-            t = a % f
-            acc = t
-            for _ in range(e - 1):
-                t = t * t % f
-                acc = (acc + t) % f
+            t = acc = zkernel.zp_rem(a, f, kind)
+            for _ in range(d * _log2_order(q) - 1):
+                t = zkernel.zp_mulmod(t, t, f, kind)
+                acc = zkernel.zp_add(acc, t, kind)
             t = acc
-        g = poly_gcd(t, f)
-        if 0 < g.degree < n:
-            return g.monic()
+        g = zkernel.zp_gcd(t, f, kind)
+        if 1 < len(g) <= n:
+            return g
 
 
 def _log2_order(q: int) -> int:
@@ -197,18 +209,29 @@ def _random_element(fld: FieldDescriptor, rng: random.Random) -> FieldElement:
                              for _ in range(fld.step_degree)))
 
 
-def _factor_finite_squarefree(f: Polynomial, rng: random.Random) -> list[Polynomial]:
+def _random_values(fld: FieldDescriptor, n: int, rng: random.Random) -> list:
+    """n random kernel values of the finite field fld: a residue or table
+    index is a position in all_elements(fld)."""
+    if kernel_kind(fld) is None:
+        return [_random_element(fld, rng) for _ in range(n)]
+    q = fld.order()
+    return [rng.randrange(q) for _ in range(n)]
+
+
+def _factor_finite_squarefree(f: list, fld: FieldDescriptor,
+                              rng: random.Random) -> list[list]:
+    kind = kernel_kind(fld)
     out = []
-    for prod, d in _distinct_degree(f):
+    for prod, d in _distinct_degree(f, fld):
         stack = [prod]
         while stack:
             g = stack.pop()
-            if g.degree == d:
-                out.append(g.monic())
+            if len(g) - 1 == d:
+                out.append(g)
                 continue
-            h = _equal_degree_split(g, d, rng)
+            h = _equal_degree_split(g, d, fld, rng)
             stack.append(h)
-            stack.append(g // h)
+            stack.append(zkernel.zp_divmod(g, h, kind)[0])
     return out
 
 
@@ -413,16 +436,15 @@ def _factor_z(ints: list[int], p: int) -> list[list[int]]:
     """The irreducible factors in Z[x] of a primitive squarefree f of degree
     >= 2 that stays squarefree of its degree modulo the prime p."""
     Fp = prime_field(p)
-    fp = Polynomial.from_ints(Fp, ints).monic()
-    modular = _factor_finite_squarefree(fp, random.Random(_stable_seed(fp)))
+    fp = zkernel.zp_scale([v % p for v in ints], zkernel.inverse(ints[-1] % p, p), p)
+    modular = _factor_finite_squarefree(fp, Fp, random.Random(_stable_seed(fp, Fp)))
     if len(modular) == 1:
         return [ints]
     bound = _bound(ints)
     P, k = p, 1
     while P <= bound:
         P, k = P * p, k + 1
-    residues = [[c.rep for c in u.coeffs] for u in modular]
-    return _recombine(ints, _hensel_lift(ints, residues, p, k), P)
+    return _recombine(ints, _hensel_lift(ints, modular, p, k), P)
 
 
 def _factor_q(f: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -472,10 +494,11 @@ def factor(f: Polynomial) -> tuple[FieldElement, list[tuple[Polynomial, int]]]:
     elif fld.kind == RATIONALS:
         out = _factor_q(fm)
     else:
-        rng = random.Random(_stable_seed(fm))
-        for part, mult in _squarefree(fm):
-            for g in _factor_finite_squarefree(part, rng):
-                out.append((g, mult))
+        values = kernel_values(kernel_kind(fld), fm.coeffs)
+        rng = random.Random(_stable_seed(values, fld))
+        for part, mult in _squarefree(values, fld):
+            for g in _factor_finite_squarefree(part, fld, rng):
+                out.append((_poly(fld, g), mult))
     out.sort(key=lambda pair: pair[0].coeff_key())
     _remember(f, (unit, tuple(out)))
     for g, _m in out:
@@ -498,8 +521,9 @@ def irreducible_factors(m: Polynomial) -> list[Polynomial]:
         return [g for g, e in factor(m)[1] for _ in range(e)]
     if m.degree == 1:
         return [m]
-    return [f for g, e in _squarefree(m)
-            for f in (_trager(g) if g.degree > 1 else [g]) for _ in range(e)]
+    return [f for g, e in _squarefree(kernel_values(kernel_kind(L), m.coeffs), L)
+            for f in (_trager(_poly(L, g)) if len(g) > 2 else [_poly(L, g)])
+            for _ in range(e)]
 
 
 def _trager(g: Polynomial) -> list[Polynomial]:

@@ -21,8 +21,10 @@ ever made over a reducible modulus. A finite step of order q <= _TABLE_MAX
 then gets its _Table at birth: its q elements, interned, and full q x q
 addition and multiplication tables on their indices, each entry one
 `zkernel` sum or reduced product of two elements' coefficients. Its
-elements refer back to it, so a tabled step is held for the process (at most
-33 steps of degree >= 2 have order <= 27; linear ones only when asked for).
+elements refer back to it, so a tabled step is held for the process. Only a
+step of degree >= 2 over a prime field or a tabled step gets a table, and at
+most 33 such steps have order <= 27, so the held set is bounded; a linear
+step, a copy of its base, is untabled and freed at its last use.
 Every element of a tabled field is one of its table's elements, so +, -, *,
 inverse and == are list lookups (and a power is square-and-multiply on
 them). Every other field computes on coefficients for its whole life. One
@@ -35,7 +37,9 @@ of an extension-step element, are each one call into `zkernel`, made in the
 coefficient field's kernel kind (`kernel_kind`): integer residues over a
 prime field, table indices over a tabled field, the elements themselves over
 any other. `kernel_values` hands the coefficients in, and `kernel_elements`
-(through `_wrap` for a Polynomial) turns the result back into elements.
+(through `_wrap` for a Polynomial) turns the result back into elements;
+`element_from_values` reads a step's element from its base's kernel values
+(a table index over a tabled step).
 `linalg` keeps its vectors and matrix rows off Q in the same kernel form.
 
 Each element has one key, `FieldElement.key()`, and each polynomial one,
@@ -271,8 +275,9 @@ def extension(base: FieldDescriptor, modulus: "Polynomial") -> FieldDescriptor:
 
     The modulus is proven irreducible, by is_irreducible, when its descriptor
     is made, and BadModulus raised if it is not; a live descriptor is returned
-    with no second proof. A finite step of order <= _TABLE_MAX then gets its
-    _Table and is held for the process; any other is freed at its last use.
+    with no second proof. A step of degree >= 2 and order <= _TABLE_MAX over
+    a prime field or a tabled step then gets its _Table and is held for the
+    process; any other is freed at its last use.
     """
     if modulus.field is not base:
         raise DescriptorMismatch("modulus is not over the base field")
@@ -290,7 +295,10 @@ def extension(base: FieldDescriptor, modulus: "Polynomial") -> FieldDescriptor:
     if not is_irreducible(modulus):
         raise BadModulus(f"modulus {modulus} is reducible")
     got = FieldDescriptor(_MAKER, EXTENSION, base=base, modulus=modulus)
-    if base.is_finite() and got.order() <= _TABLE_MAX:
+    # a tabled step is held for the process: tabling linear steps would let
+    # nested calls hold copies of one field without bound
+    if (modulus.degree >= 2 and (base.kind == PRIME or base._table is not None)
+            and got.order() <= _TABLE_MAX):
         got._table = _Table(got)
         _TABLED.append(got)
     _EXTENSIONS[modulus] = got
@@ -470,11 +478,9 @@ class FieldElement:
         if k == PRIME:
             return FieldElement(fld, self.rep * other.rep % fld.p)
         if k == EXTENSION:
-            base = fld.base
-            k = kernel_kind(base)
-            prod = zkernel.zp_mulmod(_rep_values(self, k), _rep_values(other, k),
-                                     fld._mod_values, k)
-            return _ext_from_coeffs(fld, kernel_elements(base, prod, k))
+            k = kernel_kind(fld.base)
+            return element_from_values(fld, zkernel.zp_mulmod(
+                _rep_values(self, k), _rep_values(other, k), fld._mod_values, k))
         return FieldElement(fld, self.rep.mul(other.rep))
 
     __rmul__ = __mul__
@@ -492,10 +498,9 @@ class FieldElement:
         if k == PRIME:
             return FieldElement(fld, pow(self.rep, fld.p - 2, fld.p))
         if k == EXTENSION:
-            base = fld.base
-            k = kernel_kind(base)
-            inv = zkernel.zp_invmod(_rep_values(self, k), fld._mod_values, k)
-            return _ext_from_coeffs(fld, kernel_elements(base, inv, k))
+            k = kernel_kind(fld.base)
+            return element_from_values(fld, zkernel.zp_invmod(_rep_values(self, k),
+                                                              fld._mod_values, k))
         return FieldElement(fld, self.rep.inverse())
 
     def __truediv__(self, other):
@@ -589,6 +594,18 @@ def _ext_from_coeffs(fld: FieldDescriptor, coeffs: list) -> FieldElement:
         return tab.elems[table_index(fld, kernel_values(kernel_kind(base), coeffs))]
     rep = tuple(coeffs)
     return FieldElement(fld, rep + (base.zero(),) * (fld.step_degree - len(rep)))
+
+
+def element_from_values(fld: FieldDescriptor, values: list) -> FieldElement:
+    """The element of the extension step fld whose coefficients over fld.base
+    are the kernel values `values` of kernel_kind(fld.base), lowest first;
+    fewer than the step degree leave the rest zero. Over a tabled step it is
+    the interned table element, found with no base element made."""
+    tab = fld._table
+    if tab is not None:
+        return tab.elems[table_index(fld, values)]
+    base = fld.base
+    return _ext_from_coeffs(fld, kernel_elements(base, values, kernel_kind(base)))
 
 
 def kernel_kind(field: FieldDescriptor):
@@ -771,8 +788,9 @@ class Polynomial:
         return Polynomial(self.field, [c * inv for c in self.coeffs])
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(self.field,
-                          [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        fld = self.field
+        k = kernel_kind(fld)
+        return _wrap(fld, zkernel.zp_derivative(kernel_values(k, self.coeffs), k), k)
 
     def evaluate(self, point: FieldElement) -> FieldElement:
         """Horner evaluation at a point of the coefficient field."""

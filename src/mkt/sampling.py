@@ -15,7 +15,7 @@ from .fields import (EXTENSION, PRIME, RATIONALS, FieldDescriptor, FieldElement,
                      Polynomial)
 from .linalg import Matrix, companion_matrix, jordan_block
 from .commuting import MatrixTuple
-from .symbols import MilnorExpression, symbol, zero_expression
+from .symbols import MilnorExpression, combination, symbol
 
 __all__ = [
     "random_element", "random_unit", "monic_irreducible",
@@ -56,11 +56,11 @@ def monic_irreducible(field: FieldDescriptor, rng: random.Random, degree: int,
 
 def random_symbol(field: FieldDescriptor, rng: random.Random, weight: int,
                   terms: int = 1, span: int = 9) -> MilnorExpression:
-    out = zero_expression(field, weight)
+    parts = []
     for _ in range(terms):
         entries = [random_unit(field, rng, span) for _ in range(weight)]
-        out = out + rng.choice([1, 1, 2, -1]) * symbol(entries, field=field)
-    return out
+        parts.append((symbol(entries, field=field), rng.choice([1, 1, 2, -1])))
+    return combination(field, weight, parts)
 
 
 def invertible_matrix(field: FieldDescriptor, rng: random.Random, n: int,

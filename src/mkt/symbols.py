@@ -4,11 +4,17 @@ A weight-l symbol is a tuple of l nonzero field elements written {a_1,...,a_l};
 an expression is a finite Z-linear combination of symbols of one common
 weight. Expressions are purely syntactic: no relation is applied unless an
 operator (boundary, rewriting) does so explicitly.
+
+`combination` is the one sum: it adds any number of scaled expressions into
+one term dict, so a sum of n pieces hashes each term it adds once or twice,
+not the whole running total at every step. +, -, negation and integer
+multiples are combinations of one or two pieces, and the transfer recursion,
+the reciprocity sum and the symbol of a composition series each make one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from mkt.errors import (ArityMismatch, DegenerateDifferences, DegenerateInput,
                         DescriptorMismatch, ZeroEntry)
@@ -54,10 +60,14 @@ class MilnorExpression:
     @classmethod
     def _trusted(cls, field: FieldDescriptor, weight: int,
                  terms: dict[tuple, int]) -> "MilnorExpression":
-        """An expression whose keys are entries of checked expressions over
-        field, of length weight; only the zero coefficients are dropped."""
+        """An expression that takes over terms, a fresh dict whose keys are
+        entries of checked expressions over field, of length weight; only
+        its zero coefficients are dropped, in place, so no other key is
+        hashed again."""
+        for k in [k for k, c in terms.items() if not c]:
+            del terms[k]
         x = object.__new__(cls)
-        x._fill(field, weight, {k: c for k, c in terms.items() if c})
+        x._fill(field, weight, terms)
         return x
 
     def _fill(self, field: FieldDescriptor, weight: int, terms: dict) -> None:
@@ -90,32 +100,18 @@ class MilnorExpression:
     def term_count(self) -> int:
         return len(self._terms)
 
-    def _binop(self, other: "MilnorExpression", flip: bool) -> "MilnorExpression":
-        if not isinstance(other, MilnorExpression):
-            raise DescriptorMismatch("expected a MilnorExpression")
-        if other.field != self.field:
-            raise DescriptorMismatch("expressions over different fields")
-        if other.weight != self.weight:
-            raise ArityMismatch("expressions of different weights")
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            acc[k] = acc.get(k, 0) + (-c if flip else c)
-        return MilnorExpression._trusted(self.field, self.weight, acc)
-
     def __add__(self, other):
-        return self._binop(other, flip=False)
+        return combination(self.field, self.weight, [(self, 1), (other, 1)])
 
     def __sub__(self, other):
-        return self._binop(other, flip=True)
+        return combination(self.field, self.weight, [(self, 1), (other, -1)])
 
     def __neg__(self):
-        return MilnorExpression._trusted(self.field, self.weight,
-                                         {k: -c for k, c in self._terms.items()})
+        return combination(self.field, self.weight, [(self, -1)])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return MilnorExpression._trusted(self.field, self.weight,
-                                             {k: c * other for k, c in self._terms.items()})
+            return combination(self.field, self.weight, [(self, other)])
         if isinstance(other, MilnorExpression):
             if other.field != self.field:
                 raise DescriptorMismatch("expressions over different fields")
@@ -165,6 +161,31 @@ class MilnorExpression:
         return s.replace("+ -", "- ")
 
 
+def combination(field: FieldDescriptor, weight: int,
+                parts: Iterable[tuple[MilnorExpression, int]]) -> MilnorExpression:
+    """The sum of c * x over the pairs (x, c) of parts, each x an expression
+    over field of the given weight, filled into one term dict. The first
+    part with c = 1 is copied with its keys' stored hashes."""
+    acc: dict[tuple, int] | None = None
+    for x, c in parts:
+        if not isinstance(x, MilnorExpression):
+            raise DescriptorMismatch("expected a MilnorExpression")
+        if x.field is not field:
+            raise DescriptorMismatch("expressions over different fields")
+        if x.weight != weight:
+            raise ArityMismatch("expressions of different weights")
+        if not c:
+            continue
+        terms = x._terms
+        if acc is None:
+            acc = dict(terms) if c == 1 else {k: a * c for k, a in terms.items()}
+            continue
+        get = acc.get
+        for k, a in terms.items():
+            acc[k] = get(k, 0) + a * c
+    return MilnorExpression._trusted(field, weight, {} if acc is None else acc)
+
+
 def symbol(entries: Sequence, field: FieldDescriptor | None = None) -> MilnorExpression:
     """The single symbol {a_1,...,a_l} with coefficient one."""
     entries = list(entries)
@@ -197,7 +218,7 @@ def cyclic_difference_identity(points: Sequence[FieldElement]
     field = pts[0].field
     weight = len(pts) - 1
     m = len(pts)
-    lhs = zero_expression(field, weight)
+    parts = []
     for i in range(m):
         entries = []
         for s in range(1, m):
@@ -205,10 +226,8 @@ def cyclic_difference_identity(points: Sequence[FieldElement]
             if d.is_zero():
                 raise DegenerateDifferences("coincident points")
             entries.append(d)
-        sign = -1 if (weight * (i + 1)) % 2 else 1
-        lhs = lhs + symbol(entries, field) * sign
-    rhs = symbol([field.minus_one()] * weight, field)
-    return lhs, rhs
+        parts.append((symbol(entries, field), -1 if (weight * (i + 1)) % 2 else 1))
+    return combination(field, weight, parts), symbol([field.minus_one()] * weight, field)
 
 
 def symbol_shift_identity(c: FieldElement, d: FieldElement, variant: str = "difference"

@@ -22,7 +22,7 @@ from mkt.factor import factor
 from mkt.fields import (EXTENSION, FUNCTION, FieldDescriptor, Polynomial, embed,
                         function_field, is_ancestor, poly_of_element,
                         poly_resultant, tower_steps)
-from mkt.symbols import MilnorExpression, symbol, zero_expression
+from mkt.symbols import MilnorExpression, combination, symbol, zero_expression
 from mkt.valuations import (FINITE, INFINITE, Valuation, infinite_place, support,
                             tame_symbol)
 
@@ -48,7 +48,7 @@ def _term_transfer(v: Valuation, entries: tuple, c: int) -> MilnorExpression:
     if tame_symbol(v, y) != symbol(entries, v.residue_field()):
         raise RecursionInvariantViolated("the lift does not reduce to its term")
     places = {f for i in moving for f, _ in factor(gs[i])[1]}
-    acc = zero_expression(k, len(gs))
+    parts = []
     for f in sorted(places, key=Polynomial.coeff_key):
         # factor has proven f monic irreducible: no check from finite_place
         w = Valuation(FINITE, ff, pi=f)
@@ -57,9 +57,9 @@ def _term_transfer(v: Valuation, entries: tuple, c: int) -> MilnorExpression:
             continue
         if f.degree >= d:
             raise RecursionInvariantViolated("place degree failed to decrease")
-        acc = acc + transfer(w, t)
-    acc = acc + tame_symbol(infinite_place(ff), y)
-    return (-acc) * c
+        parts.append((transfer(w, t), -c))
+    parts.append((tame_symbol(infinite_place(ff), y), -c))
+    return combination(k, len(gs), parts)
 
 
 def transfer(v: Valuation, x: MilnorExpression) -> MilnorExpression:
@@ -76,11 +76,9 @@ def transfer(v: Valuation, x: MilnorExpression) -> MilnorExpression:
         raise DescriptorMismatch("expression not over the residue field")
     if v.pi.degree == 1:
         return x
-    out = zero_expression(v.field.base, x.weight)
-    for entries, c in x.items():
-        if not any(e.is_one() for e in entries):
-            out = out + _term_transfer(v, entries, c)
-    return out
+    return combination(v.field.base, x.weight,
+                       [(_term_transfer(v, entries, c), 1) for entries, c in x.items()
+                        if not any(e.is_one() for e in entries)])
 
 
 def transfer_ext(E: FieldDescriptor, x: MilnorExpression) -> MilnorExpression:
@@ -127,12 +125,9 @@ def reciprocity_check(w: MilnorExpression):
         raise UnsupportedField("reciprocity runs over a rational function field")
     if w.weight < 1:
         raise ArityMismatch("reciprocity needs weight >= 1")
-    k = ff.base
-    total = zero_expression(k, w.weight - 1)
     rows = []
     for v in support(w):
         t = tame_symbol(v, w)
-        n = t if v.kind == INFINITE else transfer(v, t)
-        total = total + n
-        rows.append((v, t, n))
-    return canonical_class(total), rows
+        rows.append((v, t, t if v.kind == INFINITE else transfer(v, t)))
+    return canonical_class(combination(ff.base, w.weight - 1,
+                                       [(n, 1) for _, _, n in rows])), rows

@@ -6,12 +6,15 @@ rational function field k(X), the p-adic places of Q, and the real place
 
 The boundary map needs two things of each entry x = pi^n u: n and the
 residue of the unit u. Both come off the trial division that finds n
-(`_split_poly`): the remainder of the first division by pi that fails is
-(f / pi^n) mod pi, a residue-field element read from its coefficients, and
-a denominator of 1 (the denominator is monic) needs no division at all. At
-the infinite place they are deg den - deg num and lc(num); at a prime p they
-come off the integer quotients. So `tame_symbol` builds no unit; `unit_part`
-does, for callers that want u itself.
+(`_split_poly`), which divides the `zkernel` values of num or den by pi's,
+in the kernel kind of k, with no Polynomial per division: the remainder of
+the first division by pi that fails is (f / pi^n) mod pi, and its values are
+read straight into the residue field (`fields.element_from_values`: over a
+tabled residue field one table index). A denominator of 1 (the denominator
+is monic) needs no division at all. At the infinite place they are
+deg den - deg num and lc(num); at a prime p they come off the integer
+quotients. So `tame_symbol` builds no unit; `unit_part` does, from the same
+divisions' quotients, for callers that want u itself.
 """
 
 from __future__ import annotations
@@ -21,9 +24,11 @@ from fractions import Fraction
 from mkt.errors import (ArityMismatch, BadModulus, DegenerateInput,
                         DescriptorMismatch, UnsupportedField, ZeroInput)
 from mkt.factor import factor, is_irreducible
+from mkt import zkernel
 from mkt.fields import (FUNCTION, RATIONALS, FieldDescriptor, FieldElement,
-                        Polynomial, RationalFunction, element_from_poly,
-                        extension, prime_field, rationals)
+                        Polynomial, RationalFunction, element_from_values,
+                        extension, kernel_elements, kernel_kind, kernel_values,
+                        prime_field, rationals)
 from mkt.numutil import PROVEN_PRIME_BOUND, factor_int, is_prime, split_rational
 from mkt.symbols import MilnorExpression
 
@@ -36,7 +41,7 @@ REAL = "real"
 class Valuation:
     """A place of k(X) or Q, with exact residue arithmetic."""
 
-    __slots__ = ("kind", "field", "pi", "p", "_residue_field")
+    __slots__ = ("kind", "field", "pi", "p", "_residue_field", "_pi_values")
 
     def __init__(self, kind, field, pi=None, p=None):
         object.__setattr__(self, "kind", kind)
@@ -44,6 +49,9 @@ class Valuation:
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_residue_field", None)
+        # pi's coefficients in the kernel kind of k, the divisor of _split_poly
+        object.__setattr__(self, "_pi_values", None if pi is None else
+                           kernel_values(kernel_kind(pi.field), pi.coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Valuation is immutable")
@@ -116,17 +124,17 @@ def _check_value(v: Valuation, x: FieldElement):
         raise ZeroInput("zero has no valuation")
 
 
-def _split_poly(f: Polynomial, pi: Polynomial) -> tuple[int, Polynomial, Polynomial]:
+def _split_poly(f: list, pi: list, kind) -> tuple[int, list, list]:
     """(n, f / pi^n, (f / pi^n) mod pi) for f != 0, pi^n the highest power
-    of pi dividing f.
+    of pi dividing f, all as kernel values of kind.
 
     The residue is the remainder of the first division that fails, or f / pi^n
     itself once its degree is below deg pi.
     """
     n = 0
-    while f.degree >= pi.degree:
-        q, r = divmod(f, pi)
-        if not r.is_zero():
+    while len(f) >= len(pi):
+        q, r = zkernel.zp_divmod(f, pi, kind)
+        if r:
             return n, f, r
         f = q
         n += 1
@@ -144,10 +152,13 @@ def unit_part(v: Valuation, x: FieldElement) -> tuple[int, FieldElement]:
         raise UnsupportedField("the real place is not discrete")
     _check_value(v, x)
     if v.kind == FINITE:
-        rf = x.rep
-        a, num, _ = _split_poly(rf.num, v.pi)
-        b, den, _ = _split_poly(rf.den, v.pi)
-        return a - b, v.field.element(RationalFunction(num, den))
+        rf, k = x.rep, v.field.base
+        kind = kernel_kind(k)
+        a, num, _ = _split_poly(kernel_values(kind, rf.num.coeffs), v._pi_values, kind)
+        b, den, _ = _split_poly(kernel_values(kind, rf.den.coeffs), v._pi_values, kind)
+        return a - b, v.field.element(RationalFunction(
+            Polynomial(k, kernel_elements(k, num, kind)),
+            Polynomial(k, kernel_elements(k, den, kind))))
     if v.kind == INFINITE:
         rf = x.rep
         n = rf.den.degree - rf.num.degree
@@ -162,20 +173,27 @@ def unit_part(v: Valuation, x: FieldElement) -> tuple[int, FieldElement]:
     return n, rationals().element(Fraction(num, den))
 
 
+def _read_residue(k: FieldDescriptor, kv: FieldDescriptor, r: list, kind) -> FieldElement:
+    """The element of the residue field kv of a place of k(X) whose
+    coefficients over k are the kernel values r of kind; kv is k itself at a
+    place of degree one."""
+    return kernel_elements(k, r, kind)[0] if kv is k else element_from_values(kv, r)
+
+
 def _residue_split(v: Valuation, kv: FieldDescriptor, x: FieldElement
                    ) -> tuple[int, FieldElement]:
     """(n, residue of u in kv) for x = pi^n * u, read off the divisions that
     find n: no unit is built."""
     rf = x.rep
     if v.kind == FINITE:
-        pi = v.pi
-        linear = pi.degree == 1
-        a, _, r = _split_poly(rf.num, pi)
-        res = r.coeffs[0] if linear else element_from_poly(kv, r)
+        k, pi = v.field.base, v._pi_values
+        kind = kernel_kind(k)
+        a, _, r = _split_poly(kernel_values(kind, rf.num.coeffs), pi, kind)
+        res = _read_residue(k, kv, r, kind)
         if rf.den.degree == 0:  # den is monic, so it is 1
             return a, res
-        b, _, s = _split_poly(rf.den, pi)
-        return a - b, res / (s.coeffs[0] if linear else element_from_poly(kv, s))
+        b, _, s = _split_poly(kernel_values(kind, rf.den.coeffs), pi, kind)
+        return a - b, res / _read_residue(k, kv, s, kind)
     if v.kind == INFINITE:
         # u = x * X^n with n = deg den - deg num; den is monic
         return rf.den.degree - rf.num.degree, rf.num.lc()

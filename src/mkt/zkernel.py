@@ -20,11 +20,17 @@ through this one code path.
 
 The public `zp_*` names are the kernel's boundary. The routines call each
 other only through their private names, so a tracer that rebinds `zp_*`
-counts the calls into the kernel, not its internal steps.
+counts the calls into the kernel, not its internal steps; no other module
+calls a private routine (tests/test_imports.py checks it), so no call into
+the kernel goes uncounted. `fields` makes every polynomial operation one
+`zp_*` call, and `factor` and `valuations` run their finite-field factoring
+and trial divisions on coefficient lists through the same names, wrapping
+only their results.
 
 `linalg` computes off Q through `inverse`, `negate`, `add_multiple`,
-`scaled` and `dots`, outside the `zp_` prefix: kernel counts stay counts of
-polynomial calls.
+`scaled` and `dots`, and `factor` takes a coefficient's p-th root through
+`power`, outside the `zp_` prefix: kernel counts stay counts of polynomial
+calls.
 """
 
 from __future__ import annotations
@@ -64,6 +70,22 @@ def inverse(c, p):
     if p.__class__ is int:
         return pow(c, p - 2, p)
     return p.inv[c]
+
+
+def power(c, e: int, p):
+    """c^e of one coefficient, for e >= 0."""
+    if p is None:
+        return c ** e
+    if p.__class__ is int:
+        return pow(c, e, p)
+    mul = p.mul
+    result = 1
+    while e:
+        if e & 1:
+            result = mul[result][c]
+        c = mul[c][c]
+        e >>= 1
+    return result
 
 
 def _times(x, y, p):
@@ -229,6 +251,21 @@ def _powmod(a, e: int, f, p):
     return result
 
 
+def _derivative(a, p):
+    """The formal derivative of a. The integer i is i-fold 1 + ... + 1 in
+    the coefficients' own arithmetic, so it is i mod p in characteristic p."""
+    if p is None:
+        return trim([a[i] * i for i in range(1, len(a))])
+    if p.__class__ is int:
+        return trim([i * a[i] % p for i in range(1, len(a))])
+    add, mul = p.add, p.mul
+    out, i = [], 0  # i: the table index of the integer's image
+    for c in a[1:]:
+        i = add[i][1]
+        out.append(mul[i][c])
+    return trim(out)
+
+
 def _resultant(a, b, p):
     """Res(a, b) of nonzero a and b: lc(a)^deg(b) times the product of b
     over the roots of a, so N(b(x)) = Res(a, b) in k[x]/(a) for a monic.
@@ -302,3 +339,4 @@ zp_invmod = _invmod
 zp_mulmod = _mulmod
 zp_powmod = _powmod
 zp_resultant = _resultant
+zp_derivative = _derivative

@@ -27,10 +27,11 @@ from mkt.errors import (BadModulus, DescriptorMismatch, DivisionByZero,
 from mkt.factor import factor, forget, irreducible_factors, is_irreducible
 from mkt.fields import (Polynomial, RationalFunction, all_elements, coordinates,
                         element_from_poly, embed, extension, from_coordinates,
-                        function_field, is_ancestor, poly_gcd, poly_resultant, prime_field,
-                        rationals, tower_degree, tower_steps)
+                        function_field, is_ancestor, kernel_elements, kernel_kind,
+                        kernel_values, poly_gcd, poly_resultant, prime_field, rationals,
+                        tower_degree, tower_steps)
 from mkt.linalg import Matrix, companion_matrix, minpoly_matrix
-from mkt.sampling import monic_irreducible, random_element
+from mkt.sampling import monic_irreducible, random_element, random_unit
 from mkt.symbols import symbol
 from mkt.towers import (minimal_polynomial, multiplication_matrix, norm_element,
                         present_as_simple)
@@ -196,8 +197,11 @@ class TestFactor:
             f = Polynomial.one(field)
             for g in irreducibles:
                 f = f * g
+            values = kernel_values(kernel_kind(field), f.coeffs)
             for _ in range(3):
-                h = factor_module._equal_degree_split(f, d, rng)
+                h = Polynomial(field, kernel_elements(
+                    field, factor_module._equal_degree_split(values, d, field, rng),
+                    kernel_kind(field)))
                 assert h.is_monic() and 0 < h.degree < f.degree
                 assert h.degree % d == 0 and (f % h).is_zero()
             forget()
@@ -214,6 +218,96 @@ class TestFactor:
         L = extension(Q, Polynomial.from_ints(Q, [-2, 0, 1]))
         with pytest.raises(UnsupportedFactorization):
             factor(Polynomial.from_ints(L, [1, 1, 1]))
+
+
+def _power_mod(h, e, f):
+    """h^e mod f by square-and-multiply on Polynomial * and %."""
+    out, h = Polynomial.one(f.field), h % f
+    while e:
+        if e & 1:
+            out = out * h % f
+        h = h * h % f
+        e >>= 1
+    return out
+
+
+def _coprime(a, b):
+    """Whether Euclid's algorithm on Polynomial % ends in a unit."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.degree == 0
+
+
+def rabin_irreducible(f):
+    """Rabin's test (SIAM J. Comput. 1980), test-local: a monic f of degree
+    n over F_q is irreducible iff x^(q^n) = x mod f and x^(q^(n/r)) - x is
+    prime to f for every prime r dividing n."""
+    k, n = f.field, f.degree
+    q, x = k.order(), Polynomial.x(k)
+    frob = [x % f]  # frob[i] = x^(q^i) mod f
+    for _ in range(n):
+        frob.append(_power_mod(frob[-1], q, f))
+    if not (frob[n] - x % f).is_zero():
+        return False
+    return all(_coprime(frob[n // r] - x, f)
+               for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r)))
+
+
+def f243():
+    F3 = prime_field(3)
+    return extension(F3, Polynomial.from_ints(F3, [1, 2, 0, 0, 0, 1]))  # x^5 + 2x + 1
+
+
+# the fields of the planted factorizations: F_2, F_4 and F_8 split by the
+# trace map, F_9 and F_27 on table indices, F_81 over F_9 and F_243 on
+# elements, F_10007 on residues
+PLANTED_FIELDS = {"F_2": lambda: prime_field(2), "F_4": lambda: make_field(4),
+                  "F_8": lambda: make_field(8), "F_9": lambda: make_field(9),
+                  "F_27": lambda: make_field(27), "F_81": f81_over_f9, "F_243": f243,
+                  "F_10007": lambda: prime_field(10007)}
+
+
+class TestPlantedFiniteFactorizations:
+    """[DERIVED] Products of distinct monic irreducibles, each proven
+    irreducible by the test-local Rabin test, raised to planted
+    multiplicities and scaled by a unit: factor must return the unit and
+    the planted multiset. The shapes reach every step of the pipeline:
+    g^2 h the squarefree split, g^p (p small) the p-th root of a vanishing
+    derivative, g^p h^2 k the p-th root of a cofactor, and several factors
+    of one degree the equal-degree split. Over F_2 only two irreducibles
+    of degree 1 and 3 exist, so no shape asks for more."""
+
+    # (degree, multiplicity) lists; "p" is the characteristic
+    SHAPES = ([(2, 2), (3, 1)], [(3, "p")], [(1, 1), (1, 1), (3, 1), (3, 1)],
+              [(2, "p"), (1, 2), (3, 1)], [(1, "p"), (1, 1), (4, 2)])
+
+    @staticmethod
+    def _irreducible(k, rng, d, taken):
+        while True:
+            g = Polynomial(k, [random_element(k, rng) for _ in range(d)] + [k.one()])
+            if g not in taken and rabin_irreducible(g):
+                taken.add(g)
+                return g
+
+    @pytest.mark.parametrize("name", list(PLANTED_FIELDS))
+    def test_planted_multisets(self, name):
+        k = PLANTED_FIELDS[name]()
+        p = k.characteristic()
+        rng = random.Random(name)
+        for rounds in range(3):
+            for shape in self.SHAPES:
+                if p > 5 and any(m == "p" for _, m in shape):
+                    continue  # g^p is of degree p deg g
+                taken = set()
+                planted = [(self._irreducible(k, rng, d, taken), p if m == "p" else m)
+                           for d, m in shape]
+                lead = random_unit(k, rng)
+                f = Polynomial.constant(lead)
+                for g, m in planted:
+                    f = f * g ** m
+                forget()
+                assert factor(f) == (lead, sorted(planted, key=lambda gm: gm[0].coeff_key()))
+        forget()
 
 
 def _int_mul(a, b):
@@ -754,13 +848,23 @@ class TestFieldTables:
     def test_table_equals_a_walk_of_element_powers(self, p, d):
         """For every monic modulus of order p^d <= 27, extension() gives the
         add, mul, neg and inv of walked_table, or BadModulus when the
-        modulus is reducible."""
+        modulus is reducible. A linear step gets no table, so it is not
+        held for the process: with the collector off it is freed at its
+        last `del`."""
         k = prime_field(p)
         for low in itertools.product(range(p), repeat=d):
             m = Polynomial.from_ints(k, list(low) + [1])
             if not is_irreducible(m):
                 with pytest.raises(BadModulus):
                     extension(k, m)
+                continue
+            if d == 1:
+                L = extension(k, m)
+                assert L._table is None and L not in fields_module._TABLED
+                gone = weakref.ref(L)
+                with collector_off():
+                    del L
+                    assert gone() is None and m not in fields_module._EXTENSIONS
                 continue
             tab = extension(k, m)._table
             assert (tab.add, tab.mul, tab.neg, tab.inv) == walked_table(extension(k, m))

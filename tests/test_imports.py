@@ -1,7 +1,9 @@
 """Every name a module of mkt imports is used in that module, no module
 imports a private name from another, only `fields` and `zkernel` read a
-field's `_table`, so the table's layout stays behind those two, and only
-`fields` reads an element's table index `ix`.
+field's `_table`, so the table's layout stays behind those two, only
+`fields` reads an element's table index `ix`, and no module but `zkernel`
+calls a private `zkernel._*` routine, so a tracer that wraps the public
+`zp_*` names sees every call into the kernel.
 
 `__init__.py` is exempt: its imports are the package's re-exports.
 """
@@ -97,3 +99,24 @@ def test_flags_an_index_read():
                          ids=lambda p: p.name)
 def test_no_index_reads(path):
     assert attribute_reads(path.read_text(), "ix") == []
+
+
+def private_kernel_calls(source: str) -> list[str]:
+    """The lines on which source calls, or otherwise reads, a _-prefixed
+    attribute of the name `zkernel`."""
+    found = sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                   and isinstance(node.value, ast.Name) and node.value.id == "zkernel")
+    return [f"{attr} (line {line})" for line, attr in found]
+
+
+def test_flags_a_private_kernel_call():
+    source = ("from mkt import zkernel\nq, r = zkernel._divmod(a, b, p)\n"
+              "f = zkernel._gcd\nzkernel.zp_gcd(a, b, p)\nother._gcd(a)\n")
+    assert private_kernel_calls(source) == ["_divmod (line 2)", "_gcd (line 3)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "zkernel.py"],
+                         ids=lambda p: p.name)
+def test_no_private_kernel_calls(path):
+    assert private_kernel_calls(path.read_text()) == []

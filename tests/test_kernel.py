@@ -15,9 +15,8 @@ import pytest
 
 from mkt import zkernel
 from mkt.errors import DivisionByZero
-from mkt.factor import poly_powmod
-from mkt.fields import (Polynomial, extension, kernel_values, poly_gcd, poly_resultant,
-                        rationals)
+from mkt.fields import (Polynomial, extension, kernel_values, poly_gcd, poly_powmod,
+                        poly_resultant, rationals)
 from mkt.sampling import monic_irreducible, random_element, random_unit
 from tests.conftest import TwinField, f16_over_f4, f81_over_f9, make_field
 

@@ -224,8 +224,11 @@ def reference_tame(v, x):
 
 def oracle_places():
     """(name, place): finite places of degree 1, 2 and 3 over F_9(X) and
-    F_4(X), their infinite places, places of Q(X) and primes of Q."""
-    from tests.conftest import make_field
+    F_4(X), their infinite places, places of degree 1 and 2 over F_5(X) and
+    of degree 2 over F_81(X), places of Q(X) and primes of Q. So the
+    residues are read from every kernel kind: residues mod 5, table indices
+    of F_9, F_4 and F_25, and elements of F_81, F_729 and F_6561."""
+    from tests.conftest import f81_over_f9, make_field
     rng = random.Random(3)
     out = []
     for q in (9, 4):
@@ -234,6 +237,10 @@ def oracle_places():
             out.append((f"F_{q}(X) deg {d}",
                         finite_place(ff, monic_irreducible(ff.base, rng, d))))
         out.append((f"F_{q}(X) inf", infinite_place(ff)))
+    for name, k, degrees in (("F_5", make_field(5), (1, 2)), ("F_81", f81_over_f9(), (2,))):
+        ff = function_field(k)
+        out += [(f"{name}(X) deg {d}", finite_place(ff, monic_irreducible(k, rng, d)))
+                for d in degrees]
     qx = function_field(Qf)
     out.append(("Q(X) X-2", finite_place(qx, poly(Qf, [-2, 1]))))
     out.append(("Q(X) X^2+1", finite_place(qx, poly(Qf, [1, 0, 1]))))
